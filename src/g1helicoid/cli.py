@@ -104,8 +104,6 @@ class RunConfig:
     # verify
     verify_grid: int = 100
     # common
-    threads: Optional[int] = None
-    seed: int = 0
     config_path: Optional[str] = None
     out: Optional[str] = None
 
@@ -114,8 +112,8 @@ class RunConfig:
             raise UsageError("tolerances must be positive")
         if self.cutoff <= 0:
             raise UsageError("cutoff must be positive")
-        if self.max_level < 1:
-            raise UsageError("max-level must be >= 1")
+        if self.max_level < 4:
+            raise UsageError("max-level must be >= 4")
         if self.grid < 2:
             raise UsageError("grid must be >= 2")
         if self.rho_grid < 1:
@@ -130,8 +128,6 @@ class RunConfig:
             raise UsageError(f"unknown mesh format {self.format!r}")
         if self.verify_grid < 4:
             raise UsageError("verify grid must be >= 4")
-        if self.threads is not None and self.threads < 1:
-            raise UsageError("threads must be >= 1")
         if (self.rho is None) != (self.lam is None):
             raise UsageError("--rho and --lambda must be given together")
         if self.out is not None:
@@ -149,25 +145,13 @@ class RunConfig:
     def echo(self) -> Dict[str, object]:
         """Deterministic key/value echo of everything that shaped the run."""
         keep = {
-            "solve": (
-                "rel_tol abs_tol max_level grid root_tol rho_min rho_max threads seed"
-            ),
-            "periods": (
-                "rel_tol abs_tol max_level root_tol rho_grid rho_min rho_max"
-                " threads seed"
-            ),
+            "solve": "rel_tol abs_tol max_level grid root_tol rho_min rho_max",
+            "periods": "rel_tol abs_tol max_level root_tol rho_grid rho_min rho_max",
             "mesh": (
-                "rel_tol abs_tol max_level grid root_tol resolution copies cutoff"
-                " format rho lam threads seed"
+                "rel_tol abs_tol max_level grid root_tol resolution copies cutoff format rho lam"
             ),
-            "curves": (
-                "rel_tol abs_tol max_level grid root_tol resolution cutoff rho lam"
-                " threads seed"
-            ),
-            "verify": (
-                "rel_tol abs_tol max_level grid root_tol verify_grid resolution"
-                " cutoff threads seed"
-            ),
+            "curves": "rel_tol abs_tol max_level grid root_tol resolution cutoff rho lam",
+            "verify": "rel_tol abs_tol max_level grid root_tol verify_grid resolution cutoff",
         }[self.subcommand]
         out: Dict[str, object] = {"subcommand": self.subcommand}
         for name in keep.split():
@@ -192,8 +176,6 @@ _FIELD_TYPES: Dict[str, type] = {
     "rho": float,
     "lam": float,
     "verify_grid": int,
-    "threads": int,
-    "seed": int,
     "out": str,
 }
 
@@ -283,11 +265,6 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", metavar="FILE", help="flat KEY = VALUE config file")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads (default: hardware count)")
-    parser.add_argument("--seed", type=int, metavar="N",
-                        help="random seed recorded in provenance (sampling is "
-                             "deterministic; reserved for future stochastic checks)")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     sub.required = True
 
@@ -431,7 +408,6 @@ def _solve(cfg: RunConfig):
         root_tol=cfg.root_tol,
         rho_min=cfg.rho_min,
         rho_max=cfg.rho_max,
-        threads=cfg.threads,
     )
 
 
@@ -472,11 +448,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 
 def _cmd_periods(cfg: RunConfig) -> int:
-    if cfg.rho_grid == 1:
-        rhos = [cfg.rho_min]
-    else:
-        rhos = list(np.linspace(cfg.rho_min, cfg.rho_max, cfg.rho_grid))
-    rows = scan_H(rhos, cfg.quad_spec(), cfg.root_tol, cfg.threads)
+    rhos = np.linspace(cfg.rho_min, cfg.rho_max, cfg.rho_grid)
+    rows = scan_H(rhos, cfg.quad_spec(), cfg.root_tol)
     lines = ["# " + s for s in _provenance_comment_lines(cfg)]
     lines.append("rho,Lambda,F,G")
     for rho, Lam, F, G in rows:
@@ -487,12 +460,7 @@ def _cmd_periods(cfg: RunConfig) -> int:
 
 def _build_patch(cfg: RunConfig, params: SurfaceParams,
                  triple: Dict[str, float]) -> SurfaceMesh:
-    patch = mesh_patch_D(
-        params,
-        resolution=cfg.resolution,
-        cutoff=cfg.cutoff,
-        threads=cfg.threads,
-    )
+    patch = mesh_patch_D(params, resolution=cfg.resolution, cutoff=cfg.cutoff)
     patch.metadata["provenance"] = _provenance_comment_lines(cfg, triple)
     return patch
 
@@ -526,11 +494,11 @@ def _cmd_curves(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     report = run_all(
+        params=_solve(cfg).params,
         grid=cfg.verify_grid,
         resolution=cfg.resolution,
         cutoff=cfg.cutoff,
         quad_spec=cfg.quad_spec(),
-        threads=cfg.threads,
     )
     triple = {"rho0": report.rho0, "lambda0": report.lambda0, "T": report.T}
     payload = dict(report.to_dict())

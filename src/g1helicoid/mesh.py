@@ -12,8 +12,8 @@ z-track, so no trimming is needed:
 - puncture at z = i/lam:        the helicoidal end; a cutoff disk is excluded
 
 Each level is anchored on the x3-axis (its theta = 3pi/2 endpoint has the
-closed-form height) and swept independently, so levels parallelize trivially
-and carry no cross-level error accumulation.  The bottom-edge endpoints then
+closed-form height) and swept independently, so no error accumulates from
+one level to the next.  The bottom-edge endpoints then
 get re-derived by the sweep and checked against the independent closed-form
 ray values -- a strong whole-pipeline consistency check.  The first
 coordinate of every vertex is additionally checked against the exact global
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -287,35 +286,25 @@ def mesh_patch_D(
     params: SurfaceParams,
     resolution: int = 48,
     cutoff: float = 1e-2,
-    end_cap: bool = True,
-    m_max: Optional[float] = None,
-    rel_tol: float = 1e-10,
-    abs_tol: Optional[float] = None,
-    slab_tol: Optional[float] = None,
-    threads: Optional[int] = None,
 ) -> SurfaceMesh:
     """Mesh the graph patch (z in the left half-plane, one quarter-rectangle).
 
-    ``cutoff`` is the excluded z-distance around the puncture z = i/lam;
-    ``m_max`` truncates |z| near the far node (default 10/lam, where the
-    grid closes with a fan onto the exact node image).  With ``end_cap`` the
-    truncated helicoidal end is continued by an asymptote strip, flagged in
-    ``metadata['asymptotic_cap']`` (its vertices are approximations, not
-    surface samples, and are excluded from the exactness checks).
+    ``cutoff`` is the excluded z-distance around the puncture z = i/lam.
+    |z| is truncated at 10/lam near the far node, where the grid closes with
+    a fan onto the exact node image.  The truncated helicoidal end is
+    continued by an asymptote strip, flagged in ``metadata['asymptotic_cap']``
+    (its vertices are approximations, not surface samples, and are excluded
+    from the exactness checks).
     """
     if resolution < 8:
         raise MeshError("resolution must be at least 8")
     if not 0.0 < cutoff < 0.2 * (1.0 / params.lam - 1.0):
         raise MeshError(f"cutoff {cutoff!r} out of safe range")
-    if m_max is None:
-        m_max = 10.0 / params.lam
-    if m_max <= 2.0 / params.lam:
-        raise MeshError("m_max must exceed twice the puncture radius")
+    m_max = 10.0 / params.lam
     T = params.T
-    if abs_tol is None:
-        abs_tol = 1e-13 * T
-    if slab_tol is None:
-        slab_tol = 1e-6 * T
+    rel_tol = 1e-10
+    abs_tol = 1e-13 * T
+    slab_tol = 1e-6 * T
     t_punct = 1.0 / params.lam
     a_rise = axis_rise(params)
 
@@ -332,13 +321,8 @@ def mesh_patch_D(
         anchor = np.array([0.0, 0.0, x3_Ehat(params, t)])
         return _sweep_level(params, t, rays, anchor, rel_tol, abs_tol)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            inner_pos = list(pool.map(inner_level, inner_t))
-            outer_pos = list(pool.map(outer_level, outer_t))
-    else:
-        inner_pos = [inner_level(t) for t in inner_t]
-        outer_pos = [outer_level(t) for t in outer_t]
+    inner_pos = [inner_level(t) for t in inner_t]
+    outer_pos = [outer_level(t) for t in outer_t]
 
     glue_pos, bank_in_pos, bank_out_pos, glue_mask, slit_mask = _ring_polylines(
         params, rays, a_rise, rel_tol, abs_tol
@@ -548,14 +532,10 @@ def mesh_patch_D(
             "E_hat": np.asarray(ehat_ids, dtype=int),
             "C": np.asarray(c_ids, dtype=int),
         },
-        "asymptotic_cap": {"enabled": False},
     }
 
     mesh = SurfaceMesh(vertices, faces_arr, boundary, metadata)
-
-    if end_cap:
-        _append_asymptotic_cap(params, mesh, cutoff, hole_lo, hole_hi, rays)
-
+    _append_asymptotic_cap(params, mesh, cutoff, hole_lo, hole_hi, rays)
     return mesh
 
 

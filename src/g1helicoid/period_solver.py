@@ -27,7 +27,6 @@ the double-exponential rule clusters nodes there automatically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -251,31 +250,18 @@ class PeriodSolution:
     bracket_used: Tuple[float, float]
 
 
-def _scan_row(
-    rho: float, spec: QuadratureSpec, root_tol: float
-) -> Tuple[float, float, float, float]:
-    Lam = solve_Lambda_of_rho(rho, spec, root_tol)
-    st = evaluate_periods(rho, Lam, spec)
-    return (rho, Lam, st.F, st.G)
-
-
 def scan_H(
     rho_grid: Sequence[float],
     spec: QuadratureSpec = PERIOD_SPEC,
     root_tol: float = 1e-13,
-    threads: Optional[int] = None,
 ) -> List[Tuple[float, float, float, float]]:
-    """Rows ``(rho, Lambda(rho), F, G)`` over a rho grid (order-preserving).
-
-    The grid is embarrassingly parallel; results are gathered by index so the
-    output is deterministic regardless of thread count.
-    """
-    rhos = [float(r) for r in rho_grid]
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda r: _scan_row(r, spec, root_tol), rhos))
-    else:
-        rows = [_scan_row(r, spec, root_tol) for r in rhos]
+    """Rows ``(rho, Lambda(rho), F, G)`` over a rho grid (order-preserving)."""
+    rows = []
+    for rho in rho_grid:
+        rho = float(rho)
+        Lam = solve_Lambda_of_rho(rho, spec, root_tol)
+        st = evaluate_periods(rho, Lam, spec)
+        rows.append((rho, Lam, st.F, st.G))
     return rows
 
 
@@ -285,7 +271,6 @@ def solve_period_problem(
     root_tol: float = 1e-12,
     rho_min: float = 0.02,
     rho_max: float = math.pi / 2 - 0.02,
-    threads: Optional[int] = None,
 ) -> PeriodSolution:
     """Solve both period conditions; returns the closed parameter set.
 
@@ -301,7 +286,7 @@ def solve_period_problem(
         the exception for inspection.
     """
     grid = np.linspace(rho_min, rho_max, int(grid_size))
-    table = scan_H(grid, spec, threads=threads)
+    table = scan_H(grid, spec)
 
     g_vals = [row[3] for row in table]
     sign_changes: List[Tuple[float, float]] = []

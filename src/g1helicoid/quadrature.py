@@ -10,7 +10,7 @@ the open interval, including integrable power singularities at the endpoints.
 
 Endpoint-safe evaluation protocol
 ---------------------------------
-Integrands are either plain ``f(x)`` or ``f(x, da, db)`` where
+Every integrand is called as ``f(x, da, db)`` where
 
     da = x - a,   db = b - x
 
@@ -25,18 +25,14 @@ far below any representable cancellation, which is what lets the rule reach
 ~1e-14 on inverse-square-root endpoints in double precision.
 
 Abscissae are strictly interior: the map never produces x == a or x == b.
-
-A lower-order ``graded`` fallback (midpoint rule under the grading map
-``x = m - c*cos(pi*v)``) is provided for integrands the DE rule cannot
-handle; it shares the same convergence interface.
+An integrand with no endpoint singularity simply ignores ``da`` and ``db``.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -68,23 +64,17 @@ class QuadratureSpec:
         ``error <= max(rel_tol*|value|, abs_tol)``.
     max_level:
         Maximum number of step halvings (>= 4).  Level k uses step 2**-k.
-    method:
-        ``"tanh-sinh"`` (double exponential, default) or ``"graded"``
-        (graded-mesh midpoint fallback).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_level: int = 12
-    method: str = "tanh-sinh"
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise QuadratureError("rel_tol and abs_tol must be positive")
         if self.max_level < 4:
             raise QuadratureError("max_level must be >= 4")
-        if self.method not in ("tanh-sinh", "graded"):
-            raise QuadratureError(f"unknown quadrature method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -139,23 +129,6 @@ def _tanh_sinh_nodes(level: int) -> _NodeTable:
     return table
 
 
-def _wrap_integrand(f: Callable) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """Adapt ``f(x)`` or ``f(x, da, db)`` to the (x, da, db) protocol."""
-    try:
-        sig = inspect.signature(f)
-        n_pos = sum(
-            1
-            for p in sig.parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        )
-        has_var = any(p.kind == p.VAR_POSITIONAL for p in sig.parameters.values())
-    except (TypeError, ValueError):  # builtins / ufuncs
-        n_pos, has_var = 1, False
-    if n_pos >= 3 or has_var:
-        return f
-    return lambda x, da, db: f(x)
-
-
 def _eval_checked(g: Callable, x: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         y = np.asarray(g(x, da, db), dtype=float)
@@ -171,61 +144,6 @@ def _eval_checked(g: Callable, x: np.ndarray, da: np.ndarray, db: np.ndarray) ->
     return y
 
 
-def _integrate_tanh_sinh(g, a: float, b: float, spec: QuadratureSpec) -> QuadratureResult:
-    a_ = a  # keep originals for x reconstruction
-    c = 0.5 * (b - a)
-    n_evals = 0
-    value = math.nan
-    err = math.inf
-    level = 0
-    for level in range(spec.max_level + 1):
-        alpha, beta, weight = _tanh_sinh_nodes(level)
-        da = c * alpha
-        db = c * beta
-        # Build x from whichever endpoint is closer, keeping it strictly interior.
-        x = np.where(alpha <= beta, a_ + da, b - db)
-        y = _eval_checked(g, x, da, db)
-        n_evals += x.size
-        h = 2.0 ** (-level)
-        partial = h * c * float(np.dot(weight, y))
-        if level == 0:
-            value = partial
-        else:
-            new_value = 0.5 * value + partial
-            err = abs(new_value - value)
-            value = new_value
-            if err <= max(spec.rel_tol * abs(value), spec.abs_tol):
-                return QuadratureResult(value, err, level, True, n_evals)
-    return QuadratureResult(value, err, level, False, n_evals)
-
-
-# graded fallback: x = m - c*cos(pi v), midpoint rule in v on (0, 1)
-def _integrate_graded(g, a: float, b: float, spec: QuadratureSpec) -> QuadratureResult:
-    m = 0.5 * (a + b)
-    c = 0.5 * (b - a)
-    n = 32
-    prev = math.nan
-    err = math.inf
-    n_evals = 0
-    value = math.nan
-    for level in range(spec.max_level + 1):
-        v = (np.arange(n) + 0.5) / n
-        sv, cv = np.sin(np.pi * v), np.cos(np.pi * v)
-        da = c * 2.0 * np.sin(0.5 * np.pi * v) ** 2       # c*(1 - cos)
-        db = c * 2.0 * np.cos(0.5 * np.pi * v) ** 2       # c*(1 + cos) flipped
-        x = np.where(cv > 0, a + da, b - db)
-        y = _eval_checked(g, x, da, db)
-        n_evals += n
-        value = float(np.dot(y, c * np.pi * sv)) / n
-        if level > 0:
-            err = abs(value - prev)
-            if err <= max(spec.rel_tol * abs(value), spec.abs_tol):
-                return QuadratureResult(value, err, level, True, n_evals)
-        prev = value
-        n *= 2
-    return QuadratureResult(value, err, spec.max_level, False, n_evals)
-
-
 def integrate(
     f: Callable,
     a: float,
@@ -237,8 +155,8 @@ def integrate(
     Parameters
     ----------
     f:
-        Vectorized integrand, either ``f(x)`` or ``f(x, da, db)`` with
-        ``da = x - a`` and ``db = b - x`` supplied cancellation-free.
+        Vectorized integrand ``f(x, da, db)`` with ``da = x - a`` and
+        ``db = b - x`` supplied cancellation-free.
     a, b:
         Finite interval endpoints with ``a < b``.
     spec:
@@ -262,7 +180,27 @@ def integrate(
         raise QuadratureError(f"interval endpoints must be finite, got ({a}, {b})")
     if not a < b:
         raise QuadratureError(f"require a < b, got ({a}, {b})")
-    g = _wrap_integrand(f)
-    if spec.method == "graded":
-        return _integrate_graded(g, a, b, spec)
-    return _integrate_tanh_sinh(g, a, b, spec)
+    c = 0.5 * (b - a)
+    n_evals = 0
+    value = math.nan
+    err = math.inf
+    level = 0
+    for level in range(spec.max_level + 1):
+        alpha, beta, weight = _tanh_sinh_nodes(level)
+        da = c * alpha
+        db = c * beta
+        # Build x from whichever endpoint is closer, keeping it strictly interior.
+        x = np.where(alpha <= beta, a + da, b - db)
+        y = _eval_checked(f, x, da, db)
+        n_evals += x.size
+        h = 2.0 ** (-level)
+        partial = h * c * float(np.dot(weight, y))
+        if level == 0:
+            value = partial
+        else:
+            new_value = 0.5 * value + partial
+            err = abs(new_value - value)
+            value = new_value
+            if err <= max(spec.rel_tol * abs(value), spec.abs_tol):
+                return QuadratureResult(value, err, level, True, n_evals)
+    return QuadratureResult(value, err, level, False, n_evals)

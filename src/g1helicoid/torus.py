@@ -74,8 +74,6 @@ __all__ = [
     "MarkedPoint",
     "TorusChart",
     "build_chart",
-    "chart_width",
-    "chart_height",
 ]
 
 SHEETS = ("upper_left", "upper_right", "lower_right", "lower_left")
@@ -398,18 +396,6 @@ def _gl_cumulative(f: Callable, n_intervals: int) -> Tuple[np.ndarray, np.ndarra
     per_interval = 0.5 * h * vals @ _GL_WEIGHTS
     cum = np.concatenate(([0.0], np.cumsum(per_interval)))
     return edges, cum
-
-
-def chart_width(params: SurfaceParams, n_intervals: int = 512) -> float:
-    """Horizontal chart dimension: the lattice is (2*width, 0), (width, height)."""
-    _, cum = _gl_cumulative(_edge_density(params, vertical=False), n_intervals)
-    return 2.0 * float(cum[-1])
-
-
-def chart_height(params: SurfaceParams, n_intervals: int = 512) -> float:
-    """Vertical chart dimension (rhombus side pairing (width, height))."""
-    _, cum = _gl_cumulative(_edge_density(params, vertical=True), n_intervals)
-    return 2.0 * float(cum[-1])
 
 
 @dataclass(frozen=True)

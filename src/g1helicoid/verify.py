@@ -43,11 +43,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,11 +60,11 @@ from .period_solver import (
 )
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .weierstrass import (
-    Segment,
     axis_rise,
     descent_axis,
     dh_rate_on_slit_inner,
     phi_dz,
+    positions_fixed_rule,
     seg_slit_bank,
     tip_position,
     x2_H1,
@@ -174,10 +172,9 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self, include_runtime: bool = False) -> Dict[str, object]:
-        checks: List[Dict[str, object]] = []
-        for c in self.checks:
-            entry: Dict[str, object] = {
+    def to_dict(self) -> Dict[str, object]:
+        checks = [
+            {
                 "name": c.name,
                 "anchor": c.anchor,
                 "quantity": c.quantity,
@@ -187,9 +184,8 @@ class VerificationReport:
                 "diagnostic": bool(c.diagnostic),
                 "details": {k: v for k, v in c.details},
             }
-            if include_runtime:
-                entry["runtime_s"] = c.runtime_s
-            checks.append(entry)
+            for c in self.checks
+        ]
         return {
             "rho0": self.rho0,
             "lambda0": self.lambda0,
@@ -201,9 +197,9 @@ class VerificationReport:
             "checks": checks,
         }
 
-    def to_json(self, include_runtime: bool = False) -> str:
-        """Deterministic JSON text (runtimes excluded by default)."""
-        return json_text(self.to_dict(include_runtime=include_runtime))
+    def to_json(self) -> str:
+        """Deterministic JSON text (runtimes excluded)."""
+        return json_text(self.to_dict())
 
     def table(self) -> str:
         """Human-readable fixed-width table, one line per check."""
@@ -276,40 +272,6 @@ def _details(d: Mapping[str, float]) -> Tuple[Tuple[str, float], ...]:
 # --------------------------------------------------------------------------
 
 
-_GLF_X, _GLF_W = np.polynomial.legendre.leggauss(16)
-
-
-def _positions_fixed_gl(
-    params: SurfaceParams, seg: Segment, s_breaks: np.ndarray, x0: np.ndarray
-) -> np.ndarray:
-    """Cumulative positions at the breakpoints by one fixed GL16 rule per pair.
-
-    The slit banks use a square-root substitution, so the integrand is
-    analytic all the way to the tip endpoint, but its floating-point
-    evaluation turns noisy within ~1e-5 of it (the branch-point factor
-    cancels only analytically).  On endpoint-clustered breakpoint sets
-    an adaptive splitter would chase that noise into the singular zone;
-    a fixed high-order rule per subinterval is both ample (truncation
-    error far below the noise floor on these short analytic pieces) and
-    robust (its nodes never come closer to the endpoint than a fixed
-    fraction of the last subinterval).
-    """
-    s_breaks = np.asarray(s_breaks, dtype=float)
-    a, b = s_breaks[:-1], s_breaks[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = (mid[:, None] + half[:, None] * _GLF_X[None, :]).ravel()
-    vals = phi_dz(params, seg.sheet, seg.z_of(nodes), seg.region) * seg.dz_ds(nodes)[
-        :, None
-    ]
-    vals = vals.reshape(len(a), len(_GLF_X), 3)
-    pieces = np.real(half[:, None] * np.einsum("k,nkc->nc", _GLF_W, vals))
-    out = np.empty((len(s_breaks), 3), dtype=float)
-    out[0] = np.asarray(x0, dtype=float)
-    out[1:] = out[0] + np.cumsum(pieces, axis=0)
-    return out
-
-
 def _sample_slit_curve(
     params: SurfaceParams, n: int
 ) -> Tuple[np.ndarray, int, float]:
@@ -329,9 +291,9 @@ def _sample_slit_curve(
     s = np.linspace(0.0, 1.0, m + 1)
     a = axis_rise(params)
     seg_in = seg_slit_bank(params, -math.pi / 2.0, params.rho, "inner")
-    pos_in = _positions_fixed_gl(params, seg_in, s, np.array([0.0, 0.0, a]))
+    pos_in = positions_fixed_rule(params, seg_in, s, np.array([0.0, 0.0, a]))
     seg_out = seg_slit_bank(params, -math.pi / 2.0, params.rho, "outer")
-    pos_out = _positions_fixed_gl(params, seg_out, s, np.array([0.0, 0.0, -a]))
+    pos_out = positions_fixed_rule(params, seg_out, s, np.array([0.0, 0.0, -a]))
     tip_gap = float(np.linalg.norm(pos_in[-1] - pos_out[-1]))
     return np.vstack([pos_in, pos_out[-2::-1]]), m, tip_gap
 
@@ -348,12 +310,6 @@ def _polyline_diameter(pts: np.ndarray) -> float:
     pts = np.asarray(pts, dtype=float)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     return float(math.sqrt(d2.max()))
-
-
-def _timed(fn: Callable[[], Tuple[bool, float, float, Dict[str, float]]]):
-    t0 = time.perf_counter()
-    passed, value, tol, details = fn()
-    return passed, value, tol, details, time.perf_counter() - t0
 
 
 # --------------------------------------------------------------------------
@@ -1093,47 +1049,31 @@ def check_rho_nonpositive_single_sign(
 def run_all(
     params: Optional[SurfaceParams] = None,
     grid: int = 100,
-    n_monotone: int = 1000,
-    n_convex: int = 720,
     resolution: int = 48,
     cutoff: float = 1e-2,
     quad_spec: QuadratureSpec = DEFAULT_SPEC,
-    threads: Optional[int] = None,
 ) -> VerificationReport:
-    """Run every check at the solved parameters; fixed report order.
+    """Run every check at the solved parameters, one after another, and
+    assemble the report in the fixed check order.
 
-    Checks are independent and run concurrently; the report is
-    assembled in declaration order, so the output is deterministic.
+    Without ``params`` the period problem is solved with its defaults.
     """
     if params is None:
         params = solve_period_problem().params
-    patch = mesh_patch_D(params, resolution=resolution, cutoff=cutoff, threads=threads)
-    thunks: List[Tuple[str, Callable[[], CheckResult]]] = [
-        ("x3_monotone_on_C", lambda: check_x3_monotone_on_C(params, n=n_monotone)),
-        ("c_convex", lambda: check_c_convex(params, n=n_convex)),
-        (
-            "graph_disjointness",
-            lambda: check_graph_disjointness(params, grid=grid, patch=patch),
-        ),
-        ("slab_and_boundary", lambda: check_slab_and_boundary(params)),
-        ("limit_constants", lambda: check_limit_constants(quad_spec)),
-        (
-            "lambda_above_one_reversal",
-            lambda: check_lambda_above_one_reversal(rho=round(params.rho, 2)),
-        ),
-        ("rho_nonpositive_single_sign", lambda: check_rho_nonpositive_single_sign()),
-    ]
-    workers = threads if threads is not None else min(len(thunks), os.cpu_count() or 1)
-    if workers <= 1:
-        results = [fn() for _, fn in thunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn) for _, fn in thunks]
-            results = [f.result() for f in futures]
+    patch = mesh_patch_D(params, resolution=resolution, cutoff=cutoff)
+    checks = (
+        check_x3_monotone_on_C(params),
+        check_c_convex(params),
+        check_graph_disjointness(params, grid=grid, patch=patch),
+        check_slab_and_boundary(params),
+        check_limit_constants(quad_spec),
+        check_lambda_above_one_reversal(rho=round(params.rho, 2)),
+        check_rho_nonpositive_single_sign(),
+    )
     return VerificationReport(
         rho0=params.rho,
         lambda0=params.lam,
         Lambda0=params.Lambda,
         T=params.T,
-        checks=tuple(results),
+        checks=checks,
     )

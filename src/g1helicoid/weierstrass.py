@@ -68,6 +68,7 @@ __all__ = [
     "integrate_segment",
     "integrate_path",
     "positions_along",
+    "positions_fixed_rule",
     "alpha_cycle",
     "descent_axis",
     "vertical_period_gap",
@@ -281,22 +282,13 @@ def seg_ring_left_from_tip(params: SurfaceParams, th1: float, region: str) -> Se
     )
 
 
-def seg_slit_bank(params: SurfaceParams, phi0: float, phi1: float, bank: str) -> Segment:
-    """Slit-bank arc z = -e^{-i phi}, phi in [-pi/2, rho], rho being the tip.
+def _tip_substitution(rho: float, phi0: float, phi1: float):
+    """Angle map ``phi(s)`` from phi0 to phi1 and its derivative.
 
-    ``bank="inner"`` is the bank adjoining |z| < 1 (w = +slit_modulus
-    e^{-i pi/4}), ``bank="outer"`` the other one (w negated).  A square-root
-    substitution is applied automatically when an endpoint is the tip.
+    When an endpoint is the w-pole angle ``rho`` the map is quadratic in the
+    distance to it (square-root substitution), which makes the integrand
+    analytic up to that endpoint; otherwise it is linear.
     """
-    rho = params.rho
-    phi0, phi1 = float(phi0), float(phi1)
-    if bank == "inner":
-        sheet, region = "upper_left", "inner"
-    elif bank == "outer":
-        sheet, region = "lower_right", "inner"
-    else:
-        raise ValueError(f"bank must be 'inner' or 'outer', got {bank!r}")
-
     if np.isclose(phi1, rho):
         d = rho - phi0
 
@@ -322,6 +314,27 @@ def seg_slit_bank(params: SurfaceParams, phi0: float, phi1: float, bank: str) ->
 
         def dphi(s):
             return (phi1 - phi0) * np.ones_like(s)
+
+    return phi, dphi
+
+
+def seg_slit_bank(params: SurfaceParams, phi0: float, phi1: float, bank: str) -> Segment:
+    """Slit-bank arc z = -e^{-i phi}, phi in [-pi/2, rho], rho being the tip.
+
+    ``bank="inner"`` is the bank adjoining |z| < 1 (w = +slit_modulus
+    e^{-i pi/4}), ``bank="outer"`` the other one (w negated).  A square-root
+    substitution is applied automatically when an endpoint is the tip.
+    """
+    rho = params.rho
+    phi0, phi1 = float(phi0), float(phi1)
+    if bank == "inner":
+        sheet, region = "upper_left", "inner"
+    elif bank == "outer":
+        sheet, region = "lower_right", "inner"
+    else:
+        raise ValueError(f"bank must be 'inner' or 'outer', got {bank!r}")
+
+    phi, dphi = _tip_substitution(rho, phi0, phi1)
 
     def z_of(s):
         return -np.exp(-1j * phi(s))
@@ -340,31 +353,7 @@ def seg_mirror_ring_right(params: SurfaceParams, phi0: float, phi1: float) -> Se
     substitution."""
     rho = params.rho
     phi0, phi1 = float(phi0), float(phi1)
-    if np.isclose(phi1, rho):
-        d = rho - phi0
-
-        def phi(s):
-            q = 1.0 - s
-            return rho - d * q * q
-
-        def dphi(s):
-            return 2.0 * d * (1.0 - s)
-
-    elif np.isclose(phi0, rho):
-        d = rho - phi1
-
-        def phi(s):
-            return rho - d * s * s
-
-        def dphi(s):
-            return -2.0 * d * s
-
-    else:
-        def phi(s):
-            return phi0 + (phi1 - phi0) * s
-
-        def dphi(s):
-            return (phi1 - phi0) * np.ones_like(s)
+    phi, dphi = _tip_substitution(rho, phi0, phi1)
 
     def z_of(s):
         return np.exp(1j * phi(s))
@@ -407,16 +396,19 @@ def _seg_values(params: SurfaceParams, seg: Segment, s: np.ndarray, dh_scale: fl
     return vals
 
 
-def _gl_wave(params, seg, a, b, dh_scale):
-    """GL8/GL16 estimates on a batch of subintervals; returns (I16, err)."""
+def _gl_panels(params, seg, a, b, dh_scale, nodes, weights):
+    """One fixed Gauss-Legendre rule on each subinterval [a[k], b[k]]."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x8 = mid[:, None] + half[:, None] * _GL8_X[None, :]
-    x16 = mid[:, None] + half[:, None] * _GL16_X[None, :]
-    f8 = _seg_values(params, seg, x8.ravel(), dh_scale).reshape(len(a), 8, 3)
-    f16 = _seg_values(params, seg, x16.ravel(), dh_scale).reshape(len(a), 16, 3)
-    i8 = half[:, None] * np.einsum("k,nkc->nc", _GL8_W, f8)
-    i16 = half[:, None] * np.einsum("k,nkc->nc", _GL16_W, f16)
+    x = mid[:, None] + half[:, None] * nodes[None, :]
+    f = _seg_values(params, seg, x.ravel(), dh_scale).reshape(len(a), len(nodes), 3)
+    return half[:, None] * np.einsum("k,nkc->nc", weights, f)
+
+
+def _gl_wave(params, seg, a, b, dh_scale):
+    """GL8/GL16 estimates on a batch of subintervals; returns (I16, err)."""
+    i8 = _gl_panels(params, seg, a, b, dh_scale, _GL8_X, _GL8_W)
+    i16 = _gl_panels(params, seg, a, b, dh_scale, _GL16_X, _GL16_W)
     err = np.max(np.abs(i16 - i8), axis=1)
     return i16, err
 
@@ -493,6 +485,13 @@ def integrate_path(
     return total
 
 
+def _anchored(x0, pieces: np.ndarray) -> np.ndarray:
+    out = np.empty((len(pieces) + 1, 3), dtype=float)
+    out[0] = np.asarray(x0, dtype=float)
+    out[1:] = out[0] + np.cumsum(pieces.real, axis=0)
+    return out
+
+
 def positions_along(
     params: SurfaceParams,
     seg: Segment,
@@ -505,10 +504,27 @@ def positions_along(
     """Real positions X at the given s-breakpoints, anchored at X(s_breaks[0]) = x0."""
     s_breaks = np.asarray(s_breaks, dtype=float)
     pieces = _adaptive_pairs(params, seg, s_breaks, rel_tol, abs_tol, dh_scale)
-    out = np.empty((len(s_breaks), 3), dtype=float)
-    out[0] = np.asarray(x0, dtype=float)
-    out[1:] = out[0] + np.cumsum(pieces.real, axis=0)
-    return out
+    return _anchored(x0, pieces)
+
+
+def positions_fixed_rule(
+    params: SurfaceParams, seg: Segment, s_breaks: np.ndarray, x0
+) -> np.ndarray:
+    """Real positions at the breakpoints by one fixed GL16 rule per pair.
+
+    The slit banks use a square-root substitution, so the integrand is
+    analytic all the way to the tip endpoint, but its floating-point
+    evaluation turns noisy within ~1e-5 of it (the branch-point factor
+    cancels only analytically).  On endpoint-clustered breakpoint sets
+    the adaptive splitter of :func:`positions_along` would chase that noise
+    into the singular zone; a fixed high-order rule per subinterval is both
+    ample (truncation error far below the noise floor on these short
+    analytic pieces) and robust (its nodes never come closer to the
+    endpoint than a fixed fraction of the last subinterval).
+    """
+    s_breaks = np.asarray(s_breaks, dtype=float)
+    pieces = _gl_panels(params, seg, s_breaks[:-1], s_breaks[1:], 1.0, _GL16_X, _GL16_W)
+    return _anchored(x0, pieces)
 
 
 # ----------------------------------------------------------------------
@@ -727,7 +743,9 @@ def x2_H1(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) 
     """Total |x2| progress along the bottom edge from the node to t = m < 1/lam."""
     if not 0.0 < m < 1.0 / params.lam:
         raise ValueError(f"m={m!r} outside (0, 1/lam)")
-    return float(integrate(lambda t: -x2_rate_edge(params, t), 0.0, float(m), spec).value)
+    return float(
+        integrate(lambda t, da, db: -x2_rate_edge(params, t), 0.0, float(m), spec).value
+    )
 
 
 def x2_H2(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
@@ -735,7 +753,7 @@ def x2_H2(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) 
     if not m > 1.0 / params.lam:
         raise ValueError(f"m={m!r} must exceed 1/lam")
 
-    def integrand(s):
+    def integrand(s, da, db):
         t = 1.0 / s
         return -x2_rate_edge(params, t) * t * t
 
@@ -746,7 +764,9 @@ def x3_E(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -
     """x3 rise along the right vertical edge from the node to t = m."""
     if m <= 0.0:
         raise ValueError("m must be positive")
-    return float(integrate(lambda t: x3_rate_vertical(params, t), 0.0, float(m), spec).value)
+    return float(
+        integrate(lambda t, da, db: x3_rate_vertical(params, t), 0.0, float(m), spec).value
+    )
 
 
 def x3_E_tail(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
@@ -754,7 +774,7 @@ def x3_E_tail(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SP
     if m <= 0.0:
         raise ValueError("m must be positive")
 
-    def integrand(s):
+    def integrand(s, da, db):
         t = 1.0 / s
         return x3_rate_vertical(params, t) * t * t
 

@@ -133,6 +133,24 @@ def test_nonpositive_tolerance_exits_2():
     assert run(["solve", "--rel-tol", "-1e-9"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["--threads", "2", "solve"], None),
+        (["--seed", "1", "solve"], None),
+        (["solve"], "threads = 2\n"),
+        (["periods", "--max-level", "2"], None),
+    ],
+    ids=["threads-flag", "seed-flag", "threads-config-key", "max-level-below-4"],
+)
+def test_rejected_setting_exits_2(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = ["--config", str(path), *argv]
+    assert run(argv) == 2
+
+
 def test_unwritable_out_exits_2():
     assert run(["solve", "--out", "/no/such/dir/x.json"]) == 2
 
@@ -201,6 +219,14 @@ def test_verify_exits_zero_at_solution(tmp_path, capsys):
     assert all(c["passed"] for c in report["checks"])
     # the human-readable table went to stdout
     assert "failures: 0" in capsys.readouterr().out
+
+
+def test_verify_solves_with_the_solver_flags(tmp_path):
+    solve_out, verify_out = tmp_path / "sol.json", tmp_path / "report.json"
+    assert run(["solve", "--grid", "16", "--out", str(solve_out)]) == 0
+    assert run(["verify", "--grid", "16", "--out", str(verify_out)]) == 0
+    solved = json.loads(solve_out.read_text())["rho0"]
+    assert json.loads(verify_out.read_text())["rho0"] == solved
 
 
 def test_runconfig_validation_direct():

@@ -159,13 +159,6 @@ def test_scan_row_frozen():
     assert abs(G - SCAN_G_AT_15) < 1e-9 * abs(SCAN_G_AT_15)
 
 
-def test_scan_threaded_matches_serial():
-    grid = [0.3, 0.7, 1.1, 1.4]
-    serial = scan_H(grid)
-    threaded = scan_H(grid, threads=4)
-    assert serial == threaded
-
-
 # ---------------------------------------------------------------------------
 # the outer solve
 # ---------------------------------------------------------------------------

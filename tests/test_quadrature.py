@@ -82,8 +82,6 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=-1.0)
     with pytest.raises(QuadratureError):
         QuadratureSpec(max_level=2)
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(method="simpson")
 
 
 def test_invalid_interval_rejected():

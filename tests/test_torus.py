@@ -16,8 +16,6 @@ from g1helicoid.torus import (
     SheetDomainError,
     apply_symmetry,
     build_chart,
-    chart_height,
-    chart_width,
     curve_rhs,
     du_dz,
     lift_angle_left,
@@ -149,20 +147,21 @@ def test_du_dz_value():
 
 
 def test_chart_dimensions_frozen():
-    assert chart_width(P) == pytest.approx(WIDTH_AT_05, rel=1e-11)
-    assert chart_height(P) == pytest.approx(HEIGHT_AT_05, rel=1e-11)
+    chart = build_chart(P)
+    assert chart.width == pytest.approx(WIDTH_AT_05, rel=1e-11)
+    assert chart.height == pytest.approx(HEIGHT_AT_05, rel=1e-11)
 
 
 def test_square_torus_at_zero():
     # rho = 0 sits outside the physical branch but the chart is still defined
-    p0 = SurfaceParams.diagnostic_branch(0.0, 0.5)
-    assert chart_width(p0) == pytest.approx(WIDTH_AT_0, rel=1e-11)
-    assert chart_height(p0) == pytest.approx(WIDTH_AT_0, rel=1e-11)
+    chart = build_chart(SurfaceParams.diagnostic_branch(0.0, 0.5))
+    assert chart.width == pytest.approx(WIDTH_AT_0, rel=1e-11)
+    assert chart.height == pytest.approx(WIDTH_AT_0, rel=1e-11)
 
 
-def test_chart_dimensions_at_solution(params):
-    assert chart_width(params) == pytest.approx(WIDTH_AT_RHO0, rel=1e-10)
-    assert chart_height(params) == pytest.approx(HEIGHT_AT_RHO0, rel=1e-10)
+def test_chart_dimensions_at_solution(chart):
+    assert chart.width == pytest.approx(WIDTH_AT_RHO0, rel=1e-10)
+    assert chart.height == pytest.approx(HEIGHT_AT_RHO0, rel=1e-10)
 
 
 def test_chart_edge_tables_roundtrip(chart):
