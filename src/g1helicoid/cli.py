@@ -254,6 +254,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+#: Options argparse accepts before the subcommand.
+_TOP_LEVEL_OPTIONS = ("--config", "--version", "--help", "-h")
+
+
+def _check_top_level(argv: Sequence[str]) -> None:
+    """Reject an unknown option given before the subcommand by its name.
+
+    argparse would read such an option's value as the subcommand and report
+    an invalid subcommand instead.  Unique prefixes stay accepted, as
+    argparse accepts them.
+    """
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in _DISPATCH or not tok.startswith("-"):
+            return
+        name = tok.split("=", 1)[0]
+        if not any(opt.startswith(name) for opt in _TOP_LEVEL_OPTIONS):
+            raise UsageError(f"unrecognized arguments: {tok}")
+        if len(name) > 2 and "--config".startswith(name) and "=" not in tok:
+            next(tokens, None)  # the config file path
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="g1helicoid",
@@ -471,7 +493,6 @@ def _cmd_mesh(cfg: RunConfig) -> int:
     mesh = assemble_fundamental_domain(patch)
     if cfg.copies > 1:
         mesh = stack_periods(mesh, cfg.copies)
-    mesh.metadata["provenance"] = _provenance_comment_lines(cfg, triple)
     if cfg.format == "ply":
         export_ply(mesh, cfg.out)
     else:
@@ -503,12 +524,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     triple = {"rho0": report.rho0, "lambda0": report.lambda0, "T": report.T}
     payload = dict(report.to_dict())
     payload = {"provenance": _provenance(cfg, triple), **payload}
-    text = json_text(payload) + "\n"
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_text(cfg, json_text(payload) + "\n")
+    if cfg.out is None:
         sys.stdout.write("\n")
     sys.stdout.write(report.table() + "\n")
     n_bad = report.n_failed
@@ -538,8 +555,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     0 = success, 1 = numeric failure (with a diagnostic on stderr),
     2 = usage or configuration error.
     """
+    if argv is None:
+        argv = sys.argv[1:]
     parser = _build_parser()
     try:
+        _check_top_level(argv)
         args = parser.parse_args(argv)
         cfg = _merge(args)
     except UsageError as exc:

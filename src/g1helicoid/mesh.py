@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -552,13 +552,12 @@ def _append_asymptotic_cap(
     hole_lo: np.ndarray,
     hole_hi: np.ndarray,
     rays: np.ndarray,
-    n_angles: int = 49,
-    n_rings: int = 4,
 ) -> None:
     """Continue the truncated end by a strip of the exact first-order
     asymptote X ~ Re[-A/zeta + B Log zeta + C].  The strip is a separate
     component (not stitched to the exact-surface grid) and is flagged in the
     metadata; its constant C is fitted from the hole-rim vertices."""
+    n_angles, n_rings = 49, 4
     A, B = _asymptote_coefficients(params)
     t_punct = 1.0 / params.lam
     rim_ids = np.asarray(
@@ -672,20 +671,18 @@ def _weld_by_pairs(
     return new_vertices, new_faces[keep], old_to_new, len(vertices) - len(unique_roots)
 
 
-def assemble_fundamental_domain(
-    patch: SurfaceMesh, weld_tol: Optional[float] = None
-) -> SurfaceMesh:
+def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
     """One translational fundamental domain: the patch plus its images under
     the three axis half-turns, welded along the shared boundary curves.
 
-    The two antiholomorphic copies (x3-axis and x2-axis half-turns) get
-    flipped triangle windings so the assembled orientation is consistent.
+    Every seam gap must stay below ``1e-7 * T`` (kept as
+    ``metadata["weld_tol"]``).  The two antiholomorphic copies (x3-axis and
+    x2-axis half-turns) get flipped triangle windings so the assembled
+    orientation is consistent.
     """
     if patch.is_empty():
         raise MeshError("cannot assemble from an empty patch")
-    T = float(patch.metadata["T"])
-    if weld_tol is None:
-        weld_tol = 1e-7 * T
+    weld_tol = 1e-7 * float(patch.metadata["T"])
     n = len(patch.vertices)
     seams = patch.metadata["seam_ids"]
 
@@ -755,9 +752,10 @@ def assemble_fundamental_domain(
     return fd
 
 
-def stack_periods(domain: SurfaceMesh, k: int, weld_tol: Optional[float] = None) -> SurfaceMesh:
+def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
     """k copies of the fundamental domain translated by (0,0,T) steps, welded
-    along the matching horizontal boundary lines."""
+    along the matching horizontal boundary lines with the domain's own
+    ``metadata["weld_tol"]``."""
     if k < 1:
         raise MeshError("k must be >= 1")
     if domain.is_empty():
@@ -765,8 +763,7 @@ def stack_periods(domain: SurfaceMesh, k: int, weld_tol: Optional[float] = None)
     if k == 1:
         return domain
     T = float(domain.metadata["T"])
-    if weld_tol is None:
-        weld_tol = float(domain.metadata.get("weld_tol", 1e-7 * T))
+    weld_tol = float(domain.metadata["weld_tol"])
     n = len(domain.vertices)
     seams = domain.metadata["stack_seams"]
     shift = np.array([0.0, 0.0, T])
@@ -869,11 +866,7 @@ def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
     }
 
 
-def check_graph_injectivity(
-    patch: SurfaceMesh,
-    separation: Optional[float] = None,
-    margin: Optional[float] = None,
-) -> Dict[str, object]:
+def check_graph_injectivity(patch: SurfaceMesh) -> Dict[str, object]:
     """Spatial-hash collision check of the graph property.
 
     The patch projects injectively to the (x1, x2)-plane over the unbounded
@@ -881,13 +874,11 @@ def check_graph_injectivity(
     folds along the axis segments (the normal is horizontal there), and those
     folds live inside the lens bounded by ``c``.  So the check restricts to
     interior vertices whose projection is outside that lens and at least
-    ``margin`` away from it, then flags any two that land closer than
-    ``separation`` in the plane while being far apart in space."""
+    ``0.02 * T`` away from it, then flags any two that land closer than
+    ``1e-4 * T`` in the plane while being far apart in space."""
     T = float(patch.metadata["T"])
-    if separation is None:
-        separation = 1e-4 * T
-    if margin is None:
-        margin = 0.02 * T
+    separation = 1e-4 * T
+    margin = 0.02 * T
     mask = patch.metadata.get("interior_mask")
     if mask is None:
         raise MeshError("patch has no interior mask (is this an assembled mesh?)")

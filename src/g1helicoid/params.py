@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
 
 __all__ = [
     "ParameterDomainError",
@@ -169,13 +168,3 @@ class SurfaceParams:
     def diagnostic_branch(cls, rho: float, lam: float) -> "SurfaceParams":
         """Out-of-branch constructor for sign/monotonicity diagnostics."""
         return cls(rho=rho, lam=lam, diagnostic=True)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "rho": self.rho,
-            "lambda": self.lam,
-            "Lambda": self.Lambda,
-            "r": self.r,
-            "R": self.R,
-            "T": self.T,
-        }

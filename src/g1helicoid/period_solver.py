@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .params import SurfaceParams, lambda_from_Lambda
-from .quadrature import DEFAULT_SPEC, QuadratureResult, QuadratureSpec, integrate
+from .quadrature import QuadratureResult, QuadratureSpec, integrate
 
 __all__ = [
     "PeriodSolverError",
@@ -43,8 +43,6 @@ __all__ = [
     "F_integral",
     "G_integral",
     "G_integrand_samples",
-    "PeriodState",
-    "evaluate_periods",
     "Lambda_upper_bound",
     "solve_Lambda_of_rho",
     "PeriodSolution",
@@ -147,56 +145,6 @@ def Lambda_upper_bound(rho: float) -> float:
     return min(2.0 / s, 8.0) if s > 0 else 8.0
 
 
-@dataclass(frozen=True)
-class PeriodState:
-    """Both period integrals at one (rho, Lambda), plus integrand landmarks.
-
-    ``phi_Lambda`` solves ``sin(phi) = 2/Lambda`` (zero of the shared factor
-    ``2 - Lam sin p``); ``phi_rho`` solves ``Lam - 4 sin rho + 2 sin p = 0``
-    in (0, rho) when that zero exists, else None.
-    """
-
-    rho: float
-    Lambda: float
-    F: float
-    G: float
-    F_quad: QuadratureResult
-    G_quad: QuadratureResult
-    phi_Lambda: float
-    phi_rho: Optional[float]
-
-
-def _phi_Lambda(Lam: float) -> float:
-    if Lam < 2.0:
-        raise PeriodSolverError(f"phi_Lambda undefined for Lambda={Lam!r} < 2")
-    return math.asin(min(1.0, 2.0 / Lam))
-
-
-def _phi_rho(rho: float, Lam: float) -> Optional[float]:
-    s = 0.5 * (4.0 * math.sin(rho) - Lam)
-    if not 0.0 < s < math.sin(rho):
-        return None
-    return math.asin(s)
-
-
-def evaluate_periods(
-    rho: float, Lam: float, spec: QuadratureSpec = PERIOD_SPEC
-) -> PeriodState:
-    """Evaluate both period integrals and landmark angles at (rho, Lambda)."""
-    fq = F_integral(rho, Lam, spec)
-    gq = G_integral(rho, Lam, spec)
-    return PeriodState(
-        rho=float(rho),
-        Lambda=float(Lam),
-        F=fq.value,
-        G=gq.value,
-        F_quad=fq,
-        G_quad=gq,
-        phi_Lambda=_phi_Lambda(float(Lam)),
-        phi_rho=_phi_rho(float(rho), float(Lam)),
-    )
-
-
 def solve_Lambda_of_rho(
     rho: float,
     spec: QuadratureSpec = PERIOD_SPEC,
@@ -260,8 +208,9 @@ def scan_H(
     for rho in rho_grid:
         rho = float(rho)
         Lam = solve_Lambda_of_rho(rho, spec, root_tol)
-        st = evaluate_periods(rho, Lam, spec)
-        rows.append((rho, Lam, st.F, st.G))
+        F = F_integral(rho, Lam, spec).value
+        G = G_integral(rho, Lam, spec).value
+        rows.append((rho, Lam, F, G))
     return rows
 
 
@@ -309,15 +258,16 @@ def solve_period_problem(
     rho0 = float(brentq(H, lo, hi, xtol=root_tol, rtol=8.0 * np.finfo(float).eps))
     Lambda0 = solve_Lambda_of_rho(rho0, spec, root_tol=1e-14)
     lambda0 = lambda_from_Lambda(Lambda0)
-    state = evaluate_periods(rho0, Lambda0, spec)
+    residual_F = F_integral(rho0, Lambda0, spec).value
+    residual_G = G_integral(rho0, Lambda0, spec).value
     params = SurfaceParams.create(rho0, lambda0)
     return PeriodSolution(
         params=params,
         rho0=rho0,
         lambda0=lambda0,
         Lambda0=Lambda0,
-        residual_F=state.F,
-        residual_G=state.G,
+        residual_F=residual_F,
+        residual_G=residual_G,
         sign_changes=sign_changes,
         table=table,
         bracket_used=(lo, hi),

@@ -70,7 +70,6 @@ __all__ = [
     "SymmetryAction",
     "SYMMETRIES",
     "apply_symmetry",
-    "chart_action",
     "MarkedPoint",
     "TorusChart",
     "build_chart",
@@ -254,7 +253,7 @@ def mobius_flip_z(params: SurfaceParams, z):
 
 @dataclass(frozen=True)
 class SymmetryAction:
-    """One torus symmetry: chart map, curve action, and space behaviour.
+    """One torus symmetry: its curve action and space behaviour.
 
     ``orientation`` is +1 for holomorphic actions and -1 for antiholomorphic
     ones.  ``space_matrix`` is the linear part of the induced ambient motion
@@ -266,7 +265,6 @@ class SymmetryAction:
     orientation: int
     z_map: Callable[[SurfaceParams, np.ndarray], np.ndarray]
     w_map: Callable[[SurfaceParams, np.ndarray], np.ndarray]
-    chart_map: Callable[[float, float, float, float], Tuple[float, float]]
     space_matrix: Optional[np.ndarray]
 
 
@@ -281,7 +279,6 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
         "half_turn_x1", +1,
         lambda p, z: np.asarray(z, dtype=complex),
         lambda p, w: -np.asarray(w, dtype=complex),
-        lambda W, H, xi, eta: (-xi, -eta),
         _mat(1, -1, -1),
     ),
     # 180-degree rotation about the x2-axis.
@@ -289,7 +286,6 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
         "half_turn_x2", -1,
         lambda p, z: -np.conj(np.asarray(z, dtype=complex)),
         lambda p, w: 1j * np.conj(np.asarray(w, dtype=complex)),
-        lambda W, H, xi, eta: (xi, -eta),
         _mat(-1, 1, -1),
     ),
     # 180-degree rotation about the x3-axis.
@@ -297,7 +293,6 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
         "half_turn_x3", -1,
         lambda p, z: -np.conj(np.asarray(z, dtype=complex)),
         lambda p, w: -1j * np.conj(np.asarray(w, dtype=complex)),
-        lambda W, H, xi, eta: (-xi, eta),
         _mat(-1, -1, 1),
     ),
     # Deck transformation of the w-projection; fixes the four w-branch points.
@@ -305,7 +300,6 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
         "deck_w", +1,
         lambda p, z: -1.0 / np.asarray(z, dtype=complex),
         lambda p, w: np.asarray(w, dtype=complex),
-        lambda W, H, xi, eta: (-xi, H - eta),
         None,
     ),
     # Antiholomorphic reflection through the unit z-circle; fixes the top
@@ -314,7 +308,6 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
         "unit_circle_reflection", -1,
         lambda p, z: 1.0 / np.conj(np.asarray(z, dtype=complex)),
         lambda p, w: -1j * np.conj(np.asarray(w, dtype=complex)),
-        lambda W, H, xi, eta: (xi, H - eta),
         None,
     ),
     # Holomorphic point reflection of the chart about q = (-W/4, 3H/4); its
@@ -324,7 +317,6 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
         "mobius_flip", +1,
         mobius_flip_z,
         lambda p, w: 1.0 / np.asarray(w, dtype=complex),
-        lambda W, H, xi, eta: (-W / 2.0 - xi, 3.0 * H / 2.0 - eta),
         None,
     ),
     # The same point reflection composed with the half-lattice translation.
@@ -332,7 +324,6 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
         "mobius_flip_shifted", +1,
         lambda p, z: -1.0 / mobius_flip_z(p, z),
         lambda p, w: -1.0 / np.asarray(w, dtype=complex),
-        lambda W, H, xi, eta: (W / 2.0 - xi, 3.0 * H / 2.0 - eta),
         None,
     ),
     # Translation by the half-lattice class (width, 0) == (0, height).
@@ -340,7 +331,6 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
         "half_lattice_translation", +1,
         lambda p, z: -1.0 / np.asarray(z, dtype=complex),
         lambda p, w: -np.asarray(w, dtype=complex),
-        lambda W, H, xi, eta: (xi + W, eta),
         None,
     ),
 }
@@ -357,20 +347,14 @@ def apply_symmetry(params: SurfaceParams, name: str, z, w=None):
     return z2, w2
 
 
-def chart_action(chart: "TorusChart", name: str, xi: float, eta: float) -> Tuple[float, float]:
-    """Apply a symmetry's chart map (result is NOT lattice-reduced)."""
-    try:
-        act = SYMMETRIES[name]
-    except KeyError:
-        raise ValueError(f"unknown symmetry {name!r}; have {sorted(SYMMETRIES)}") from None
-    return act.chart_map(chart.width, chart.height, xi, eta)
-
-
 # ----------------------------------------------------------------------
 # Chart lengths and edge parameterizations
 # ----------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+# Uniform s-intervals of the chart edge tables.
+_N_TABLE = 1024
 
 
 def _edge_density(params: SurfaceParams, vertical: bool) -> Callable[[np.ndarray], np.ndarray]:
@@ -561,10 +545,10 @@ class TorusChart:
         )
 
 
-def build_chart(params: SurfaceParams, n_table: int = 1024) -> TorusChart:
+def build_chart(params: SurfaceParams) -> TorusChart:
     """Build the chart geometry (edge tables at machine accuracy)."""
-    s_grid, xi_grid = _gl_cumulative(_edge_density(params, vertical=False), n_table)
-    _, eta_grid = _gl_cumulative(_edge_density(params, vertical=True), n_table)
+    s_grid, xi_grid = _gl_cumulative(_edge_density(params, vertical=False), _N_TABLE)
+    _, eta_grid = _gl_cumulative(_edge_density(params, vertical=True), _N_TABLE)
     return TorusChart(
         params=params,
         width=2.0 * float(xi_grid[-1]),

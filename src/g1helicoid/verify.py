@@ -44,20 +44,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .mesh import SurfaceMesh, distance_to_polyline, mesh_patch_D, point_in_polygon
 from .params import SurfaceParams
-from .period_solver import (
-    G_integral,
-    G_integrand_samples,
-    scan_H,
-    solve_Lambda_of_rho,
-    solve_period_problem,
-)
+from .period_solver import G_integrand_samples, scan_H, solve_period_problem
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .weierstrass import (
     axis_rise,
@@ -78,7 +72,6 @@ from .weierstrass import (
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "GraphCheckData",
     "check_x3_monotone_on_C",
     "check_c_convex",
     "check_graph_disjointness",
@@ -122,29 +115,6 @@ class CheckResult:
             if k == key:
                 return v
         raise KeyError(key)
-
-
-@dataclass(frozen=True)
-class GraphCheckData:
-    """Raw sampling data behind the graph-disjointness check."""
-
-    omega_points: np.ndarray  # (N, 2) kept grid samples, x1 < 0
-    F: np.ndarray  # (N,) lower-sheet heights at omega_points
-    F_hat: np.ndarray  # (N,) mirrored-sheet heights at omega_points
-    curve_samples: np.ndarray  # (M, 2) planar slit-curve samples c
-    turning: np.ndarray  # (M-2,) signed turning angles along c
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.omega_points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("omega_points must be an (N, 2) array")
-        if np.any(pts[:, 0] > 0.0):
-            raise ValueError("omega samples must satisfy x1 <= 0")
-        poly = np.asarray(self.curve_samples, dtype=float)
-        if len(poly) >= 3 and len(pts):
-            inside = point_in_polygon(pts, poly)
-            if np.any(inside):
-                raise ValueError("omega samples must lie outside the curve polygon")
 
 
 @dataclass(frozen=True)
@@ -434,6 +404,10 @@ def check_c_convex(params: SurfaceParams, n: int = 720) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
+# Side of the uniform point-location grid over the query box.
+_GRAPH_BINS = 128
+
+
 class _ProjectedGraph:
     """Barycentric height lookup on the projected patch triangles.
 
@@ -443,7 +417,7 @@ class _ProjectedGraph:
     unstitched comparison component, not part of the graph.
     """
 
-    def __init__(self, patch: SurfaceMesh, box: Tuple[float, float, float, float], nbins: int = 128):
+    def __init__(self, patch: SurfaceMesh, box: Tuple[float, float, float, float]):
         verts = patch.vertices
         faces = patch.faces
         cap = patch.metadata.get("asymptotic_cap") or {}
@@ -472,7 +446,6 @@ class _ProjectedGraph:
         self._inv_det = 1.0 / (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         self._lo = np.array([lo_x, lo_y])
         self._span = np.array([hi_x - lo_x, hi_y - lo_y])
-        self._nbins = int(nbins)
         # bin triangles by bbox overlap
         mins = np.minimum(np.minimum(xy[good][:, 0], xy[good][:, 1]), xy[good][:, 2])
         maxs = np.maximum(np.maximum(xy[good][:, 0], xy[good][:, 1]), xy[good][:, 2])
@@ -487,8 +460,8 @@ class _ProjectedGraph:
 
     def _cell_of(self, pts: np.ndarray) -> np.ndarray:
         rel = (np.atleast_2d(pts) - self._lo) / self._span
-        cells = np.floor(rel * self._nbins).astype(np.int64)
-        return np.clip(cells, 0, self._nbins - 1)
+        cells = np.floor(rel * _GRAPH_BINS).astype(np.int64)
+        return np.clip(cells, 0, _GRAPH_BINS - 1)
 
     def lookup(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Heights of the graph over each 2D point; found-mask for misses."""
@@ -522,17 +495,14 @@ def check_graph_disjointness(
     params: SurfaceParams,
     grid: int = 100,
     patch: Optional[SurfaceMesh] = None,
-    resolution: int = 48,
-    cutoff: float = 1e-2,
-    margin_factor: float = 0.05,
-    return_data: bool = False,
-):
+) -> CheckResult:
     """The mirror graph stays strictly above the base graph off c.
 
-    Samples a ``grid x grid`` rectangle of cell centres on
-    ``[-L, 0] x [-L, L]`` with ``L = 5 * diameter(c)``, discards points
-    inside the polygon c or within a small margin of it, and compares
-    the patch height F against the mirrored height
+    ``patch`` defaults to :func:`mesh_patch_D` at its own default
+    resolution and cutoff.  Samples a ``grid x grid`` rectangle of cell
+    centres on ``[-L, 0] x [-L, L]`` with ``L = 5 * diameter(c)``, discards
+    points inside the polygon c or within ``0.05 * diameter(c)`` of it, and
+    compares the patch height F against the mirrored height
     ``F_hat(x1, x2) = -F(x1, -x2)`` by barycentric interpolation on the
     projected patch triangles.  Off-curve strictness requires the
     minimal gap to clear a floor well above interpolation noise;
@@ -544,12 +514,12 @@ def check_graph_disjointness(
     if grid < 10:
         raise ValueError("grid must be at least 10")
     if patch is None:
-        patch = mesh_patch_D(params, resolution=resolution, cutoff=cutoff)
+        patch = mesh_patch_D(params)
     T = params.T
     c_poly = np.asarray(patch.boundary_polylines["c"])[:, :2]
     diam = _polyline_diameter(c_poly)
     L = 5.0 * diam
-    margin = margin_factor * diam
+    margin = 0.05 * diam
 
     xs = -L + (np.arange(grid) + 0.5) * (L / grid)  # in (-L, 0), strictly x1 < 0
     ys = -L + (np.arange(grid) + 0.5) * (2.0 * L / grid)  # in (-L, L)
@@ -607,7 +577,7 @@ def check_graph_disjointness(
         and len(far_gaps) > 0
         and far_dev < T / 4.0
     )
-    result = CheckResult(
+    return CheckResult(
         name="graph_disjointness",
         anchor="off the curve c the mirrored graph lies strictly above the "
         "base graph (F_hat > F); the two heights agree only on c; far from "
@@ -641,16 +611,6 @@ def check_graph_disjointness(
             }
         ),
     )
-    if return_data:
-        data = GraphCheckData(
-            omega_points=omega,
-            F=F_vals,
-            F_hat=F_hat,
-            curve_samples=curve_pts[:, :2],
-            turning=_turning_angles(curve_pts[:, :2]),
-        )
-        return result, data
-    return result
 
 
 # --------------------------------------------------------------------------
@@ -843,11 +803,13 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
     # so its negative respects the displayed -1.2067 bound
     direction_ok = q_lim.value >= -c1 and (-q_lim.value) <= c1
 
+    # one solve of Lambda(rho) and G per near-corner rho serves every part
+    # of the chain below
+    rows = scan_H((1.45, 1.52, 1.55))
+
     # the lower-window part of the period integral approaches -I_lim
-    rho_seq = (1.45, 1.52, 1.55)
     window_vals = []
-    for rho in rho_seq:
-        Lam = solve_Lambda_of_rho(rho)
+    for rho, Lam, _F, _G in rows:
         sin_rho = math.sin(rho)
 
         def integrand(p, da, db, Lam=Lam, sin_rho=sin_rho):
@@ -866,8 +828,7 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
     )
 
     # upper-window chord/moment chain at a representative near-corner rho
-    rho = 1.55
-    Lam = solve_Lambda_of_rho(rho)
+    rho, Lam = rows[-1][:2]
     sin_rho = math.sin(rho)
     sin_phi_r = (4.0 * sin_rho - Lam) / 2.0
     phi_r = math.asin(sin_phi_r)
@@ -895,7 +856,7 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
     )
 
     # the full period integral is indeed negative near the corner
-    G_near = [row[3] for row in scan_H(rho_seq)]
+    G_near = [row[3] for row in rows]
     negative_ok = all(g < 0.0 for g in G_near)
     combination = -q_lim.value + c2
 

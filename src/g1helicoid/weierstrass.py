@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,10 +58,8 @@ __all__ = [
     "seg_edge_up",
     "seg_edge_down_from_zero",
     "seg_edge_down_from_infinity",
-    "seg_edge_down",
     "seg_arc",
     "seg_ring_left_to_tip",
-    "seg_ring_left_from_tip",
     "seg_slit_bank",
     "seg_mirror_ring_right",
     "reversed_segment",
@@ -105,13 +103,8 @@ def phi_dz(
     sheet: str,
     z,
     region: str = "auto",
-    dh_scale: float = 1.0,
 ) -> np.ndarray:
-    """The three components (phi1, phi2, phi3) per dz; shape ``z.shape + (3,)``.
-
-    ``dh_scale`` rescales the height differential (and with it the whole
-    immersion), which is useful to test scale covariance.
-    """
+    """The three components (phi1, phi2, phi3) per dz; shape ``z.shape + (3,)``."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     w = np.atleast_1d(w_on_sheet(params, sheet, z, region))
     lam = params.lam
@@ -121,8 +114,6 @@ def phi_dz(
     out[..., 0] = -(2.0 * math.cos(params.rho) / params.r) / (pole * pole)
     out[..., 1] = -1j * _E4 * q * w / (2.0 * z * pole * pole)
     out[..., 2] = _E4 * (z - 1j * lam) * w / (2.0 * z * pole)
-    if dh_scale != 1.0:
-        out *= dh_scale
     return out
 
 
@@ -220,17 +211,6 @@ def seg_edge_down_from_infinity(sheet: str, m: float, region: str = "outer") -> 
     )
 
 
-def seg_edge_down(sheet: str, t0: float, t1: float, region: str = "auto") -> Segment:
-    """Vertical-edge leg z = -i t, t linear from t0 to t1."""
-    t0, t1 = float(t0), float(t1)
-    return Segment(
-        sheet, region,
-        lambda s: -1j * (t0 + (t1 - t0) * s),
-        lambda s: -1j * (t1 - t0) * np.ones_like(s),
-        f"edge_down[{t0:g}->{t1:g}]@{sheet}",
-    )
-
-
 def seg_arc(sheet: str, m: float, th0: float, th1: float, region: str = "auto") -> Segment:
     """Circular arc z = m e^{i theta}, theta linear from th0 to th1."""
     m, th0, th1 = float(m), float(th0), float(th1)
@@ -246,64 +226,28 @@ def seg_arc(sheet: str, m: float, th0: float, th1: float, region: str = "auto") 
     )
 
 
-def seg_ring_left_to_tip(params: SurfaceParams, th0: float, region: str) -> Segment:
-    """Unit-circle arc on a left sheet from th0 INTO the w-pole at the slit
-    tip, with the square-root substitution theta = tip - (tip - th0)(1-s)^2."""
-    tip = math.pi - params.rho
-    th0 = float(th0)
-    d = tip - th0
-
-    def theta(s):
-        q = 1.0 - s
-        return tip - d * q * q
-
-    return Segment(
-        "upper_left", region,
-        lambda s: np.exp(1j * theta(s)),
-        lambda s: 1j * (2.0 * d * (1.0 - s)) * np.exp(1j * theta(s)),
-        f"ring[{th0:.4f}->tip]",
-    )
-
-
-def seg_ring_left_from_tip(params: SurfaceParams, th1: float, region: str) -> Segment:
-    """Unit-circle arc on a left sheet OUT of the slit-tip w-pole to th1."""
-    tip = math.pi - params.rho
-    th1 = float(th1)
-    d = tip - th1
-
-    def theta(s):
-        return tip - d * s * s
-
-    return Segment(
-        "upper_left", region,
-        lambda s: np.exp(1j * theta(s)),
-        lambda s: -1j * (2.0 * d * s) * np.exp(1j * theta(s)),
-        f"ring[tip->{th1:.4f}]",
-    )
-
-
-def _tip_substitution(rho: float, phi0: float, phi1: float):
+def _tip_substitution(pole: float, phi0: float, phi1: float):
     """Angle map ``phi(s)`` from phi0 to phi1 and its derivative.
 
-    When an endpoint is the w-pole angle ``rho`` the map is quadratic in the
+    When an endpoint is the w-pole angle ``pole`` the map is quadratic in the
     distance to it (square-root substitution), which makes the integrand
     analytic up to that endpoint; otherwise it is linear.
     """
-    if np.isclose(phi1, rho):
-        d = rho - phi0
+    if np.isclose(phi1, pole):
+        d = pole - phi0
 
         def phi(s):
             q = 1.0 - s
-            return rho - d * q * q
+            return pole - d * q * q
 
         def dphi(s):
             return 2.0 * d * (1.0 - s)
 
-    elif np.isclose(phi0, rho):
-        d = rho - phi1
+    elif np.isclose(phi0, pole):
+        d = pole - phi1
 
         def phi(s):
-            return rho - d * s * s
+            return pole - d * s * s
 
         def dphi(s):
             return -2.0 * d * s
@@ -316,6 +260,24 @@ def _tip_substitution(rho: float, phi0: float, phi1: float):
             return (phi1 - phi0) * np.ones_like(s)
 
     return phi, dphi
+
+
+def seg_ring_left_to_tip(params: SurfaceParams, th0: float, region: str) -> Segment:
+    """Unit-circle arc on a left sheet from th0 INTO the w-pole at the slit
+    tip, with the square-root substitution theta = tip - (tip - th0)(1-s)^2."""
+    tip = math.pi - params.rho
+    th0 = float(th0)
+    theta, dtheta = _tip_substitution(tip, th0, tip)
+
+    def z_of(s):
+        return np.exp(1j * theta(s))
+
+    return Segment(
+        "upper_left", region,
+        z_of,
+        lambda s: 1j * dtheta(s) * z_of(s),
+        f"ring[{th0:.4f}->tip]",
+    )
 
 
 def seg_slit_bank(params: SurfaceParams, phi0: float, phi1: float, bank: str) -> Segment:
@@ -383,11 +345,15 @@ def reversed_segment(seg: Segment) -> Segment:
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 
+# Bisection waves and live subintervals allowed before a path integral fails.
+_MAX_WAVES = 40
+_MAX_INTERVALS = 200000
 
-def _seg_values(params: SurfaceParams, seg: Segment, s: np.ndarray, dh_scale: float) -> np.ndarray:
+
+def _seg_values(params: SurfaceParams, seg: Segment, s: np.ndarray) -> np.ndarray:
     z = seg.z_of(s)
     dz = seg.dz_ds(s)
-    vals = phi_dz(params, seg.sheet, z, seg.region, dh_scale) * dz[..., None]
+    vals = phi_dz(params, seg.sheet, z, seg.region) * dz[..., None]
     if not np.all(np.isfinite(vals)):
         bad = int(np.argwhere(~np.isfinite(vals))[0][0])
         raise IntegrationError(
@@ -396,19 +362,19 @@ def _seg_values(params: SurfaceParams, seg: Segment, s: np.ndarray, dh_scale: fl
     return vals
 
 
-def _gl_panels(params, seg, a, b, dh_scale, nodes, weights):
+def _gl_panels(params, seg, a, b, nodes, weights):
     """One fixed Gauss-Legendre rule on each subinterval [a[k], b[k]]."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid[:, None] + half[:, None] * nodes[None, :]
-    f = _seg_values(params, seg, x.ravel(), dh_scale).reshape(len(a), len(nodes), 3)
+    f = _seg_values(params, seg, x.ravel()).reshape(len(a), len(nodes), 3)
     return half[:, None] * np.einsum("k,nkc->nc", weights, f)
 
 
-def _gl_wave(params, seg, a, b, dh_scale):
+def _gl_wave(params, seg, a, b):
     """GL8/GL16 estimates on a batch of subintervals; returns (I16, err)."""
-    i8 = _gl_panels(params, seg, a, b, dh_scale, _GL8_X, _GL8_W)
-    i16 = _gl_panels(params, seg, a, b, dh_scale, _GL16_X, _GL16_W)
+    i8 = _gl_panels(params, seg, a, b, _GL8_X, _GL8_W)
+    i16 = _gl_panels(params, seg, a, b, _GL16_X, _GL16_W)
     err = np.max(np.abs(i16 - i8), axis=1)
     return i16, err
 
@@ -419,9 +385,6 @@ def _adaptive_pairs(
     breaks: np.ndarray,
     rel_tol: float,
     abs_tol: float,
-    dh_scale: float,
-    max_waves: int = 40,
-    max_intervals: int = 200000,
 ) -> np.ndarray:
     """Integrals of all three components over each [breaks[k], breaks[k+1]]."""
     a = np.asarray(breaks[:-1], dtype=float)
@@ -429,12 +392,12 @@ def _adaptive_pairs(
     n_pairs = len(a)
     result = np.zeros((n_pairs, 3), dtype=complex)
 
-    i16, err = _gl_wave(params, seg, a, b, dh_scale)
+    i16, err = _gl_wave(params, seg, a, b)
     scale = np.max(np.abs(i16), axis=1)
     tol = np.maximum(abs_tol, rel_tol * scale)
     owner = np.arange(n_pairs)
 
-    for _ in range(max_waves):
+    for _ in range(_MAX_WAVES):
         ok = err <= tol
         if np.any(ok):
             np.add.at(result, owner[ok], i16[ok])
@@ -447,11 +410,11 @@ def _adaptive_pairs(
         b = np.concatenate([mid, b])
         owner = np.concatenate([owner, owner])
         tol = np.concatenate([tol, tol])
-        if len(a) > max_intervals:
+        if len(a) > _MAX_INTERVALS:
             raise IntegrationError(
                 f"subdivision explosion on {seg.label}: {len(a)} intervals"
             )
-        i16, err = _gl_wave(params, seg, a, b, dh_scale)
+        i16, err = _gl_wave(params, seg, a, b)
     raise IntegrationError(
         f"no convergence on {seg.label}: {len(a)} intervals still failing, "
         f"worst err={float(np.max(err)):.3e} tol={float(np.min(tol)):.3e}"
@@ -463,12 +426,9 @@ def integrate_segment(
     seg: Segment,
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-14,
-    dh_scale: float = 1.0,
 ) -> np.ndarray:
     """Complex integral of (phi1, phi2, phi3) over one segment; shape (3,)."""
-    return _adaptive_pairs(
-        params, seg, np.array([0.0, 1.0]), rel_tol, abs_tol, dh_scale
-    )[0]
+    return _adaptive_pairs(params, seg, np.array([0.0, 1.0]), rel_tol, abs_tol)[0]
 
 
 def integrate_path(
@@ -476,12 +436,11 @@ def integrate_path(
     segs: Sequence[Segment],
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-14,
-    dh_scale: float = 1.0,
 ) -> np.ndarray:
     """Complex integral of (phi1, phi2, phi3) along a list of segments."""
     total = np.zeros(3, dtype=complex)
     for seg in segs:
-        total += integrate_segment(params, seg, rel_tol, abs_tol, dh_scale)
+        total += integrate_segment(params, seg, rel_tol, abs_tol)
     return total
 
 
@@ -499,11 +458,10 @@ def positions_along(
     x0,
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-14,
-    dh_scale: float = 1.0,
 ) -> np.ndarray:
     """Real positions X at the given s-breakpoints, anchored at X(s_breaks[0]) = x0."""
     s_breaks = np.asarray(s_breaks, dtype=float)
-    pieces = _adaptive_pairs(params, seg, s_breaks, rel_tol, abs_tol, dh_scale)
+    pieces = _adaptive_pairs(params, seg, s_breaks, rel_tol, abs_tol)
     return _anchored(x0, pieces)
 
 
@@ -523,7 +481,7 @@ def positions_fixed_rule(
     endpoint than a fixed fraction of the last subinterval).
     """
     s_breaks = np.asarray(s_breaks, dtype=float)
-    pieces = _gl_panels(params, seg, s_breaks[:-1], s_breaks[1:], 1.0, _GL16_X, _GL16_W)
+    pieces = _gl_panels(params, seg, s_breaks[:-1], s_breaks[1:], _GL16_X, _GL16_W)
     return _anchored(x0, pieces)
 
 
@@ -535,7 +493,6 @@ def alpha_cycle(
     params: SurfaceParams,
     radius: Optional[float] = None,
     n: int = 1024,
-    dh_scale: float = 1.0,
 ) -> np.ndarray:
     """Real period of the counterclockwise z-circle around the left puncture.
 
@@ -559,7 +516,7 @@ def alpha_cycle(
     left = z.real <= 0.0
     for mask, sheet in ((left, "upper_left"), (~left, "lower_left")):
         if np.any(mask):
-            vals[mask] = phi_dz(params, sheet, z[mask], "outer", dh_scale)
+            vals[mask] = phi_dz(params, sheet, z[mask], "outer")
     total = (2.0 * math.pi / n) * np.einsum("nc,n->c", vals, dz)
     return total.real
 
@@ -568,7 +525,6 @@ def descent_axis(
     params: SurfaceParams,
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-14,
-    dh_scale: float = 1.0,
 ) -> np.ndarray:
     """Real displacement along the downward vertical edge from z=0 node to
     the z=oo node (through the far vertical quarter point).  The path is
@@ -578,7 +534,7 @@ def descent_axis(
         seg_edge_down_from_zero("lower_right", 1.0, "inner"),
         reversed_segment(seg_edge_down_from_infinity("upper_left", 1.0, "outer")),
     ]
-    return integrate_path(params, segs, rel_tol, abs_tol, dh_scale).real
+    return integrate_path(params, segs, rel_tol, abs_tol).real
 
 
 def vertical_period_gap(
@@ -658,7 +614,6 @@ def x_point(
     route: str = "edge",
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-14,
-    dh_scale: float = 1.0,
 ) -> np.ndarray:
     """X at the point of ``sheet`` over z, by integrating from the origin node.
 
@@ -699,14 +654,14 @@ def x_point(
     elif route == "vertical_outer":
         if m <= 1.0:
             raise ValueError("vertical_outer route requires |z| > 1")
-        x0 = np.array([0.0, 0.0, -0.5 * params.T * dh_scale])
+        x0 = np.array([0.0, 0.0, -0.5 * params.T])
         segs.append(seg_edge_down_from_infinity(sheet, m, "outer"))
         start = down_angle
     else:
         raise ValueError(f"unknown route {route!r}")
     if theta != start:
         segs.append(seg_arc(sheet, m, start, theta))
-    return x0 + integrate_path(params, segs, rel_tol, abs_tol, dh_scale).real
+    return x0 + integrate_path(params, segs, rel_tol, abs_tol).real
 
 
 # ----------------------------------------------------------------------

@@ -190,8 +190,9 @@ def test_criterion_10_mesh_integrity(params, tmp_path):
     T = params.T
     patch = mesh_patch_D(params, resolution=24, cutoff=1e-2)
     # welds raise if any seam gap exceeds the tolerance
-    domain = assemble_fundamental_domain(patch, weld_tol=1e-7 * T)
-    stack = stack_periods(domain, 3, weld_tol=1e-7 * T)
+    domain = assemble_fundamental_domain(patch)
+    assert domain.metadata["weld_tol"] == 1e-7 * T
+    stack = stack_periods(domain, 3)
     assert len(stack.vertices) < 3 * len(domain.vertices)
     # slab confinement: exact-surface vertices hard against the wall, the
     # asymptotic cap within its truncation error of it

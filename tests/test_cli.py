@@ -134,21 +134,22 @@ def test_nonpositive_tolerance_exits_2():
 
 
 @pytest.mark.parametrize(
-    "argv,config",
+    "argv,config,named",
     [
-        (["--threads", "2", "solve"], None),
-        (["--seed", "1", "solve"], None),
-        (["solve"], "threads = 2\n"),
-        (["periods", "--max-level", "2"], None),
+        (["--threads", "2", "solve"], None, "--threads"),
+        (["--seed", "1", "solve"], None, "--seed"),
+        (["solve"], "threads = 2\n", "threads"),
+        (["periods", "--max-level", "2"], None, "max-level"),
     ],
     ids=["threads-flag", "seed-flag", "threads-config-key", "max-level-below-4"],
 )
-def test_rejected_setting_exits_2(tmp_path, argv, config):
+def test_rejected_setting_exits_2(tmp_path, capsys, argv, config, named):
     if config is not None:
         path = tmp_path / "run.cfg"
         path.write_text(config)
         argv = ["--config", str(path), *argv]
     assert run(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_unwritable_out_exits_2():

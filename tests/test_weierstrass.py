@@ -249,13 +249,6 @@ def test_tip_position(params):
     assert tip_r[0] == pytest.approx(X1_TIP, abs=1e-10)
 
 
-def test_height_scale_covariance(params):
-    z = 0.62 * np.exp(1j * 2.3)
-    X1 = W.x_point(params, "upper_left", z)
-    X3 = W.x_point(params, "upper_left", z, dh_scale=3.0)
-    assert np.max(np.abs(X3 - 3.0 * X1)) < 1e-9
-
-
 def test_positions_along_edge(params):
     # walking the bottom edge reproduces the closed form at every break
     s = np.linspace(0.0, 1.0, 9)
