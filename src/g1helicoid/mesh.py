@@ -80,12 +80,6 @@ class SurfaceMesh:
     def is_empty(self) -> bool:
         return len(self.vertices) == 0 or len(self.faces) == 0
 
-    def bounds(self) -> np.ndarray:
-        """(2,3) array [min; max] of vertex coordinates."""
-        if len(self.vertices) == 0:
-            raise MeshError("empty mesh has no bounds")
-        return np.vstack([self.vertices.min(axis=0), self.vertices.max(axis=0)])
-
 
 # ----------------------------------------------------------------------
 # Grid layout
@@ -224,20 +218,18 @@ def _ring_polylines(
     s_slit = 1.0 - np.sqrt(
         np.maximum(params.rho - phi, 0.0) / (params.rho + 0.5 * math.pi)
     )
-    order = np.argsort(s_slit)  # ascending s == descending theta
-    s_sorted = s_slit[order]
+    # the rays ascend, so s never increases: reversed, it ascends
+    s_up = s_slit[::-1]
 
     seg_in = seg_slit_bank(params, -0.5 * math.pi, params.rho, "inner")
-    inner_sorted = positions_along(
-        params, seg_in, s_sorted, np.array([0.0, 0.0, a_rise]), rel_tol, abs_tol
+    inner_up = positions_along(
+        params, seg_in, s_up, np.array([0.0, 0.0, a_rise]), rel_tol, abs_tol
     )
     seg_out = seg_slit_bank(params, -0.5 * math.pi, params.rho, "outer")
-    outer_sorted = positions_along(
-        params, seg_out, s_sorted, np.array([0.0, 0.0, -a_rise]), rel_tol, abs_tol
+    outer_up = positions_along(
+        params, seg_out, s_up, np.array([0.0, 0.0, -a_rise]), rel_tol, abs_tol
     )
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    return glue_pos, inner_sorted[inv], outer_sorted[inv], glue_mask, slit_mask
+    return glue_pos, inner_up[::-1], outer_up[::-1], glue_mask, slit_mask
 
 
 def _split_quad(v, ll, lr, ur, ul):

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import SurfaceParams, lambda_from_Lambda
 from .quadrature import QuadratureResult, QuadratureSpec, integrate
@@ -58,6 +57,10 @@ PERIOD_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=12)
 # Relative inset of the Lambda bracket endpoints.
 _BRACKET_INSET = 1e-6
 
+# Relative x-tolerance and iteration cap of both root solves.
+_BRENT_RTOL = 8.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
 
 class PeriodSolverError(RuntimeError):
     """Base class for period-solver failures."""
@@ -73,6 +76,63 @@ class NoSignChangeError(PeriodSolverError):
     def __init__(self, message: str, table: List[Tuple[float, float, float, float]]):
         super().__init__(message)
         self.table = table
+
+
+def _brent(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, xtol: float
+) -> float:
+    """Root of ``f`` on ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
+
+    ``fa = f(a)`` and ``fb = f(b)`` are values the caller already holds, of
+    opposite signs (or one of them zero).  The steps and their order are
+    those of SciPy's ``brentq`` (``Zeros/brentq.c``), so the root is
+    bit-identical to ``brentq(f, a, b, xtol, rtol=_BRENT_RTOL)``.  Raises
+    :class:`PeriodSolverError` when the bracket is not below
+    ``xtol + _BRENT_RTOL * |x|`` after ``_BRENT_MAXITER`` steps.
+    """
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):  # a zero fcur returns below
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise PeriodSolverError(
+        f"root solve did not converge in {_BRENT_MAXITER} iterations "
+        f"on [{a!r}, {b!r}] (last x={xcur!r})"
+    )
 
 
 def _check_rho_interior(rho: float) -> float:
@@ -155,7 +215,10 @@ def solve_Lambda_of_rho(
     The bracket is ``(2 + eps, min(2/sin rho, 8) - eps)`` with
     ``eps = 1e-6 * width``.  The endpoint signs are checked (F > 0 at the
     lower end, F < 0 at the upper end) and a :class:`BracketSignError` is
-    raised loudly on mismatch rather than guessing.
+    raised loudly on mismatch rather than guessing.  Brent's method then
+    starts from those two F values, so no endpoint is integrated twice; it
+    raises :class:`PeriodSolverError` if it does not reach ``root_tol``
+    within 100 iterations.
     """
     rho = _check_rho_interior(rho)
     upper = Lambda_upper_bound(rho)
@@ -172,15 +235,7 @@ def solve_Lambda_of_rho(
             f"F-bracket signs invalid at rho={rho!r}: "
             f"F({lo!r})={f_lo!r} (expected > 0), F({hi!r})={f_hi!r} (expected < 0)"
         )
-    return float(
-        brentq(
-            lambda L: F_integral(rho, L, spec).value,
-            lo,
-            hi,
-            xtol=root_tol,
-            rtol=8.0 * np.finfo(float).eps,
-        )
-    )
+    return _brent(lambda L: F_integral(rho, L, spec).value, lo, hi, f_lo, f_hi, root_tol)
 
 
 @dataclass(frozen=True)
@@ -225,23 +280,28 @@ def solve_period_problem(
 
     A ``grid_size``-point scan of ``H(rho) = G(rho, Lambda(rho))`` over
     ``(rho_min, rho_max)`` locates every sign change (all are reported; no
-    uniqueness is asserted).  The first bracket is refined with a bracketed
-    root solve to ``root_tol`` in rho.
+    uniqueness is asserted).  The first bracket is refined to ``root_tol``
+    in rho by Brent's method, which starts from the two scan values of H at
+    its ends instead of solving them again.
 
     Raises
     ------
     NoSignChangeError
         If the scan finds no sign change; the sampled table is attached to
         the exception for inspection.
+    PeriodSolverError
+        If a root solve does not converge within 100 iterations.
     """
     grid = np.linspace(rho_min, rho_max, int(grid_size))
     table = scan_H(grid, spec)
 
     g_vals = [row[3] for row in table]
-    sign_changes: List[Tuple[float, float]] = []
-    for i in range(len(table) - 1):
-        if g_vals[i] == 0.0 or (g_vals[i] < 0.0) != (g_vals[i + 1] < 0.0):
-            sign_changes.append((table[i][0], table[i + 1][0]))
+    changes = [
+        i
+        for i in range(len(table) - 1)
+        if g_vals[i] == 0.0 or (g_vals[i] < 0.0) != (g_vals[i + 1] < 0.0)
+    ]
+    sign_changes = [(table[i][0], table[i + 1][0]) for i in changes]
     if not sign_changes:
         raise NoSignChangeError(
             f"no sign change of G(rho, Lambda(rho)) on ({rho_min}, {rho_max}) "
@@ -255,7 +315,8 @@ def solve_period_problem(
         Lam = solve_Lambda_of_rho(rho, spec, root_tol=1e-13)
         return G_integral(rho, Lam, spec).value
 
-    rho0 = float(brentq(H, lo, hi, xtol=root_tol, rtol=8.0 * np.finfo(float).eps))
+    # the scan used the same spec and inner root_tol, so its G values are H
+    rho0 = _brent(H, lo, hi, g_vals[changes[0]], g_vals[changes[0] + 1], root_tol)
     Lambda0 = solve_Lambda_of_rho(rho0, spec, root_tol=1e-14)
     lambda0 = lambda_from_Lambda(Lambda0)
     residual_F = F_integral(rho0, Lambda0, spec).value

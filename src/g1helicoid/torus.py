@@ -436,6 +436,16 @@ class TorusChart:
         partial = 0.5 * h * (f(x) @ _GL_WEIGHTS)
         return grid[idx] + partial
 
+    def _t_of_table(self, grid: np.ndarray, vertical: bool, target: np.ndarray) -> np.ndarray:
+        """The t = s^2 <= 1 where the edge table ``grid`` reaches ``target``:
+        a table lookup for s refined by four clipped Newton steps."""
+        f = _edge_density(self.params, vertical=vertical)
+        s = np.interp(target, grid, self._s_grid)
+        for _ in range(4):
+            s = s - (self._table_eval(grid, f, s) - target) / f(s)
+            s = np.clip(s, 0.0, 1.0)
+        return s * s
+
     def xi_of_t(self, t):
         """Unsigned chart offset of z = i t on the bottom edge (t > 0)."""
         t = np.asarray(t, dtype=float)
@@ -461,12 +471,7 @@ class TorusChart:
         half = 0.5 * self.width
         flip = xi > half
         target = np.where(flip, self.width - xi, xi)
-        f = _edge_density(self.params, vertical=False)
-        s = np.interp(target, self._xi_grid, self._s_grid)
-        for _ in range(4):
-            s = s - (self._xi_of_s(s) - target) / f(s)
-            s = np.clip(s, 0.0, 1.0)
-        t = s * s
+        t = self._t_of_table(self._xi_grid, False, target)
         t = np.where(flip, 1.0 / np.maximum(t, 1e-300), t)
         return float(t[0]) if scalar else t
 
@@ -492,12 +497,7 @@ class TorusChart:
         eta = np.atleast_1d(eta).astype(float)
         if np.any(eta <= 0.0) or np.any(eta > 0.5 * self.height * (1 + 1e-12)):
             raise ValueError("tv_of_eta requires 0 < eta <= height/2")
-        f = _edge_density(self.params, vertical=True)
-        s = np.interp(eta, self._eta_grid, self._s_grid)
-        for _ in range(4):
-            s = s - (self._eta_of_s(s) - eta) / f(s)
-            s = np.clip(s, 0.0, 1.0)
-        t = s * s
+        t = self._t_of_table(self._eta_grid, True, eta)
         return float(t[0]) if scalar else t
 
     def reduce(self, xi: float, eta: float) -> Tuple[float, float]:

@@ -783,6 +783,9 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
     = 2/sqrt(3) ~ 1.1547`` through a chord/moment estimate.  Since
     ``-I_lim + c2 < 0`` (and already ``c1 + c2 < 0``), the period
     integral is strictly negative near the upper corner.
+
+    ``spec`` shapes every integral of the check, the Lambda(rho) solves and
+    the G values of its near-corner rows included.
     """
     t0 = time.perf_counter()
     c1 = 2.0 * (1.0 - math.sqrt(1.0 + math.pi / 2.0))
@@ -805,7 +808,7 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
 
     # one solve of Lambda(rho) and G per near-corner rho serves every part
     # of the chain below
-    rows = scan_H((1.45, 1.52, 1.55))
+    rows = scan_H((1.45, 1.52, 1.55), spec)
 
     # the lower-window part of the period integral approaches -I_lim
     window_vals = []

@@ -2,10 +2,15 @@
 merging, provenance headers, and byte-identical reruns."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import g1helicoid
 from g1helicoid.cli import RunConfig, UsageError, run
 
 RHO0 = 0.7105219800457504
@@ -33,6 +38,20 @@ def test_unknown_flag_exits_2(capsys):
 
 def test_missing_subcommand_exits_2():
     assert run([]) == 2
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency
+    src = str(Path(g1helicoid.__file__).resolve().parents[1])
+    code = (
+        "import sys, g1helicoid.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_solve_json_contract(tmp_path, capsys):

@@ -11,8 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from g1helicoid import period_solver
 from g1helicoid.params import lambda_from_Lambda
 from g1helicoid.period_solver import (
+    _brent,
     F_integral,
     G_integral,
     G_integrand_samples,
@@ -186,6 +188,52 @@ def test_solve_raises_without_sign_change():
     # G(rho, Lambda(rho)) is single-signed on a grid far below rho0
     with pytest.raises((NoSignChangeError, PeriodSolverError)):
         solve_period_problem(grid_size=4, rho_min=0.05, rho_max=0.2)
+
+
+def test_brent_uses_the_given_end_values():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x ** 3 - 2.0 * x - 5.0
+
+    root = _brent(f, 2.0, 3.0, -1.0, 16.0, 1e-14)
+    assert root == pytest.approx(2.0945514815423265, abs=1e-14)
+    assert 2.0 not in calls and 3.0 not in calls
+    assert _brent(f, 2.0, 3.0, 0.0, 16.0, 1e-14) == 2.0
+
+
+def test_brent_raises_typed_error_without_convergence():
+    # at a fivefold root the steps shrink only linearly; 100 are too few
+    def f(x):
+        return (x - 0.3) ** 5
+
+    with pytest.raises(PeriodSolverError, match="did not converge in 100 iterations"):
+        _brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+
+
+def test_root_solves_start_from_known_end_values(monkeypatch):
+    # F at the Lambda bracket ends and H at the rho bracket ends are each
+    # computed once: by the sign check and by the scan
+    F_args, Lambda_args = [], []
+    real_F, real_solve = period_solver.F_integral, period_solver.solve_Lambda_of_rho
+
+    def counting_F(rho, Lam, spec=period_solver.PERIOD_SPEC):
+        F_args.append(Lam)
+        return real_F(rho, Lam, spec)
+
+    def counting_solve(rho, spec=period_solver.PERIOD_SPEC, root_tol=1e-13):
+        Lambda_args.append(rho)
+        return real_solve(rho, spec, root_tol)
+
+    monkeypatch.setattr(period_solver, "F_integral", counting_F)
+    solve_Lambda_of_rho(0.8)
+    assert F_args.count(F_args[0]) == 1 and F_args.count(F_args[1]) == 1
+
+    monkeypatch.setattr(period_solver, "solve_Lambda_of_rho", counting_solve)
+    sol = solve_period_problem()
+    lo, hi = sol.bracket_used
+    assert Lambda_args.count(lo) == 1 and Lambda_args.count(hi) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from g1helicoid.period_solver import scan_H
+from g1helicoid.quadrature import DEFAULT_SPEC
 from g1helicoid.verify import (
     CheckResult,
     check_c_convex,
@@ -102,11 +104,13 @@ def test_slab_check(params):
 
 
 def test_limit_constants_check():
-    res = check_limit_constants()
+    res = check_limit_constants(DEFAULT_SPEC)
     assert res.passed
     assert res.detail("c1_rounded_4dp") == pytest.approx(-1.2067, abs=1e-12)
     assert res.detail("c2_rounded_4dp") == pytest.approx(1.1547, abs=1e-12)
     assert res.value < 0.0  # the combined bound is strictly negative
+    # the check's spec also shapes the Lambda(rho) solve and G of each row
+    assert res.detail("G_at_1p45") == scan_H((1.45,), DEFAULT_SPEC)[0][3]
 
 
 def test_diagnostic_checks_flagged():
