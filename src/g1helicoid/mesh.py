@@ -28,7 +28,6 @@ seam lists (exact index correspondences), not by fuzzy proximity.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -232,13 +231,49 @@ def _ring_polylines(
     return glue_pos, inner_up[::-1], outer_up[::-1], glue_mask, slit_mask
 
 
-def _split_quad(v, ll, lr, ur, ul):
-    """Split a grid quad on its shorter 3D diagonal; deterministic."""
-    d1 = np.linalg.norm(v[ll] - v[ur])
-    d2 = np.linalg.norm(v[lr] - v[ul])
-    if d1 <= d2:
-        return [(ll, lr, ur), (ll, ur, ul)]
-    return [(ll, lr, ul), (lr, ur, ul)]
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of ``d`` (N, 3), bit for bit what
+    ``np.linalg.norm`` gives for that row alone: both reduce through the same
+    dot product.  ``norm(d, axis=1)`` and ``einsum`` round differently in the
+    last bit, which would flip near-tie diagonal choices."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+# Corner picks (ll, lr, ur, ul) = (0, 1, 2, 3) of the two triangles of a
+# cell, by kind: split on ll-ur, split on lr-ul, lower side collapsed
+# (ll == lr), upper side collapsed (ul == ur).  A collapsed cell has one
+# triangle; its second row is never used.
+_CELL_SPLITS = np.array(
+    [
+        [0, 1, 2, 0, 2, 3],
+        [0, 1, 3, 1, 2, 3],
+        [0, 2, 3, 0, 0, 0],
+        [0, 1, 3, 0, 0, 0],
+    ]
+)
+
+
+def _strip_faces(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Triangles of the cells between two vertex rows, in cell order.
+
+    A row of one vertex closes the other row with a fan.  Otherwise cell j
+    has corners ll, lr = lo[j], lo[j+1] and ul, ur = hi[j], hi[j+1]; it is
+    split on its shorter 3D diagonal (ll-ur on a tie), or gives one
+    triangle when a side collapses to one vertex.  Deterministic.
+    """
+    if len(lo) == 1:
+        return np.stack([np.full(len(hi) - 1, lo[0]), hi[1:], hi[:-1]], axis=1)
+    if len(hi) == 1:
+        return np.stack([lo[:-1], lo[1:], np.full(len(lo) - 1, hi[0])], axis=1)
+    ll, lr, ul, ur = lo[:-1], lo[1:], hi[:-1], hi[1:]
+    kind = np.where(_lengths(v[ll] - v[ur]) <= _lengths(v[lr] - v[ul]), 0, 1)
+    kind[ul == ur] = 3
+    kind[ll == lr] = 2
+    corners = np.stack([ll, lr, ur, ul], axis=1)
+    tris = np.take_along_axis(corners, _CELL_SPLITS[kind], axis=1).reshape(-1, 3)
+    keep = np.ones((len(kind), 2), dtype=bool)
+    keep[:, 1] = kind < 2
+    return tris[keep.ravel()]
 
 
 def _asymptote_coefficients(params: SurfaceParams):
@@ -359,27 +394,26 @@ def mesh_patch_D(
         )
 
     # --- assemble the vertex table ---------------------------------------
-    verts: List[np.ndarray] = []
+    # O and O', the levels (n_rays each, inner then outer), the gluing arc,
+    # then each slit bank without the tip it shares with the arc
+    idx_O, idx_Op = 0, 1
+    levels = inner_pos + outer_pos
+    vertices = np.vstack(
+        [np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -0.5 * T]])]
+        + levels
+        + [glue_pos, bank_in_pos[1:], bank_out_pos[1:]]
+    )
+    grid = 2 + np.arange(len(levels) * n_rays).reshape(len(levels), n_rays)
+    inner_rows = list(grid[: len(inner_pos)])
+    outer_rows = list(grid[len(inner_pos):])
 
-    def add(pos) -> int:
-        verts.append(np.asarray(pos, dtype=float))
-        return len(verts) - 1
-
-    idx_O = add([0.0, 0.0, 0.0])
-    idx_Op = add([0.0, 0.0, -0.5 * T])
-
-    inner_rows = [np.array([add(p) for p in poly]) for poly in inner_pos]
-    outer_rows = [np.array([add(p) for p in poly]) for poly in outer_pos]
-
-    glue_ids = np.array([add(p) for p in glue_pos])
+    glue_ids = 2 + len(levels) * n_rays + np.arange(len(glue_pos))
     tip_vertex = glue_ids[-1]
-    slit_rays = rays[slit_mask]
-    bank_in_ids = np.concatenate(
-        [[tip_vertex], [add(p) for p in bank_in_pos[1:]]]
-    ).astype(int)
+    n_bank = len(bank_in_pos) - 1
+    bank_in_ids = np.concatenate([[tip_vertex], tip_vertex + 1 + np.arange(n_bank)])
     bank_out_ids = np.concatenate(
-        [[tip_vertex], [add(p) for p in bank_out_pos[1:]]]
-    ).astype(int)
+        [[tip_vertex], tip_vertex + 1 + n_bank + np.arange(n_bank)]
+    )
 
     def ring_row(bank_ids: np.ndarray) -> np.ndarray:
         row = np.empty(n_rays, dtype=int)
@@ -389,8 +423,6 @@ def mesh_patch_D(
 
     ring_row_inner = ring_row(bank_in_ids)
     ring_row_outer = ring_row(bank_out_ids)
-
-    vertices = np.vstack(verts)
 
     # --- exactness and slab validation ------------------------------------
     level_ts = np.concatenate([inner_t, [1.0], outer_t])
@@ -443,31 +475,16 @@ def mesh_patch_D(
     if hole_pair is None:
         raise MeshError("no level pair straddles the puncture radius")
 
-    faces: List[Tuple[int, int, int]] = []
+    face_blocks: List[np.ndarray] = []
     for r in range(len(rows) - 1):
         lo_row, hi_row = rows[r], rows[r + 1]
-        if (r, r + 1) == (ring_lo_row, ring_lo_row + 1):
+        if r == ring_lo_row:
             continue  # the two ring rows are the same curve, no cells
         if len(lo_row) == 1 and len(hi_row) == 1:
             raise MeshError("degenerate row pair")
-        for j in range(n_rays - 1):
-            if (r, r + 1) == hole_pair and j == 0:
-                continue  # the excluded cell around the puncture
-            if len(lo_row) == 1:
-                faces.append((lo_row[0], hi_row[j + 1], hi_row[j]))
-                continue
-            if len(hi_row) == 1:
-                faces.append((lo_row[j], lo_row[j + 1], hi_row[0]))
-                continue
-            ll, lr = int(lo_row[j]), int(lo_row[j + 1])
-            ul, ur = int(hi_row[j]), int(hi_row[j + 1])
-            if ll == lr or ul == ur:
-                if ll == lr:
-                    faces.append((ll, ur, ul))
-                else:
-                    faces.append((ll, lr, ul))
-                continue
-            faces.extend(_split_quad(vertices, ll, lr, ur, ul))
+        if (r, r + 1) == hole_pair:
+            lo_row, hi_row = lo_row[1:], hi_row[1:]  # skip the cell around the puncture
+        face_blocks.append(_strip_faces(vertices, lo_row, hi_row))
 
     # --- boundary polylines -------------------------------------------------
     below = np.where(level_ts < t_punct)[0]
@@ -500,7 +517,7 @@ def mesh_patch_D(
     for ids in (h1_ids, h2_ids, e_ids, ehat_ids, c_ids, end_ids, [idx_O, idx_Op]):
         interior[np.asarray(ids, dtype=int)] = False
 
-    faces_arr = np.asarray(faces, dtype=int)
+    faces_arr = np.concatenate(face_blocks)
     areas = _face_areas(vertices, faces_arr)
     tiny = np.where(areas < (1e-8 * T) ** 2)[0]
     if len(tiny) > 0:
@@ -571,33 +588,23 @@ def _append_asymptotic_cap(
 
     chi = np.linspace(0.5 * math.pi, 1.5 * math.pi, n_angles)
     radii = cutoff * 0.5 ** np.arange(n_rings)
-    ring_ids = []
+    rings = [_asymptote_positions(A, B, C, rad * np.exp(1j * chi)) for rad in radii]
     n0 = len(mesh.vertices)
-    new_verts = []
-    for rad in radii:
-        zeta = rad * np.exp(1j * chi)
-        pos = _asymptote_positions(A, B, C, zeta)
-        ids = n0 + len(new_verts) + np.arange(n_angles)
-        new_verts.extend(pos)
-        ring_ids.append(ids)
-    new_faces = []
-    vtmp = np.vstack([mesh.vertices, np.asarray(new_verts)])
-    for k in range(n_rings - 1):
-        lo, hi = ring_ids[k], ring_ids[k + 1]
-        for j in range(n_angles - 1):
-            new_faces.extend(
-                _split_quad(vtmp, int(lo[j]), int(lo[j + 1]), int(hi[j + 1]), int(hi[j]))
-            )
-    mesh.vertices = vtmp
-    mesh.faces = np.vstack([mesh.faces, np.asarray(new_faces, dtype=int)])
+    n_new = n_rings * n_angles
+    mesh.vertices = np.vstack([mesh.vertices] + rings)
+    ring_ids = n0 + np.arange(n_new).reshape(n_rings, n_angles)
+    strips = zip(ring_ids[:-1], ring_ids[1:])
+    mesh.faces = np.vstack(
+        [mesh.faces] + [_strip_faces(mesh.vertices, lo, hi) for lo, hi in strips]
+    )
     interior = mesh.metadata["interior_mask"]
     mesh.metadata["interior_mask"] = np.concatenate(
-        [interior, np.zeros(len(new_verts), dtype=bool)]
+        [interior, np.zeros(n_new, dtype=bool)]
     )
     mesh.metadata["asymptotic_cap"] = {
         "enabled": True,
         "vertex_start": int(n0),
-        "vertex_count": int(len(new_verts)),
+        "vertex_count": int(n_new),
         "inner_radius": float(radii[-1]),
     }
 
@@ -614,23 +621,6 @@ _COPY_SPECS = (
 )
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = np.arange(n)
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def _weld_by_pairs(
     vertices: np.ndarray,
     faces: np.ndarray,
@@ -639,9 +629,17 @@ def _weld_by_pairs(
 ):
     """Merge vertices along explicit seam index pairs; validates gaps first.
 
+    Each vertex is labelled with the smallest index of its component in the
+    graph of seam pairs.  Labels start as the indices; each round lowers both
+    ends of every pair to the smaller of their two labels and then replaces
+    every label by its own label (pointer jumping), until a round changes
+    nothing.  Labels only fall and always name a vertex of the same
+    component, so at that point every component carries its smallest index.
+    The welded vertices are these minima in ascending order, the roots a
+    union-find that always links the larger root under the smaller finds.
+
     Returns (vertices, faces, old_to_new, n_duplicates_removed).
     """
-    uf = _UnionFind(len(vertices))
     for ids_a, ids_b, label in pairs:
         if len(ids_a) != len(ids_b):
             raise MeshError(f"seam {label}: length mismatch {len(ids_a)} vs {len(ids_b)}")
@@ -649,9 +647,19 @@ def _weld_by_pairs(
         worst = float(gaps.max()) if len(gaps) else 0.0
         if worst > tol:
             raise MeshError(f"seam {label}: max gap {worst:.3e} exceeds weld tol {tol:.3e}")
-        for i, j in zip(ids_a, ids_b):
-            uf.union(int(i), int(j))
-    roots = np.array([uf.find(i) for i in range(len(vertices))])
+    roots = np.arange(len(vertices))
+    if pairs:
+        a = np.concatenate([ids_a for ids_a, _, _ in pairs])
+        b = np.concatenate([ids_b for _, ids_b, _ in pairs])
+        while True:
+            low = np.minimum(roots[a], roots[b])
+            step = roots.copy()
+            np.minimum.at(step, a, low)
+            np.minimum.at(step, b, low)
+            step = step[step]
+            if np.array_equal(step, roots):
+                break
+            roots = step
     unique_roots, old_to_new = np.unique(roots, return_inverse=True)
     new_vertices = vertices[unique_roots]
     new_faces = old_to_new[faces]
@@ -833,28 +841,28 @@ def distance_to_polyline(points: np.ndarray, polyline: np.ndarray) -> np.ndarray
 
 def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
     """Edge-use report: interior edges must be shared by exactly two faces
-    with opposite orientation; boundary edges by one."""
-    edge_use: Dict[Tuple[int, int], List[int]] = {}
-    for face in mesh.faces:
-        for a, b in ((face[0], face[1]), (face[1], face[2]), (face[2], face[0])):
-            key = (min(a, b), max(a, b))
-            edge_use.setdefault(key, []).append(1 if a < b else -1)
-    interior = boundary = misoriented = overused = 0
-    for uses in edge_use.values():
-        if len(uses) == 1:
-            boundary += 1
-        elif len(uses) == 2:
-            if uses[0] + uses[1] == 0:
-                interior += 1
-            else:
-                misoriented += 1
-        else:
-            overused += 1
+    with opposite orientation; boundary edges by one.
+
+    Each of the 3F directed face edges a->b gets the key
+    2 (min(a, b) n + max(a, b)) + [a < b].  After one sort, a run of keys
+    with the same half is one edge: the run length is its use count, and an
+    edge used twice is consistently oriented when exactly one of its uses
+    runs from the smaller index to the larger (one odd key in the run).
+    """
+    f = np.asarray(mesh.faces, dtype=np.int64)
+    a = f.ravel()
+    b = f[:, [1, 2, 0]].ravel()
+    n = int(f.max()) + 1 if f.size else 0
+    keys = np.sort((np.minimum(a, b) * n + np.maximum(a, b)) * 2 + (a < b))
+    starts = np.flatnonzero(np.diff(keys >> 1, prepend=-1))
+    uses = np.diff(np.append(starts, len(keys)))
+    ascending = np.add.reduceat(keys & 1, starts)
+    twice = uses == 2
     return {
-        "interior_edges": interior,
-        "boundary_edges": boundary,
-        "misoriented_edges": misoriented,
-        "overused_edges": overused,
+        "interior_edges": int(np.count_nonzero(twice & (ascending == 1))),
+        "boundary_edges": int(np.count_nonzero(uses == 1)),
+        "misoriented_edges": int(np.count_nonzero(twice & (ascending != 1))),
+        "overused_edges": int(np.count_nonzero(uses > 2)),
     }
 
 
@@ -926,6 +934,17 @@ def _metadata_header_lines(mesh: SurfaceMesh) -> List[str]:
     return lines
 
 
+_ROWS_PER_WRITE = 1 << 16
+
+
+def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
+    """Write ``row_format % row`` for every row, formatting a block of rows
+    per write (``%.9g`` gives the same text as ``f"{x:.9g}"``)."""
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        block = rows[start : start + _ROWS_PER_WRITE]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
 def export_obj(mesh: SurfaceMesh, path: str) -> None:
     """ASCII OBJ (v/f records, 1-based indices, 9 significant digits)."""
     _require_nonempty(mesh)
@@ -933,10 +952,8 @@ def export_obj(mesh: SurfaceMesh, path: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
             for line in _metadata_header_lines(mesh):
                 fh.write(f"# {line}\n")
-            for v in mesh.vertices:
-                fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-            for f in mesh.faces:
-                fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+            _write_rows(fh, "v %.9g %.9g %.9g\n", mesh.vertices)
+            _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
     except OSError as exc:
         raise MeshError(f"OBJ export failed for {path!r}: {exc}") from exc
 
@@ -961,6 +978,10 @@ def import_obj(path: str) -> SurfaceMesh:
     return SurfaceMesh(np.asarray(vertices), np.asarray(faces, dtype=int))
 
 
+#: One binary PLY face record: the vertex count (uchar) and three int indices.
+_PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
+
+
 def export_ply(mesh: SurfaceMesh, path: str) -> None:
     """Binary little-endian PLY with float64 coordinates."""
     _require_nonempty(mesh)
@@ -982,10 +1003,10 @@ def export_ply(mesh: SurfaceMesh, path: str) -> None:
         with open(path, "wb") as fh:
             fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
             fh.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-            face_block = bytearray()
-            for f in mesh.faces:
-                face_block += struct.pack("<Biii", 3, int(f[0]), int(f[1]), int(f[2]))
-            fh.write(bytes(face_block))
+            records = np.empty(nf, dtype=_PLY_FACE)
+            records["n"] = 3
+            records["i"] = mesh.faces
+            fh.write(records.tobytes())
     except OSError as exc:
         raise MeshError(f"PLY export failed for {path!r}: {exc}") from exc
 
@@ -1008,18 +1029,19 @@ def import_ply(path: str) -> SurfaceMesh:
             nf = int(line.split()[-1])
     if "format binary_little_endian 1.0" not in header:
         raise MeshError(f"{path!r}: unsupported PLY format")
-    body = data[end + len(b"end_header\n"):]
-    vert_bytes = nv * 24
-    vertices = np.frombuffer(body[:vert_bytes], dtype="<f8").reshape(nv, 3).copy()
-    faces = np.empty((nf, 3), dtype=int)
-    off = vert_bytes
-    for i in range(nf):
-        cnt = body[off]
-        if cnt != 3:
-            raise MeshError(f"{path!r}: non-triangular face of size {cnt}")
-        faces[i] = struct.unpack_from("<iii", body, off + 1)
-        off += 1 + 12
-    return SurfaceMesh(vertices, faces)
+    start = end + len(b"end_header\n")
+    need = nv * 24 + nf * _PLY_FACE.itemsize
+    if len(data) - start < need:
+        raise MeshError(
+            f"{path!r}: truncated PLY body, {len(data) - start} bytes "
+            f"for {nv} vertices and {nf} faces ({need} bytes)"
+        )
+    vertices = np.frombuffer(data, dtype="<f8", count=3 * nv, offset=start).reshape(nv, 3)
+    records = np.frombuffer(data, dtype=_PLY_FACE, count=nf, offset=start + nv * 24)
+    bad = np.flatnonzero(records["n"] != 3)
+    if len(bad):
+        raise MeshError(f"{path!r}: non-triangular face of size {records['n'][bad[0]]}")
+    return SurfaceMesh(vertices.copy(), records["i"].astype(int))
 
 
 def export_curves_csv(mesh: SurfaceMesh, path: str) -> None:

@@ -9,6 +9,8 @@ import pytest
 
 from g1helicoid.mesh import (
     MeshError,
+    SurfaceMesh,
+    _weld_by_pairs,
     check_graph_injectivity,
     check_oriented_manifold,
     distance_to_polyline,
@@ -99,6 +101,35 @@ def test_boundary_polylines_are_attached(patch):
             assert d < 1e-9, name
 
 
+def _scalar_split(v, ll, lr, ur, ul):
+    """The per-quad diagonal rule: split on the shorter 3D diagonal, ll-ur on
+    a tie, with one ``np.linalg.norm`` per diagonal."""
+    if np.linalg.norm(v[ll] - v[ur]) <= np.linalg.norm(v[lr] - v[ul]):
+        return [(ll, lr, ur), (ll, ur, ul)]
+    return [(ll, lr, ul), (lr, ur, ul)]
+
+
+def test_quad_diagonals_follow_scalar_rule(patch):
+    # Grid cells (every face pair not on the fans at O and O', which are
+    # vertices 0 and 1) come as two consecutive triangles (ll, lr, ur),
+    # (ll, ur, ul) or (ll, lr, ul), (lr, ur, ul).  Read each quad's corners
+    # back from its pair, split it again with the scalar rule, and the faces
+    # must come out the same.
+    v, f = patch.vertices, patch.faces
+    cells = f[~np.isin(f, (0, 1)).any(axis=1)]
+    assert len(cells) % 2 == 0
+    resplit = []
+    for f1, f2 in zip(cells[0::2].tolist(), cells[1::2].tolist()):
+        if f2[0] == f1[0] and f2[1] == f1[2]:
+            ll, lr, ur, ul = f1[0], f1[1], f1[2], f2[2]
+        else:
+            assert f2[0] == f1[1] and f2[2] == f1[2]
+            ll, lr, ul, ur = f1[0], f1[1], f1[2], f2[1]
+        resplit.extend(_scalar_split(v, ll, lr, ur, ul))
+    assert len(resplit) > 5000
+    assert np.array_equal(np.asarray(resplit), cells)
+
+
 def test_patch_resolution_must_be_sane(params):
     with pytest.raises(MeshError):
         mesh_patch_D(params, resolution=4)
@@ -146,9 +177,126 @@ def test_stack_three_periods(domain, params):
     assert len(stack.vertices) < 3 * len(domain.vertices)
 
 
+def _union_find_roots(n, pairs):
+    """Reference labels: a union-find that links the larger root under the
+    smaller, so every root is the smallest index of its component."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for ids_a, ids_b, _ in pairs:
+        for i, j in zip(ids_a.tolist(), ids_b.tolist()):
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
+    return np.array([find(i) for i in range(n)])
+
+
+def test_weld_labels_match_union_find(rng):
+    n = 400
+    # long chains in both index directions, random pairs and repeated pairs
+    pairs = [
+        (np.arange(0, 99), np.arange(1, 100), "chain up"),
+        (np.arange(299, 200, -1), np.arange(298, 199, -1), "chain down"),
+        (rng.integers(0, n, 150), rng.integers(0, n, 150), "random"),
+        (np.array([5, 5, 399]), np.array([399, 399, 5]), "repeats"),
+    ]
+    vertices = np.zeros((n, 3))
+    faces = np.array([[0, 1, 2], [100, 101, 102], [397, 398, 399]])
+    _, new_faces, old_to_new, removed = _weld_by_pairs(vertices, faces, pairs, 0.0)
+    roots = _union_find_roots(n, pairs)
+    _, expect = np.unique(roots, return_inverse=True)
+    assert np.array_equal(old_to_new, expect)
+    assert removed == n - len(np.unique(roots))
+    mapped = expect[faces]
+    distinct = (mapped[:, 0] != mapped[:, 1]) & (mapped[:, 1] != mapped[:, 2]) & (
+        mapped[:, 0] != mapped[:, 2]
+    )
+    assert not distinct[0]  # the chain welds all of face 0 into one vertex
+    assert np.array_equal(new_faces, mapped[distinct])
+
+
+def test_weld_rejects_bad_seams():
+    vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
+    faces = np.array([[0, 1, 2]])
+    with pytest.raises(MeshError, match="length mismatch"):
+        _weld_by_pairs(vertices, faces, [(np.array([0, 1]), np.array([2]), "s")], 1.0)
+    with pytest.raises(MeshError, match="max gap"):
+        _weld_by_pairs(vertices, faces, [(np.array([0]), np.array([2]), "s")], 1e-4)
+
+
 def test_stack_requires_positive_count(domain):
     with pytest.raises(MeshError):
         stack_periods(domain, 0)
+
+
+def _report(faces):
+    mesh = SurfaceMesh(np.zeros((max(map(max, faces)) + 1, 3)), np.array(faces))
+    return check_oriented_manifold(mesh)
+
+
+def test_manifold_report_counts_bad_edges():
+    assert _report([(0, 1, 2)]) == {
+        "interior_edges": 0,
+        "boundary_edges": 3,
+        "misoriented_edges": 0,
+        "overused_edges": 0,
+    }
+    # edge 1-2 is run 1->2 by both faces
+    assert _report([(0, 1, 2), (3, 1, 2)]) == {
+        "interior_edges": 0,
+        "boundary_edges": 4,
+        "misoriented_edges": 1,
+        "overused_edges": 0,
+    }
+    # edge 0-1 carries three faces
+    assert _report([(0, 1, 2), (1, 0, 3), (0, 1, 4)]) == {
+        "interior_edges": 0,
+        "boundary_edges": 6,
+        "misoriented_edges": 0,
+        "overused_edges": 1,
+    }
+    # a closed, consistently wound tetrahedron
+    assert _report([(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]) == {
+        "interior_edges": 6,
+        "boundary_edges": 0,
+        "misoriented_edges": 0,
+        "overused_edges": 0,
+    }
+
+
+def _edge_use_report(faces):
+    """Reference report: a dict from each undirected edge to the +-1
+    directions of its uses."""
+    edge_use = {}
+    for face in faces.tolist():
+        for a, b in ((face[0], face[1]), (face[1], face[2]), (face[2], face[0])):
+            edge_use.setdefault((min(a, b), max(a, b)), []).append(1 if a < b else -1)
+    counts = dict.fromkeys(
+        ("interior_edges", "boundary_edges", "misoriented_edges", "overused_edges"), 0
+    )
+    for uses in edge_use.values():
+        if len(uses) == 1:
+            counts["boundary_edges"] += 1
+        elif len(uses) == 2:
+            counts["interior_edges" if sum(uses) == 0 else "misoriented_edges"] += 1
+        else:
+            counts["overused_edges"] += 1
+    return counts
+
+
+def test_manifold_report_matches_edge_dict(domain):
+    faces = domain.faces.copy()
+    faces[::97] = faces[::97, ::-1]  # misorient some edges
+    faces = np.vstack([faces, faces[5::301]])  # overuse some others
+    mesh = SurfaceMesh(domain.vertices, faces)
+    expect = _edge_use_report(faces)
+    assert expect["misoriented_edges"] > 0 and expect["overused_edges"] > 0
+    assert check_oriented_manifold(mesh) == expect
+    empty = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+    assert check_oriented_manifold(empty) == _edge_use_report(empty.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +349,25 @@ def test_ply_roundtrip_exact(patch, tmp_path):
     # binary doubles survive bit-for-bit
     assert np.array_equal(back.vertices, patch.vertices)
     assert np.array_equal(back.faces, patch.faces)
+
+
+@pytest.mark.parametrize("cut", [5, 20])
+def test_truncated_ply_raises_mesh_error(patch, tmp_path, cut):
+    path = tmp_path / "patch.ply"
+    export_ply(patch, str(path))
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(MeshError, match="truncated"):
+        import_ply(str(path))
+
+
+def test_non_triangular_ply_face_raises_mesh_error(patch, tmp_path):
+    path = tmp_path / "patch.ply"
+    export_ply(patch, str(path))
+    data = bytearray(path.read_bytes())
+    data[-13] = 4  # the count byte of the last face record
+    path.write_bytes(bytes(data))
+    with pytest.raises(MeshError, match="non-triangular face of size 4"):
+        import_ply(str(path))
 
 
 def test_obj_header_carries_parameters(patch, tmp_path, params):
