@@ -28,6 +28,7 @@ seam lists (exact index correspondences), not by fuzzy proximity.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -54,7 +55,6 @@ __all__ = [
     "assemble_fundamental_domain",
     "stack_periods",
     "check_oriented_manifold",
-    "check_graph_injectivity",
     "export_obj",
     "import_obj",
     "export_ply",
@@ -240,17 +240,8 @@ def _lengths(d: np.ndarray) -> np.ndarray:
 
 
 # Corner picks (ll, lr, ur, ul) = (0, 1, 2, 3) of the two triangles of a
-# cell, by kind: split on ll-ur, split on lr-ul, lower side collapsed
-# (ll == lr), upper side collapsed (ul == ur).  A collapsed cell has one
-# triangle; its second row is never used.
-_CELL_SPLITS = np.array(
-    [
-        [0, 1, 2, 0, 2, 3],
-        [0, 1, 3, 1, 2, 3],
-        [0, 2, 3, 0, 0, 0],
-        [0, 1, 3, 0, 0, 0],
-    ]
-)
+# cell, by kind: split on ll-ur, split on lr-ul.
+_CELL_SPLITS = np.array([[0, 1, 2, 0, 2, 3], [0, 1, 3, 1, 2, 3]])
 
 
 def _strip_faces(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -258,22 +249,20 @@ def _strip_faces(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     A row of one vertex closes the other row with a fan.  Otherwise cell j
     has corners ll, lr = lo[j], lo[j+1] and ul, ur = hi[j], hi[j+1]; it is
-    split on its shorter 3D diagonal (ll-ur on a tie), or gives one
-    triangle when a side collapses to one vertex.  Deterministic.
+    split on its shorter 3D diagonal (ll-ur on a tie).  Deterministic.  A
+    row that repeats a vertex index in two adjacent entries raises
+    :class:`MeshError`: its cell would collapse.
     """
+    if np.any(lo[1:] == lo[:-1]) or np.any(hi[1:] == hi[:-1]):
+        raise MeshError("vertex row repeats an index: collapsed cell")
     if len(lo) == 1:
         return np.stack([np.full(len(hi) - 1, lo[0]), hi[1:], hi[:-1]], axis=1)
     if len(hi) == 1:
         return np.stack([lo[:-1], lo[1:], np.full(len(lo) - 1, hi[0])], axis=1)
     ll, lr, ul, ur = lo[:-1], lo[1:], hi[:-1], hi[1:]
     kind = np.where(_lengths(v[ll] - v[ur]) <= _lengths(v[lr] - v[ul]), 0, 1)
-    kind[ul == ur] = 3
-    kind[ll == lr] = 2
     corners = np.stack([ll, lr, ur, ul], axis=1)
-    tris = np.take_along_axis(corners, _CELL_SPLITS[kind], axis=1).reshape(-1, 3)
-    keep = np.ones((len(kind), 2), dtype=bool)
-    keep[:, 1] = kind < 2
-    return tris[keep.ravel()]
+    return np.take_along_axis(corners, _CELL_SPLITS[kind], axis=1).reshape(-1, 3)
 
 
 def _asymptote_coefficients(params: SurfaceParams):
@@ -866,47 +855,6 @@ def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
     }
 
 
-def check_graph_injectivity(patch: SurfaceMesh) -> Dict[str, object]:
-    """Spatial-hash collision check of the graph property.
-
-    The patch projects injectively to the (x1, x2)-plane over the unbounded
-    domain outside the projected slit curve ``c`` -- the projection genuinely
-    folds along the axis segments (the normal is horizontal there), and those
-    folds live inside the lens bounded by ``c``.  So the check restricts to
-    interior vertices whose projection is outside that lens and at least
-    ``0.02 * T`` away from it, then flags any two that land closer than
-    ``1e-4 * T`` in the plane while being far apart in space."""
-    T = float(patch.metadata["T"])
-    separation = 1e-4 * T
-    margin = 0.02 * T
-    mask = patch.metadata.get("interior_mask")
-    if mask is None:
-        raise MeshError("patch has no interior mask (is this an assembled mesh?)")
-    pts = patch.vertices[mask]
-    lens = np.asarray(patch.boundary_polylines["c"])[:, :2]
-    inside = point_in_polygon(pts[:, :2], lens)
-    near = distance_to_polyline(pts[:, :2], lens) < margin
-    pts = pts[~inside & ~near]
-    cells: Dict[Tuple[int, int], List[int]] = {}
-    h = 2.0 * separation
-    keys = np.floor(pts[:, :2] / h).astype(int)
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-    collisions = []
-    for i, key in enumerate(map(tuple, keys)):
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in cells.get((key[0] + dx, key[1] + dy), ()):
-                    if j <= i:
-                        continue
-                    planar = np.linalg.norm(pts[i, :2] - pts[j, :2])
-                    if planar < separation:
-                        vertical = abs(pts[i, 2] - pts[j, 2])
-                        if vertical > 10.0 * separation:
-                            collisions.append((i, j, planar, vertical))
-    return {"checked": int(len(pts)), "collisions": collisions}
-
-
 # ----------------------------------------------------------------------
 # Export / import
 # ----------------------------------------------------------------------
@@ -958,24 +906,36 @@ def export_obj(mesh: SurfaceMesh, path: str) -> None:
         raise MeshError(f"OBJ export failed for {path!r}: {exc}") from exc
 
 
-def import_obj(path: str) -> SurfaceMesh:
-    vertices: List[List[float]] = []
-    faces: List[List[int]] = []
+def _obj_columns(lines: List[bytes], dtype, path: str) -> np.ndarray:
+    """Fields 1-3 of each OBJ record line as an (N, 3) array."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts or parts[0] == "#":
-                    continue
-                if parts[0] == "v":
-                    vertices.append([float(x) for x in parts[1:4]])
-                elif parts[0] == "f":
-                    faces.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
+        return np.loadtxt(lines, dtype=dtype, usecols=(1, 2, 3), ndmin=2)
+    except ValueError as exc:
+        raise MeshError(f"malformed OBJ record in {path!r}: {exc}") from exc
+
+
+def import_obj(path: str) -> SurfaceMesh:
+    """Read the lines that begin ``v `` and ``f `` of an OBJ file.
+
+    A vertex is the first three coordinates of its line, a face the first
+    three vertex references (``f a/b/c`` keeps ``a``); other lines are
+    skipped.  A record with fewer than three fields, or a field that is not
+    a number, raises :class:`MeshError`."""
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise MeshError(f"OBJ import failed for {path!r}: {exc}") from exc
-    if not vertices:
+    v_lines = [line for line in lines if line.startswith(b"v ")]
+    if not v_lines:
         raise MeshError(f"no vertices found in {path!r}")
-    return SurfaceMesh(np.asarray(vertices), np.asarray(faces, dtype=int))
+    f_lines = [line for line in lines if line.startswith(b"f ")]
+    if f_lines:
+        f_lines = re.sub(rb"/\S*", b"", b"\n".join(f_lines)).splitlines()
+        faces = _obj_columns(f_lines, np.int64, path) - 1
+    else:
+        faces = np.empty((0, 3), dtype=np.int64)
+    return SurfaceMesh(_obj_columns(v_lines, float, path), faces)
 
 
 #: One binary PLY face record: the vertex count (uchar) and three int indices.

@@ -45,7 +45,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -408,13 +408,31 @@ def check_c_convex(params: SurfaceParams, n: int = 720) -> CheckResult:
 _GRAPH_BINS = 128
 
 
+def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and offset within the row of every entry of a ragged array whose
+    rows have the given lengths, in row order."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return row, offset
+
+
 class _ProjectedGraph:
     """Barycentric height lookup on the projected patch triangles.
 
     Only triangles intersecting the query box are kept (the far wings
     of the patch lie outside it), binned by bounding box on a uniform
-    grid for point-location.  The asymptotic cap is excluded: it is an
-    unstitched comparison component, not part of the graph.
+    ``_GRAPH_BINS`` square grid for point-location.  The asymptotic cap is
+    excluded: it is an unstitched comparison component, not part of the
+    graph.
+
+    The buckets are in CSR form: ``_tris`` lists the triangle of every
+    (cell, triangle) pair, sorted by cell ``ix * _GRAPH_BINS + iy`` and then
+    by triangle index, and cell k owns ``_tris[_starts[k]:_starts[k + 1]]``.
+    A lookup expands the candidates of all points into one ragged array.  A
+    candidate contains a point when all three barycentrics are at least
+    ``-1e-9``; of the containing triangles, the first one in candidate order
+    with the largest ``min(u, v, w)`` (the most interior) gives the height,
+    which settles points on shared edges.
     """
 
     def __init__(self, patch: SurfaceMesh, box: Tuple[float, float, float, float]):
@@ -446,48 +464,52 @@ class _ProjectedGraph:
         self._inv_det = 1.0 / (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         self._lo = np.array([lo_x, lo_y])
         self._span = np.array([hi_x - lo_x, hi_y - lo_y])
-        # bin triangles by bbox overlap
-        mins = np.minimum(np.minimum(xy[good][:, 0], xy[good][:, 1]), xy[good][:, 2])
-        maxs = np.maximum(np.maximum(xy[good][:, 0], xy[good][:, 1]), xy[good][:, 2])
-        lo_cells = self._cell_of(mins)
-        hi_cells = self._cell_of(maxs)
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for t in range(len(self._p0)):
-            for ix in range(lo_cells[t, 0], hi_cells[t, 0] + 1):
-                for iy in range(lo_cells[t, 1], hi_cells[t, 1] + 1):
-                    buckets.setdefault((ix, iy), []).append(t)
-        self._buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
+        # bin triangles by bbox overlap: every cell of each bbox's cell range
+        xy = xy[good]
+        lo_cells = self._cell_of(np.minimum(np.minimum(xy[:, 0], xy[:, 1]), xy[:, 2]))
+        hi_cells = self._cell_of(np.maximum(np.maximum(xy[:, 0], xy[:, 1]), xy[:, 2]))
+        ny = hi_cells[:, 1] - lo_cells[:, 1] + 1
+        t, k = _ragged((hi_cells[:, 0] - lo_cells[:, 0] + 1) * ny)
+        cell = (lo_cells[t, 0] + k // ny[t]) * _GRAPH_BINS + lo_cells[t, 1] + k % ny[t]
+        order = np.argsort(cell, kind="stable")  # by cell, then triangle
+        self._tris = t[order]
+        self._starts = np.searchsorted(cell[order], np.arange(_GRAPH_BINS**2 + 1))
 
     def _cell_of(self, pts: np.ndarray) -> np.ndarray:
         rel = (np.atleast_2d(pts) - self._lo) / self._span
         cells = np.floor(rel * _GRAPH_BINS).astype(np.int64)
         return np.clip(cells, 0, _GRAPH_BINS - 1)
 
+    def _containing(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (point, containing triangle) pair, by point and then in
+        candidate order: the point's index, the score ``min(u, v, w)`` and
+        the triangle's interpolated height at the point."""
+        cells = self._cell_of(pts)
+        cell = cells[:, 0] * _GRAPH_BINS + cells[:, 1]
+        first = self._starts[cell]
+        owner, k = _ragged(self._starts[cell + 1] - first)
+        tri = self._tris[first[owner] + k]
+        rel = pts[owner] - self._p0[tri]
+        u = (rel[:, 0] * self._d2[tri, 1] - rel[:, 1] * self._d2[tri, 0]) * self._inv_det[tri]
+        v = (self._d1[tri, 0] * rel[:, 1] - self._d1[tri, 1] * rel[:, 0]) * self._inv_det[tri]
+        w = 1.0 - u - v
+        inside = (u >= -1e-9) & (v >= -1e-9) & (w >= -1e-9)
+        z = self._z[tri[inside]]
+        u, v, w = u[inside], v[inside], w[inside]
+        height = z[:, 0] * w + z[:, 1] * u + z[:, 2] * v
+        return owner[inside], np.minimum(np.minimum(u, v), w), height
+
     def lookup(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Heights of the graph over each 2D point; found-mask for misses."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         vals = np.full(len(pts), np.nan)
         found = np.zeros(len(pts), dtype=bool)
-        cells = self._cell_of(pts)
-        for i, (p, (ix, iy)) in enumerate(zip(pts, cells)):
-            cand = self._buckets.get((int(ix), int(iy)))
-            if cand is None:
-                continue
-            rel = p - self._p0[cand]
-            u = (rel[:, 0] * self._d2[cand, 1] - rel[:, 1] * self._d2[cand, 0]) * self._inv_det[cand]
-            v = (self._d1[cand, 0] * rel[:, 1] - self._d1[cand, 1] * rel[:, 0]) * self._inv_det[cand]
-            w = 1.0 - u - v
-            inside = (u >= -1e-9) & (v >= -1e-9) & (w >= -1e-9)
-            if not inside.any():
-                continue
-            idx = np.flatnonzero(inside)
-            # most interior containing triangle wins (robust on shared edges)
-            best = idx[np.argmax(np.minimum(np.minimum(u[idx], v[idx]), w[idx]))]
-            tri = cand[best]
-            vals[i] = (
-                self._z[tri, 0] * w[best] + self._z[tri, 1] * u[best] + self._z[tri, 2] * v[best]
-            )
-            found[i] = True
+        owner, score, height = self._containing(pts)
+        # per point, the first candidate with the largest score
+        order = np.lexsort((np.arange(len(owner)), -score, owner))
+        best = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+        vals[owner[best]] = height[best]
+        found[owner[best]] = True
         return vals, found
 
 

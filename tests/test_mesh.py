@@ -10,8 +10,8 @@ import pytest
 from g1helicoid.mesh import (
     MeshError,
     SurfaceMesh,
+    _strip_faces,
     _weld_by_pairs,
-    check_graph_injectivity,
     check_oriented_manifold,
     distance_to_polyline,
     export_curves_csv,
@@ -23,6 +23,7 @@ from g1helicoid.mesh import (
     point_in_polygon,
     stack_periods,
 )
+from g1helicoid.verify import _ProjectedGraph
 
 CURVE_NAMES = {"C", "E", "E_hat", "H1", "H2", "c", "end"}
 
@@ -79,10 +80,63 @@ def test_patch_projects_into_left_half_plane(patch, params):
     assert patch.vertices[:, 0].max() < 1e-8 * params.T
 
 
-def test_patch_graph_injectivity(patch):
-    rep = check_graph_injectivity(patch)
-    assert rep["checked"] > 1000
-    assert rep["collisions"] == []
+def _graph_collisions(mesh, T):
+    """Check the graph property on the projected triangles.
+
+    The patch projects injectively to the (x1, x2)-plane over the domain
+    outside the projected slit curve ``c``; the projection folds along the
+    axis segments, inside the lens bounded by ``c``.  So take the interior
+    vertices whose projection is outside the lens and at least ``0.02 * T``
+    away from it, and count those that lie in two or more projected
+    triangles whose heights there differ by more than ``10 * 1e-4 * T``.
+    Returns (vertices checked, vertices in collision).
+
+    The lookup grid is uniform and the mesh is graded towards the origin, so
+    each vertex is looked up in the square box, halving in size, whose outer
+    half holds it."""
+    pts = mesh.vertices[mesh.metadata["interior_mask"], :2]
+    lens = np.asarray(mesh.boundary_polylines["c"])[:, :2]
+    pts = pts[~point_in_polygon(pts, lens) & ~(distance_to_polyline(pts, lens) < 0.02 * T)]
+    reach = np.abs(pts).max(axis=1)
+    collisions = 0
+    size = reach.max()
+    while size >= reach.min():
+        ring = pts[(reach <= size) & (reach > size / 2)]
+        graph = _ProjectedGraph(mesh, box=(-size, size, -size, size))
+        owner, _, height = graph._containing(ring)
+        top = np.full(len(ring), -np.inf)
+        bottom = np.full(len(ring), np.inf)
+        np.maximum.at(top, owner, height)
+        np.minimum.at(bottom, owner, height)
+        collisions += int(np.count_nonzero(top - bottom > 10 * 1e-4 * T))
+        size /= 2
+    return len(pts), collisions
+
+
+def test_patch_graph_injectivity(patch, params):
+    checked, collisions = _graph_collisions(patch, params.T)
+    assert checked > 1000
+    assert collisions == 0
+
+
+def test_graph_collisions_seen_on_a_lifted_second_sheet(patch, params):
+    # a second copy of the patch, lifted by T/4 over the half plane x2 > 0,
+    # lies over the first: the check must see the two heights there
+    T = params.T
+    cap = patch.metadata["asymptotic_cap"]
+    faces = patch.faces[np.all(patch.faces < cap["vertex_start"], axis=1)]
+    lifted = patch.vertices.copy()
+    lifted[lifted[:, 1] > 0, 2] += T / 4
+    n = len(patch.vertices)
+    doubled = SurfaceMesh(
+        np.vstack([patch.vertices, lifted]),
+        np.vstack([faces, faces + n]),
+        boundary_polylines={"c": patch.boundary_polylines["c"]},
+        metadata={"interior_mask": np.concatenate([patch.metadata["interior_mask"]] * 2)},
+    )
+    checked, collisions = _graph_collisions(doubled, T)
+    assert checked > 2000
+    assert collisions > checked // 4
 
 
 def test_boundary_polylines_are_attached(patch):
@@ -128,6 +182,14 @@ def test_quad_diagonals_follow_scalar_rule(patch):
         resplit.extend(_scalar_split(v, ll, lr, ur, ul))
     assert len(resplit) > 5000
     assert np.array_equal(np.asarray(resplit), cells)
+
+
+@pytest.mark.parametrize("lo, hi", [([0, 1, 1, 2], [3, 4, 5, 6]), ([0, 1, 2], [3, 4, 4])])
+def test_strip_faces_rejects_a_repeated_row_index(lo, hi):
+    # a repeat would collapse a cell to one triangle
+    v = np.random.default_rng(0).random((7, 3))
+    with pytest.raises(MeshError, match="repeats"):
+        _strip_faces(v, np.array(lo), np.array(hi))
 
 
 def test_patch_resolution_must_be_sane(params):
@@ -340,6 +402,36 @@ def test_obj_roundtrip(patch, tmp_path):
     scale = np.abs(patch.vertices).max()
     # OBJ stores 9 significant digits
     assert np.max(np.abs(back.vertices - patch.vertices)) < 1e-8 * scale
+
+
+def test_obj_reads_v_vt_vn_faces(tmp_path):
+    # texture and normal records are skipped; f a/b/c and a//c keep a
+    path = tmp_path / "tri.obj"
+    path.write_text(
+        "# two triangles\no quad\n"
+        "v 0 0 0\nvt 0 0\nvn 0 0 1\n"
+        "v 1.5 0 -2e-3\nvt 1 0\n"
+        "v 1 1 0.1 1.0\nv 0 1 0\n"
+        "s off\n"
+        "f 1/1/1 2/2/1 3/3/1\n"
+        "f 1//1 3//1 4//1\r\n"
+    )
+    back = import_obj(str(path))
+    assert np.array_equal(
+        back.vertices, [[0, 0, 0], [1.5, 0, -2e-3], [1, 1, 0.1], [0, 1, 0]]
+    )
+    assert np.array_equal(back.faces, [[0, 1, 2], [0, 2, 3]])
+    assert back.faces.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "line", ["v 1 2\n", "v 1 x 3\n", "f 1 2\n", "f 1 2 x\n", "f 1 2.5 3\n"]
+)
+def test_malformed_obj_record_raises_mesh_error(tmp_path, line):
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n" + line)
+    with pytest.raises(MeshError, match="bad.obj"):
+        import_obj(str(path))
 
 
 def test_ply_roundtrip_exact(patch, tmp_path):
