@@ -18,49 +18,54 @@ Behaviour shared by every subcommand:
 * floating-point output uses 17 significant digits, so reruns with the same
   configuration are byte-identical,
 * exit 0 on success, 2 on usage/config errors, 1 on numeric failures.
+
+Each subcommand imports only what it runs.  ``solve`` and ``periods`` load
+``params``, ``quadrature`` and ``period_solver`` (this module's own
+imports); ``mesh`` and ``curves`` add ``mesh`` (which brings ``torus`` and
+``weierstrass``); ``verify`` adds ``verify`` and, through it, ``mesh``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .mesh import (
-    MeshError,
-    SurfaceMesh,
-    assemble_fundamental_domain,
-    export_curves_csv,
-    export_obj,
-    export_ply,
-    mesh_patch_D,
-    stack_periods,
-)
 from .params import ParameterDomainError, SurfaceParams
 from .period_solver import PeriodSolverError, scan_H, solve_period_problem
 from .quadrature import QuadratureError, QuadratureSpec
-from .verify import json_text, run_all
-from .weierstrass import IntegrationError
 
-__all__ = ["RunConfig", "UsageError", "run", "main"]
+if TYPE_CHECKING:
+    from .mesh import SurfaceMesh
+
+__all__ = ["RunConfig", "UsageError", "run", "main", "json_text"]
 
 #: Exceptions that signal a *numeric* failure (exit code 1), as opposed to a
-#: usage error (exit code 2).
+#: usage error (exit code 2).  ``MeshError`` and ``IntegrationError`` join
+#: them in :func:`_numeric_errors` once their modules are loaded.
 NUMERIC_ERRORS = (
     ParameterDomainError,
     QuadratureError,
     PeriodSolverError,
-    IntegrationError,
-    MeshError,
     FloatingPointError,
     ZeroDivisionError,
 )
+
+
+def _numeric_errors() -> Tuple[type, ...]:
+    """``NUMERIC_ERRORS`` plus ``MeshError`` and ``IntegrationError`` if their
+    modules are loaded: a module that was never loaded raised nothing."""
+    lazy = (("g1helicoid.mesh", "MeshError"), ("g1helicoid.weierstrass", "IntegrationError"))
+    return NUMERIC_ERRORS + tuple(
+        getattr(sys.modules[module], name) for module, name in lazy if module in sys.modules
+    )
 
 
 class UsageError(ValueError):
@@ -384,6 +389,51 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_float(x: float) -> str:
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return format(x, ".17g")
+    return str(x)
+
+
+def json_text(obj: object, indent: int = 2, _level: int = 0) -> str:
+    """Deterministic JSON with floats at 17 significant digits.
+
+    Dict keys keep insertion order (the callers build them in fixed
+    order), so identical inputs give byte-identical text.  The ``solve``
+    output and the ``verify`` report are both written with it; ``verify``
+    imports it from here, so this module may import ``verify`` only inside
+    a function.
+    """
+    pad = " " * (indent * _level)
+    pad_in = " " * (indent * (_level + 1))
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad_in}{json.dumps(str(k))}: {json_text(v, indent, _level + 1)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        items = [f"{pad_in}{json_text(v, indent, _level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
 def _provenance(cfg: RunConfig, solution: Optional[Dict[str, float]] = None) -> Dict[str, object]:
     prov: Dict[str, object] = {
         "artifact": "g1helicoid",
@@ -482,12 +532,16 @@ def _cmd_periods(cfg: RunConfig) -> int:
 
 def _build_patch(cfg: RunConfig, params: SurfaceParams,
                  triple: Dict[str, float]) -> SurfaceMesh:
+    from .mesh import mesh_patch_D
+
     patch = mesh_patch_D(params, resolution=cfg.resolution, cutoff=cfg.cutoff)
     patch.metadata["provenance"] = _provenance_comment_lines(cfg, triple)
     return patch
 
 
 def _cmd_mesh(cfg: RunConfig) -> int:
+    from .mesh import assemble_fundamental_domain, export_obj, export_ply, stack_periods
+
     params, triple = _resolve_params(cfg)
     patch = _build_patch(cfg, params, triple)
     mesh = assemble_fundamental_domain(patch)
@@ -505,6 +559,8 @@ def _cmd_mesh(cfg: RunConfig) -> int:
 
 
 def _cmd_curves(cfg: RunConfig) -> int:
+    from .mesh import export_curves_csv
+
     params, triple = _resolve_params(cfg)
     patch = _build_patch(cfg, params, triple)
     export_curves_csv(patch, cfg.out)
@@ -514,6 +570,8 @@ def _cmd_curves(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    from .verify import run_all
+
     report = run_all(
         params=_solve(cfg).params,
         grid=cfg.verify_grid,
@@ -568,7 +626,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return _DISPATCH[cfg.subcommand](cfg)
-    except NUMERIC_ERRORS as exc:
+    except _numeric_errors() as exc:
         sys.stderr.write(f"g1helicoid: numeric error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -167,12 +167,27 @@ def _g_integrand(rho: float, Lam: float) -> Callable:
     return g
 
 
+def _converged(name: str, rho: float, Lam: float, res: QuadratureResult) -> QuadratureResult:
+    """``res``, or :class:`PeriodSolverError` if it missed its tolerance."""
+    if not res.converged:
+        raise PeriodSolverError(
+            f"{name}(rho={rho!r}, Lam={Lam!r}) did not converge: "
+            f"error estimate {res.error_estimate:.3e} at level {res.levels_used}"
+        )
+    return res
+
+
 def F_integral(
     rho: float, Lam: float, spec: QuadratureSpec = PERIOD_SPEC
 ) -> QuadratureResult:
-    """First period integral F(rho, Lam) with quadrature diagnostics."""
+    """First period integral F(rho, Lam) with quadrature diagnostics.
+
+    Raises :class:`PeriodSolverError` if the quadrature does not converge.
+    """
     rho = _check_rho_interior(rho)
-    return integrate(_f_integrand(rho, float(Lam)), rho, math.pi / 2, spec)
+    Lam = float(Lam)
+    res = integrate(_f_integrand(rho, Lam), rho, math.pi / 2, spec)
+    return _converged("F_integral", rho, Lam, res)
 
 
 def G_integral(
@@ -181,12 +196,15 @@ def G_integral(
     """Second period integral G(rho, Lam) with quadrature diagnostics.
 
     Defined for every ``rho in (-pi/2, pi/2)`` (the nonpositive-rho branch is
-    used for diagnostics only).
+    used for diagnostics only).  Raises :class:`PeriodSolverError` if the
+    quadrature does not converge.
     """
     rho = float(rho)
     if not -math.pi / 2 < rho < math.pi / 2:
         raise PeriodSolverError(f"rho={rho!r} outside (-pi/2, pi/2)")
-    return integrate(_g_integrand(rho, float(Lam)), -math.pi / 2, rho, spec)
+    Lam = float(Lam)
+    res = integrate(_g_integrand(rho, Lam), -math.pi / 2, rho, spec)
+    return _converged("G_integral", rho, Lam, res)
 
 
 def G_integrand_samples(rho: float, Lam: float, n: int = 200) -> np.ndarray:

@@ -26,13 +26,25 @@ far below any representable cancellation, which is what lets the rule reach
 
 Abscissae are strictly interior: the map never produces x == a or x == b.
 An integrand with no endpoint singularity simply ignores ``da`` and ``db``.
+
+Evaluation order
+----------------
+Level 0 holds the nodes tau = -6..6 at step 1 and level k > 0 the odd
+multiples of 2**-k, so each level halves the step of the one before.  Every
+spec runs at least to level 4, so levels 0-4 (193 nodes) are evaluated in a
+single integrand call; each later level is a call of its own.  The levels
+are still summed, tested for convergence and checked for non-finite values
+one at a time and in order: a bad value at a level the loop never reaches
+raises nothing.  ``QuadratureResult.n_evals`` counts the values computed, so
+it is at least 193.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -82,6 +94,8 @@ class QuadratureResult:
     """Value and diagnostics of one integration.
 
     ``converged`` guarantees ``error_estimate <= max(rel_tol*|value|, abs_tol)``.
+    ``n_evals`` counts the integrand values computed, all 193 nodes of
+    levels 0-4 included even when the result converged before level 4.
     """
 
     value: float
@@ -129,19 +143,40 @@ def _tanh_sinh_nodes(level: int) -> _NodeTable:
     return table
 
 
-def _eval_checked(g: Callable, x: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        y = np.asarray(g(x, da, db), dtype=float)
-    if y.ndim == 0:
-        y = np.full_like(x, float(y))
-    bad = ~np.isfinite(y)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise QuadratureError(
-            f"integrand returned non-finite value {y[i]!r} at x={x[i]!r} "
-            f"(distance to endpoints: da={da[i]:.3e}, db={db[i]:.3e})"
-        )
-    return y
+# Levels 0.._BATCH_LEVEL (the floor of QuadratureSpec.max_level) share one
+# integrand call on their 193 nodes; each later level is a call of its own.
+_BATCH_LEVEL = 4
+
+
+class _Block(NamedTuple):
+    """The nodes of one integrand call, levels in order.
+
+    Level ``first + j`` of a block that starts at level ``first`` is the
+    slice ``starts[j]:starts[j + 1]``; ``weights[j]`` is its weight slice.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    from_a: np.ndarray  # alpha <= beta: x is built from the nearer endpoint a
+    starts: Tuple[int, ...]
+    weights: Tuple[np.ndarray, ...]
+
+
+_BLOCK_CACHE: Dict[int, _Block] = {}
+
+
+def _block_nodes(level: int) -> _Block:
+    """The block that starts at ``level``: levels 0.._BATCH_LEVEL at level 0,
+    otherwise ``level`` alone."""
+    block = _BLOCK_CACHE.get(level)
+    if block is None:
+        levels = range(_BATCH_LEVEL + 1) if level == 0 else (level,)
+        tables = [_tanh_sinh_nodes(k) for k in levels]
+        alpha, beta, weight = (np.concatenate(col) for col in zip(*tables))
+        starts = tuple(itertools.accumulate((t[0].size for t in tables), initial=0))
+        weights = tuple(weight[lo:hi] for lo, hi in zip(starts, starts[1:]))
+        block = _BLOCK_CACHE[level] = _Block(alpha, beta, alpha <= beta, starts, weights)
+    return block
 
 
 def integrate(
@@ -151,6 +186,13 @@ def integrate(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> QuadratureResult:
     """Integrate ``f`` over the open interval (a, b).
+
+    Levels 0 to 4 (193 nodes) are evaluated in one call of ``f``, since
+    every spec runs at least that far; each later level is one call.  The
+    levels are then summed and tested in order as if evaluated one by one:
+    a non-finite value raises only when its level is reached, so a result
+    that converges before that level never sees it.  ``n_evals`` counts the
+    integrand values computed, all 193 of the first call included.
 
     Parameters
     ----------
@@ -186,15 +228,30 @@ def integrate(
     err = math.inf
     level = 0
     for level in range(spec.max_level + 1):
-        alpha, beta, weight = _tanh_sinh_nodes(level)
-        da = c * alpha
-        db = c * beta
-        # Build x from whichever endpoint is closer, keeping it strictly interior.
-        x = np.where(alpha <= beta, a + da, b - db)
-        y = _eval_checked(f, x, da, db)
-        n_evals += x.size
+        if level == 0 or level > _BATCH_LEVEL:
+            block = _block_nodes(level)
+            first = level
+            da = c * block.alpha
+            db = c * block.beta
+            # Build x from whichever endpoint is closer, keeping it strictly interior.
+            x = np.where(block.from_a, a + da, b - db)
+            with np.errstate(all="ignore"):
+                y = np.asarray(f(x, da, db), dtype=float)
+            if y.ndim == 0:
+                y = np.full_like(x, float(y))
+            n_evals += y.size
+            finite = np.isfinite(y)
+            first_bad = y.size if finite.all() else int(np.argmin(finite))
+        j = level - first
+        lo, hi = block.starts[j], block.starts[j + 1]
+        if first_bad < hi:
+            i = first_bad
+            raise QuadratureError(
+                f"integrand returned non-finite value {y[i]!r} at x={x[i]!r} "
+                f"(distance to endpoints: da={da[i]:.3e}, db={db[i]:.3e})"
+            )
         h = 2.0 ** (-level)
-        partial = h * c * float(np.dot(weight, y))
+        partial = h * c * float(np.dot(block.weights[j], y[lo:hi]))
         if level == 0:
             value = partial
         else:

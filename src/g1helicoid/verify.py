@@ -41,7 +41,6 @@ human-readable table.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -49,6 +48,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cli import json_text
 from .mesh import SurfaceMesh, distance_to_polyline, mesh_patch_D, point_in_polygon
 from .params import SurfaceParams
 from .period_solver import G_integrand_samples, scan_H, solve_period_problem
@@ -189,48 +189,6 @@ class VerificationReport:
             f"[* = diagnostic check of an out-of-branch regime]"
         )
         return "\n".join(lines)
-
-
-def _fmt_float(x: float) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format(x, ".17g")
-    return str(x)
-
-
-def json_text(obj: object, indent: int = 2, _level: int = 0) -> str:
-    """Deterministic JSON with floats at 17 significant digits.
-
-    Dict keys keep insertion order (the callers build them in fixed
-    order), so identical inputs give byte-identical text.
-    """
-    pad = " " * (indent * _level)
-    pad_in = " " * (indent * (_level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad_in}{json.dumps(str(k))}: {json_text(v, indent, _level + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{pad_in}{json_text(v, indent, _level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
 
 
 def _details(d: Mapping[str, float]) -> Tuple[Tuple[str, float], ...]:
@@ -513,6 +471,18 @@ class _ProjectedGraph:
         return vals, found
 
 
+def _near_polyline(pts: np.ndarray, poly: np.ndarray, margin: float) -> np.ndarray:
+    """Mask of the points nearer than ``margin`` to the polyline.
+
+    A point outside the polyline's bounding box widened by ``margin`` is at
+    least ``margin`` away, so only the points inside it are measured.
+    """
+    box = np.all((pts >= poly.min(axis=0) - margin) & (pts <= poly.max(axis=0) + margin), axis=1)
+    near = np.zeros(len(pts), dtype=bool)
+    near[box] = distance_to_polyline(pts[box], poly) < margin
+    return near
+
+
 def check_graph_disjointness(
     params: SurfaceParams,
     grid: int = 100,
@@ -549,7 +519,7 @@ def check_graph_disjointness(
     pts = np.column_stack([gx.ravel(), gy.ravel()])
 
     inside = point_in_polygon(pts, c_poly)
-    near = distance_to_polyline(pts, c_poly) < margin
+    near = _near_polyline(pts, c_poly, margin)
     kept = ~inside & ~near
     omega = pts[kept]
     mirror = omega.copy()

@@ -43,7 +43,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .params import SurfaceParams
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureResult, QuadratureSpec, integrate
 from .torus import lift_angle_left, w_on_sheet
 
 __all__ = [
@@ -694,13 +694,22 @@ def x3_rate_vertical(params: SurfaceParams, t):
     return (t + params.lam) * tau_v / (2.0 * t * (t + 1.0 / params.lam))
 
 
+def _anchor_value(name: str, params: SurfaceParams, m: float, res: QuadratureResult) -> float:
+    """Value of an anchor integral; :class:`IntegrationError` if it missed its tolerance."""
+    if not res.converged:
+        raise IntegrationError(
+            f"{name}(m={m!r}) at rho={params.rho!r}, lam={params.lam!r} did not converge: "
+            f"error estimate {res.error_estimate:.3e} at level {res.levels_used}"
+        )
+    return float(res.value)
+
+
 def x2_H1(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
     """Total |x2| progress along the bottom edge from the node to t = m < 1/lam."""
     if not 0.0 < m < 1.0 / params.lam:
         raise ValueError(f"m={m!r} outside (0, 1/lam)")
-    return float(
-        integrate(lambda t, da, db: -x2_rate_edge(params, t), 0.0, float(m), spec).value
-    )
+    res = integrate(lambda t, da, db: -x2_rate_edge(params, t), 0.0, float(m), spec)
+    return _anchor_value("x2_H1", params, m, res)
 
 
 def x2_H2(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
@@ -712,16 +721,15 @@ def x2_H2(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) 
         t = 1.0 / s
         return -x2_rate_edge(params, t) * t * t
 
-    return float(integrate(integrand, 0.0, 1.0 / float(m), spec).value)
+    return _anchor_value("x2_H2", params, m, integrate(integrand, 0.0, 1.0 / float(m), spec))
 
 
 def x3_E(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
     """x3 rise along the right vertical edge from the node to t = m."""
     if m <= 0.0:
         raise ValueError("m must be positive")
-    return float(
-        integrate(lambda t, da, db: x3_rate_vertical(params, t), 0.0, float(m), spec).value
-    )
+    res = integrate(lambda t, da, db: x3_rate_vertical(params, t), 0.0, float(m), spec)
+    return _anchor_value("x3_E", params, m, res)
 
 
 def x3_E_tail(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
@@ -733,7 +741,7 @@ def x3_E_tail(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SP
         t = 1.0 / s
         return x3_rate_vertical(params, t) * t * t
 
-    return float(integrate(integrand, 0.0, 1.0 / float(m), spec).value)
+    return _anchor_value("x3_E_tail", params, m, integrate(integrand, 0.0, 1.0 / float(m), spec))
 
 
 def axis_rise(params: SurfaceParams) -> float:

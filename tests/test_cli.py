@@ -54,6 +54,50 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _fresh_python(code):
+    src = str(Path(g1helicoid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_solve_and_periods_load_only_the_solver():
+    code = (
+        "import contextlib, io, sys\n"
+        "from g1helicoid import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['solve']), cli.main(['periods', '--rho-grid', '4'])]\n"
+        "heavy = ('mesh', 'verify', 'weierstrass', 'torus')\n"
+        "print(codes, sorted(m for m in heavy if 'g1helicoid.' + m in sys.modules))\n"
+    )
+    out = _fresh_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0] []"
+
+
+def test_mesh_error_exits_1_from_a_fresh_process(tmp_path):
+    # the mesher's closure check fails off the solution; its module is
+    # imported only by the mesh command itself
+    code = (
+        "import sys\n"
+        "from g1helicoid import cli\n"
+        "sys.exit(cli.main(['mesh', '--rho', '0.75', '--lambda', '0.6',"
+        f" '--out', {str(tmp_path / 'm.obj')!r}]))\n"
+    )
+    out = _fresh_python(code)
+    assert out.returncode == 1
+    assert out.stderr.startswith(
+        "g1helicoid: numeric error: MeshError: closure failure at level t=1.04006"
+    )
+
+
+def test_unconverged_solve_exits_1(capsys):
+    # --max-level 4 stops F short of its tolerance near rho_min
+    assert run(["solve", "--max-level", "4"]) == 1
+    err = capsys.readouterr().err
+    assert "numeric error: PeriodSolverError: F_integral(rho=0.02" in err
+    assert "did not converge" in err
+
+
 def test_solve_json_contract(tmp_path, capsys):
     out = tmp_path / "sol.json"
     assert run(["solve", "--out", str(out)]) == 0

@@ -260,3 +260,25 @@ def test_Lambda_window_certificate_small_grid():
     assert near_top, "grid includes rho > 1.4 so the sharp bound must be exercised"
     for row in near_top:
         assert row["near_top_bound"]["holds"]
+
+
+# ---------------------------------------------------------------------------
+# non-convergence is an error
+# ---------------------------------------------------------------------------
+
+LEVEL_4 = period_solver.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4)
+
+
+@pytest.mark.parametrize(
+    "integral,rho,Lam",
+    [(F_integral, 0.02, 2.000006), (G_integral, math.pi / 2 - 0.02, 2.01)],
+    ids=["F", "G"],
+)
+def test_unconverged_period_integral_raises(integral, rho, Lam):
+    with pytest.raises(PeriodSolverError) as exc:
+        integral(rho, Lam, LEVEL_4)
+    msg = str(exc.value)
+    assert msg.startswith(f"{integral.__name__}(rho={rho!r}, Lam={Lam!r}) did not converge")
+    assert "at level 4" in msg
+    assert "error estimate" in msg
+    assert integral(rho, Lam).converged  # the default spec reaches the tolerance

@@ -13,6 +13,7 @@ from g1helicoid.quadrature import DEFAULT_SPEC
 from g1helicoid.verify import (
     _GRAPH_BINS,
     CheckResult,
+    _near_polyline,
     _polyline_diameter,
     _ProjectedGraph,
     check_c_convex,
@@ -299,3 +300,38 @@ def test_failed_check_detected():
 def test_check_result_detail_missing(report):
     with pytest.raises(KeyError):
         report.checks[0].detail("no_such_detail")
+
+
+def test_near_mask_prefilter_matches_full_distance(patch):
+    # the grid and margin of check_graph_disjointness at its default grid
+    c_poly = np.asarray(patch.boundary_polylines["c"])[:, :2]
+    diam = _polyline_diameter(c_poly)
+    L, margin, grid = 5.0 * diam, 0.05 * diam, 100
+    xs = -L + (np.arange(grid) + 0.5) * (L / grid)
+    ys = -L + (np.arange(grid) + 0.5) * (2.0 * L / grid)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    near = _near_polyline(pts, c_poly, margin)
+    assert np.array_equal(near, distance_to_polyline(pts, c_poly) < margin)
+    assert 0 < near.sum() < len(pts)
+
+    # points exactly margin outside the bounding box of c, and one and two
+    # ulps either side of that, along all four sides
+    lo = c_poly.min(axis=0) - margin
+    hi = c_poly.max(axis=0) + margin
+    edge = []
+    for frac in np.linspace(0.0, 1.0, 41):
+        across = lo + frac * (hi - lo)
+        for axis in (0, 1):
+            for bound in (lo[axis], hi[axis]):
+                for steps in (-2, -1, 0, 1, 2):
+                    v = bound
+                    for _ in range(abs(steps)):
+                        v = np.nextafter(v, math.copysign(math.inf, steps))
+                    p = across.copy()
+                    p[axis] = v
+                    edge.append(p)
+    edge = np.array(edge)
+    assert np.array_equal(
+        _near_polyline(edge, c_poly, margin), distance_to_polyline(edge, c_poly) < margin
+    )

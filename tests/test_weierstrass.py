@@ -279,3 +279,22 @@ def test_reversed_segment(params):
         params, W.reversed_segment(W.seg_edge_up("upper_left", 0.2, 0.9))
     )
     assert np.max(np.abs(fwd + rev)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,m_of_lam",
+    [
+        ("x2_H1", lambda lam: 0.999 / lam),
+        ("x2_H2", lambda lam: 1.001 / lam),
+        ("x3_E", lambda lam: 1e6),
+        ("x3_E_tail", lambda lam: 1e-6),
+    ],
+)
+def test_unconverged_anchor_raises(params, name, m_of_lam):
+    level_4 = W.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4)
+    m = m_of_lam(params.lam)
+    with pytest.raises(W.IntegrationError) as exc:
+        getattr(W, name)(params, m, level_4)
+    msg = str(exc.value)
+    assert msg.startswith(f"{name}(m={m!r}) at rho={params.rho!r}, lam={params.lam!r}")
+    assert "did not converge" in msg and "at level 4" in msg
