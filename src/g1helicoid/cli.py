@@ -19,6 +19,10 @@ Behaviour shared by every subcommand:
   configuration are byte-identical,
 * exit 0 on success, 2 on usage/config errors, 1 on numeric failures.
 
+Options are declared in one table: ``_OPTIONS`` (type, metavar, help) and
+``_SUBCOMMANDS`` (each subcommand's options in provenance order), which the
+parser, the config file and the echo read; defaults live in ``RunConfig``.
+
 Each subcommand imports only what it runs.  ``solve`` and ``periods`` load
 ``params``, ``quadrature`` and ``period_solver`` (this module's own
 imports); ``mesh`` and ``curves`` add ``mesh`` (which brings ``torus`` and
@@ -32,8 +36,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +80,7 @@ class UsageError(ValueError):
 # configuration
 # --------------------------------------------------------------------------
 
-_RHO_MAX_DEFAULT = math.pi / 2 - 0.02
+_FORMATS = ("obj", "ply")
 
 
 @dataclass(frozen=True)
@@ -84,31 +88,26 @@ class RunConfig:
     """Fully resolved configuration for one CLI run.
 
     Defaults live here (not in argparse) so that the merge order is
-    explicit: built-in default < config file < command-line flag.
+    explicit: built-in default < config file < command-line flag.  Which
+    subcommand reads which field is declared in ``_SUBCOMMANDS``.
     """
 
     subcommand: str
-    # quadrature overrides (periods / solve / verify)
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_level: int = 12
-    # period solver
     grid: int = 64
     root_tol: float = 1e-12
     rho_min: float = 0.02
-    rho_max: float = _RHO_MAX_DEFAULT
-    # periods table
+    rho_max: float = math.pi / 2 - 0.02
     rho_grid: int = 32
-    # mesh / curves
     resolution: int = 48
     copies: int = 1
     cutoff: float = 1e-2
     format: str = "obj"
     rho: Optional[float] = None
     lam: Optional[float] = None
-    # verify
     verify_grid: int = 100
-    # common
     config_path: Optional[str] = None
     out: Optional[str] = None
 
@@ -129,10 +128,10 @@ class RunConfig:
             raise UsageError("resolution must be >= 8")
         if self.copies < 1:
             raise UsageError("copies must be >= 1")
-        if self.format not in ("obj", "ply"):
+        if self.format not in _FORMATS:
             raise UsageError(f"unknown mesh format {self.format!r}")
-        if self.verify_grid < 4:
-            raise UsageError("verify grid must be >= 4")
+        if self.verify_grid < 10:
+            raise UsageError("verify-grid must be >= 10")
         if (self.rho is None) != (self.lam is None):
             raise UsageError("--rho and --lambda must be given together")
         if self.out is not None:
@@ -148,41 +147,50 @@ class RunConfig:
         )
 
     def echo(self) -> Dict[str, object]:
-        """Deterministic key/value echo of everything that shaped the run."""
-        keep = {
-            "solve": "rel_tol abs_tol max_level grid root_tol rho_min rho_max",
-            "periods": "rel_tol abs_tol max_level root_tol rho_grid rho_min rho_max",
-            "mesh": (
-                "rel_tol abs_tol max_level grid root_tol resolution copies cutoff format rho lam"
-            ),
-            "curves": "rel_tol abs_tol max_level grid root_tol resolution cutoff rho lam",
-            "verify": "rel_tol abs_tol max_level grid root_tol verify_grid resolution cutoff",
-        }[self.subcommand]
+        """Deterministic key/value echo of everything that shaped the run:
+        the subcommand's options in the order of its ``_SUBCOMMANDS`` entry."""
         out: Dict[str, object] = {"subcommand": self.subcommand}
-        for name in keep.split():
+        for name in _SUBCOMMANDS[self.subcommand].options.split():
             out[name] = getattr(self, name)
         return out
 
 
-#: config-file / flag names (with ``-`` mapped to ``_``) accepted per field.
-_FIELD_TYPES: Dict[str, type] = {
-    "rel_tol": float,
-    "abs_tol": float,
-    "max_level": int,
-    "grid": int,
-    "root_tol": float,
-    "rho_min": float,
-    "rho_max": float,
-    "rho_grid": int,
-    "resolution": int,
-    "copies": int,
-    "cutoff": float,
-    "format": str,
-    "rho": float,
-    "lam": float,
-    "verify_grid": int,
-    "out": str,
+class _Option(NamedTuple):
+    """One setting: its value type, flag metavar and help (whose default is
+    appended from the ``RunConfig`` field)."""
+
+    type: type
+    metavar: Optional[str]
+    help: str
+    choices: Optional[Tuple[str, ...]] = None
+
+
+#: Every setting by ``RunConfig`` field name, which is also its config-file
+#: key (``-`` read as ``_``); the flag is ``--`` plus the name with ``_`` as
+#: ``-``, except ``lam``, whose flag and config key are ``lambda``.
+_OPTIONS: Dict[str, _Option] = {
+    "rel_tol": _Option(float, "X", "quadrature relative tolerance"),
+    "abs_tol": _Option(float, "X", "quadrature absolute tolerance"),
+    "max_level": _Option(int, "N", "max quadrature refinement level"),
+    "grid": _Option(int, "N", "scan grid size for the outer root"),
+    "root_tol": _Option(float, "X", "root-solve tolerance"),
+    "rho_min": _Option(float, "X", "lower end of the rho range"),
+    "rho_max": _Option(float, "X", "upper end of the rho range"),
+    "rho_grid": _Option(int, "N", "number of rho samples"),
+    "resolution": _Option(int, "N", "angular resolution of the patch"),
+    "copies": _Option(int, "K", "number of vertical periods to stack"),
+    "cutoff": _Option(float, "X", "puncture cutoff radius on the conformal disk"),
+    "format": _Option(str, None, "mesh file format", _FORMATS),
+    "rho": _Option(float, "X", "expert override: use this rho instead of solving "
+                               "(requires --lambda)"),
+    "lam": _Option(float, "X", "expert override: use this lambda (requires --rho)"),
+    "verify_grid": _Option(int, "N", "side of the planar sampling grid"),
+    "out": _Option(str, "PATH", "output file"),
 }
+
+
+def _flag(name: str) -> str:
+    return "--lambda" if name == "lam" else "--" + name.replace("_", "-")
 
 
 def _parse_config_file(path: str) -> Dict[str, str]:
@@ -203,7 +211,7 @@ def _parse_config_file(path: str) -> Dict[str, str]:
         key = key.strip().replace("-", "_")
         if key == "lambda":  # reserved word; the dataclass field is `lam`
             key = "lam"
-        if key not in _FIELD_TYPES:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in entries:
             raise UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -212,13 +220,9 @@ def _parse_config_file(path: str) -> Dict[str, str]:
 
 
 def _coerce(key: str, text: str) -> object:
-    typ = _FIELD_TYPES[key]
+    typ = _OPTIONS[key].type
     try:
-        if typ is int:
-            return int(text)
-        if typ is float:
-            return float(text)
-        return text
+        return typ(text)
     except ValueError as exc:
         raise UsageError(f"config key {key!r}: cannot parse {text!r} as {typ.__name__}") from exc
 
@@ -234,14 +238,12 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         "subcommand": args.subcommand,
         "config_path": args.config,
     }
-    field_names = {f.name for f in fields(RunConfig)}
-    for key in _FIELD_TYPES:
+    for key in _OPTIONS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
         elif key in file_values:
             values[key] = file_values[key]
-    values = {k: v for k, v in values.items() if k in field_names}
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg
@@ -272,7 +274,7 @@ def _check_top_level(argv: Sequence[str]) -> None:
     """
     tokens = iter(argv)
     for tok in tokens:
-        if tok in _DISPATCH or not tok.startswith("-"):
+        if tok in _SUBCOMMANDS or not tok.startswith("-"):
             return
         name = tok.split("=", 1)[0]
         if not any(opt.startswith(name) for opt in _TOP_LEVEL_OPTIONS):
@@ -295,88 +297,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     sub.required = True
 
-    def add_quadrature(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, metavar="X",
-                       help="quadrature relative tolerance (default 1e-12)")
-        p.add_argument("--abs-tol", dest="abs_tol", type=float, metavar="X",
-                       help="quadrature absolute tolerance (default 1e-14)")
-        p.add_argument("--max-level", dest="max_level", type=int, metavar="N",
-                       help="max quadrature refinement level (default 12)")
-
-    def add_solver(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid", type=int, metavar="N",
-                       help="scan grid size for the outer root (default 64)")
-        p.add_argument("--root-tol", dest="root_tol", type=float, metavar="X",
-                       help="root tolerance in rho (default 1e-12)")
-
-    def add_out(p: argparse.ArgumentParser, required: bool = False) -> None:
-        p.add_argument("--out", metavar="PATH", required=required,
-                       help="output file" + ("" if required else " (default: stdout)"))
-
-    p_solve = sub.add_parser("solve", help="solve both period conditions (JSON)")
-    add_quadrature(p_solve)
-    add_solver(p_solve)
-    p_solve.add_argument("--rho-min", dest="rho_min", type=float, metavar="X",
-                         help="lower end of the rho scan (default 0.02)")
-    p_solve.add_argument("--rho-max", dest="rho_max", type=float, metavar="X",
-                         help="upper end of the rho scan (default pi/2 - 0.02)")
-    add_out(p_solve)
-
-    p_per = sub.add_parser("periods", help="CSV table (rho, Lambda, F, G) over a rho grid")
-    add_quadrature(p_per)
-    p_per.add_argument("--rho-grid", dest="rho_grid", type=int, metavar="N",
-                       help="number of rho samples (default 32)")
-    p_per.add_argument("--rho-min", dest="rho_min", type=float, metavar="X",
-                       help="first rho sample (default 0.02)")
-    p_per.add_argument("--rho-max", dest="rho_max", type=float, metavar="X",
-                       help="last rho sample (default pi/2 - 0.02)")
-    p_per.add_argument("--root-tol", dest="root_tol", type=float, metavar="X",
-                       help="tolerance of the per-row root solve (default 1e-12)")
-    add_out(p_per)
-
-    p_mesh = sub.add_parser("mesh", help="triangle mesh of the surface (OBJ or PLY)")
-    add_quadrature(p_mesh)
-    add_solver(p_mesh)
-    p_mesh.add_argument("--resolution", type=int, metavar="N",
-                        help="angular resolution of the patch (default 48)")
-    p_mesh.add_argument("--copies", type=int, metavar="K",
-                        help="number of vertical periods to stack (default 1)")
-    p_mesh.add_argument("--cutoff", type=float, metavar="X",
-                        help="puncture cutoff radius on the conformal disk (default 1e-2)")
-    p_mesh.add_argument("--format", choices=("obj", "ply"),
-                        help="mesh file format (default obj)")
-    p_mesh.add_argument("--rho", type=float, metavar="X",
-                        help="expert override: mesh at this rho instead of solving "
-                             "(requires --lambda)")
-    p_mesh.add_argument("--lambda", dest="lam", type=float, metavar="X",
-                        help="expert override: mesh at this lambda (requires --rho)")
-    add_out(p_mesh, required=True)
-
-    p_cur = sub.add_parser("curves", help="CSV dump of the distinguished boundary curves")
-    add_quadrature(p_cur)
-    add_solver(p_cur)
-    p_cur.add_argument("--resolution", type=int, metavar="N",
-                       help="angular resolution of the patch (default 48)")
-    p_cur.add_argument("--cutoff", type=float, metavar="X",
-                       help="puncture cutoff radius on the conformal disk (default 1e-2)")
-    p_cur.add_argument("--rho", type=float, metavar="X",
-                       help="expert override: use this rho instead of solving "
-                            "(requires --lambda)")
-    p_cur.add_argument("--lambda", dest="lam", type=float, metavar="X",
-                       help="expert override: use this lambda (requires --rho)")
-    add_out(p_cur, required=True)
-
-    p_ver = sub.add_parser("verify", help="run the verification suite")
-    add_quadrature(p_ver)
-    add_solver(p_ver)
-    p_ver.add_argument("--verify-grid", dest="verify_grid", type=int, metavar="N",
-                       help="side of the planar sampling grid (default 100)")
-    p_ver.add_argument("--resolution", type=int, metavar="N",
-                       help="angular resolution of the shared patch (default 48)")
-    p_ver.add_argument("--cutoff", type=float, metavar="X",
-                       help="puncture cutoff radius (default 1e-2)")
-    add_out(p_ver)
-
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.options.split():
+            opt = _OPTIONS[key]
+            default = getattr(RunConfig, key)
+            help_text = opt.help if default is None else f"{opt.help} (default {default})"
+            p.add_argument(_flag(key), dest=key, type=opt.type, metavar=opt.metavar,
+                           choices=opt.choices, help=help_text)
+        out = _OPTIONS["out"]
+        p.add_argument("--out", metavar=out.metavar, required=command.out_required,
+                       help=out.help if command.out_required else f"{out.help} (default: stdout)")
     return parser
 
 
@@ -593,12 +524,39 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "periods": _cmd_periods,
-    "mesh": _cmd_mesh,
-    "curves": _cmd_curves,
-    "verify": _cmd_verify,
+class _Subcommand(NamedTuple):
+    """A subcommand's entry point, help and ``_OPTIONS`` names, in the order
+    of the provenance echo; ``--out`` follows them on every subcommand."""
+
+    run: Callable[[RunConfig], int]
+    help: str
+    options: str
+    out_required: bool = False
+
+
+_SUBCOMMANDS: Dict[str, _Subcommand] = {
+    "solve": _Subcommand(
+        _cmd_solve, "solve both period conditions (JSON)",
+        "rel_tol abs_tol max_level grid root_tol rho_min rho_max",
+    ),
+    "periods": _Subcommand(
+        _cmd_periods, "CSV table (rho, Lambda, F, G) over a rho grid",
+        "rel_tol abs_tol max_level root_tol rho_grid rho_min rho_max",
+    ),
+    "mesh": _Subcommand(
+        _cmd_mesh, "triangle mesh of the surface (OBJ or PLY)",
+        "rel_tol abs_tol max_level grid root_tol resolution copies cutoff format rho lam",
+        out_required=True,
+    ),
+    "curves": _Subcommand(
+        _cmd_curves, "CSV dump of the distinguished boundary curves",
+        "rel_tol abs_tol max_level grid root_tol resolution cutoff rho lam",
+        out_required=True,
+    ),
+    "verify": _Subcommand(
+        _cmd_verify, "run the verification suite",
+        "rel_tol abs_tol max_level grid root_tol verify_grid resolution cutoff",
+    ),
 }
 
 
@@ -625,7 +583,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write("run 'g1helicoid --help' for usage\n")
         return 2
     try:
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _SUBCOMMANDS[cfg.subcommand].run(cfg)
     except _numeric_errors() as exc:
         sys.stderr.write(f"g1helicoid: numeric error: {type(exc).__name__}: {exc}\n")
         return 1

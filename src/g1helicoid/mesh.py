@@ -208,7 +208,7 @@ def _ring_polylines(
     th_glue = rays[glue_mask]
     th_slit = rays[slit_mask]
 
-    seg_glue = seg_ring_left_to_tip(params, 0.5 * math.pi, "inner")
+    seg_glue = seg_ring_left_to_tip(params)
     s_glue = 1.0 - np.sqrt(np.maximum(tip - th_glue, 0.0) / (tip - 0.5 * math.pi))
     anchor_glue = np.array([0.0, -x2_H1(params, 1.0), 0.0])
     glue_pos = positions_along(params, seg_glue, s_glue, anchor_glue, rel_tol, abs_tol)
@@ -220,11 +220,11 @@ def _ring_polylines(
     # the rays ascend, so s never increases: reversed, it ascends
     s_up = s_slit[::-1]
 
-    seg_in = seg_slit_bank(params, -0.5 * math.pi, params.rho, "inner")
+    seg_in = seg_slit_bank(params, "inner")
     inner_up = positions_along(
         params, seg_in, s_up, np.array([0.0, 0.0, a_rise]), rel_tol, abs_tol
     )
-    seg_out = seg_slit_bank(params, -0.5 * math.pi, params.rho, "outer")
+    seg_out = seg_slit_bank(params, "outer")
     outer_up = positions_along(
         params, seg_out, s_up, np.array([0.0, 0.0, -a_rise]), rel_tol, abs_tol
     )

@@ -44,14 +44,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .cli import json_text
 from .mesh import SurfaceMesh, distance_to_polyline, mesh_patch_D, point_in_polygon
 from .params import SurfaceParams
-from .period_solver import G_integrand_samples, scan_H, solve_period_problem
+from .period_solver import G_integrand_samples, scan_H
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .weierstrass import (
     axis_rise,
@@ -218,9 +218,9 @@ def _sample_slit_curve(
     m = max(2, int(n) // 2)
     s = np.linspace(0.0, 1.0, m + 1)
     a = axis_rise(params)
-    seg_in = seg_slit_bank(params, -math.pi / 2.0, params.rho, "inner")
+    seg_in = seg_slit_bank(params, "inner")
     pos_in = positions_fixed_rule(params, seg_in, s, np.array([0.0, 0.0, a]))
-    seg_out = seg_slit_bank(params, -math.pi / 2.0, params.rho, "outer")
+    seg_out = seg_slit_bank(params, "outer")
     pos_out = positions_fixed_rule(params, seg_out, s, np.array([0.0, 0.0, -a]))
     tip_gap = float(np.linalg.norm(pos_in[-1] - pos_out[-1]))
     return np.vstack([pos_in, pos_out[-2::-1]]), m, tip_gap
@@ -909,17 +909,17 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def check_lambda_above_one_reversal(
-    rho: float = 0.71, lam: float = 1.5, n: int = 200
-) -> CheckResult:
+def check_lambda_above_one_reversal(rho: float = 0.71) -> CheckResult:
     """For lam > 1 the height rate along the slit curve is positive.
 
     With the conjugate-branch ratio the monotone scan of check 1
-    reverses: the pointwise height rate along the inner slit bank is
-    strictly positive at every sample, so the slit curve cannot descend
-    and the closing geometry is impossible.  Diagnostic check.
+    reverses: at lam = 1.5 the pointwise height rate along the inner slit
+    bank is strictly positive at each of 200 samples, so the slit curve
+    cannot descend and the closing geometry is impossible.  Diagnostic
+    check.
     """
     t0 = time.perf_counter()
+    lam, n = 1.5, 200
     diag = SurfaceParams.diagnostic_branch(rho, lam)
     phis = np.linspace(-math.pi / 2.0, diag.rho, n + 2)[1:-1]
     rates = dh_rate_on_slit_inner(diag, phis)
@@ -955,19 +955,16 @@ def check_lambda_above_one_reversal(
     )
 
 
-def check_rho_nonpositive_single_sign(
-    rhos: Sequence[float] = (-0.5, -0.1, 0.0),
-    Lams: Sequence[float] = (2.2, 3.0, 6.0),
-    n: int = 200,
-) -> CheckResult:
+def check_rho_nonpositive_single_sign() -> CheckResult:
     """For rho <= 0 the vertical-period integrand has one strict sign.
 
-    Sampling the integrand at ``n`` interior abscissae for each
-    (rho, Lam) pair shows it is strictly positive everywhere, so the
-    vertical period cannot vanish and no nonpositive rho closes the
-    geometry.  Diagnostic check.
+    Sampling the integrand at 200 interior abscissae for each pair of
+    rho in (-0.5, -0.1, 0) and Lam in (2.2, 3, 6) shows it is strictly
+    positive everywhere, so the vertical period cannot vanish and no
+    nonpositive rho closes the geometry.  Diagnostic check.
     """
     t0 = time.perf_counter()
+    rhos, Lams, n = (-0.5, -0.1, 0.0), (2.2, 3.0, 6.0), 200
     global_min = math.inf
     global_max = -math.inf
     all_single = True
@@ -1003,19 +1000,14 @@ def check_rho_nonpositive_single_sign(
 
 
 def run_all(
-    params: Optional[SurfaceParams] = None,
+    params: SurfaceParams,
     grid: int = 100,
     resolution: int = 48,
     cutoff: float = 1e-2,
     quad_spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> VerificationReport:
-    """Run every check at the solved parameters, one after another, and
-    assemble the report in the fixed check order.
-
-    Without ``params`` the period problem is solved with its defaults.
-    """
-    if params is None:
-        params = solve_period_problem().params
+    """Run every check at the solved parameters ``params``, one after
+    another, and assemble the report in the fixed check order."""
     patch = mesh_patch_D(params, resolution=resolution, cutoff=cutoff)
     checks = (
         check_x3_monotone_on_C(params),

@@ -30,15 +30,17 @@ constructor below bakes in a substitution that makes its integrand smooth, so
 plain Gauss-Legendre panels converge at spectral rate.
 
 Paths are oriented lists of :class:`Segment`; each segment maps ``s in [0,1]``
-to a z-path on one sheet.  :func:`integrate_path` returns the (complex)
-integral of all three components; positions are ``Re`` of it.
+to a z-path on one sheet.  The three segments that end at a w-pole (the
+interior gluing arc, the slit banks and the right-sheet mirror arc) all run
+from a quarter point into the pole.  :func:`integrate_path` returns the
+(complex) integral of all three components; positions are ``Re`` of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -156,62 +158,62 @@ class Segment:
     label: str
 
 
-def seg_edge_up_from_zero(sheet: str, m: float, region: str = "auto") -> Segment:
+def seg_edge_up_from_zero(sheet: str, m: float) -> Segment:
     """Bottom-edge leg z = i t from the node z=0 out to t = m (t = m s^2)."""
     m = float(m)
     return Segment(
-        sheet, region,
+        sheet, "auto",
         lambda s: 1j * m * s * s,
         lambda s: 2j * m * s,
         f"edge_up[0->{m:g}]@{sheet}",
     )
 
 
-def seg_edge_up_from_infinity(sheet: str, m: float, region: str = "outer") -> Segment:
+def seg_edge_up_from_infinity(sheet: str, m: float) -> Segment:
     """Bottom-edge leg z = i t from the node z=oo in to t = m (t = m / s^2)."""
     m = float(m)
     return Segment(
-        sheet, region,
+        sheet, "outer",
         lambda s: 1j * m / (s * s),
         lambda s: -2j * m / (s * s * s),
         f"edge_up[inf->{m:g}]@{sheet}",
     )
 
 
-def seg_edge_up(sheet: str, t0: float, t1: float, region: str = "auto") -> Segment:
+def seg_edge_up(sheet: str, t0: float, t1: float) -> Segment:
     """Bottom-edge leg z = i t, t linear from t0 to t1 (no singular endpoint)."""
     t0, t1 = float(t0), float(t1)
     return Segment(
-        sheet, region,
+        sheet, "auto",
         lambda s: 1j * (t0 + (t1 - t0) * s),
         lambda s: 1j * (t1 - t0) * np.ones_like(s),
         f"edge_up[{t0:g}->{t1:g}]@{sheet}",
     )
 
 
-def seg_edge_down_from_zero(sheet: str, m: float, region: str = "auto") -> Segment:
-    """Vertical-edge leg z = -i t from the node z=0 out to t = m (t = m s^2)."""
+def seg_edge_down_from_zero(sheet: str, m: float) -> Segment:
+    """Vertical-edge leg z = -i t from the node z=0 out to t = m <= 1 (t = m s^2)."""
     m = float(m)
     return Segment(
-        sheet, region,
+        sheet, "inner",
         lambda s: -1j * m * s * s,
         lambda s: -2j * m * s,
         f"edge_down[0->{m:g}]@{sheet}",
     )
 
 
-def seg_edge_down_from_infinity(sheet: str, m: float, region: str = "outer") -> Segment:
-    """Vertical-edge leg z = -i t from the node z=oo in to t = m (t = m / s^2)."""
+def seg_edge_down_from_infinity(sheet: str, m: float) -> Segment:
+    """Vertical-edge leg z = -i t from the node z=oo in to t = m >= 1 (t = m / s^2)."""
     m = float(m)
     return Segment(
-        sheet, region,
+        sheet, "outer",
         lambda s: -1j * m / (s * s),
         lambda s: 2j * m / (s * s * s),
         f"edge_down[inf->{m:g}]@{sheet}",
     )
 
 
-def seg_arc(sheet: str, m: float, th0: float, th1: float, region: str = "auto") -> Segment:
+def seg_arc(sheet: str, m: float, th0: float, th1: float) -> Segment:
     """Circular arc z = m e^{i theta}, theta linear from th0 to th1."""
     m, th0, th1 = float(m), float(th0), float(th1)
 
@@ -219,103 +221,85 @@ def seg_arc(sheet: str, m: float, th0: float, th1: float, region: str = "auto") 
         return m * np.exp(1j * (th0 + (th1 - th0) * s))
 
     return Segment(
-        sheet, region,
+        sheet, "auto",
         z_of,
         lambda s: 1j * (th1 - th0) * z_of(s),
         f"arc[m={m:g},{th0:.4f}->{th1:.4f}]@{sheet}",
     )
 
 
-def _tip_substitution(pole: float, phi0: float, phi1: float):
-    """Angle map ``phi(s)`` from phi0 to phi1 and its derivative.
+def _tip_substitution(pole: float, start: float):
+    """Angle map ``phi(s)`` from ``start`` into the w-pole angle ``pole``, and
+    its derivative.
 
-    When an endpoint is the w-pole angle ``pole`` the map is quadratic in the
-    distance to it (square-root substitution), which makes the integrand
-    analytic up to that endpoint; otherwise it is linear.
+    The map is quadratic in the distance to the pole, phi = pole - (pole -
+    start)(1 - s)^2 (a square-root substitution), which makes the integrand
+    analytic up to that endpoint.
     """
-    if np.isclose(phi1, pole):
-        d = pole - phi0
+    d = pole - start
 
-        def phi(s):
-            q = 1.0 - s
-            return pole - d * q * q
+    def phi(s):
+        q = 1.0 - s
+        return pole - d * q * q
 
-        def dphi(s):
-            return 2.0 * d * (1.0 - s)
-
-    elif np.isclose(phi0, pole):
-        d = pole - phi1
-
-        def phi(s):
-            return pole - d * s * s
-
-        def dphi(s):
-            return -2.0 * d * s
-
-    else:
-        def phi(s):
-            return phi0 + (phi1 - phi0) * s
-
-        def dphi(s):
-            return (phi1 - phi0) * np.ones_like(s)
+    def dphi(s):
+        return 2.0 * d * (1.0 - s)
 
     return phi, dphi
 
 
-def seg_ring_left_to_tip(params: SurfaceParams, th0: float, region: str) -> Segment:
-    """Unit-circle arc on a left sheet from th0 INTO the w-pole at the slit
-    tip, with the square-root substitution theta = tip - (tip - th0)(1-s)^2."""
+def seg_ring_left_to_tip(params: SurfaceParams) -> Segment:
+    """Unit-circle arc on the upper-left sheet (inner region) from the
+    horizontal quarter point theta = pi/2 INTO the w-pole at the slit tip
+    theta = pi - rho, with the square-root substitution
+    theta = tip - (tip - pi/2)(1-s)^2."""
     tip = math.pi - params.rho
-    th0 = float(th0)
-    theta, dtheta = _tip_substitution(tip, th0, tip)
+    theta, dtheta = _tip_substitution(tip, math.pi / 2)
 
     def z_of(s):
         return np.exp(1j * theta(s))
 
     return Segment(
-        "upper_left", region,
+        "upper_left", "inner",
         z_of,
         lambda s: 1j * dtheta(s) * z_of(s),
-        f"ring[{th0:.4f}->tip]",
+        f"ring[{math.pi / 2:.4f}->tip]",
     )
 
 
-def seg_slit_bank(params: SurfaceParams, phi0: float, phi1: float, bank: str) -> Segment:
-    """Slit-bank arc z = -e^{-i phi}, phi in [-pi/2, rho], rho being the tip.
+def seg_slit_bank(params: SurfaceParams, bank: str) -> Segment:
+    """Slit-bank arc z = -e^{-i phi} from the vertical quarter point
+    phi = -pi/2 INTO the tip phi = rho, with the square-root substitution.
 
     ``bank="inner"`` is the bank adjoining |z| < 1 (w = +slit_modulus
-    e^{-i pi/4}), ``bank="outer"`` the other one (w negated).  A square-root
-    substitution is applied automatically when an endpoint is the tip.
+    e^{-i pi/4}), ``bank="outer"`` the other one (w negated).
     """
-    rho = params.rho
-    phi0, phi1 = float(phi0), float(phi1)
     if bank == "inner":
-        sheet, region = "upper_left", "inner"
+        sheet = "upper_left"
     elif bank == "outer":
-        sheet, region = "lower_right", "inner"
+        sheet = "lower_right"
     else:
         raise ValueError(f"bank must be 'inner' or 'outer', got {bank!r}")
-
-    phi, dphi = _tip_substitution(rho, phi0, phi1)
+    phi0 = -math.pi / 2
+    phi, dphi = _tip_substitution(params.rho, phi0)
 
     def z_of(s):
         return -np.exp(-1j * phi(s))
 
     return Segment(
-        sheet, region,
+        sheet, "inner",
         z_of,
         lambda s: 1j * dphi(s) * np.exp(-1j * phi(s)),
-        f"slit[{bank},{phi0:.4f}->{phi1:.4f}]",
+        f"slit[{bank},{phi0:.4f}->{params.rho:.4f}]",
     )
 
 
-def seg_mirror_ring_right(params: SurfaceParams, phi0: float, phi1: float) -> Segment:
-    """Right-sheet unit-circle arc z = e^{i phi}, phi in [rho, pi/2]; the
-    endpoint phi = rho is that sheet's w-pole and gets the square-root
-    substitution."""
-    rho = params.rho
-    phi0, phi1 = float(phi0), float(phi1)
-    phi, dphi = _tip_substitution(rho, phi0, phi1)
+def seg_mirror_ring_right(params: SurfaceParams) -> Segment:
+    """Right-sheet unit-circle arc z = e^{i phi} from the horizontal quarter
+    point phi = pi/2 INTO that sheet's w-pole phi = rho, with the
+    square-root substitution."""
+    phi0 = math.pi / 2
+    phi, dphi = _tip_substitution(params.rho, phi0)
 
     def z_of(s):
         return np.exp(1j * phi(s))
@@ -324,7 +308,7 @@ def seg_mirror_ring_right(params: SurfaceParams, phi0: float, phi1: float) -> Se
         "upper_right", "auto",
         z_of,
         lambda s: 1j * dphi(s) * z_of(s),
-        f"mirror_ring[{phi0:.4f}->{phi1:.4f}]",
+        f"mirror_ring[{phi0:.4f}->{params.rho:.4f}]",
     )
 
 
@@ -431,16 +415,12 @@ def integrate_segment(
     return _adaptive_pairs(params, seg, np.array([0.0, 1.0]), rel_tol, abs_tol)[0]
 
 
-def integrate_path(
-    params: SurfaceParams,
-    segs: Sequence[Segment],
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-14,
-) -> np.ndarray:
-    """Complex integral of (phi1, phi2, phi3) along a list of segments."""
+def integrate_path(params: SurfaceParams, segs: Sequence[Segment]) -> np.ndarray:
+    """Complex integral of (phi1, phi2, phi3) along a list of segments, each
+    at the default tolerances of :func:`integrate_segment`."""
     total = np.zeros(3, dtype=complex)
     for seg in segs:
-        total += integrate_segment(params, seg, rel_tol, abs_tol)
+        total += integrate_segment(params, seg)
     return total
 
 
@@ -489,24 +469,20 @@ def positions_fixed_rule(
 # Distinguished cycles and checks
 # ----------------------------------------------------------------------
 
-def alpha_cycle(
-    params: SurfaceParams,
-    radius: Optional[float] = None,
-    n: int = 1024,
-) -> np.ndarray:
+def alpha_cycle(params: SurfaceParams, n: int = 1024) -> np.ndarray:
     """Real period of the counterclockwise z-circle around the left puncture.
 
-    The loop crosses the bottom chart edge twice, so its two halves live on
-    the two sheets meeting there ("upper_left" for Re z <= 0, "lower_left"
-    for Re z >= 0).  Expected value: (0, 0, +T).  Uses the periodic
-    trapezoid rule (the integrand is analytic and periodic in the loop
-    parameter, so convergence is spectral).
+    The radius is a quarter of the puncture's distance to the unit circle,
+    to i lam or to e^{i rho}, whichever is least.  The loop crosses the
+    bottom chart edge twice, so its two halves live on the two sheets
+    meeting there ("upper_left" for Re z <= 0, "lower_left" for Re z >= 0).
+    Expected value: (0, 0, +T).  Uses the periodic trapezoid rule (the
+    integrand is analytic and periodic in the loop parameter, so
+    convergence is spectral).
     """
     lam = params.lam
     center = 1j / lam
-    if radius is None:
-        radius = 0.25 * min(1.0 / lam - 1.0, 1.0 / lam - lam,
-                            abs(center - np.exp(1j * params.rho)))
+    radius = 0.25 * min(1.0 / lam - 1.0, 1.0 / lam - lam, abs(center - np.exp(1j * params.rho)))
     if not 0.0 < radius < 1.0 / lam - 1.0:
         raise ValueError(f"alpha radius {radius!r} leaves the outer region")
     psi = 2.0 * math.pi * np.arange(n) / n
@@ -521,27 +497,19 @@ def alpha_cycle(
     return total.real
 
 
-def descent_axis(
-    params: SurfaceParams,
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-14,
-) -> np.ndarray:
+def descent_axis(params: SurfaceParams) -> np.ndarray:
     """Real displacement along the downward vertical edge from z=0 node to
     the z=oo node (through the far vertical quarter point).  The path is
     pointwise fixed by the x3-axis half-turn, so the expected value is
     (0, 0, -T/2)."""
     segs = [
-        seg_edge_down_from_zero("lower_right", 1.0, "inner"),
-        reversed_segment(seg_edge_down_from_infinity("upper_left", 1.0, "outer")),
+        seg_edge_down_from_zero("lower_right", 1.0),
+        reversed_segment(seg_edge_down_from_infinity("upper_left", 1.0)),
     ]
-    return integrate_path(params, segs, rel_tol, abs_tol).real
+    return integrate_path(params, segs).real
 
 
-def vertical_period_gap(
-    params: SurfaceParams,
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-14,
-) -> np.ndarray:
+def vertical_period_gap(params: SurfaceParams) -> np.ndarray:
     """Real period of the homology cycle closing the top-edge loop.
 
     The cycle is (E + II) - half_turn_x1(E + II): up the right vertical edge
@@ -551,42 +519,27 @@ def vertical_period_gap(
     (phi1 is even under that half-turn); the other two vanish exactly when
     the two period conditions hold.
     """
-    beta = [
-        seg_edge_down_from_zero("upper_left", 1.0, "inner"),
-        seg_slit_bank(params, -math.pi / 2, params.rho, "inner"),
-    ]
-    beta_flip = [
-        seg_edge_down_from_zero("lower_right", 1.0, "inner"),
-        seg_slit_bank(params, -math.pi / 2, params.rho, "outer"),
-    ]
-    val = integrate_path(params, beta, rel_tol, abs_tol) - integrate_path(
-        params, beta_flip, rel_tol, abs_tol
-    )
-    return val.real
+    beta = [seg_edge_down_from_zero("upper_left", 1.0), seg_slit_bank(params, "inner")]
+    beta_flip = [seg_edge_down_from_zero("lower_right", 1.0), seg_slit_bank(params, "outer")]
+    return (integrate_path(params, beta) - integrate_path(params, beta_flip)).real
 
 
-def period_residual_I(
-    params: SurfaceParams, rel_tol: float = 1e-11, abs_tol: float = 1e-14
-) -> float:
+def period_residual_I(params: SurfaceParams) -> float:
     """Re of the height differential along the right-sheet unit arc from the
     horizontal quarter point (phi = pi/2) into the right w-pole (phi = rho).
 
     Equals ``(lam sqrt(cos rho) / 2) * F(rho, Lambda)``.
     """
-    seg = seg_mirror_ring_right(params, math.pi / 2, params.rho)
-    return float(integrate_segment(params, seg, rel_tol, abs_tol)[2].real)
+    return float(integrate_segment(params, seg_mirror_ring_right(params))[2].real)
 
 
-def period_residual_II(
-    params: SurfaceParams, rel_tol: float = 1e-11, abs_tol: float = 1e-14
-) -> float:
+def period_residual_II(params: SurfaceParams) -> float:
     """Twice the Re of phi2 along the inner slit bank from the vertical
     quarter point (phi = -pi/2) into the tip (phi = rho).
 
     Equals ``lam sqrt(cos rho) * G(rho, Lambda)``.
     """
-    seg = seg_slit_bank(params, -math.pi / 2, params.rho, "inner")
-    return float(2.0 * integrate_segment(params, seg, rel_tol, abs_tol)[1].real)
+    return float(2.0 * integrate_segment(params, seg_slit_bank(params, "inner"))[1].real)
 
 
 def dh_rate_on_slit_inner(params: SurfaceParams, phis) -> np.ndarray:
@@ -612,8 +565,6 @@ def x_point(
     sheet: str,
     z: complex,
     route: str = "edge",
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-14,
 ) -> np.ndarray:
     """X at the point of ``sheet`` over z, by integrating from the origin node.
 
@@ -649,19 +600,19 @@ def x_point(
     elif route == "vertical_inner":
         if m >= 1.0:
             raise ValueError("vertical_inner route requires |z| < 1")
-        segs.append(seg_edge_down_from_zero(sheet, m, "inner"))
+        segs.append(seg_edge_down_from_zero(sheet, m))
         start = down_angle
     elif route == "vertical_outer":
         if m <= 1.0:
             raise ValueError("vertical_outer route requires |z| > 1")
         x0 = np.array([0.0, 0.0, -0.5 * params.T])
-        segs.append(seg_edge_down_from_infinity(sheet, m, "outer"))
+        segs.append(seg_edge_down_from_infinity(sheet, m))
         start = down_angle
     else:
         raise ValueError(f"unknown route {route!r}")
     if theta != start:
         segs.append(seg_arc(sheet, m, start, theta))
-    return x0 + integrate_path(params, segs, rel_tol, abs_tol).real
+    return x0 + integrate_path(params, segs).real
 
 
 # ----------------------------------------------------------------------
@@ -758,26 +709,22 @@ def x3_Ehat(params: SurfaceParams, m: float) -> float:
     return -0.5 * params.T + x3_E_tail(params, m)
 
 
-def tip_position(
-    params: SurfaceParams,
-    via: str = "ring",
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-15,
-) -> np.ndarray:
+def tip_position(params: SurfaceParams, via: str = "ring") -> np.ndarray:
     """X at the left w-pole (the slit tip), expected on the negative x1-axis.
 
     ``via="ring"`` integrates out the bottom edge to the unit circle and
     along the interior gluing arc into the tip; ``via="slit"`` goes up the
     right vertical edge and along the inner slit bank.  The two must agree
     (homotopic paths), and the point is fixed by the x1-axis half-turn so
-    its x2 and x3 vanish.
+    its x2 and x3 vanish.  The last leg is integrated one digit tighter
+    than the other fixed paths (rel_tol 1e-12, abs_tol 1e-15).
     """
     if via == "ring":
         x0 = np.array([0.0, -x2_H1(params, 1.0), 0.0])
-        seg = seg_ring_left_to_tip(params, math.pi / 2, "inner")
-        return x0 + integrate_segment(params, seg, rel_tol, abs_tol).real
-    if via == "slit":
+        seg = seg_ring_left_to_tip(params)
+    elif via == "slit":
         x0 = np.array([0.0, 0.0, axis_rise(params)])
-        seg = seg_slit_bank(params, -math.pi / 2, params.rho, "inner")
-        return x0 + integrate_segment(params, seg, rel_tol, abs_tol).real
-    raise ValueError(f"via must be 'ring' or 'slit', got {via!r}")
+        seg = seg_slit_bank(params, "inner")
+    else:
+        raise ValueError(f"via must be 'ring' or 'slit', got {via!r}")
+    return x0 + integrate_segment(params, seg, 1e-12, 1e-15).real

@@ -3,6 +3,7 @@ merging, provenance headers, and byte-identical reruns."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import g1helicoid
-from g1helicoid.cli import RunConfig, UsageError, run
+from g1helicoid.cli import RunConfig, UsageError, _build_parser, run
 
 RHO0 = 0.7105219800457504
 LAM0 = 0.5882995303657090
@@ -301,3 +302,70 @@ def test_runconfig_validation_direct():
     with pytest.raises(UsageError):
         RunConfig(subcommand="solve", rho_min=0.9, rho_max=0.4).validate()
     RunConfig(subcommand="solve").validate()  # defaults are valid
+
+
+def test_verify_grid_below_10_exits_2(capsys):
+    # check_graph_disjointness needs a grid of at least 10
+    assert run(["verify", "--verify-grid", "9"]) == 2
+    assert "verify-grid" in capsys.readouterr().err
+
+
+#: ``RunConfig(subcommand=s).echo()`` of every subcommand, keys in order, as
+#: the option table must keep reproducing it.
+ECHO = {
+    "solve": [
+        ("subcommand", "solve"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
+        ("grid", 64), ("root_tol", 1e-12), ("rho_min", 0.02), ("rho_max", 1.5507963267948965),
+    ],
+    "periods": [
+        ("subcommand", "periods"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
+        ("root_tol", 1e-12), ("rho_grid", 32), ("rho_min", 0.02),
+        ("rho_max", 1.5507963267948965),
+    ],
+    "mesh": [
+        ("subcommand", "mesh"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
+        ("grid", 64), ("root_tol", 1e-12), ("resolution", 48), ("copies", 1), ("cutoff", 0.01),
+        ("format", "obj"), ("rho", None), ("lam", None),
+    ],
+    "curves": [
+        ("subcommand", "curves"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
+        ("grid", 64), ("root_tol", 1e-12), ("resolution", 48), ("cutoff", 0.01), ("rho", None),
+        ("lam", None),
+    ],
+    "verify": [
+        ("subcommand", "verify"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
+        ("grid", 64), ("root_tol", 1e-12), ("verify_grid", 100), ("resolution", 48),
+        ("cutoff", 0.01),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ECHO))
+def test_echo_keeps_its_keys_and_order(name):
+    assert list(RunConfig(subcommand=name).echo().items()) == ECHO[name]
+
+
+@pytest.mark.parametrize("name", sorted(ECHO))
+def test_parser_options_are_the_echo_keys_and_out(tmp_path, name):
+    args = _build_parser().parse_args([name, "--out", str(tmp_path / "x")])
+    dests = set(vars(args)) - {"subcommand", "config"}
+    assert dests == (set(RunConfig(subcommand=name).echo()) - {"subcommand"}) | {"out"}
+
+
+@pytest.mark.parametrize("name", sorted(ECHO))
+def test_help_shows_each_runconfig_default(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        run([name, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    options = text.split(" options: ", 1)[1]
+    shown = 0
+    for key, value in RunConfig(subcommand=name).echo().items():
+        if key == "subcommand" or value is None:
+            continue
+        flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+        # the flag, its metavar, then its help up to the next flag
+        pattern = rf"{re.escape(flag)} \S+ (?:(?! --).)*\(default {re.escape(str(value))}\)"
+        assert re.search(pattern, options), (flag, value)
+        shown += 1
+    assert shown >= 7

@@ -280,3 +280,20 @@ def test_f_integral_at_level_4_calls_its_integrand_once(monkeypatch, solution):
     assert res.levels_used == 4
     assert calls == [193]
     assert res.n_evals == 193
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-math.pi / 2, 0.71)])
+def test_endpoint_distances_stay_positive_where_x_rounds_onto_an_endpoint(a, b):
+    # Some abscissae of the level 0-4 call equal an endpoint, so a singular
+    # factor must be formed from da/db, which never reach 0.
+    calls = []
+
+    def f(x, da, db):
+        calls.append((x, da, db))
+        return np.ones_like(x)
+
+    integrate(f, a, b)
+    x, da, db = calls[0]
+    assert x.size == 193
+    assert np.all(da > 0.0) and np.all(db > 0.0)
+    assert np.any((x == a) | (x == b))
