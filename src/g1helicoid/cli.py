@@ -228,11 +228,14 @@ def _coerce(key: str, text: str) -> object:
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
-    """Built-in defaults < config file < explicit flags, then validate."""
+    """Built-in defaults < config file < explicit flags, then validate.  The
+    file supplies only ``out`` and the subcommand's ``_SUBCOMMANDS`` options."""
     file_values: Dict[str, object] = {}
     if args.config is not None:
+        takes = _SUBCOMMANDS[args.subcommand].options.split() + ["out"]
         for key, text in _parse_config_file(args.config).items():
-            file_values[key] = _coerce(key, text)
+            if key in takes:
+                file_values[key] = _coerce(key, text)
 
     values: Dict[str, object] = {
         "subcommand": args.subcommand,

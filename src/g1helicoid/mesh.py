@@ -610,6 +610,16 @@ _COPY_SPECS = (
 )
 
 
+def _check_seam(label: str, pts_a: np.ndarray, pts_b: np.ndarray, tol: float) -> None:
+    """Raise :class:`MeshError` unless the two point rows match within ``tol``."""
+    if len(pts_a) != len(pts_b):
+        raise MeshError(f"seam {label}: length mismatch {len(pts_a)} vs {len(pts_b)}")
+    gaps = np.linalg.norm(pts_a - pts_b, axis=1)
+    worst = float(gaps.max()) if len(gaps) else 0.0
+    if worst > tol:
+        raise MeshError(f"seam {label}: max gap {worst:.3e} exceeds weld tol {tol:.3e}")
+
+
 def _weld_by_pairs(
     vertices: np.ndarray,
     faces: np.ndarray,
@@ -626,16 +636,13 @@ def _weld_by_pairs(
     component, so at that point every component carries its smallest index.
     The welded vertices are these minima in ascending order, the roots a
     union-find that always links the larger root under the smaller finds.
+    A root is a vertex labelled with its own index, so a cumulative sum of
+    the roots numbers them without a sort.  Faces that lost a corner go.
 
     Returns (vertices, faces, old_to_new, n_duplicates_removed).
     """
     for ids_a, ids_b, label in pairs:
-        if len(ids_a) != len(ids_b):
-            raise MeshError(f"seam {label}: length mismatch {len(ids_a)} vs {len(ids_b)}")
-        gaps = np.linalg.norm(vertices[ids_a] - vertices[ids_b], axis=1)
-        worst = float(gaps.max()) if len(gaps) else 0.0
-        if worst > tol:
-            raise MeshError(f"seam {label}: max gap {worst:.3e} exceeds weld tol {tol:.3e}")
+        _check_seam(label, vertices[ids_a], vertices[ids_b], tol)
     roots = np.arange(len(vertices))
     if pairs:
         a = np.concatenate([ids_a for ids_a, _, _ in pairs])
@@ -649,15 +656,18 @@ def _weld_by_pairs(
             if np.array_equal(step, roots):
                 break
             roots = step
-    unique_roots, old_to_new = np.unique(roots, return_inverse=True)
-    new_vertices = vertices[unique_roots]
+    is_root = roots == np.arange(len(vertices))
+    old_to_new = (np.cumsum(is_root) - 1)[roots]
     new_faces = old_to_new[faces]
     keep = (
         (new_faces[:, 0] != new_faces[:, 1])
         & (new_faces[:, 1] != new_faces[:, 2])
         & (new_faces[:, 0] != new_faces[:, 2])
     )
-    return new_vertices, new_faces[keep], old_to_new, len(vertices) - len(unique_roots)
+    if not keep.all():
+        new_faces = new_faces[keep]
+    removed = len(vertices) - int(np.count_nonzero(is_root))
+    return vertices[is_root], new_faces, old_to_new, removed
 
 
 def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
@@ -674,22 +684,15 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
     weld_tol = 1e-7 * float(patch.metadata["T"])
     n = len(patch.vertices)
     seams = patch.metadata["seam_ids"]
-
-    verts_all = []
-    faces_all = []
+    vertices = np.empty((4, n, 3))
+    faces = np.empty((4,) + patch.faces.shape, dtype=patch.faces.dtype)
     offsets = {}
     for k, (name, sym) in enumerate(_COPY_SPECS):
         mat = np.eye(3) if sym is None else SYMMETRIES[sym].space_matrix
         flip = sym is not None and SYMMETRIES[sym].orientation < 0
-        v = patch.vertices @ mat.T
-        f = patch.faces + k * n
-        if flip:
-            f = f[:, ::-1]
+        np.matmul(patch.vertices, mat.T, out=vertices[k])
+        np.add(patch.faces[:, ::-1] if flip else patch.faces, k * n, out=faces[k])
         offsets[name] = k * n
-        verts_all.append(v)
-        faces_all.append(f)
-    vertices = np.vstack(verts_all)
-    faces = np.vstack(faces_all)
 
     def ids(copy: str, seam: str) -> np.ndarray:
         return np.asarray(seams[seam], dtype=int) + offsets[copy]
@@ -705,8 +708,9 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
         (ids("half_turn_x1", "H1"), ids("half_turn_x3", "H1"), "H1: x1~x3"),
     ]
     new_vertices, new_faces, old_to_new, removed = _weld_by_pairs(
-        vertices, faces, pairs, weld_tol
+        vertices.reshape(-1, 3), faces.reshape(-1, 3), pairs, weld_tol
     )
+    del vertices, faces
 
     boundary = {}
     for k, (name, sym) in enumerate(_COPY_SPECS):
@@ -744,7 +748,14 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
 def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
     """k copies of the fundamental domain translated by (0,0,T) steps, welded
     along the matching horizontal boundary lines with the domain's own
-    ``metadata["weld_tol"]``."""
+    ``metadata["weld_tol"]``.
+
+    Copy j's bottom seam is copy j-1's top seam, so the output is copy 0,
+    then each later copy without its bottom-seam vertices (the layout
+    :func:`_weld_by_pairs` gives the k staged copies).  The ``stack_seams``
+    must pair bottom and top vertices one to one, and no vertex may sit on
+    both a top and a bottom seam; otherwise :class:`MeshError` is raised.
+    """
     if k < 1:
         raise MeshError("k must be >= 1")
     if domain.is_empty():
@@ -753,40 +764,53 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
         return domain
     T = float(domain.metadata["T"])
     weld_tol = float(domain.metadata["weld_tol"])
-    n = len(domain.vertices)
+    v, f = domain.vertices, domain.faces
+    n = len(v)
     seams = domain.metadata["stack_seams"]
     shift = np.array([0.0, 0.0, T])
-
-    vertices = np.vstack([domain.vertices + j * shift for j in range(k)])
-    faces = np.vstack([domain.faces + j * n for j in range(k)])
-    pairs = []
+    sides = ("pos", "neg")
+    tops = [np.asarray(seams[f"top_{side}_x2"], dtype=int) for side in sides]
+    bottoms = [np.asarray(seams[f"bottom_{side}_x2"], dtype=int) for side in sides]
     for j in range(k - 1):
-        pairs.append(
-            (
-                np.asarray(seams["top_pos_x2"], dtype=int) + j * n,
-                np.asarray(seams["bottom_pos_x2"], dtype=int) + (j + 1) * n,
-                f"stack pos-x2 {j}~{j+1}",
-            )
-        )
-        pairs.append(
-            (
-                np.asarray(seams["top_neg_x2"], dtype=int) + j * n,
-                np.asarray(seams["bottom_neg_x2"], dtype=int) + (j + 1) * n,
-                f"stack neg-x2 {j}~{j+1}",
-            )
-        )
-    new_vertices, new_faces, old_to_new, removed = _weld_by_pairs(
-        vertices, faces, pairs, weld_tol
-    )
+        for side, top, bottom in zip(sides, tops, bottoms):
+            label = f"stack {side}-x2 {j}~{j+1}"
+            _check_seam(label, v[top] + j * shift, v[bottom] + (j + 1) * shift, weld_tol)
+
+    top, bottom = np.concatenate(tops), np.concatenate(bottoms)
+    partner = np.full(n, -1)
+    partner[bottom] = top
+    keep = partner < 0
+    on_top = np.zeros(n, dtype=bool)
+    on_top[top] = True
+    m = int(np.count_nonzero(keep))
+    if np.any(partner[bottom] != top) or np.count_nonzero(on_top) != n - m:
+        raise MeshError("stack seams do not pair bottom and top vertices one to one")
+    if np.any(on_top[bottom]):
+        raise MeshError("a vertex sits on both a top and a bottom stack seam")
+    bottom = np.flatnonzero(~keep)
+    top = partner[bottom]
+    vertices = np.empty((n + (k - 1) * m, 3))
+    faces = np.empty((k,) + f.shape, dtype=np.intp)
+    np.add(v, 0 * shift, out=vertices[:n])  # -0.0 becomes +0.0, as in later copies
+    faces[0] = f
+    table = np.arange(n)
+    for j in range(1, k):
+        start = n + (j - 1) * m
+        np.add(v[keep], j * shift, out=vertices[start : start + m])
+        below = table[top]  # where copy j-1 put the top seam
+        table[keep] = np.arange(start, start + m)
+        table[bottom] = below
+        # f is in range: "clip" only spares the buffered copy "raise" makes
+        np.take(table, f, out=faces[j], mode="clip")
     boundary = {}
     for j in range(k):
         for bname, poly in domain.boundary_polylines.items():
             boundary[f"{bname}+{j}T"] = poly + j * shift
     metadata = dict(domain.metadata)
     metadata["stacked_copies"] = k
-    metadata["stack_duplicates_removed"] = removed
+    metadata["stack_duplicates_removed"] = (k - 1) * (n - m)
     metadata.pop("stack_seams", None)
-    return SurfaceMesh(new_vertices, new_faces, boundary, metadata)
+    return SurfaceMesh(vertices, faces.reshape(-1, 3), boundary, metadata)
 
 
 # ----------------------------------------------------------------------
@@ -833,19 +857,31 @@ def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
     with opposite orientation; boundary edges by one.
 
     Each of the 3F directed face edges a->b gets the key
-    2 (min(a, b) n + max(a, b)) + [a < b].  After one sort, a run of keys
-    with the same half is one edge: the run length is its use count, and an
-    edge used twice is consistently oriented when exactly one of its uses
+    2 (min(a, b) n + max(a, b)) + [a < b], in one array sorted in place.  A
+    run of keys with the same half is one edge: the run length is its use
+    count, and an edge used twice is consistently oriented when exactly one of its uses
     runs from the smaller index to the larger (one odd key in the run).
     """
     f = np.asarray(mesh.faces, dtype=np.int64)
     a = f.ravel()
     b = f[:, [1, 2, 0]].ravel()
     n = int(f.max()) + 1 if f.size else 0
-    keys = np.sort((np.minimum(a, b) * n + np.maximum(a, b)) * 2 + (a < b))
-    starts = np.flatnonzero(np.diff(keys >> 1, prepend=-1))
-    uses = np.diff(np.append(starts, len(keys)))
-    ascending = np.add.reduceat(keys & 1, starts)
+    up = a < b
+    keys = np.minimum(a, b)
+    keys *= n
+    keys += np.maximum(a, b, out=b)
+    keys *= 2
+    keys += up
+    del b, up
+    keys.sort()
+    ascending = keys & 1
+    keys >>= 1
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    del keys
+    starts = np.flatnonzero(first)
+    uses = np.diff(np.append(starts, len(first)))
+    ascending = np.add.reduceat(ascending, starts)
     twice = uses == 2
     return {
         "interior_edges": int(np.count_nonzero(twice & (ascending == 1))),
@@ -962,11 +998,11 @@ def export_ply(mesh: SurfaceMesh, path: str) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
-            fh.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(mesh.vertices, dtype="<f8")).cast("B"))
             records = np.empty(nf, dtype=_PLY_FACE)
             records["n"] = 3
             records["i"] = mesh.faces
-            fh.write(records.tobytes())
+            fh.write(memoryview(records).cast("B"))
     except OSError as exc:
         raise MeshError(f"PLY export failed for {path!r}: {exc}") from exc
 

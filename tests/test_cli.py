@@ -181,10 +181,21 @@ def test_flags_override_config(tmp_path):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # still rejected when it sits beside a key of another subcommand
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
+    cfg.write_text("rho = 0.75\nbogus = 1\n")
     assert run(["--config", str(cfg), "solve"]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    assert "unknown config key 'bogus'" in capsys.readouterr().err
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):
+    # `solve` has no --rho: the key belongs to `mesh`/`curves` only
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rho = 0.75\n")
+    assert run(["--config", str(cfg), "solve", "--out", str(tmp_path / "s.json")]) == 0
+    assert "rho" not in json.loads((tmp_path / "s.json").read_text())["provenance"]["config"]
+    assert run(["--config", str(cfg), "mesh", "--out", str(tmp_path / "m.obj")]) == 2
+    assert "--rho and --lambda must be given together" in capsys.readouterr().err
 
 
 def test_malformed_config_exits_2(tmp_path):

@@ -3,6 +3,7 @@ planar-graph property, and file-format round-trips."""
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from g1helicoid.mesh import (
     SurfaceMesh,
     _strip_faces,
     _weld_by_pairs,
+    assemble_fundamental_domain,
     check_oriented_manifold,
     distance_to_polyline,
     export_curves_csv,
@@ -292,6 +294,132 @@ def test_weld_rejects_bad_seams():
 def test_stack_requires_positive_count(domain):
     with pytest.raises(MeshError):
         stack_periods(domain, 0)
+
+
+def _staged_stack(domain, k):
+    """Reference stack: k translated copies staged whole and welded by the
+    generic seam weld; ``stack_periods`` must give the same arrays."""
+    n = len(domain.vertices)
+    shift = np.array([0.0, 0.0, domain.metadata["T"]])
+    seams = domain.metadata["stack_seams"]
+    vertices = np.vstack([domain.vertices + j * shift for j in range(k)])
+    faces = np.vstack([domain.faces + j * n for j in range(k)])
+    pairs = [
+        (seams[f"top_{side}_x2"] + j * n, seams[f"bottom_{side}_x2"] + (j + 1) * n, side)
+        for j in range(k - 1)
+        for side in ("pos", "neg")
+    ]
+    vertices, faces, _, removed = _weld_by_pairs(
+        vertices, faces, pairs, domain.metadata["weld_tol"]
+    )
+    boundary = {
+        f"{name}+{j}T": poly + j * shift
+        for j in range(k)
+        for name, poly in domain.boundary_polylines.items()
+    }
+    return vertices, faces, removed, boundary
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_stack_matches_the_staged_weld_bit_for_bit(domain, k):
+    # tobytes tells -0.0 from +0.0: the staged copy 0 turns the -0.0 put
+    # on the origin O into +0.0, so the stack must too
+    vertices = domain.vertices.copy()
+    assert vertices[0].tobytes() == np.zeros(3).tobytes()
+    vertices[0, 0] = -0.0
+    domain = SurfaceMesh(vertices, domain.faces, domain.boundary_polylines, domain.metadata)
+    stack = stack_periods(domain, k)
+    vertices, faces, removed, boundary = _staged_stack(domain, k)
+    assert stack.vertices.dtype == vertices.dtype and stack.faces.dtype == faces.dtype
+    assert stack.vertices.shape == vertices.shape and stack.faces.shape == faces.shape
+    assert stack.vertices.tobytes() == vertices.tobytes()
+    assert stack.faces.tobytes() == faces.tobytes()
+    assert stack.metadata["stack_duplicates_removed"] == removed
+    assert list(stack.boundary_polylines) == list(boundary)
+    for name, poly in boundary.items():
+        assert stack.boundary_polylines[name].tobytes() == poly.tobytes()
+
+
+def _with_extra_seam(domain, extra_vertices, top_ids, bottom_ids):
+    """A copy of ``domain`` with vertices appended (used by no face) and
+    extra (top, bottom) entries on the pos-x2 stack seams."""
+    seams = dict(domain.metadata["stack_seams"])
+    seams["top_pos_x2"] = np.concatenate([seams["top_pos_x2"], top_ids])
+    seams["bottom_pos_x2"] = np.concatenate([seams["bottom_pos_x2"], bottom_ids])
+    metadata = {**domain.metadata, "stack_seams": seams}
+    vertices = np.vstack([domain.vertices, extra_vertices])
+    return SurfaceMesh(vertices, domain.faces, domain.boundary_polylines, metadata)
+
+
+@pytest.mark.parametrize("case", ["two tops", "two bottoms", "two of each"])
+def test_stack_rejects_seams_that_are_not_one_to_one(domain, case):
+    # the extra vertices copy the first pos-x2 top (t) or bottom (b) vertex,
+    # so every seam gap stays 0 while the pairing stops being one to one
+    seams = domain.metadata["stack_seams"]
+    t, b = seams["top_pos_x2"][0], seams["bottom_pos_x2"][0]
+    n = len(domain.vertices)
+    copied, tops, bottoms = {
+        "two tops": ([t], [n], [b]),  # b~t and b~n
+        "two bottoms": ([b], [t], [n]),  # b~t and n~t
+        "two of each": ([t, b], [n, t], [b, n + 1]),  # b~t, b~n and n+1~t
+    }[case]
+    twin = _with_extra_seam(domain, domain.vertices[copied], tops, bottoms)
+    with pytest.raises(MeshError, match="one to one"):
+        stack_periods(twin, 2)
+
+
+def test_stack_rejects_a_vertex_on_both_a_top_and_a_bottom_seam(domain):
+    # vertex n is a top (over n + 1) and a bottom (under n + 2); each gap is 0
+    n = len(domain.vertices)
+    T = domain.metadata["T"]
+    p = domain.vertices[domain.metadata["stack_seams"]["top_pos_x2"][0]]
+    extra = np.array([p, p - [0.0, 0.0, T], p + [0.0, 0.0, T]])
+    both = _with_extra_seam(domain, extra, [n, n + 2], [n + 1, n])
+    with pytest.raises(MeshError, match="both a top and a bottom"):
+        stack_periods(both, 2)
+
+
+def test_stack_rejects_a_seam_gap_above_the_weld_tolerance(domain):
+    vertices = domain.vertices.copy()
+    vertices[domain.metadata["stack_seams"]["top_pos_x2"][3], 0] += 1e-3
+    moved = SurfaceMesh(vertices, domain.faces, domain.boundary_polylines, domain.metadata)
+    with pytest.raises(MeshError, match=r"seam stack pos-x2 0~1: max gap 1\.000e-03 exceeds"):
+        stack_periods(moved, 3)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated (tracemalloc
+    sees numpy's array buffers)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Each bound sits between the in-place stage and the staged copies it
+# replaced, which peaked at 6.47x / 3.36x / 5.00x / 0.72x at res 48.
+
+
+def test_assembly_peak_memory(patch):
+    fd, peak = _traced_peak(assemble_fundamental_domain, patch)
+    assert peak <= 5.0 * (fd.vertices.nbytes + fd.faces.nbytes)
+
+
+def test_stack_peak_memory(domain):
+    stack, peak = _traced_peak(stack_periods, domain, 3)
+    assert peak <= 1.75 * (stack.vertices.nbytes + stack.faces.nbytes)
+
+
+def test_manifold_check_peak_memory(domain):
+    _, peak = _traced_peak(check_oriented_manifold, domain)
+    assert peak <= 4.0 * domain.faces.nbytes
+
+
+def test_ply_export_peak_memory(domain, tmp_path):
+    stack = stack_periods(domain, 3)
+    _, peak = _traced_peak(export_ply, stack, str(tmp_path / "stack.ply"))
+    assert peak <= 0.5 * (stack.vertices.nbytes + stack.faces.nbytes)
 
 
 def _report(faces):

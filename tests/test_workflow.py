@@ -1,0 +1,31 @@
+"""The CI workflow parses, each step does something, and the tier-1 step
+runs the tier-1 command that ROADMAP.md states, with warnings as errors."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _steps():
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
+    return [step for job in workflow["jobs"].values() for step in job["steps"]]
+
+
+def test_every_step_has_exactly_one_of_run_and_uses():
+    steps = _steps()
+    assert steps
+    for step in steps:
+        assert ("run" in step) != ("uses" in step), step
+
+
+def test_tier1_step_runs_the_roadmap_command_with_warnings_as_errors():
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    (step,) = [step for step in _steps() if step.get("name") == "Tier-1 tests"]
+    assert step["run"].strip() == command
+    assert step["env"]["PYTHONWARNINGS"] == "error"
