@@ -11,6 +11,14 @@ z-track, so no trimming is needed:
 - unit circle:                  interior gluing arc + the slit curve C (two banks)
 - puncture at z = i/lam:        the helicoidal end; a cutoff disk is excluded
 
+The grid is one table of vertex-index rows in radial order, each with its
+radius: O (t = 0), the inner levels, the unit circle twice (inner slit bank,
+then outer bank), the outer levels, O' (t = inf).  The x1 check, the faces
+(strips between consecutive rows), the seams (first and last vertex of each
+row) and the asymptotic cap that continues the end all read this table.  No
+level enters the cutoff disk; the two rows that straddle the puncture sit at
+1/lam -+ cutoff, which is where the cap is fitted.
+
 Each level is anchored on the x3-axis (its theta = 3pi/2 endpoint has the
 closed-form height) and swept independently, so no error accumulates from
 one level to the next.  The bottom-edge endpoints then
@@ -22,11 +30,13 @@ formula x1 = (2 cos rho / r) Re[1/(z - i/lam)].
 The fundamental domain is the patch plus its images under the three axis
 half-turns diag(1,-1,-1), diag(-1,-1,1), diag(-1,1,-1); the two
 antiholomorphic copies get flipped triangle windings.  Welding is by explicit
-seam lists (exact index correspondences), not by fuzzy proximity.
+seam lists (exact index correspondences), not by fuzzy proximity.  Only the
+patch carries named boundary curves; assembled and stacked meshes do not.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -90,7 +100,9 @@ def _level_values(
     """Radii of the constant-|z| levels for the inner (t<1) and outer (t>1)
     blocks.  Levels are uniform in the chart coordinate xi(t) (so cells stay
     near-square in the flat metric), with a geometric band hugging the
-    puncture radius 1/lam down to the cutoff distance on both sides."""
+    puncture radius 1/lam down to the cutoff distance on both sides.  No
+    base level is kept within ``cutoff`` of 1/lam, so the band levels
+    1/lam -+ cutoff are the two that straddle the puncture."""
     chart = build_chart(params)
     half = 0.5 * chart.width
     dxi = half / resolution
@@ -100,7 +112,7 @@ def _level_values(
     xi_base = half + np.arange(1, resolution) * dxi
     xi_cap = chart.xi_of_t(m_max)
     base = chart.t_of_xi(xi_base[xi_base < xi_cap - 0.35 * dxi])
-    base = base[np.abs(base - t_punct) > 1e-12]
+    base = base[np.abs(base - t_punct) > cutoff]  # no level enters the disk
 
     # local base spacing in t near the puncture: dxi/dt = tau(t) / (2t)
     tau_punct = math.sqrt(
@@ -117,14 +129,10 @@ def _level_values(
 
     outer = np.sort(np.concatenate([base, band, [m_max]]))
     # drop base levels that crowd a band level
-    band_set = set(band.tolist())
-    keep = np.ones(len(outer), dtype=bool)
-    for i, t in enumerate(outer):
-        if t in band_set:
-            continue
-        if abs(t - t_punct) < dt_base and np.min(np.abs(t - band)) < 0.45 * cutoff:
-            keep[i] = False
-    outer = outer[keep]
+    crowded = (np.abs(outer - t_punct) < dt_base) & (
+        np.min(np.abs(outer[:, None] - band), axis=1) < 0.45 * cutoff
+    )
+    outer = outer[np.isin(outer, band) | ~crowded]
     return inner, outer
 
 
@@ -305,7 +313,15 @@ def mesh_patch_D(
 ) -> SurfaceMesh:
     """Mesh the graph patch (z in the left half-plane, one quarter-rectangle).
 
-    ``cutoff`` is the excluded z-distance around the puncture z = i/lam.
+    The grid is one table of vertex-index rows in radial order, each with
+    its radius ``row_t``: O (t = 0), the inner levels, the unit circle twice
+    (the inner-bank row, then the outer-bank row), the outer levels and O'
+    (t = inf).  The x1 check, the faces (strips between consecutive rows,
+    none between the two circle rows), the seams and the asymptotic cap all
+    read this table.
+
+    ``cutoff`` is the radius of the disk around the puncture z = i/lam that
+    no level enters; the two rows that straddle it sit at 1/lam -+ cutoff.
     |z| is truncated at 10/lam near the far node, where the grid closes with
     a fan onto the exact node image.  The truncated helicoidal end is
     continued by an asymptote strip, flagged in ``metadata['asymptotic_cap']``
@@ -316,7 +332,6 @@ def mesh_patch_D(
         raise MeshError("resolution must be at least 8")
     if not 0.0 < cutoff < 0.2 * (1.0 / params.lam - 1.0):
         raise MeshError(f"cutoff {cutoff!r} out of safe range")
-    m_max = 10.0 / params.lam
     T = params.T
     rel_tol = 1e-10
     abs_tol = 1e-13 * T
@@ -324,109 +339,71 @@ def mesh_patch_D(
     t_punct = 1.0 / params.lam
     a_rise = axis_rise(params)
 
-    inner_t, outer_t = _level_values(params, resolution, cutoff, m_max)
+    inner_t, outer_t = _level_values(params, resolution, cutoff, 10.0 / params.lam)
     rays = _ray_angles(params, resolution, cutoff)
     n_rays = len(rays)
 
-    # --- integrate level polylines (each anchored on the x3-axis) --------
-    def inner_level(t: float) -> np.ndarray:
-        anchor = np.array([0.0, 0.0, x3_E(params, t)])
-        return _sweep_level(params, t, rays, anchor, rel_tol, abs_tol)
-
-    def outer_level(t: float) -> np.ndarray:
-        anchor = np.array([0.0, 0.0, x3_Ehat(params, t)])
-        return _sweep_level(params, t, rays, anchor, rel_tol, abs_tol)
-
-    inner_pos = [inner_level(t) for t in inner_t]
-    outer_pos = [outer_level(t) for t in outer_t]
-
-    glue_pos, bank_in_pos, bank_out_pos, glue_mask, slit_mask = _ring_polylines(
-        params, rays, a_rise, rel_tol, abs_tol
-    )
-
-    # --- closure checks against independent closed forms -----------------
-    def _closure_tol(poly: np.ndarray) -> float:
-        arc = float(np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1)))
-        return 5e-9 * (T + arc)
-
-    for t, poly in zip(inner_t, inner_pos):
-        expect = np.array([0.0, -x2_H1(params, float(t)), 0.0])
-        gap = float(np.linalg.norm(poly[0] - expect))
-        if gap > _closure_tol(poly):
-            raise MeshError(
-                f"closure failure at level t={t:.6g}, theta=pi/2: gap {gap:.3e}"
-            )
-    for t, poly in zip(outer_t, outer_pos):
+    # --- level polylines, each anchored on the x3-axis (E below the unit
+    # circle, E-hat above) and closed against the independent ray value at
+    # theta = pi/2 (H1 below the puncture, H2 above) ---------------------
+    levels = []
+    for t in np.concatenate([inner_t, outer_t]):
+        anchor = np.array([0.0, 0.0, x3_E(params, t) if t < 1.0 else x3_Ehat(params, t)])
+        poly = _sweep_level(params, t, rays, anchor, rel_tol, abs_tol)
         if t < t_punct:
             expect = np.array([0.0, -x2_H1(params, float(t)), 0.0])
         else:
             expect = np.array([0.0, x2_H2(params, float(t)), -0.5 * T])
         gap = float(np.linalg.norm(poly[0] - expect))
-        if gap > _closure_tol(poly):
+        arc = float(np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1)))
+        if gap > 5e-9 * (T + arc):
             raise MeshError(
                 f"closure failure at level t={t:.6g}, theta=pi/2: gap {gap:.3e}"
             )
+        levels.append(poly)
+
+    glue_pos, bank_in_pos, bank_out_pos, glue_mask, slit_mask = _ring_polylines(
+        params, rays, a_rise, rel_tol, abs_tol
+    )
     # tip agreement between the three ring polylines (the slit arrays are
     # indexed by ascending theta over rays >= tip, so the tip entry is first)
-    tip_from_glue = glue_pos[-1]
-    tip_from_in = bank_in_pos[0]
-    tip_from_out = bank_out_pos[0]
-    tol_tip = 5e-9 * (T + float(np.abs(glue_pos).max()))
-    if (
-        np.linalg.norm(tip_from_glue - tip_from_in) > tol_tip
-        or np.linalg.norm(tip_from_glue - tip_from_out) > tol_tip
-    ):
-        raise MeshError(
-            "slit-tip closure failure: "
-            f"{np.linalg.norm(tip_from_glue - tip_from_in):.3e} / "
-            f"{np.linalg.norm(tip_from_glue - tip_from_out):.3e}"
-        )
+    gap_in, gap_out = (np.linalg.norm(glue_pos[-1] - b[0]) for b in (bank_in_pos, bank_out_pos))
+    if max(gap_in, gap_out) > 5e-9 * (T + float(np.abs(glue_pos).max())):
+        raise MeshError(f"slit-tip closure failure: {gap_in:.3e} / {gap_out:.3e}")
 
-    # --- assemble the vertex table ---------------------------------------
-    # O and O', the levels (n_rays each, inner then outer), the gluing arc,
-    # then each slit bank without the tip it shares with the arc
-    idx_O, idx_Op = 0, 1
-    levels = inner_pos + outer_pos
+    # --- the row table ------------------------------------------------------
+    # vertices: O and O', the levels (n_rays each, inner then outer), the
+    # gluing arc, then each slit bank without the tip it shares with the arc
     vertices = np.vstack(
         [np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -0.5 * T]])]
         + levels
         + [glue_pos, bank_in_pos[1:], bank_out_pos[1:]]
     )
-    grid = 2 + np.arange(len(levels) * n_rays).reshape(len(levels), n_rays)
-    inner_rows = list(grid[: len(inner_pos)])
-    outer_rows = list(grid[len(inner_pos):])
-
-    glue_ids = 2 + len(levels) * n_rays + np.arange(len(glue_pos))
-    tip_vertex = glue_ids[-1]
+    level_rows = 2 + np.arange(len(levels) * n_rays).reshape(len(levels), n_rays)
+    glue_ids = 2 + level_rows.size + np.arange(len(glue_pos))
     n_bank = len(bank_in_pos) - 1
-    bank_in_ids = np.concatenate([[tip_vertex], tip_vertex + 1 + np.arange(n_bank)])
-    bank_out_ids = np.concatenate(
-        [[tip_vertex], tip_vertex + 1 + n_bank + np.arange(n_bank)]
+    bank_ids = glue_ids[-1] + np.arange(n_bank + 1)  # the tip, then the inner bank
+    ring_rows = np.empty((2, n_rays), dtype=int)
+    ring_rows[:, glue_mask] = glue_ids
+    ring_rows[0, slit_mask] = bank_ids
+    ring_rows[1, slit_mask] = np.concatenate([bank_ids[:1], bank_ids[1:] + n_bank])
+    n_inner = len(inner_t)
+    ring = 1 + n_inner  # rows[ring], rows[ring + 1]: the two circle rows
+    rows = (
+        [np.array([0])]
+        + list(level_rows[:n_inner])
+        + list(ring_rows)
+        + list(level_rows[n_inner:])
+        + [np.array([1])]
     )
-
-    def ring_row(bank_ids: np.ndarray) -> np.ndarray:
-        row = np.empty(n_rays, dtype=int)
-        row[glue_mask] = glue_ids
-        row[slit_mask] = bank_ids
-        return row
-
-    ring_row_inner = ring_row(bank_in_ids)
-    ring_row_outer = ring_row(bank_out_ids)
+    row_t = np.concatenate([[0.0], inner_t, [1.0, 1.0], outer_t, [np.inf]])
+    hole = int(np.searchsorted(row_t, t_punct))  # rows hole-1, hole straddle 1/lam
 
     # --- exactness and slab validation ------------------------------------
-    level_ts = np.concatenate([inner_t, [1.0], outer_t])
-    row_ids_for_check = inner_rows + [ring_row_inner] + outer_rows
-    z_rows = (
-        [t * np.exp(1j * rays) for t in inner_t]
-        + [np.exp(1j * rays)]
-        + [t * np.exp(1j * rays) for t in outer_t]
-    )
-    check_ts = np.concatenate([level_ts, [1.0]])
-    check_rows = row_ids_for_check + [ring_row_outer]
-    check_zs = z_rows + [np.exp(1j * rays)]
+    e_rays = np.exp(1j * rays)
     worst_x1 = 0.0
-    for t, row, zr in zip(check_ts, check_rows, check_zs):
-        x1_exact = _x1_closed_form(params, zr)
+    for t, row in zip(row_t[1:-1], rows[1:-1]):
+        x1_exact = _x1_closed_form(params, t * e_rays)
         dev = np.abs(vertices[row, 0] - x1_exact)
         j = int(np.argmax(dev))
         worst_x1 = max(worst_x1, float(dev[j]))
@@ -443,74 +420,43 @@ def mesh_patch_D(
             f"slab violation at vertex {int(bad[0])}: {vertices[bad[0]]!r}"
         )
 
-    # --- faces -------------------------------------------------------------
-    rows: List[np.ndarray] = (
-        [np.array([idx_O])]
-        + inner_rows
-        + [ring_row_inner, ring_row_outer]
-        + outer_rows
-        + [np.array([idx_Op])]
-    )
-    ring_lo_row = 1 + len(inner_rows)  # index of ring_row_inner in rows
-
-    # locate the band gap straddling the puncture (hole cell column 0);
-    # outer_rows[k] sits at rows index ring_lo_row + 2 + k
-    outer_start = ring_lo_row + 2
-    hole_pair = None
-    for k in range(len(outer_t) - 1):
-        if outer_t[k] < t_punct < outer_t[k + 1]:
-            hole_pair = (outer_start + k, outer_start + k + 1)
-            break
-    if hole_pair is None:
-        raise MeshError("no level pair straddles the puncture radius")
-
+    # --- faces: strips between consecutive rows ----------------------------
     face_blocks: List[np.ndarray] = []
     for r in range(len(rows) - 1):
+        if r == ring:
+            continue  # the two circle rows are the same curve, no cells
         lo_row, hi_row = rows[r], rows[r + 1]
-        if r == ring_lo_row:
-            continue  # the two ring rows are the same curve, no cells
-        if len(lo_row) == 1 and len(hi_row) == 1:
-            raise MeshError("degenerate row pair")
-        if (r, r + 1) == hole_pair:
+        if r == hole - 1:
             lo_row, hi_row = lo_row[1:], hi_row[1:]  # skip the cell around the puncture
         face_blocks.append(_strip_faces(vertices, lo_row, hi_row))
-
-    # --- boundary polylines -------------------------------------------------
-    below = np.where(level_ts < t_punct)[0]
-    above = np.where(level_ts > t_punct)[0]
-    all_rows_by_level = row_ids_for_check
-    h1_ids = [idx_O] + [int(all_rows_by_level[k][0]) for k in below]
-    h2_ids = [int(all_rows_by_level[k][0]) for k in above] + [idx_Op]
-    e_ids = [idx_O] + [int(r[-1]) for r in inner_rows] + [int(ring_row_inner[-1])]
-    ehat_ids = (
-        [int(ring_row_outer[-1])] + [int(r[-1]) for r in outer_rows] + [idx_Op]
-    )
-    c_ids = list(bank_in_ids[::-1]) + list(bank_out_ids[1:])
-    hole_lo = rows[hole_pair[0]]
-    hole_hi = rows[hole_pair[1]]
-    end_ids = [int(hole_lo[0]), int(hole_lo[1]), int(hole_hi[1]), int(hole_hi[0])]
-
-    boundary = {
-        "H1": vertices[h1_ids],
-        "H2": vertices[h2_ids],
-        "E": vertices[e_ids],
-        "E_hat": vertices[ehat_ids],
-        "C": vertices[c_ids],
-        "end": vertices[end_ids],
-    }
-    c_proj = boundary["C"].copy()
-    c_proj[:, 2] = 0.0
-    boundary["c"] = c_proj
-
-    interior = np.ones(len(vertices), dtype=bool)
-    for ids in (h1_ids, h2_ids, e_ids, ehat_ids, c_ids, end_ids, [idx_O, idx_Op]):
-        interior[np.asarray(ids, dtype=int)] = False
-
     faces_arr = np.concatenate(face_blocks)
     areas = _face_areas(vertices, faces_arr)
     tiny = np.where(areas < (1e-8 * T) ** 2)[0]
     if len(tiny) > 0:
         raise MeshError(f"degenerate face {int(tiny[0])}: area {areas[tiny[0]]:.3e}")
+
+    # --- boundary polylines: the first (theta = pi/2) and last (3pi/2)
+    # vertex of each row; the outer-bank circle row starts at the vertex the
+    # inner-bank row starts at --------------------------------------------
+    firsts = np.array([row[0] for row in rows])
+    lasts = np.array([row[-1] for row in rows])
+    hole_lo, hole_hi = rows[hole - 1], rows[hole]
+    seam_ids = {
+        "H1": np.delete(firsts[:hole], ring + 1),
+        "H2": firsts[hole:],
+        "E": lasts[: ring + 1],
+        "E_hat": lasts[ring + 1 :],
+        "C": np.concatenate([ring_rows[0, slit_mask][::-1], ring_rows[1, slit_mask][1:]]),
+    }
+    end_ids = np.array([hole_lo[0], hole_lo[1], hole_hi[1], hole_hi[0]])
+    boundary = {name: vertices[ids] for name, ids in seam_ids.items()}
+    boundary["end"] = vertices[end_ids]
+    c_proj = boundary["C"].copy()
+    c_proj[:, 2] = 0.0
+    boundary["c"] = c_proj
+
+    interior = np.ones(len(vertices), dtype=bool)
+    interior[np.concatenate(list(seam_ids.values()) + [end_ids])] = False
 
     metadata: Dict[str, object] = {
         "rho0": params.rho,
@@ -520,20 +466,13 @@ def mesh_patch_D(
         "a": a_rise,
         "resolution": resolution,
         "cutoff": cutoff,
-        "m_max": m_max,
         "worst_x1_closed_form_dev": worst_x1,
         "interior_mask": interior,
-        "seam_ids": {
-            "H1": np.asarray(h1_ids, dtype=int),
-            "H2": np.asarray(h2_ids, dtype=int),
-            "E": np.asarray(e_ids, dtype=int),
-            "E_hat": np.asarray(ehat_ids, dtype=int),
-            "C": np.asarray(c_ids, dtype=int),
-        },
+        "seam_ids": seam_ids,
     }
 
     mesh = SurfaceMesh(vertices, faces_arr, boundary, metadata)
-    _append_asymptotic_cap(params, mesh, cutoff, hole_lo, hole_hi, rays)
+    _append_asymptotic_cap(params, mesh, cutoff, end_ids, row_t[hole - 1 : hole + 1], rays)
     return mesh
 
 
@@ -547,23 +486,20 @@ def _append_asymptotic_cap(
     params: SurfaceParams,
     mesh: SurfaceMesh,
     cutoff: float,
-    hole_lo: np.ndarray,
-    hole_hi: np.ndarray,
+    rim_ids: np.ndarray,
+    rim_t: np.ndarray,
     rays: np.ndarray,
 ) -> None:
     """Continue the truncated end by a strip of the exact first-order
     asymptote X ~ Re[-A/zeta + B Log zeta + C].  The strip is a separate
     component (not stitched to the exact-surface grid) and is flagged in the
-    metadata; its constant C is fitted from the hole-rim vertices."""
+    metadata; its constant C is fitted from the hole-rim vertices ``rim_ids``
+    (the two first vertices of the row at radius ``rim_t[0]``, then the two
+    of the row at ``rim_t[1]`` in reverse)."""
     n_angles, n_rings = 49, 4
     A, B = _asymptote_coefficients(params)
     t_punct = 1.0 / params.lam
-    rim_ids = np.asarray(
-        [hole_lo[0], hole_lo[1], hole_hi[1], hole_hi[0]], dtype=int
-    )
-    # rim zeta values: the straddling levels sit at t_punct -+ cutoff
-    t_below = t_punct - cutoff
-    t_above = t_punct + cutoff
+    t_below, t_above = rim_t
     zeta_rim = np.array(
         [
             t_below * np.exp(1j * rays[0]) - 1j * t_punct,
@@ -712,12 +648,6 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
     )
     del vertices, faces
 
-    boundary = {}
-    for k, (name, sym) in enumerate(_COPY_SPECS):
-        mat = np.eye(3) if sym is None else SYMMETRIES[sym].space_matrix
-        for bname, poly in patch.boundary_polylines.items():
-            boundary[f"{bname}@{name}"] = poly @ mat.T
-
     stack_seams = {
         "bottom_pos_x2": old_to_new[ids("base", "H2")],
         "bottom_neg_x2": old_to_new[ids("half_turn_x3", "H2")],
@@ -732,9 +662,8 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
     metadata["weld_duplicates_removed"] = removed
     metadata["vertices_before_weld"] = 4 * n
     metadata["stack_seams"] = stack_seams
-    metadata["copies"] = [name for name, _ in _COPY_SPECS]
 
-    fd = SurfaceMesh(new_vertices, new_faces, boundary, metadata)
+    fd = SurfaceMesh(new_vertices, new_faces, metadata=metadata)
     report = check_oriented_manifold(fd)
     if report["misoriented_edges"] or report["overused_edges"]:
         raise MeshError(
@@ -802,15 +731,10 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
         table[bottom] = below
         # f is in range: "clip" only spares the buffered copy "raise" makes
         np.take(table, f, out=faces[j], mode="clip")
-    boundary = {}
-    for j in range(k):
-        for bname, poly in domain.boundary_polylines.items():
-            boundary[f"{bname}+{j}T"] = poly + j * shift
     metadata = dict(domain.metadata)
-    metadata["stacked_copies"] = k
     metadata["stack_duplicates_removed"] = (k - 1) * (n - m)
     metadata.pop("stack_seams", None)
-    return SurfaceMesh(vertices, faces.reshape(-1, 3), boundary, metadata)
+    return SurfaceMesh(vertices, faces.reshape(-1, 3), metadata=metadata)
 
 
 # ----------------------------------------------------------------------
@@ -978,22 +902,31 @@ def import_obj(path: str) -> SurfaceMesh:
 _PLY_FACE = np.dtype([("n", "u1"), ("i", "<i4", (3,))])
 
 
+def _ply_layout(nv, nf) -> List[str]:
+    """The header lines, comments left out, of the one PLY layout that
+    :func:`export_ply` writes and :func:`import_ply` reads."""
+    return [
+        "ply",
+        "format binary_little_endian 1.0",
+        f"element vertex {nv}",
+        "property double x",
+        "property double y",
+        "property double z",
+        f"element face {nf}",
+        "property list uchar int vertex_indices",
+    ]
+
+
 def export_ply(mesh: SurfaceMesh, path: str) -> None:
     """Binary little-endian PLY with float64 coordinates."""
     _require_nonempty(mesh)
     nv, nf = len(mesh.vertices), len(mesh.faces)
+    layout = _ply_layout(nv, nf)
     header_lines = (
-        ["ply", "format binary_little_endian 1.0"]
+        layout[:2]
         + [f"comment {line}" for line in _metadata_header_lines(mesh)]
-        + [
-            f"element vertex {nv}",
-            "property double x",
-            "property double y",
-            "property double z",
-            f"element face {nf}",
-            "property list uchar int vertex_indices",
-            "end_header",
-        ]
+        + layout[2:]
+        + ["end_header"]
     )
     try:
         with open(path, "wb") as fh:
@@ -1008,6 +941,8 @@ def export_ply(mesh: SurfaceMesh, path: str) -> None:
 
 
 def import_ply(path: str) -> SurfaceMesh:
+    """Read a PLY file in the layout :func:`export_ply` writes; any other
+    header raises :class:`MeshError` naming its first unsupported line."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -1016,15 +951,18 @@ def import_ply(path: str) -> SurfaceMesh:
     end = data.find(b"end_header\n")
     if end < 0:
         raise MeshError(f"{path!r} is not a PLY file")
-    header = data[:end].decode("ascii").splitlines()
-    nv = nf = 0
-    for line in header:
-        if line.startswith("element vertex"):
-            nv = int(line.split()[-1])
-        elif line.startswith("element face"):
-            nf = int(line.split()[-1])
-    if "format binary_little_endian 1.0" not in header:
-        raise MeshError(f"{path!r}: unsupported PLY format")
+    header = data[:end].decode("ascii", errors="replace").splitlines()
+    header = [line for line in header if not line.startswith("comment ")]
+    counts = [
+        re.search(rf"^element {name} (\d+)$", "\n".join(header), re.M)
+        for name in ("vertex", "face")
+    ]
+    nv, nf = (m.group(1) if m else "<count>" for m in counts)
+    for want, line in itertools.zip_longest(_ply_layout(nv, nf), header):
+        if line != want:
+            found = "no line" if line is None else f"line {line!r}"
+            raise MeshError(f"{path!r}: unsupported PLY header: {found}, expected {want!r}")
+    nv, nf = int(nv), int(nf)
     start = end + len(b"end_header\n")
     need = nv * 24 + nf * _PLY_FACE.itemsize
     if len(data) - start < need:

@@ -11,6 +11,7 @@ import pytest
 from g1helicoid.mesh import (
     MeshError,
     SurfaceMesh,
+    _level_values,
     _strip_faces,
     _weld_by_pairs,
     assemble_fundamental_domain,
@@ -194,6 +195,53 @@ def test_strip_faces_rejects_a_repeated_row_index(lo, hi):
         _strip_faces(v, np.array(lo), np.array(hi))
 
 
+@pytest.mark.parametrize("resolution, cutoff", [(48, 1e-2), (8, 5e-2), (23, 3e-3)])
+def test_patch_boundary_is_its_named_curves(patch, params, resolution, cutoff):
+    # outside the cap, the edges used by one face are exactly the edges
+    # between consecutive vertices of the named curves, the interior mask
+    # marks the vertices on none of them, and each seam names its curve
+    if (resolution, cutoff) != (48, 1e-2):
+        patch = mesh_patch_D(params, resolution, cutoff)
+    v = patch.vertices
+    n = patch.metadata["asymptotic_cap"]["vertex_start"]
+    faces = patch.faces[np.all(patch.faces < n, axis=1)]
+    seams = patch.metadata["seam_ids"]
+    for name, ids in seams.items():
+        assert np.array_equal(v[ids], patch.boundary_polylines[name]), name
+    end_ids = [int(np.flatnonzero((v[:n] == p).all(axis=1))[0]) for p in patch.boundary_polylines["end"]]
+    curves = [ids.tolist() for ids in seams.values()] + [end_ids]
+    curve_edges = {frozenset(e) for ids in curves for e in zip(ids[:-1], ids[1:])}
+    edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, uses = np.unique(edges, axis=0, return_counts=True)
+    assert {frozenset(e) for e in edges[uses == 1].tolist()} == curve_edges
+    on_curve = np.zeros(n, dtype=bool)
+    on_curve[list(set().union(*curve_edges))] = True
+    assert np.array_equal(patch.metadata["interior_mask"][:n], ~on_curve)
+
+
+def test_the_levels_that_straddle_the_puncture_are_the_cutoff_rim(params):
+    # no level enters the cutoff disk around z = i/lam
+    t_punct = 1.0 / params.lam
+    for cutoff in (5e-2, 1e-2, 3e-3, 1e-3):
+        for resolution in range(8, 201):
+            _, outer = _level_values(params, resolution, cutoff, 10.0 / params.lam)
+            k = np.searchsorted(outer, t_punct)
+            assert outer[k - 1] == t_punct - cutoff, (resolution, cutoff)
+            assert outer[k] == t_punct + cutoff, (resolution, cutoff)
+
+
+def test_patch_keeps_off_the_pole_and_the_cap_meets_the_rim(params):
+    # at res 31 a base level once fell inside the cutoff disk: a vertex sat
+    # 4,760 out and the cap, fitted at the disk rim, missed the end by 2,640
+    patch = mesh_patch_D(params, 31, 1e-2)
+    cap = patch.metadata["asymptotic_cap"]
+    n = cap["vertex_start"]
+    assert np.linalg.norm(patch.vertices[:n], axis=1).max() < 200
+    cap_vertices = patch.vertices[n : n + cap["vertex_count"]]
+    for corner in patch.boundary_polylines["end"][[0, 3]]:  # the ray-0 corners
+        assert np.linalg.norm(cap_vertices - corner, axis=1).min() < 1e-2
+
+
 def test_patch_resolution_must_be_sane(params):
     with pytest.raises(MeshError):
         mesh_patch_D(params, resolution=4)
@@ -312,12 +360,7 @@ def _staged_stack(domain, k):
     vertices, faces, _, removed = _weld_by_pairs(
         vertices, faces, pairs, domain.metadata["weld_tol"]
     )
-    boundary = {
-        f"{name}+{j}T": poly + j * shift
-        for j in range(k)
-        for name, poly in domain.boundary_polylines.items()
-    }
-    return vertices, faces, removed, boundary
+    return vertices, faces, removed
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -329,15 +372,12 @@ def test_stack_matches_the_staged_weld_bit_for_bit(domain, k):
     vertices[0, 0] = -0.0
     domain = SurfaceMesh(vertices, domain.faces, domain.boundary_polylines, domain.metadata)
     stack = stack_periods(domain, k)
-    vertices, faces, removed, boundary = _staged_stack(domain, k)
+    vertices, faces, removed = _staged_stack(domain, k)
     assert stack.vertices.dtype == vertices.dtype and stack.faces.dtype == faces.dtype
     assert stack.vertices.shape == vertices.shape and stack.faces.shape == faces.shape
     assert stack.vertices.tobytes() == vertices.tobytes()
     assert stack.faces.tobytes() == faces.tobytes()
     assert stack.metadata["stack_duplicates_removed"] == removed
-    assert list(stack.boundary_polylines) == list(boundary)
-    for name, poly in boundary.items():
-        assert stack.boundary_polylines[name].tobytes() == poly.tobytes()
 
 
 def _with_extra_seam(domain, extra_vertices, top_ids, bottom_ids):
@@ -590,6 +630,26 @@ def test_non_triangular_ply_face_raises_mesh_error(patch, tmp_path):
         import_ply(str(path))
 
 
+def test_float32_ply_names_its_unsupported_header_line(tmp_path):
+    # once read as doubles, this file failed as a "truncated PLY body"
+    path = tmp_path / "float.ply"
+    header = (
+        "ply\nformat binary_little_endian 1.0\ncomment float32 coordinates\n"
+        "element vertex 4\nproperty float x\nproperty float y\nproperty float z\n"
+        "element face 2\nproperty list uchar int vertex_indices\nend_header\n"
+    )
+    records = np.zeros(2, dtype=[("n", "u1"), ("i", "<i4", (3,))])
+    records["n"] = 3
+    records["i"] = [[0, 1, 2], [0, 2, 3]]
+    vertices = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype="<f4")
+    path.write_bytes(header.encode("ascii") + vertices.tobytes() + records.tobytes())
+    with pytest.raises(MeshError, match="unsupported PLY header: line 'property float x'"):
+        import_ply(str(path))
+    path.write_bytes(path.read_bytes() + bytes(64))  # trailing bytes change nothing
+    with pytest.raises(MeshError, match="unsupported PLY header: line 'property float x'"):
+        import_ply(str(path))
+
+
 def test_obj_header_carries_parameters(patch, tmp_path, params):
     path = str(tmp_path / "patch.obj")
     export_obj(patch, path)
@@ -627,6 +687,13 @@ def test_curves_csv(patch, tmp_path):
         n_rows += 1
     assert names == CURVE_NAMES
     assert n_rows == sum(len(v) for v in patch.boundary_polylines.values())
+
+
+def test_only_the_patch_carries_named_curves(domain, tmp_path):
+    assert domain.boundary_polylines == {}
+    assert stack_periods(domain, 2).boundary_polylines == {}
+    with pytest.raises(MeshError, match="mesh has no named curves"):
+        export_curves_csv(domain, str(tmp_path / "curves.csv"))
 
 
 def test_exports_are_deterministic(patch, tmp_path):

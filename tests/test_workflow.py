@@ -1,5 +1,6 @@
-"""The CI workflow parses, each step does something, and the tier-1 step
-runs the tier-1 command that ROADMAP.md states, with warnings as errors."""
+"""The CI workflow parses, every job has a time limit, each step does
+something, and the tier-1 step runs the tier-1 command that ROADMAP.md
+states, with warnings as errors."""
 
 import re
 from pathlib import Path
@@ -11,9 +12,21 @@ yaml = pytest.importorskip("yaml")
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _steps():
+def _jobs():
     workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
-    return [step for job in workflow["jobs"].values() for step in job["steps"]]
+    return workflow["jobs"]
+
+
+def _steps():
+    return [step for job in _jobs().values() for step in job["steps"]]
+
+
+def test_every_job_sets_a_timeout():
+    # without one a hung job holds its runner for GitHub's 360-minute default
+    jobs = _jobs()
+    assert jobs
+    for name, job in jobs.items():
+        assert 0 < job.get("timeout-minutes", 0) <= 60, name
 
 
 def test_every_step_has_exactly_one_of_run_and_uses():
