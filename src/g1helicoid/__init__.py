@@ -4,8 +4,10 @@ The package solves the two period conditions that select the surface inside a
 two-parameter family of Weierstrass data on rhombic tori, evaluates the
 resulting immersion, emits watertight triangle meshes of the translational
 fundamental domain, and verifies the geometric properties of the surface
-(boundary decomposition, graph property of the half-plane patch, convexity of
-the projected gluing curve, helicoidal asymptotics).
+(monotone height and convex projection of the slit curve, graph property of
+the half-plane patch, boundary decomposition inside the slab, the limit
+constants of the vertical period, and the sign obstructions outside the
+physical branch).
 
 Module map
 ----------
@@ -23,6 +25,12 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .params import SurfaceParams  # noqa: F401
 
-__all__ = ["SurfaceParams", "__version__"]
+class NumericError(Exception):
+    """Base of every error that reports a numeric failure of a computation
+    (the CLI exits 1 on it), as opposed to bad input to the CLI."""
+
+
+from .params import SurfaceParams  # noqa: E402,F401  (params imports NumericError)
+
+__all__ = ["NumericError", "SurfaceParams", "__version__"]

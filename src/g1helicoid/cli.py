@@ -41,35 +41,15 @@ from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Se
 
 import numpy as np
 
-from . import __version__
-from .params import ParameterDomainError, SurfaceParams
-from .period_solver import PeriodSolverError, scan_H, solve_period_problem
-from .quadrature import QuadratureError, QuadratureSpec
+from . import NumericError, __version__
+from .params import SurfaceParams
+from .period_solver import scan_H, solve_period_problem
+from .quadrature import QuadratureSpec
 
 if TYPE_CHECKING:
     from .mesh import SurfaceMesh
 
 __all__ = ["RunConfig", "UsageError", "run", "main", "json_text"]
-
-#: Exceptions that signal a *numeric* failure (exit code 1), as opposed to a
-#: usage error (exit code 2).  ``MeshError`` and ``IntegrationError`` join
-#: them in :func:`_numeric_errors` once their modules are loaded.
-NUMERIC_ERRORS = (
-    ParameterDomainError,
-    QuadratureError,
-    PeriodSolverError,
-    FloatingPointError,
-    ZeroDivisionError,
-)
-
-
-def _numeric_errors() -> Tuple[type, ...]:
-    """``NUMERIC_ERRORS`` plus ``MeshError`` and ``IntegrationError`` if their
-    modules are loaded: a module that was never loaded raised nothing."""
-    lazy = (("g1helicoid.mesh", "MeshError"), ("g1helicoid.weierstrass", "IntegrationError"))
-    return NUMERIC_ERRORS + tuple(
-        getattr(sys.modules[module], name) for module, name in lazy if module in sys.modules
-    )
 
 
 class UsageError(ValueError):
@@ -587,7 +567,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return _SUBCOMMANDS[cfg.subcommand].run(cfg)
-    except _numeric_errors() as exc:
+    except (NumericError, FloatingPointError, ZeroDivisionError) as exc:
         sys.stderr.write(f"g1helicoid: numeric error: {type(exc).__name__}: {exc}\n")
         return 1
 

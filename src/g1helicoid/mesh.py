@@ -44,6 +44,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import NumericError
 from .params import SurfaceParams
 from .torus import SYMMETRIES, build_chart, w_on_sheet
 from .weierstrass import (
@@ -73,7 +74,7 @@ __all__ = [
 ]
 
 
-class MeshError(RuntimeError):
+class MeshError(RuntimeError, NumericError):
     """Structural failure while building or exporting a mesh."""
 
 
@@ -526,12 +527,7 @@ def _append_asymptotic_cap(
     mesh.metadata["interior_mask"] = np.concatenate(
         [interior, np.zeros(n_new, dtype=bool)]
     )
-    mesh.metadata["asymptotic_cap"] = {
-        "enabled": True,
-        "vertex_start": int(n0),
-        "vertex_count": int(n_new),
-        "inner_radius": float(radii[-1]),
-    }
+    mesh.metadata["asymptotic_cap"] = {"vertex_start": int(n0), "vertex_count": int(n_new)}
 
 
 # ----------------------------------------------------------------------
@@ -834,7 +830,7 @@ def _metadata_header_lines(mesh: SurfaceMesh) -> List[str]:
         if key in md:
             lines.append(f"{key} = {md[key]!r}")
     cap = md.get("asymptotic_cap")
-    if isinstance(cap, dict) and cap.get("enabled"):
+    if cap:
         lines.append(
             f"asymptotic cap: vertices {cap['vertex_start']}.."
             f"{cap['vertex_start'] + cap['vertex_count'] - 1}"

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import NumericError
+
 __all__ = [
     "ParameterDomainError",
     "lambda_from_Lambda",
@@ -37,7 +39,7 @@ __all__ = [
 _RHO_MARGIN = 1e-9
 
 
-class ParameterDomainError(ValueError):
+class ParameterDomainError(ValueError, NumericError):
     """Raised when a parameter is outside its admissible open domain."""
 
 

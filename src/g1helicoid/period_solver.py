@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import NumericError
 from .params import SurfaceParams, lambda_from_Lambda
 from .quadrature import QuadratureResult, QuadratureSpec, integrate
 
@@ -62,7 +63,7 @@ _BRENT_RTOL = 8.0 * float(np.finfo(float).eps)
 _BRENT_MAXITER = 100
 
 
-class PeriodSolverError(RuntimeError):
+class PeriodSolverError(RuntimeError, NumericError):
     """Base class for period-solver failures."""
 
 

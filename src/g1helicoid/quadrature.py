@@ -48,6 +48,8 @@ from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
 
+from . import NumericError
+
 __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
@@ -61,7 +63,7 @@ __all__ = [
 _T_MAX = 6.0
 
 
-class QuadratureError(ValueError):
+class QuadratureError(ValueError, NumericError):
     """Raised for non-finite integrand values or invalid quadrature input."""
 
 

@@ -58,7 +58,7 @@ from .weierstrass import (
     descent_axis,
     dh_rate_on_slit_inner,
     phi_dz,
-    positions_fixed_rule,
+    positions_along,
     seg_slit_bank,
     tip_position,
     x2_H1,
@@ -89,6 +89,16 @@ __all__ = [
 GEOM_TOL_FACTOR = 1e-8
 MONOTONE_STEP_SLACK = 1e-10
 SIGN_FLOOR_FACTOR = 1e-12
+
+# Most pieces per slit bank in the slit-curve samples.  positions_along
+# holds each piece to 1e-11 of the bank's net displacement (0.80 at the
+# solved parameters): 8.0e-12 per step, under MONOTONE_STEP_SLACK, and at
+# most 8.0e-9 for the tip gap summed over both banks' 1000 pieces, under
+# GEOM_TOL_FACTOR * T = 2.6e-8.  The piece that ends at the tip carries
+# rounding noise (w is computed from z) that grows as the piece shrinks:
+# its error estimate is 0.22 of its tolerance at 500 pieces, and it fails
+# from 900.  500 is the most any check samples.
+SLIT_PIECES_MAX = 500
 
 
 # --------------------------------------------------------------------------
@@ -213,15 +223,22 @@ def _sample_slit_curve(
     ``k`` pairs with row ``2*m - k`` under the mirror map
     (x1, x2, x3) -> (x1, -x2, -x3): both banks share the square-root
     tip substitution, so equal parameter offsets from the tip land on
-    mirror-image points.
+    mirror-image points.  ``m = n // 2`` may not exceed
+    :data:`SLIT_PIECES_MAX`.
     """
     m = max(2, int(n) // 2)
+    if m > SLIT_PIECES_MAX:
+        raise ValueError(
+            f"n must be at most {2 * SLIT_PIECES_MAX + 1}: each slit bank is "
+            f"integrated in n // 2 pieces, and the one that ends at the tip "
+            f"must stay long enough to pass its error test"
+        )
     s = np.linspace(0.0, 1.0, m + 1)
     a = axis_rise(params)
     seg_in = seg_slit_bank(params, "inner")
-    pos_in = positions_fixed_rule(params, seg_in, s, np.array([0.0, 0.0, a]))
+    pos_in = positions_along(params, seg_in, s, np.array([0.0, 0.0, a]))
     seg_out = seg_slit_bank(params, "outer")
-    pos_out = positions_fixed_rule(params, seg_out, s, np.array([0.0, 0.0, -a]))
+    pos_out = positions_along(params, seg_out, s, np.array([0.0, 0.0, -a]))
     tip_gap = float(np.linalg.norm(pos_in[-1] - pos_out[-1]))
     return np.vstack([pos_in, pos_out[-2::-1]]), m, tip_gap
 
@@ -248,8 +265,8 @@ def _polyline_diameter(pts: np.ndarray) -> float:
 def check_x3_monotone_on_C(params: SurfaceParams, n: int = 1000) -> CheckResult:
     """Height strictly decreases along C from +a through 0 to -a.
 
-    Samples ``n`` points over both slit banks by independent path
-    integration, each bank anchored at its own axis endpoint
+    Samples ``n`` points (100 to 1001) over both slit banks by independent
+    path integration, each bank anchored at its own axis endpoint
     (0, 0, +/-a), then checks every consecutive step decreases (slack
     ``1e-10`` per step), the tip midpoint sits at height 0, and the two
     independently integrated banks land on the same tip point (which
@@ -301,7 +318,8 @@ def check_x3_monotone_on_C(params: SurfaceParams, n: int = 1000) -> CheckResult:
 def check_c_convex(params: SurfaceParams, n: int = 720) -> CheckResult:
     """The planar projection c of the slit curve is convex.
 
-    Verifies: endpoints at the origin; tangent turning of one constant
+    Samples ``n`` points (at most 1001) as :func:`check_x3_monotone_on_C`
+    does.  Verifies: endpoints at the origin; tangent turning of one constant
     sign at every interior sample; total turning strictly between pi
     and 2*pi; mirror symmetry c(t) = (x1, -x2)(c(-t)); containment in
     the half plane {x1 <= 0}.
@@ -396,8 +414,8 @@ class _ProjectedGraph:
     def __init__(self, patch: SurfaceMesh, box: Tuple[float, float, float, float]):
         verts = patch.vertices
         faces = patch.faces
-        cap = patch.metadata.get("asymptotic_cap") or {}
-        if cap.get("enabled"):
+        cap = patch.metadata.get("asymptotic_cap")
+        if cap:
             faces = faces[np.all(faces < int(cap["vertex_start"]), axis=1)]
         tri = verts[faces]  # (F, 3, 3)
         xy = tri[:, :, :2]

@@ -44,9 +44,10 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
+from . import NumericError
 from .params import SurfaceParams
 from .quadrature import QuadratureResult, QuadratureSpec, integrate
-from .torus import lift_angle_left, w_on_sheet
+from .torus import lift_angle_left, tau_horizontal, tau_vertical, w_on_sheet
 
 __all__ = [
     "IntegrationError",
@@ -65,10 +66,8 @@ __all__ = [
     "seg_slit_bank",
     "seg_mirror_ring_right",
     "reversed_segment",
-    "integrate_segment",
     "integrate_path",
     "positions_along",
-    "positions_fixed_rule",
     "alpha_cycle",
     "descent_axis",
     "vertical_period_gap",
@@ -92,7 +91,7 @@ _E4 = complex(np.exp(0.25j * math.pi))
 _ANCHOR_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=12)
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(RuntimeError, NumericError):
     """A path integral failed to converge or hit a non-finite integrand."""
 
 
@@ -370,14 +369,15 @@ def _adaptive_pairs(
     rel_tol: float,
     abs_tol: float,
 ) -> np.ndarray:
-    """Integrals of all three components over each [breaks[k], breaks[k+1]]."""
+    """Integrals of all three components over each [breaks[k], breaks[k+1]],
+    each piece to the tolerance that :func:`positions_along` states."""
     a = np.asarray(breaks[:-1], dtype=float)
     b = np.asarray(breaks[1:], dtype=float)
     n_pairs = len(a)
     result = np.zeros((n_pairs, 3), dtype=complex)
 
     i16, err = _gl_wave(params, seg, a, b)
-    scale = np.max(np.abs(i16), axis=1)
+    scale = np.maximum(np.max(np.abs(i16), axis=1), np.max(np.abs(i16.sum(axis=0))))
     tol = np.maximum(abs_tol, rel_tol * scale)
     owner = np.arange(n_pairs)
 
@@ -405,30 +405,19 @@ def _adaptive_pairs(
     )
 
 
-def integrate_segment(
+def integrate_path(
     params: SurfaceParams,
-    seg: Segment,
+    segs: Sequence[Segment],
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-14,
 ) -> np.ndarray:
-    """Complex integral of (phi1, phi2, phi3) over one segment; shape (3,)."""
-    return _adaptive_pairs(params, seg, np.array([0.0, 1.0]), rel_tol, abs_tol)[0]
-
-
-def integrate_path(params: SurfaceParams, segs: Sequence[Segment]) -> np.ndarray:
-    """Complex integral of (phi1, phi2, phi3) along a list of segments, each
-    at the default tolerances of :func:`integrate_segment`."""
+    """Complex integral of (phi1, phi2, phi3) along a list of segments; shape
+    (3,).  Each segment is integrated adaptively on its own to the given
+    tolerances."""
     total = np.zeros(3, dtype=complex)
     for seg in segs:
-        total += integrate_segment(params, seg)
+        total += _adaptive_pairs(params, seg, np.array([0.0, 1.0]), rel_tol, abs_tol)[0]
     return total
-
-
-def _anchored(x0, pieces: np.ndarray) -> np.ndarray:
-    out = np.empty((len(pieces) + 1, 3), dtype=float)
-    out[0] = np.asarray(x0, dtype=float)
-    out[1:] = out[0] + np.cumsum(pieces.real, axis=0)
-    return out
 
 
 def positions_along(
@@ -439,30 +428,36 @@ def positions_along(
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-14,
 ) -> np.ndarray:
-    """Real positions X at the given s-breakpoints, anchored at X(s_breaks[0]) = x0."""
-    s_breaks = np.asarray(s_breaks, dtype=float)
-    pieces = _adaptive_pairs(params, seg, s_breaks, rel_tol, abs_tol)
-    return _anchored(x0, pieces)
+    """Real positions X at the given s-breakpoints, anchored at X(s_breaks[0]) = x0.
 
+    Each piece [s_breaks[k], s_breaks[k+1]] is bisected until the gap
+    between its GL8 and GL16 estimates, the error estimate of the GL16
+    value kept, is at most ``max(abs_tol, rel_tol * scale)``; the tolerance
+    halves with each bisection.  ``scale`` is the larger of the piece's own
+    size and the net displacement of the segment over all the breakpoints
+    (each the largest component modulus).  So X(s_breaks[k]) carries at most
+    k such errors: its error is bounded relative to the path, not to the
+    short pieces it is summed from.  For one piece the two sizes coincide.
 
-def positions_fixed_rule(
-    params: SurfaceParams, seg: Segment, s_breaks: np.ndarray, x0
-) -> np.ndarray:
-    """Real positions at the breakpoints by one fixed GL16 rule per pair.
-
-    The slit banks use a square-root substitution, so the integrand is
-    analytic all the way to the tip endpoint, but its floating-point
-    evaluation turns noisy within ~1e-5 of it (the branch-point factor
-    cancels only analytically).  On endpoint-clustered breakpoint sets
-    the adaptive splitter of :func:`positions_along` would chase that noise
-    into the singular zone; a fixed high-order rule per subinterval is both
-    ample (truncation error far below the noise floor on these short
-    analytic pieces) and robust (its nodes never come closer to the
-    endpoint than a fixed fraction of the last subinterval).
+    The path's scale is what lets a piece that ends at a w-pole (the slit
+    tip) converge.  The tip substitution makes the integrand analytic up to
+    the pole, but its floating-point evaluation there is noisy: the
+    integrand is computed from z, a point of modulus 1, which fixes its
+    small distance to the pole only up to an absolute rounding error.
+    The GL8/GL16 gap of the piece that ends at the pole does not fall below
+    about 1e-12 however short the piece (on a slit bank 7.5e-13 for a piece
+    of length 1e-2 in s, 1.2e-11 for 1e-3).  Measured against its own size,
+    which shrinks with it, that piece would bisect toward the pole until
+    the interval limit raised :class:`IntegrationError`; against the path's
+    net displacement it passes while it is not much shorter than 1e-3 (on
+    the slit banks it passes at 1/800 and fails at 1/900).
     """
     s_breaks = np.asarray(s_breaks, dtype=float)
-    pieces = _gl_panels(params, seg, s_breaks[:-1], s_breaks[1:], _GL16_X, _GL16_W)
-    return _anchored(x0, pieces)
+    pieces = _adaptive_pairs(params, seg, s_breaks, rel_tol, abs_tol)
+    out = np.empty((len(pieces) + 1, 3), dtype=float)
+    out[0] = np.asarray(x0, dtype=float)
+    out[1:] = out[0] + np.cumsum(pieces.real, axis=0)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -530,7 +525,7 @@ def period_residual_I(params: SurfaceParams) -> float:
 
     Equals ``(lam sqrt(cos rho) / 2) * F(rho, Lambda)``.
     """
-    return float(integrate_segment(params, seg_mirror_ring_right(params))[2].real)
+    return float(integrate_path(params, [seg_mirror_ring_right(params)])[2].real)
 
 
 def period_residual_II(params: SurfaceParams) -> float:
@@ -539,7 +534,7 @@ def period_residual_II(params: SurfaceParams) -> float:
 
     Equals ``lam sqrt(cos rho) * G(rho, Lambda)``.
     """
-    return float(2.0 * integrate_segment(params, seg_slit_bank(params, "inner"))[1].real)
+    return float(2.0 * integrate_path(params, [seg_slit_bank(params, "inner")])[1].real)
 
 
 def dh_rate_on_slit_inner(params: SurfaceParams, phis) -> np.ndarray:
@@ -626,9 +621,7 @@ def x2_rate_edge(params: SurfaceParams, t):
     there, so the edge maps into lines parallel to the x2-axis.
     """
     t = np.asarray(t, dtype=float)
-    tau = np.sqrt(
-        2.0 * math.cos(params.rho) / (t + 1.0 / t - 2.0 * math.sin(params.rho))
-    )
+    tau = tau_horizontal(params, t)
     s_fac = t + 1.0 / t + params.Lambda - 4.0 * math.sin(params.rho)
     return -tau * s_fac / (2.0 * (t - 1.0 / params.lam) ** 2)
 
@@ -639,9 +632,7 @@ def x3_rate_vertical(params: SurfaceParams, t):
     Purely real and positive; the vertical edges map into the x3-axis.
     """
     t = np.asarray(t, dtype=float)
-    tau_v = np.sqrt(
-        2.0 * math.cos(params.rho) / (t + 1.0 / t + 2.0 * math.sin(params.rho))
-    )
+    tau_v = tau_vertical(params, t)
     return (t + params.lam) * tau_v / (2.0 * t * (t + 1.0 / params.lam))
 
 
@@ -727,4 +718,4 @@ def tip_position(params: SurfaceParams, via: str = "ring") -> np.ndarray:
         seg = seg_slit_bank(params, "inner")
     else:
         raise ValueError(f"via must be 'ring' or 'slit', got {via!r}")
-    return x0 + integrate_segment(params, seg, 1e-12, 1e-15).real
+    return x0 + integrate_path(params, [seg], 1e-12, 1e-15).real

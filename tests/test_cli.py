@@ -1,6 +1,7 @@
 """Command-line interface: subcommand contracts, exit codes, config-file
 merging, provenance headers, and byte-identical reruns."""
 
+import importlib
 import json
 import os
 import re
@@ -245,6 +246,30 @@ def test_domain_error_exits_1(tmp_path, capsys):
     )
     assert rc == 1
     assert "numeric error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("params", "ParameterDomainError"),
+        ("quadrature", "QuadratureError"),
+        ("period_solver", "PeriodSolverError"),
+        ("weierstrass", "IntegrationError"),
+        ("mesh", "MeshError"),
+    ],
+)
+def test_every_numeric_error_exits_1(monkeypatch, capsys, module, name):
+    # no CLI input reaches some of these classes, so raise each one from
+    # the solve the subcommand calls
+    error = getattr(importlib.import_module(f"g1helicoid.{module}"), name)
+    assert issubclass(error, g1helicoid.NumericError)
+
+    def fail(**kwargs):
+        raise error("forced failure")
+
+    monkeypatch.setattr("g1helicoid.cli.solve_period_problem", fail)
+    assert run(["solve"]) == 1
+    assert f"numeric error: {name}: forced failure" in capsys.readouterr().err
 
 
 def test_mesh_obj_output(tmp_path):

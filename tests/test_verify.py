@@ -1,17 +1,22 @@
 """The verification suite itself: every check passes at the solution, the
 report serializes deterministically, and the guard rails trip correctly."""
 
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+from g1helicoid import weierstrass as W
 from g1helicoid.mesh import SurfaceMesh, distance_to_polyline, point_in_polygon
 from g1helicoid.period_solver import scan_H
 from g1helicoid.quadrature import DEFAULT_SPEC
 from g1helicoid.verify import (
     _GRAPH_BINS,
+    GEOM_TOL_FACTOR,
+    MONOTONE_STEP_SLACK,
+    SLIT_PIECES_MAX,
     CheckResult,
     _near_polyline,
     _polyline_diameter,
@@ -96,6 +101,35 @@ def test_monotone_check_rejects_tiny_n(params):
         check_x3_monotone_on_C(params, n=50)
 
 
+@pytest.mark.parametrize(
+    "check, n",
+    [(check_x3_monotone_on_C, 1002), (check_x3_monotone_on_C, 2000), (check_c_convex, 1002)],
+)
+def test_slit_checks_reject_a_tip_piece_shorter_than_tested(params, check, n):
+    with pytest.raises(ValueError, match="n must be at most 1001"):
+        check(params, n=n)
+
+
+def test_slit_checks_take_the_most_pieces_they_allow(params):
+    assert SLIT_PIECES_MAX == 500
+    assert check_x3_monotone_on_C(params, n=2 * SLIT_PIECES_MAX + 1).passed
+
+
+def test_slit_position_error_bounds_sit_inside_the_check_tolerances(params):
+    # positions_along holds each slit piece to rel_tol times the bank's net
+    # displacement: one step of the monotone check carries one piece's
+    # error, and the tip gap between the two banks' chains the errors of
+    # all 2 * SLIT_PIECES_MAX pieces
+    rel_tol = inspect.signature(W.positions_along).parameters["rel_tol"].default
+    net = max(
+        np.max(np.abs(W.integrate_path(params, [W.seg_slit_bank(params, bank)])))
+        for bank in ("inner", "outer")
+    )
+    piece = rel_tol * net
+    assert piece < MONOTONE_STEP_SLACK / 10
+    assert 2 * SLIT_PIECES_MAX * piece < GEOM_TOL_FACTOR * params.T / 3
+
+
 def test_convexity_check(params):
     res = check_c_convex(params, n=480)
     assert res.passed
@@ -138,8 +172,8 @@ class _LoopGraph:
     def __init__(self, patch, box):
         verts = patch.vertices
         faces = patch.faces
-        cap = patch.metadata.get("asymptotic_cap") or {}
-        if cap.get("enabled"):
+        cap = patch.metadata.get("asymptotic_cap")
+        if cap:
             faces = faces[np.all(faces < int(cap["vertex_start"]), axis=1)]
         tri = verts[faces]
         xy = tri[:, :, :2]

@@ -130,7 +130,7 @@ def test_x3_E_monotone(params):
 @pytest.mark.parametrize("m", [0.35, 0.9, 1.3])
 def test_x2_H1_matches_path_integral(params, m):
     seg = W.seg_edge_up_from_zero("upper_left", m)
-    val = W.integrate_segment(params, seg)
+    val = W.integrate_path(params, [seg])
     assert abs(val[0].real) < 1e-12  # x1 does not move along the edge
     assert abs(val[2].real) < 1e-12  # neither does x3
     assert -val[1].real == pytest.approx(W.x2_H1(params, m), abs=1e-11)
@@ -139,7 +139,7 @@ def test_x2_H1_matches_path_integral(params, m):
 @pytest.mark.parametrize("m", [2.5, 5.0])
 def test_x2_H2_matches_path_integral(params, m):
     seg = W.seg_edge_up_from_infinity("upper_left", m)
-    val = W.integrate_segment(params, seg)
+    val = W.integrate_path(params, [seg])
     assert val[1].real == pytest.approx(W.x2_H2(params, m), abs=1e-11)
 
 
@@ -261,8 +261,37 @@ def test_positions_along_edge(params):
     assert np.max(np.abs(pos[:, [0, 2]])) < 1e-11
 
 
+def _positions_by_one_gl16_panel(params, seg, s_breaks, x0):
+    """Positions from one fixed 16-point Gauss-Legendre panel per piece, with
+    no error test: the rule the slit banks of ``verify`` once used."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    a, b = s_breaks[:-1], s_breaks[1:]
+    half = 0.5 * (b - a)
+    s = (0.5 * (a + b))[:, None] + half[:, None] * nodes[None, :]
+    s = s.ravel()
+    f = W.phi_dz(params, seg.sheet, seg.z_of(s), seg.region) * seg.dz_ds(s)[..., None]
+    pieces = half[:, None] * np.einsum("k,nkc->nc", weights, f.reshape(len(a), 16, 3))
+    out = np.empty((len(pieces) + 1, 3))
+    out[0] = x0
+    out[1:] = out[0] + np.cumsum(pieces.real, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("m", [500, 360, 200, 150])
+@pytest.mark.parametrize("bank", ["inner", "outer"])
+def test_positions_along_the_slit_banks_accept_every_piece_unsplit(params, bank, m):
+    # the sample counts of the verify checks: every piece, the one that ends
+    # at the tip included, passes its first error test, so the adaptive
+    # positions are the one-panel GL16 positions bit for bit
+    seg = W.seg_slit_bank(params, bank)
+    s = np.linspace(0.0, 1.0, m + 1)
+    x0 = np.array([0.0, 0.0, W.axis_rise(params) * (1.0 if bank == "inner" else -1.0)])
+    pos = W.positions_along(params, seg, s, x0)
+    assert pos.tobytes() == _positions_by_one_gl16_panel(params, seg, s, x0).tobytes()
+
+
 def test_integrate_path_additivity(params):
-    whole = W.integrate_segment(params, W.seg_edge_up("upper_left", 0.2, 0.9))
+    whole = W.integrate_path(params, [W.seg_edge_up("upper_left", 0.2, 0.9)])
     parts = W.integrate_path(
         params,
         [
@@ -274,9 +303,9 @@ def test_integrate_path_additivity(params):
 
 
 def test_reversed_segment(params):
-    fwd = W.integrate_segment(params, W.seg_edge_up("upper_left", 0.2, 0.9))
-    rev = W.integrate_segment(
-        params, W.reversed_segment(W.seg_edge_up("upper_left", 0.2, 0.9))
+    fwd = W.integrate_path(params, [W.seg_edge_up("upper_left", 0.2, 0.9)])
+    rev = W.integrate_path(
+        params, [W.reversed_segment(W.seg_edge_up("upper_left", 0.2, 0.9))]
     )
     assert np.max(np.abs(fwd + rev)) < 1e-12
 

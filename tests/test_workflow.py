@@ -1,7 +1,9 @@
 """The CI workflow parses, every job has a time limit, each step does
-something, and the tier-1 step runs the tier-1 command that ROADMAP.md
-states, with warnings as errors."""
+something, the tier-1 step runs the tier-1 command that ROADMAP.md states,
+with warnings as errors, and the traced benchmark runs cover every workload
+that BENCHMARK.json declares."""
 
+import json
 import re
 from pathlib import Path
 
@@ -42,3 +44,12 @@ def test_tier1_step_runs_the_roadmap_command_with_warnings_as_errors():
     (step,) = [step for step in _steps() if step.get("name") == "Tier-1 tests"]
     assert step["run"].strip() == command
     assert step["env"]["PYTHONWARNINGS"] == "error"
+
+
+def test_traced_runs_cover_every_benchmark_workload():
+    # a workload added to BENCHMARK.json must also get a traced CI run
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    (step,) = [step for step in _steps() if step.get("name") == "Traced benchmark runs"]
+    loop = re.search(r"^\s*for workload in ([^;]+); do$", step["run"], re.MULTILINE)
+    assert loop is not None, step["run"]
+    assert loop.group(1).split() == declared
