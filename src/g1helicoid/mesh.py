@@ -21,11 +21,12 @@ level enters the cutoff disk; the two rows that straddle the puncture sit at
 
 Each level is anchored on the x3-axis (its theta = 3pi/2 endpoint has the
 closed-form height) and swept independently, so no error accumulates from
-one level to the next.  The bottom-edge endpoints then
-get re-derived by the sweep and checked against the independent closed-form
-ray values -- a strong whole-pipeline consistency check.  The first
-coordinate of every vertex is additionally checked against the exact global
-formula x1 = (2 cos rho / r) Re[1/(z - i/lam)].
+one level to the next.  The levels share one node table; a large patch
+sweeps them on two threads, with the same output.  The bottom-edge
+endpoints then get re-derived by the sweep and checked against the
+independent closed-form ray values -- a strong whole-pipeline consistency
+check.  The first coordinate of every vertex is additionally checked
+against the exact global formula x1 = (2 cos rho / r) Re[1/(z - i/lam)].
 
 The fundamental domain is the patch plus its images under the three axis
 half-turns diag(1,-1,-1), diag(-1,-1,1), diag(-1,1,-1); the two
@@ -38,7 +39,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -48,9 +51,9 @@ from . import NumericError
 from .params import SurfaceParams
 from .torus import SYMMETRIES, build_chart, w_on_sheet
 from .weierstrass import (
+    arc_positions,
     axis_rise,
     positions_along,
-    seg_arc,
     seg_ring_left_to_tip,
     seg_slit_bank,
     x2_H1,
@@ -133,7 +136,7 @@ def _level_values(
     crowded = (np.abs(outer - t_punct) < dt_base) & (
         np.min(np.abs(outer[:, None] - band), axis=1) < 0.45 * cutoff
     )
-    outer = outer[np.isin(outer, band) | ~crowded]
+    outer = outer[np.any(outer[:, None] == band, axis=1) | ~crowded]
     return inner, outer
 
 
@@ -159,7 +162,8 @@ def _ray_angles(params: SurfaceParams, resolution: int, cutoff: float) -> np.nda
 
     rays = np.concatenate([base, [tip], end_cluster, tip_cluster])
     rays = rays[(rays >= th_lo) & (rays <= th_hi)]
-    rays = np.unique(rays)
+    rays = np.sort(rays)
+    rays = rays[np.concatenate([[True], rays[1:] != rays[:-1]])]
     # dedupe while preserving the exact endpoints and tip angle
     keep = [rays[0]]
     protected = {th_lo, th_hi, tip}
@@ -183,22 +187,6 @@ def _x1_closed_form(params: SurfaceParams, z) -> np.ndarray:
     """Exact first coordinate: x1 = (2 cos rho / r) Re[1/(z - i/lam)]."""
     zeta = np.asarray(z, dtype=complex) - 1j / params.lam
     return (2.0 * math.cos(params.rho) / params.r) * (1.0 / zeta).real
-
-
-def _sweep_level(
-    params: SurfaceParams,
-    t: float,
-    rays: np.ndarray,
-    anchor: np.ndarray,
-    rel_tol: float,
-    abs_tol: float,
-) -> np.ndarray:
-    """Vertex positions along one level, indexed like ``rays`` (ascending
-    theta).  The sweep runs from the theta = 3pi/2 axis anchor downward."""
-    seg = seg_arc("upper_left", t, 1.5 * math.pi, 0.5 * math.pi)
-    s_breaks = (1.5 * math.pi - rays[::-1]) / math.pi
-    pos = positions_along(params, seg, s_breaks, anchor, rel_tol, abs_tol)
-    return pos[::-1]
 
 
 def _ring_polylines(
@@ -307,6 +295,12 @@ def _asymptote_positions(A, B, C, zeta: np.ndarray) -> np.ndarray:
     return vals.real
 
 
+# Integrand nodes from which a patch's levels are swept on two threads.  In-process
+# on two CPUs two threads lost 15-18 % at res 48-96 (0.2-0.8 million nodes), tied at
+# res 112 (1.1 million) and won 12-33 % at res 128-160 (1.4-2.2 million).
+_THREADED_NODES = 1_200_000
+
+
 def mesh_patch_D(
     params: SurfaceParams,
     resolution: int = 48,
@@ -319,7 +313,9 @@ def mesh_patch_D(
     (the inner-bank row, then the outer-bank row), the outer levels and O'
     (t = inf).  The x1 check, the faces (strips between consecutive rows,
     none between the two circle rows), the seams and the asymptotic cap all
-    read this table.
+    read this table.  The levels share one node table; from ``_THREADED_NODES``
+    integrand nodes on, two threads sweep them, read in order: the output and
+    the first error do not depend on the thread count; no level starts after an error.
 
     ``cutoff`` is the radius of the disk around the puncture z = i/lam that
     no level enters; the two rows that straddle it sit at 1/lam -+ cutoff.
@@ -345,12 +341,15 @@ def mesh_patch_D(
     n_rays = len(rays)
 
     # --- level polylines, each anchored on the x3-axis (E below the unit
-    # circle, E-hat above) and closed against the independent ray value at
-    # theta = pi/2 (H1 below the puncture, H2 above) ---------------------
-    levels = []
-    for t in np.concatenate([inner_t, outer_t]):
+    # circle, E-hat above), swept down to theta = pi/2 and closed there
+    # against the independent ray value (H1 below the puncture, H2 above) --
+    s_breaks = (1.5 * math.pi - rays[::-1]) / math.pi
+    sweep = arc_positions(params, "upper_left", 1.5 * math.pi, 0.5 * math.pi, s_breaks,
+                          rel_tol, abs_tol)
+
+    def level(t):
         anchor = np.array([0.0, 0.0, x3_E(params, t) if t < 1.0 else x3_Ehat(params, t)])
-        poly = _sweep_level(params, t, rays, anchor, rel_tol, abs_tol)
+        poly = sweep(t, anchor)[::-1]
         if t < t_punct:
             expect = np.array([0.0, -x2_H1(params, float(t)), 0.0])
         else:
@@ -358,10 +357,20 @@ def mesh_patch_D(
         gap = float(np.linalg.norm(poly[0] - expect))
         arc = float(np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1)))
         if gap > 5e-9 * (T + arc):
-            raise MeshError(
-                f"closure failure at level t={t:.6g}, theta=pi/2: gap {gap:.3e}"
-            )
-        levels.append(poly)
+            raise MeshError(f"closure failure at level t={t:.6g}, theta=pi/2: gap {gap:.3e}")
+        return poly
+
+    level_t = np.concatenate([inner_t, outer_t])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if 24 * (n_rays - 1) * len(level_t) < _THREADED_NODES or (cpus or 1) < 2:  # GL8 + GL16
+        levels = [level(t) for t in level_t]
+    else:
+        with ThreadPoolExecutor(2) as pool:  # more threads were never measured
+            futures = [pool.submit(level, t) for t in level_t]
+            try:
+                levels = [future.result() for future in futures]
+            finally:  # after an error or an interrupt, start no further level
+                pool.shutdown(cancel_futures=True)
 
     glue_pos, bank_in_pos, bank_out_pos, glue_mask, slit_mask = _ring_polylines(
         params, rays, a_rise, rel_tol, abs_tol

@@ -130,7 +130,8 @@ def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
     give the two bank values (the inner form the inner bank).  Both forms
     keep their square-root arguments off the principal branch cut everywhere
     in their stated regions, the only exception being the common pole at the
-    slit tip ``z = -e^{-i rho}``.
+    slit tip ``z = -e^{-i rho}``.  When every point falls in one region,
+    its form runs on the whole array, with no gather or scatter.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -156,18 +157,20 @@ def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
     ea = complex(np.exp(1j * rho))
     eb = complex(np.exp(-1j * rho))
 
-    w = np.empty(z.shape, dtype=complex)
-    i = inner_mask
-    if np.any(i):
-        zi = z[i]
-        w[i] = (
-            pref * np.sqrt(m[i]) * np.exp(0.5j * th[i])
-            / (np.sqrt(ea - zi) * np.sqrt(zi + eb))
-        )
-    o = ~inner_mask
-    if np.any(o):
-        zo = z[o]
-        w[o] = pref / (np.sqrt(ea - zo) * np.sqrt(1.0 + eb / zo))
+    def inner(zi, mi, thi):
+        return pref * np.sqrt(mi) * np.exp(0.5j * thi) / (np.sqrt(ea - zi) * np.sqrt(zi + eb))
+
+    def outer(zo):
+        return pref / (np.sqrt(ea - zo) * np.sqrt(1.0 + eb / zo))
+
+    if np.all(inner_mask):
+        w = inner(z, m, th)
+    elif not np.any(inner_mask):
+        w = outer(z)
+    else:
+        i, o = inner_mask, ~inner_mask
+        w = np.empty(z.shape, dtype=complex)
+        w[i], w[o] = inner(z[i], m[i], th[i]), outer(z[o])
     return w[0] if scalar else w
 
 

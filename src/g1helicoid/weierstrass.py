@@ -68,6 +68,7 @@ __all__ = [
     "reversed_segment",
     "integrate_path",
     "positions_along",
+    "arc_positions",
     "alpha_cycle",
     "descent_axis",
     "vertical_period_gap",
@@ -333,9 +334,7 @@ _MAX_WAVES = 40
 _MAX_INTERVALS = 200000
 
 
-def _seg_values(params: SurfaceParams, seg: Segment, s: np.ndarray) -> np.ndarray:
-    z = seg.z_of(s)
-    dz = seg.dz_ds(s)
+def _seg_values(params: SurfaceParams, seg: Segment, s: np.ndarray, z, dz) -> np.ndarray:
     vals = phi_dz(params, seg.sheet, z, seg.region) * dz[..., None]
     if not np.all(np.isfinite(vals)):
         bad = int(np.argwhere(~np.isfinite(vals))[0][0])
@@ -345,38 +344,34 @@ def _seg_values(params: SurfaceParams, seg: Segment, s: np.ndarray) -> np.ndarra
     return vals
 
 
-def _gl_panels(params, seg, a, b, nodes, weights):
-    """One fixed Gauss-Legendre rule on each subinterval [a[k], b[k]]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * nodes[None, :]
-    f = _seg_values(params, seg, x.ravel()).reshape(len(a), len(nodes), 3)
-    return half[:, None] * np.einsum("k,nkc->nc", weights, f)
+def _gl_nodes(a, b):
+    """Half-widths of the pieces [a[k], b[k]], and all their GL8 then GL16 nodes, flat."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    s = [(mid[:, None] + half[:, None] * x[None, :]).ravel() for x in (_GL8_X, _GL16_X)]
+    return half, np.concatenate(s)
+
+
+def _gl_estimates(half, f):
+    """GL8/GL16 estimates (I16, err) from the values ``f`` at :func:`_gl_nodes`."""
+    n = len(half)
+    i8 = half[:, None] * np.einsum("k,nkc->nc", _GL8_W, f[: 8 * n].reshape(n, 8, 3))
+    i16 = half[:, None] * np.einsum("k,nkc->nc", _GL16_W, f[8 * n :].reshape(n, 16, 3))
+    return i16, np.max(np.abs(i16 - i8), axis=1)
 
 
 def _gl_wave(params, seg, a, b):
-    """GL8/GL16 estimates on a batch of subintervals; returns (I16, err)."""
-    i8 = _gl_panels(params, seg, a, b, _GL8_X, _GL8_W)
-    i16 = _gl_panels(params, seg, a, b, _GL16_X, _GL16_W)
-    err = np.max(np.abs(i16 - i8), axis=1)
-    return i16, err
+    """GL8/GL16 estimates (I16, err) on a batch of pieces, in one integrand call."""
+    half, s = _gl_nodes(a, b)
+    return _gl_estimates(half, _seg_values(params, seg, s, seg.z_of(s), seg.dz_ds(s)))
 
 
-def _adaptive_pairs(
-    params: SurfaceParams,
-    seg: Segment,
-    breaks: np.ndarray,
-    rel_tol: float,
-    abs_tol: float,
-) -> np.ndarray:
-    """Integrals of all three components over each [breaks[k], breaks[k+1]],
-    each piece to the tolerance that :func:`positions_along` states."""
-    a = np.asarray(breaks[:-1], dtype=float)
-    b = np.asarray(breaks[1:], dtype=float)
+def _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol) -> np.ndarray:
+    """Integrals of all three components over each piece [a[k], b[k]] to the tolerance
+    :func:`positions_along` states, from the first :func:`_gl_wave` ``wave`` on them."""
     n_pairs = len(a)
     result = np.zeros((n_pairs, 3), dtype=complex)
 
-    i16, err = _gl_wave(params, seg, a, b)
+    i16, err = wave
     scale = np.maximum(np.max(np.abs(i16), axis=1), np.max(np.abs(i16.sum(axis=0))))
     tol = np.maximum(abs_tol, rel_tol * scale)
     owner = np.arange(n_pairs)
@@ -405,6 +400,14 @@ def _adaptive_pairs(
     )
 
 
+def _anchored(x0, pieces: np.ndarray) -> np.ndarray:
+    """Positions x0, x0 + Re pieces[0], ... (the running sum of the pieces)."""
+    out = np.empty((len(pieces) + 1, 3), dtype=float)
+    out[0] = np.asarray(x0, dtype=float)
+    out[1:] = out[0] + np.cumsum(pieces.real, axis=0)
+    return out
+
+
 def integrate_path(
     params: SurfaceParams,
     segs: Sequence[Segment],
@@ -415,8 +418,10 @@ def integrate_path(
     (3,).  Each segment is integrated adaptively on its own to the given
     tolerances."""
     total = np.zeros(3, dtype=complex)
+    a, b = np.array([0.0]), np.array([1.0])
     for seg in segs:
-        total += _adaptive_pairs(params, seg, np.array([0.0, 1.0]), rel_tol, abs_tol)[0]
+        wave = _gl_wave(params, seg, a, b)
+        total += _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol)[0]
     return total
 
 
@@ -453,11 +458,33 @@ def positions_along(
     the slit banks it passes at 1/800 and fails at 1/900).
     """
     s_breaks = np.asarray(s_breaks, dtype=float)
-    pieces = _adaptive_pairs(params, seg, s_breaks, rel_tol, abs_tol)
-    out = np.empty((len(pieces) + 1, 3), dtype=float)
-    out[0] = np.asarray(x0, dtype=float)
-    out[1:] = out[0] + np.cumsum(pieces.real, axis=0)
-    return out
+    a, b = s_breaks[:-1], s_breaks[1:]
+    pieces = _adaptive_pairs(params, seg, a, b, _gl_wave(params, seg, a, b), rel_tol, abs_tol)
+    return _anchored(x0, pieces)
+
+
+def arc_positions(
+    params: SurfaceParams, sheet: str, th0: float, th1: float, s_breaks: np.ndarray,
+    rel_tol: float = 1e-11, abs_tol: float = 1e-14,
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Returns ``positions(m, x0)``, bit for bit ``positions_along(params,
+    seg_arc(sheet, m, th0, th1), s_breaks, x0, rel_tol, abs_tol)``, for many
+    radii m that share the s-breakpoints.  It shares that function's
+    tolerance rule, bisection, errors and running sum; only the first wave's
+    nodes and E = e^{i theta} at them are formed once, so a radius costs one
+    integrand call at z = m E.  ``positions`` keeps no state: threads may
+    share it."""
+    a, b = s_breaks[:-1], s_breaks[1:]
+    half, s = _gl_nodes(a, b)
+    e = np.exp(1j * (th0 + (th1 - th0) * s))
+
+    def positions(m: float, x0) -> np.ndarray:
+        seg = seg_arc(sheet, m, th0, th1)
+        z = float(m) * e
+        wave = _gl_estimates(half, _seg_values(params, seg, s, z, 1j * (th1 - th0) * z))
+        return _anchored(x0, _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol))
+
+    return positions
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,13 @@ planar-graph property, and file-format round-trips."""
 
 import csv
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from g1helicoid import mesh, weierstrass
 from g1helicoid.mesh import (
     MeshError,
     SurfaceMesh,
@@ -252,6 +254,81 @@ def test_patch_builds_when_a_ray_sits_next_to_the_slit_tip(params):
     rep = check_oriented_manifold(patch)
     assert rep["misoriented_edges"] == 0
     assert rep["overused_edges"] == 0
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_patch_does_not_depend_on_the_cpu_count(patch, params, monkeypatch, cpus):
+    # a res-48 patch is below the node count that threads its levels; with
+    # the count lowered, two CPUs sweep on two threads and one on none
+    pools = []
+    real_pool = mesh.ThreadPoolExecutor
+    monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(mesh, "ThreadPoolExecutor", lambda n: pools.append(n) or real_pool(n))
+    again = mesh_patch_D(params, resolution=48, cutoff=1e-2)
+    assert pools == ([2] if cpus == 2 else [])
+    assert again.vertices.tobytes() == patch.vertices.tobytes()
+    assert again.faces.tobytes() == patch.faces.tobytes()
+
+
+def test_small_patches_sweep_on_one_thread_and_large_ones_on_two(params, monkeypatch):
+    # the thread count follows the nodes of the level sweeps, not the CPUs
+    pools = []
+    real_pool = mesh.ThreadPoolExecutor
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(mesh, "ThreadPoolExecutor", lambda n: pools.append(n) or real_pool(n))
+    mesh_patch_D(params, resolution=96, cutoff=1e-2)
+    assert pools == []
+    mesh_patch_D(params, resolution=128, cutoff=1e-2)
+    assert pools == [2]
+
+
+def test_no_level_starts_after_a_failing_level(params, monkeypatch):
+    # the first level's anchor is off, so its closure check fails; the levels
+    # the threads took up meanwhile finish, and the queued rest are cancelled
+    inner, outer = _level_values(params, 48, 1e-2, 10.0 / params.lam)
+    started = []
+    real_anchor = mesh.x3_E
+
+    def anchor(params, t):
+        started.append(t)
+        return real_anchor(params, t) + (1.0 if t == inner[0] else 0.0)
+
+    monkeypatch.setattr(mesh, "x3_E", anchor)
+    monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(MeshError, match=f"closure failure at level t={inner[0]:.6g}, "):
+        mesh_patch_D(params, resolution=48, cutoff=1e-2)
+    # a sweep of every inner level would start all 47; about 4 start
+    assert len(started) <= len(inner) // 4
+
+
+def test_the_first_level_with_a_non_finite_integrand_is_reported(params, monkeypatch):
+    # two levels poisoned, one inside the unit circle and one outside, which
+    # two threads sweep at once: the error is the inner one's, in the words
+    # positions_along uses for it
+    inner, outer = _level_values(params, 48, 1e-2, 10.0 / params.lam)
+    bad = (inner[5], outer[3])
+    real_phi = weierstrass.phi_dz
+
+    def poisoned(params, sheet, z, region="auto"):
+        out = real_phi(params, sheet, z, region)
+        m = np.abs(z)
+        hit = (np.abs(m - bad[0]) < 1e-9) | (np.abs(m - bad[1]) < 1e-9)
+        out[hit & (z.real < -0.5 * m)] = np.nan
+        return out
+
+    monkeypatch.setattr(weierstrass, "phi_dz", poisoned)
+    monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    s_breaks = (1.5 * math.pi - mesh._ray_angles(params, 48, 1e-2)[::-1]) / math.pi
+    arc = weierstrass.seg_arc("upper_left", bad[0], 1.5 * math.pi, 0.5 * math.pi)
+    with pytest.raises(weierstrass.IntegrationError) as alone:
+        weierstrass.positions_along(params, arc, s_breaks, np.zeros(3))
+    assert str(alone.value).startswith(f"non-finite integrand on {arc.label} at s=")
+    with pytest.raises(weierstrass.IntegrationError) as swept:
+        mesh_patch_D(params, resolution=48, cutoff=1e-2)
+    assert str(swept.value) == str(alone.value)
 
 
 def test_patch_resolution_must_be_sane(params):

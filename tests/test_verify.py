@@ -4,10 +4,12 @@ report serializes deterministically, and the guard rails trip correctly."""
 import inspect
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from g1helicoid import mesh
 from g1helicoid import weierstrass as W
 from g1helicoid.mesh import SurfaceMesh, distance_to_polyline, point_in_polygon
 from g1helicoid.period_solver import scan_H
@@ -73,6 +75,14 @@ def test_json_roundtrip_and_determinism(report):
     assert len(parsed["checks"]) == 7
     # runtimes are excluded so reruns stay byte-identical
     assert "runtime_s" not in s1
+
+
+def test_report_does_not_depend_on_the_level_threads(report, params, monkeypatch):
+    # its res-48 patch sweeps on one thread; with the threading node count
+    # lowered and two CPUs, on two
+    monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run_all(params=params).to_json() == report.to_json()
 
 
 def test_table_mentions_every_check(report):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import g1helicoid.mesh as mesh
 import g1helicoid.weierstrass as W
 from g1helicoid.params import SurfaceParams, lambda_from_Lambda
 from g1helicoid.period_solver import F_integral, G_integral
@@ -288,6 +289,50 @@ def test_positions_along_the_slit_banks_accept_every_piece_unsplit(params, bank,
     x0 = np.array([0.0, 0.0, W.axis_rise(params) * (1.0 if bank == "inner" else -1.0)])
     pos = W.positions_along(params, seg, s, x0)
     assert pos.tobytes() == _positions_by_one_gl16_panel(params, seg, s, x0).tobytes()
+
+
+def _outcome(call):
+    """The bytes a position call returns, or the text of the IntegrationError it raises."""
+    try:
+        return call().tobytes()
+    except W.IntegrationError as exc:
+        return str(exc)
+
+
+def _arc_outcomes(params, resolution, cutoff, rel_tol, abs_tol):
+    """Each mesh level swept by arc_positions and by positions_along on its own seg_arc."""
+    inner, outer = mesh._level_values(params, resolution, cutoff, 10.0 / params.lam)
+    rays = mesh._ray_angles(params, resolution, cutoff)
+    s_breaks = (1.5 * math.pi - rays[::-1]) / math.pi
+    th0, th1 = 1.5 * math.pi, 0.5 * math.pi
+    sweep = W.arc_positions(params, "upper_left", th0, th1, s_breaks, rel_tol, abs_tol)
+    for t in np.concatenate([inner, outer]):
+        x0 = np.array([0.0, 0.0, t])
+        seg = W.seg_arc("upper_left", t, th0, th1)
+        yield (
+            _outcome(lambda: sweep(t, x0)),
+            _outcome(lambda: W.positions_along(params, seg, s_breaks, x0, rel_tol, abs_tol)),
+        )
+
+
+@pytest.mark.parametrize("cutoff", [5e-2, 1e-3])
+@pytest.mark.parametrize("resolution", [8, 48, 97])
+def test_arc_positions_are_positions_along_on_every_mesh_level(params, resolution, cutoff):
+    # the mesh's tolerances; the shared node table must change no bit
+    for swept, alone in _arc_outcomes(params, resolution, cutoff, 1e-10, 1e-13 * params.T):
+        assert swept == alone
+
+
+def test_arc_positions_bisect_like_positions_along(params, monkeypatch):
+    # a tolerance this tight sends pieces through the shared bisection loop
+    waves = []
+    real_wave = W._gl_wave
+    monkeypatch.setattr(W, "_gl_wave", lambda *args: waves.append(1) or real_wave(*args))
+    outcomes = list(_arc_outcomes(params, 8, 1e-2, 1e-14, 0.0))
+    for swept, alone in outcomes:
+        assert isinstance(swept, bytes) and swept == alone
+    # positions_along starts each level with one wave of its own; more are bisections
+    assert len(waves) > len(outcomes)
 
 
 def test_integrate_path_additivity(params):
