@@ -162,11 +162,6 @@ class SurfaceParams:
         return cls(rho=rho, lam=lam, diagnostic=False)
 
     @classmethod
-    def from_Lambda(cls, rho: float, Lam: float) -> "SurfaceParams":
-        """Physical-branch constructor from (rho, Lambda)."""
-        return cls(rho=rho, lam=lambda_from_Lambda(Lam), diagnostic=False)
-
-    @classmethod
     def diagnostic_branch(cls, rho: float, lam: float) -> "SurfaceParams":
         """Out-of-branch constructor for sign/monotonicity diagnostics."""
         return cls(rho=rho, lam=lam, diagnostic=True)

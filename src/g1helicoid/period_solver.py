@@ -168,11 +168,14 @@ def _g_integrand(rho: float, Lam: float) -> Callable:
     return g
 
 
-def _converged(name: str, rho: float, Lam: float, res: QuadratureResult) -> QuadratureResult:
-    """``res``, or :class:`PeriodSolverError` if it missed its tolerance."""
+def _converged(res: QuadratureResult, name: str, **where: float) -> QuadratureResult:
+    """``res``, or :class:`PeriodSolverError` naming the integral, its
+    arguments ``where``, its error estimate and its level if it missed its
+    tolerance."""
     if not res.converged:
+        args = ", ".join(f"{key}={value!r}" for key, value in where.items())
         raise PeriodSolverError(
-            f"{name}(rho={rho!r}, Lam={Lam!r}) did not converge: "
+            f"{name}{f'({args})' if args else ''} did not converge: "
             f"error estimate {res.error_estimate:.3e} at level {res.levels_used}"
         )
     return res
@@ -188,7 +191,7 @@ def F_integral(
     rho = _check_rho_interior(rho)
     Lam = float(Lam)
     res = integrate(_f_integrand(rho, Lam), rho, math.pi / 2, spec)
-    return _converged("F_integral", rho, Lam, res)
+    return _converged(res, "F_integral", rho=rho, Lam=Lam)
 
 
 def G_integral(
@@ -205,7 +208,7 @@ def G_integral(
         raise PeriodSolverError(f"rho={rho!r} outside (-pi/2, pi/2)")
     Lam = float(Lam)
     res = integrate(_g_integrand(rho, Lam), -math.pi / 2, rho, spec)
-    return _converged("G_integral", rho, Lam, res)
+    return _converged(res, "G_integral", rho=rho, Lam=Lam)
 
 
 def G_integrand_samples(rho: float, Lam: float, n: int = 200) -> np.ndarray:

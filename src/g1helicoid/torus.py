@@ -1,4 +1,4 @@
-"""Domain geometry: rhombic torus, algebraic curve (z, w), chart, symmetries.
+"""Domain geometry: rhombic torus, algebraic curve (z, w), chart, half-turns.
 
 The immersion domain is a rhombic torus minus two punctures.  It is realized
 as the genus-one algebraic curve
@@ -30,13 +30,16 @@ transport rules of :func:`w_on_sheet`.
 Chart edges of ``upper_left`` (t, tt > 0):
 
     bottom  (eta = 0):        z = i t,    at (-xi_of_t(t), 0);   w = -tau_h e^{i pi/4}
-    right   (xi = 0):         z = -i tt,  at (0, eta_of_tv(tt)), tt <= 1;
-                                                                 w = +tau_v e^{-i pi/4}
-    left    (xi = -width):    z = -i tt,  at (-width, eta_of_tv(1/tt)), tt >= 1;
-                                                                 w = -tau_v e^{-i pi/4}
+    right   (xi = 0):         z = -i tt,  tt <= 1;               w = +tau_v e^{-i pi/4}
+    left    (xi = -width):    z = -i tt,  tt >= 1;               w = -tau_v e^{-i pi/4}
     top     (eta = height/2): z = e^{i theta}, the slit banks;
-                              inner bank  w = +slit_modulus e^{-i pi/4},
-                              outer bank  w = -slit_modulus e^{-i pi/4}
+                              inner bank  w = +|w| e^{-i pi/4},
+                              outer bank  w = -|w| e^{-i pi/4},
+                              |w|^2 = cos rho / (sin rho - sin phi) at z = -e^{-i phi}
+
+Only the bottom edge has a position table (:meth:`TorusChart.xi_of_t`); the
+vertical edges enter through ``height``, twice the chart length of the right
+edge.
 
 The two punctures sit on the bottom edges at z = i/lam (one on the
 ``upper_left``/``lower_left`` shared edge, one on the mirror edge).
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -55,22 +58,13 @@ from .params import SurfaceParams
 __all__ = [
     "SHEETS",
     "SheetDomainError",
-    "curve_rhs",
-    "master_relation_residual",
     "lift_angle_left",
     "w_branch_left",
     "w_on_sheet",
-    "du_dz",
-    "slit_tip_angle",
     "tau_horizontal",
     "tau_vertical",
-    "ring_modulus",
-    "slit_modulus",
-    "mobius_flip_z",
     "SymmetryAction",
     "SYMMETRIES",
-    "apply_symmetry",
-    "MarkedPoint",
     "TorusChart",
     "build_chart",
 ]
@@ -94,30 +88,24 @@ class SheetDomainError(ValueError):
 # The algebraic curve
 # ----------------------------------------------------------------------
 
-def curve_rhs(params: SurfaceParams, z):
-    """Right-hand side of the curve equation, i.e. the value of w^2 at z."""
-    z = np.asarray(z, dtype=complex)
-    ea = np.exp(1j * params.rho)
-    eb = np.exp(-1j * params.rho)
-    return 2.0 * math.cos(params.rho) * z / ((ea - z) * (z + eb))
+def _require_left_half_plane(z: np.ndarray, m: np.ndarray) -> None:
+    """Raise :class:`SheetDomainError` unless every z (of modulus m) lies in
+    the closed left half-plane."""
+    if np.any(z.real > _HALF_PLANE_SLACK * (1.0 + m)):
+        bad = z.flat[int(np.argmax(z.real - _HALF_PLANE_SLACK * (1.0 + m)))]
+        raise SheetDomainError(f"z={bad!r} is not in the closed left half-plane")
 
 
-def master_relation_residual(params: SurfaceParams, z, w):
-    """Residual of ``(2 cos rho)/w^2 + (z - 1/z - 2 i sin rho)`` (zero on curve)."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    return 2.0 * math.cos(params.rho) / (w * w) + (z - 1.0 / z - 2j * math.sin(params.rho))
+def _lifted_angle(z: np.ndarray) -> np.ndarray:
+    th = np.arctan2(z.imag, z.real)
+    return np.where(th < 0.0, th + 2.0 * math.pi, th)
 
 
 def lift_angle_left(z) -> np.ndarray:
     """Angle of z lifted to [pi/2, 3pi/2] on the closed left half-plane."""
     z = np.asarray(z, dtype=complex)
-    m = np.abs(z)
-    if np.any(z.real > _HALF_PLANE_SLACK * (1.0 + m)):
-        bad = z.flat[int(np.argmax(z.real - _HALF_PLANE_SLACK * (1.0 + m)))]
-        raise SheetDomainError(f"z={bad!r} is not in the closed left half-plane")
-    th = np.arctan2(z.imag, z.real)
-    return np.where(th < 0.0, th + 2.0 * math.pi, th)
+    _require_left_half_plane(z, np.abs(z))
+    return _lifted_angle(z)
 
 
 def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
@@ -131,13 +119,14 @@ def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
     keep their square-root arguments off the principal branch cut everywhere
     in their stated regions, the only exception being the common pole at the
     slit tip ``z = -e^{-i rho}``.  When every point falls in one region,
-    its form runs on the whole array, with no gather or scatter.
+    its form runs on the whole array, with no gather or scatter.  Only the
+    inner form needs the lifted angle.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     m = np.abs(z)
-    th = lift_angle_left(z)
+    _require_left_half_plane(z, m)
 
     if region == "auto":
         inner_mask = m <= 1.0
@@ -157,20 +146,21 @@ def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
     ea = complex(np.exp(1j * rho))
     eb = complex(np.exp(-1j * rho))
 
-    def inner(zi, mi, thi):
-        return pref * np.sqrt(mi) * np.exp(0.5j * thi) / (np.sqrt(ea - zi) * np.sqrt(zi + eb))
+    def inner(zi, mi):
+        return (pref * np.sqrt(mi) * np.exp(0.5j * _lifted_angle(zi))
+                / (np.sqrt(ea - zi) * np.sqrt(zi + eb)))
 
     def outer(zo):
         return pref / (np.sqrt(ea - zo) * np.sqrt(1.0 + eb / zo))
 
     if np.all(inner_mask):
-        w = inner(z, m, th)
+        w = inner(z, m)
     elif not np.any(inner_mask):
         w = outer(z)
     else:
         i, o = inner_mask, ~inner_mask
         w = np.empty(z.shape, dtype=complex)
-        w[i], w[o] = inner(z[i], m[i], th[i]), outer(z[o])
+        w[i], w[o] = inner(z[i], m[i]), outer(z[o])
     return w[0] if scalar else w
 
 
@@ -199,18 +189,6 @@ def w_on_sheet(params: SurfaceParams, sheet: str, z, region: str = "auto"):
     raise ValueError(f"unknown sheet {sheet!r}; expected one of {SHEETS}")
 
 
-def du_dz(z, w):
-    """Chart differential du/dz = w / (2 z) at a curve point (z, w)."""
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    return w / (2.0 * z)
-
-
-def slit_tip_angle(params: SurfaceParams) -> float:
-    """Lifted angle of the slit tip (= the left w-pole), pi - rho."""
-    return math.pi - params.rho
-
-
 # ----------------------------------------------------------------------
 # Closed forms for |w| along the distinguished curves
 # ----------------------------------------------------------------------
@@ -227,48 +205,25 @@ def tau_vertical(params: SurfaceParams, t):
     return np.sqrt(2.0 * math.cos(params.rho) / (t + 1.0 / t + 2.0 * math.sin(params.rho)))
 
 
-def ring_modulus(params: SurfaceParams, theta):
-    """|w| on the interior unit-circle arcs, z = e^{i theta}, sin theta > sin rho.
-
-    Covers both the left-sheet gluing arc (theta in (pi/2, pi - rho)) and its
-    right-sheet mirror (theta in (rho, pi/2)).
-    """
-    theta = np.asarray(theta, dtype=float)
-    return np.sqrt(math.cos(params.rho) / (np.sin(theta) - math.sin(params.rho)))
-
-
-def slit_modulus(params: SurfaceParams, phi):
-    """|w| on the slit banks, z = -e^{-i phi} with phi in (-pi/2, rho)."""
-    phi = np.asarray(phi, dtype=float)
-    return np.sqrt(math.cos(params.rho) / (math.sin(params.rho) - np.sin(phi)))
-
-
 # ----------------------------------------------------------------------
 # Symmetries
 # ----------------------------------------------------------------------
 
-def mobius_flip_z(params: SurfaceParams, z):
-    """The Moebius involution z -> (1 - e^{-i rho} z) / (z + e^{-i rho})."""
-    z = np.asarray(z, dtype=complex)
-    eb = complex(np.exp(-1j * params.rho))
-    return (1.0 - eb * z) / (z + eb)
-
-
 @dataclass(frozen=True)
 class SymmetryAction:
-    """One torus symmetry: its curve action and space behaviour.
+    """One of the three half-turn symmetries of the surface: its action on
+    the curve and the motion of space it induces.
 
     ``orientation`` is +1 for holomorphic actions and -1 for antiholomorphic
-    ones.  ``space_matrix`` is the linear part of the induced ambient motion
-    where that is pinned down (the three coordinate-axis half-turns); None
-    otherwise.
+    ones.  ``space_matrix`` is the linear part of the induced ambient motion,
+    the half-turn about one coordinate axis.
     """
 
     name: str
     orientation: int
     z_map: Callable[[SurfaceParams, np.ndarray], np.ndarray]
     w_map: Callable[[SurfaceParams, np.ndarray], np.ndarray]
-    space_matrix: Optional[np.ndarray]
+    space_matrix: np.ndarray
 
 
 def _mat(d1: int, d2: int, d3: int) -> np.ndarray:
@@ -298,56 +253,7 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
         lambda p, w: -1j * np.conj(np.asarray(w, dtype=complex)),
         _mat(-1, -1, 1),
     ),
-    # Deck transformation of the w-projection; fixes the four w-branch points.
-    "deck_w": SymmetryAction(
-        "deck_w", +1,
-        lambda p, z: -1.0 / np.asarray(z, dtype=complex),
-        lambda p, w: np.asarray(w, dtype=complex),
-        None,
-    ),
-    # Antiholomorphic reflection through the unit z-circle; fixes the top
-    # chart line eta = height/2.
-    "unit_circle_reflection": SymmetryAction(
-        "unit_circle_reflection", -1,
-        lambda p, z: 1.0 / np.conj(np.asarray(z, dtype=complex)),
-        lambda p, w: -1j * np.conj(np.asarray(w, dtype=complex)),
-        None,
-    ),
-    # Holomorphic point reflection of the chart about q = (-W/4, 3H/4); its
-    # z-action is the Moebius involution of :func:`mobius_flip_z` and its
-    # four fixed points are the points with w = +/-1.
-    "mobius_flip": SymmetryAction(
-        "mobius_flip", +1,
-        mobius_flip_z,
-        lambda p, w: 1.0 / np.asarray(w, dtype=complex),
-        None,
-    ),
-    # The same point reflection composed with the half-lattice translation.
-    "mobius_flip_shifted": SymmetryAction(
-        "mobius_flip_shifted", +1,
-        lambda p, z: -1.0 / mobius_flip_z(p, z),
-        lambda p, w: -1.0 / np.asarray(w, dtype=complex),
-        None,
-    ),
-    # Translation by the half-lattice class (width, 0) == (0, height).
-    "half_lattice_translation": SymmetryAction(
-        "half_lattice_translation", +1,
-        lambda p, z: -1.0 / np.asarray(z, dtype=complex),
-        lambda p, w: -np.asarray(w, dtype=complex),
-        None,
-    ),
 }
-
-
-def apply_symmetry(params: SurfaceParams, name: str, z, w=None):
-    """Apply a symmetry to a curve point: returns (z', w') (w' None if w is)."""
-    try:
-        act = SYMMETRIES[name]
-    except KeyError:
-        raise ValueError(f"unknown symmetry {name!r}; have {sorted(SYMMETRIES)}") from None
-    z2 = act.z_map(params, z)
-    w2 = None if w is None else act.w_map(params, w)
-    return z2, w2
 
 
 # ----------------------------------------------------------------------
@@ -386,28 +292,11 @@ def _gl_cumulative(f: Callable, n_intervals: int) -> Tuple[np.ndarray, np.ndarra
 
 
 @dataclass(frozen=True)
-class MarkedPoint:
-    """A distinguished torus point with its chart position and curve data.
-
-    ``z``/``w`` are None where the value is the point at infinity.  ``region``
-    disambiguates |z| = 1 points ("inner"/"outer" bank) and is None elsewhere.
-    """
-
-    name: str
-    sheet: str
-    chart: Tuple[float, float]
-    z: Optional[complex]
-    w: Optional[complex]
-    region: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class TorusChart:
     """Precomputed chart geometry for one parameter set.
 
-    ``width``/``height`` are the fundamental dimensions; the edge tables give
-    machine-accurate xi(t) on the bottom edges and eta(t) on the vertical
-    edges together with their inverses.
+    ``width``/``height`` are the fundamental dimensions; the bottom-edge
+    table gives machine-accurate xi(t) and its inverse.
     """
 
     params: SurfaceParams
@@ -415,19 +304,11 @@ class TorusChart:
     height: float
     _s_grid: np.ndarray
     _xi_grid: np.ndarray
-    _eta_grid: np.ndarray
 
     # -- horizontal edge: z = i t at chart (+/- xi_of_t(t), 0) --------
 
     def _xi_of_s(self, s: np.ndarray) -> np.ndarray:
         f = _edge_density(self.params, vertical=False)
-        return self._table_eval(self._xi_grid, f, s)
-
-    def _eta_of_s(self, s: np.ndarray) -> np.ndarray:
-        f = _edge_density(self.params, vertical=True)
-        return self._table_eval(self._eta_grid, f, s)
-
-    def _table_eval(self, grid: np.ndarray, f: Callable, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         n = len(self._s_grid) - 1
         idx = np.clip(
@@ -437,15 +318,15 @@ class TorusChart:
         h = s - a
         x = a[..., None] + 0.5 * h[..., None] * (_GL_NODES + 1.0)
         partial = 0.5 * h * (f(x) @ _GL_WEIGHTS)
-        return grid[idx] + partial
+        return self._xi_grid[idx] + partial
 
-    def _t_of_table(self, grid: np.ndarray, vertical: bool, target: np.ndarray) -> np.ndarray:
-        """The t = s^2 <= 1 where the edge table ``grid`` reaches ``target``:
-        a table lookup for s refined by four clipped Newton steps."""
-        f = _edge_density(self.params, vertical=vertical)
-        s = np.interp(target, grid, self._s_grid)
+    def _t_of_table(self, target: np.ndarray) -> np.ndarray:
+        """The t = s^2 <= 1 where the edge table reaches ``target``: a table
+        lookup for s refined by four clipped Newton steps."""
+        f = _edge_density(self.params, vertical=False)
+        s = np.interp(target, self._xi_grid, self._s_grid)
         for _ in range(4):
-            s = s - (self._table_eval(grid, f, s) - target) / f(s)
+            s = s - (self._xi_of_s(s) - target) / f(s)
             s = np.clip(s, 0.0, 1.0)
         return s * s
 
@@ -474,78 +355,9 @@ class TorusChart:
         half = 0.5 * self.width
         flip = xi > half
         target = np.where(flip, self.width - xi, xi)
-        t = self._t_of_table(self._xi_grid, False, target)
+        t = self._t_of_table(target)
         t = np.where(flip, 1.0 / np.maximum(t, 1e-300), t)
         return float(t[0]) if scalar else t
-
-    # -- vertical edges: z = -i t at (0, eta_of_tv(t)) for t <= 1 -----
-
-    def eta_of_tv(self, t):
-        """Chart height of z = -i t on the right vertical edge (0 < t <= 1);
-        for t > 1 returns the height of z = -i t on the LEFT vertical edge,
-        i.e. eta_of_tv(1/t)."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t).copy()
-        if np.any(t <= 0.0) or np.any(~np.isfinite(t)):
-            raise ValueError("eta_of_tv requires finite t > 0")
-        t = np.where(t > 1.0, 1.0 / t, t)
-        out = self._eta_of_s(np.sqrt(t))
-        return float(out[0]) if scalar else out
-
-    def tv_of_eta(self, eta):
-        """Inverse of :meth:`eta_of_tv` on (0, height/2] (the t <= 1 branch)."""
-        eta = np.asarray(eta, dtype=float)
-        scalar = eta.ndim == 0
-        eta = np.atleast_1d(eta).astype(float)
-        if np.any(eta <= 0.0) or np.any(eta > 0.5 * self.height * (1 + 1e-12)):
-            raise ValueError("tv_of_eta requires 0 < eta <= height/2")
-        t = self._t_of_table(self._eta_grid, True, eta)
-        return float(t[0]) if scalar else t
-
-    def reduce(self, xi: float, eta: float) -> Tuple[float, float]:
-        """Lattice-reduce a chart point into [-width, width) x [-height/2, height/2)."""
-        k = math.floor(eta / self.height + 0.5)
-        xi -= k * self.width
-        eta -= k * self.height
-        xi = (xi + self.width) % (2.0 * self.width) - self.width
-        return xi, eta
-
-    def marked_points(self) -> Tuple[MarkedPoint, ...]:
-        """The distinguished points with exact chart positions and w values."""
-        p = self.params
-        W, H = self.width, self.height
-        rho, lam, r, R = p.rho, p.lam, p.r, p.R
-        e4 = complex(np.exp(0.25j * math.pi))
-        em4 = complex(np.exp(-0.25j * math.pi))
-        xi_end = self.xi_of_t(1.0 / lam)
-        xi_vert = self.xi_of_t(lam)
-        zeta_plus = complex(
-            -np.exp(-1j * rho) + math.sqrt(2.0 * math.cos(rho)) * np.exp(-0.5j * rho)
-        )
-        zeta_minus = complex(
-            -np.exp(-1j * rho) - math.sqrt(2.0 * math.cos(rho)) * np.exp(-0.5j * rho)
-        )
-        return (
-            MarkedPoint("node_zero", "upper_left", (0.0, 0.0), 0.0 + 0.0j, 0.0 + 0.0j, "inner"),
-            MarkedPoint("node_infinity", "upper_left", (-W, 0.0), None, 0.0 + 0.0j, "outer"),
-            MarkedPoint("quarter_h_left", "upper_left", (-W / 2, 0.0), 1j, -R * e4, "inner"),
-            MarkedPoint("quarter_h_right", "upper_right", (W / 2, 0.0), 1j, R * e4, "inner"),
-            MarkedPoint("quarter_v_near", "upper_left", (0.0, H / 2), -1j, em4 / R, "inner"),
-            MarkedPoint("quarter_v_far", "upper_left", (-W, H / 2), -1j, -em4 / R, "outer"),
-            MarkedPoint("w_pole_left", "upper_left", (-W / 2, H / 2),
-                        complex(-np.exp(-1j * rho)), None, None),
-            MarkedPoint("w_pole_right", "upper_right", (W / 2, H / 2),
-                        complex(np.exp(1j * rho)), None, None),
-            MarkedPoint("end_left", "upper_left", (-xi_end, 0.0), 1j / lam, -r * e4, "outer"),
-            MarkedPoint("end_right", "upper_right", (xi_end, 0.0), 1j / lam, r * e4, "outer"),
-            MarkedPoint("vertical_normal_left", "upper_left", (-xi_vert, 0.0),
-                        1j * lam, -r * e4, "inner"),
-            MarkedPoint("vertical_normal_right", "upper_right", (xi_vert, 0.0),
-                        1j * lam, r * e4, "inner"),
-            MarkedPoint("w_unit_plus", "upper_right", (W / 4, H / 4), zeta_plus, 1.0 + 0.0j, "auto"),
-            MarkedPoint("w_unit_minus", "upper_left", (-3 * W / 4, H / 4), zeta_minus, -1.0 + 0.0j, "auto"),
-        )
 
 
 def build_chart(params: SurfaceParams) -> TorusChart:
@@ -558,5 +370,4 @@ def build_chart(params: SurfaceParams) -> TorusChart:
         height=2.0 * float(eta_grid[-1]),
         _s_grid=s_grid,
         _xi_grid=xi_grid,
-        _eta_grid=eta_grid,
     )

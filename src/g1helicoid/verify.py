@@ -51,7 +51,7 @@ import numpy as np
 from .cli import json_text
 from .mesh import SurfaceMesh, distance_to_polyline, mesh_patch_D, point_in_polygon
 from .params import SurfaceParams
-from .period_solver import G_integrand_samples, scan_H
+from .period_solver import G_integrand_samples, _converged, scan_H
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
 from .weierstrass import (
     axis_rise,
@@ -796,26 +796,30 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
     integral is strictly negative near the upper corner.
 
     ``spec`` shapes every integral of the check, the Lambda(rho) solves and
-    the G values of its near-corner rows included.
+    the G values of its near-corner rows included.  An integral that misses
+    its tolerance raises :class:`PeriodSolverError`.
     """
     t0 = time.perf_counter()
     c1 = 2.0 * (1.0 - math.sqrt(1.0 + math.pi / 2.0))
     c2 = 4.0 * math.sqrt(1.5) / (3.0 * math.sqrt(2.0))
     four_dp_ok = round(c1, 4) == -1.2067 and round(c2, 4) == 1.1547
 
+    def quad(f, a, b, name, **where):
+        return _converged(integrate(f, a, b, spec), name, **where).value
+
     # comparison integral, closed form vs quadrature
-    q_cmp = integrate(lambda p, da, db: 1.0 / np.sqrt(1.0 - p), -math.pi / 2.0, 0.0, spec)
-    cmp_residual = abs(q_cmp.value - (-c1))
+    q_cmp = quad(lambda p, da, db: 1.0 / np.sqrt(1.0 - p), -math.pi / 2.0, 0.0,
+                 "limit-constant comparison integral")
+    cmp_residual = abs(q_cmp - (-c1))
 
     # limit integral, closed form vs quadrature, and inequality direction
     I_lim_closed = math.sqrt(2.0) * math.log(1.0 + math.sqrt(2.0))
-    q_lim = integrate(
-        lambda p, da, db: 1.0 / np.sqrt(1.0 - np.sin(p)), -math.pi / 2.0, 0.0, spec
-    )
-    lim_residual = abs(q_lim.value - I_lim_closed)
+    q_lim = quad(lambda p, da, db: 1.0 / np.sqrt(1.0 - np.sin(p)), -math.pi / 2.0, 0.0,
+                 "limit-constant limit integral")
+    lim_residual = abs(q_lim - I_lim_closed)
     # sin p >= p on (-pi/2, 0) makes the limit integral the larger one,
     # so its negative respects the displayed -1.2067 bound
-    direction_ok = q_lim.value >= -c1 and (-q_lim.value) <= c1
+    direction_ok = q_lim >= -c1 and (-q_lim) <= c1
 
     # one solve of Lambda(rho) and G per near-corner rho serves every part
     # of the chain below
@@ -835,7 +839,9 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
                 / (den * den * np.sqrt(sin_rho - sp))
             )
 
-        window_vals.append(integrate(integrand, -math.pi / 2.0, 0.0, spec).value)
+        window_vals.append(
+            quad(integrand, -math.pi / 2.0, 0.0, "lower-window integral", rho=rho, Lam=Lam)
+        )
     window_gaps = [abs(v + I_lim_closed) for v in window_vals]
     window_ok = (
         window_gaps[0] > window_gaps[1] > window_gaps[2] and window_gaps[-1] < 0.05
@@ -853,9 +859,9 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
         sing = 2.0 * np.cos(rho - 0.5 * db) * np.sin(0.5 * db)
         return (np.sin(p) - sin_phi_r) * np.cos(p) / np.sqrt(sing)
 
-    q_moment = integrate(moment, phi_r, rho, spec)
+    q_moment = quad(moment, phi_r, rho, "upper-window moment integral", rho=rho, Lam=Lam)
     moment_closed = (4.0 / 3.0) * delta ** 1.5
-    moment_residual = abs(q_moment.value - moment_closed) / moment_closed
+    moment_residual = abs(q_moment - moment_closed) / moment_closed
 
     phis = phi_r + (rho - phi_r) * (np.arange(1, 64) / 64.0)
     s = np.sin(phis)
@@ -872,7 +878,7 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
     # the full period integral is indeed negative near the corner
     G_near = [row[3] for row in rows]
     negative_ok = all(g < 0.0 for g in G_near)
-    combination = -q_lim.value + c2
+    combination = -q_lim + c2
 
     quad_tol = 1e-10
     passed = (
@@ -907,7 +913,7 @@ def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
                 "c1_rounded_4dp": round(c1, 4),
                 "c2_rounded_4dp": round(c2, 4),
                 "comparison_integral_residual": cmp_residual,
-                "limit_integral": q_lim.value,
+                "limit_integral": q_lim,
                 "limit_integral_residual": lim_residual,
                 "window_gap_at_1p45": window_gaps[0],
                 "window_gap_at_1p52": window_gaps[1],

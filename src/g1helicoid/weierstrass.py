@@ -57,8 +57,6 @@ __all__ = [
     "conformality_residual",
     "Segment",
     "seg_edge_up_from_zero",
-    "seg_edge_up_from_infinity",
-    "seg_edge_up",
     "seg_edge_down_from_zero",
     "seg_edge_down_from_infinity",
     "seg_arc",
@@ -166,28 +164,6 @@ def seg_edge_up_from_zero(sheet: str, m: float) -> Segment:
         lambda s: 1j * m * s * s,
         lambda s: 2j * m * s,
         f"edge_up[0->{m:g}]@{sheet}",
-    )
-
-
-def seg_edge_up_from_infinity(sheet: str, m: float) -> Segment:
-    """Bottom-edge leg z = i t from the node z=oo in to t = m (t = m / s^2)."""
-    m = float(m)
-    return Segment(
-        sheet, "outer",
-        lambda s: 1j * m / (s * s),
-        lambda s: -2j * m / (s * s * s),
-        f"edge_up[inf->{m:g}]@{sheet}",
-    )
-
-
-def seg_edge_up(sheet: str, t0: float, t1: float) -> Segment:
-    """Bottom-edge leg z = i t, t linear from t0 to t1 (no singular endpoint)."""
-    t0, t1 = float(t0), float(t1)
-    return Segment(
-        sheet, "auto",
-        lambda s: 1j * (t0 + (t1 - t0) * s),
-        lambda s: 1j * (t1 - t0) * np.ones_like(s),
-        f"edge_up[{t0:g}->{t1:g}]@{sheet}",
     )
 
 

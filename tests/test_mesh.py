@@ -4,7 +4,10 @@ planar-graph property, and file-format round-trips."""
 import csv
 import math
 import os
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -284,23 +287,37 @@ def test_small_patches_sweep_on_one_thread_and_large_ones_on_two(params, monkeyp
 
 
 def test_no_level_starts_after_a_failing_level(params, monkeypatch):
-    # the first level's anchor is off, so its closure check fails; the levels
-    # the threads took up meanwhile finish, and the queued rest are cancelled
+    # the first level's anchor is off, so its closure check fails; every
+    # other level holds in its anchor until the pool has cancelled the queue,
+    # so only the levels the two threads took up meanwhile can start
     inner, outer = _level_values(params, 48, 1e-2, 10.0 / params.lam)
     started = []
+    cancelled = threading.Event()
+    deadline = time.monotonic() + 10.0  # a regression fails instead of hanging
     real_anchor = mesh.x3_E
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            cancelled.set()
+            super().shutdown(wait=wait)
 
     def anchor(params, t):
         started.append(t)
-        return real_anchor(params, t) + (1.0 if t == inner[0] else 0.0)
+        if t == inner[0]:
+            return real_anchor(params, t) + 1.0
+        cancelled.wait(max(0.0, deadline - time.monotonic()))
+        return real_anchor(params, t)
 
+    monkeypatch.setattr(mesh, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(mesh, "x3_E", anchor)
     monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(MeshError, match=f"closure failure at level t={inner[0]:.6g}, "):
         mesh_patch_D(params, resolution=48, cutoff=1e-2)
-    # a sweep of every inner level would start all 47; about 4 start
-    assert len(started) <= len(inner) // 4
+    assert cancelled.is_set()
+    # the failing level plus at most one more per thread
+    assert len(started) <= 3
 
 
 def test_the_first_level_with_a_non_finite_integrand_is_reported(params, monkeypatch):

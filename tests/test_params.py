@@ -47,12 +47,6 @@ def test_r_squared_identity():
     assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
-def test_from_Lambda_roundtrip():
-    p = SurfaceParams.from_Lambda(0.7, LAM_OF_0_7)
-    assert p.Lambda == pytest.approx(LAM_OF_0_7, rel=1e-14)
-    assert 0.0 < p.lam < 1.0
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 def test_lambda_Lambda_involution(lam):

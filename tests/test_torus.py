@@ -1,5 +1,5 @@
-"""The spectral curve (rhombic torus): sheeted square root, symmetries,
-chart geometry, and marked points."""
+"""The spectral curve (rhombic torus): sheeted square root, the three
+half-turns, chart geometry, and marked points."""
 
 import cmath
 import math
@@ -14,16 +14,8 @@ from g1helicoid.torus import (
     SHEETS,
     SYMMETRIES,
     SheetDomainError,
-    apply_symmetry,
     build_chart,
-    curve_rhs,
-    du_dz,
     lift_angle_left,
-    master_relation_residual,
-    mobius_flip_z,
-    ring_modulus,
-    slit_modulus,
-    slit_tip_angle,
     tau_horizontal,
     tau_vertical,
     w_branch_left,
@@ -38,6 +30,61 @@ WIDTH_AT_RHO0 = 2.857855157377792
 HEIGHT_AT_RHO0 = 2.0275333056426
 
 P = SurfaceParams.create(0.5, 0.61)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the curve equation and |w| on the unit circle, in closed form
+# ---------------------------------------------------------------------------
+
+
+def curve_rhs(params, z):
+    """Right-hand side of the curve equation, i.e. the value of w^2 at z."""
+    z = np.asarray(z, dtype=complex)
+    ea = np.exp(1j * params.rho)
+    eb = np.exp(-1j * params.rho)
+    return 2.0 * math.cos(params.rho) * z / ((ea - z) * (z + eb))
+
+
+def master_relation_residual(params, z, w):
+    """Residual of ``(2 cos rho)/w^2 + (z - 1/z - 2 i sin rho)`` (zero on curve)."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    return 2.0 * math.cos(params.rho) / (w * w) + (z - 1.0 / z - 2j * math.sin(params.rho))
+
+
+def ring_modulus(params, theta):
+    """|w| on the interior unit-circle arcs, z = e^{i theta}, sin theta > sin rho."""
+    theta = np.asarray(theta, dtype=float)
+    return np.sqrt(math.cos(params.rho) / (np.sin(theta) - math.sin(params.rho)))
+
+
+def slit_modulus(params, phi):
+    """|w| on the slit banks, z = -e^{-i phi} with phi in (-pi/2, rho)."""
+    phi = np.asarray(phi, dtype=float)
+    return np.sqrt(math.cos(params.rho) / (math.sin(params.rho) - np.sin(phi)))
+
+
+def marked_points(params):
+    """(name, sheet, z, w, region) of the distinguished points with finite
+    nonzero z and finite w; ``region`` is None where only the curve equation
+    is checked."""
+    rho, lam, r, R = params.rho, params.lam, params.r, params.R
+    e4 = cmath.exp(0.25j * math.pi)
+    em4 = cmath.exp(-0.25j * math.pi)
+    zeta = -cmath.exp(-1j * rho)
+    zeta_shift = math.sqrt(2.0 * math.cos(rho)) * cmath.exp(-0.5j * rho)
+    return (
+        ("quarter_h_left", "upper_left", 1j, -R * e4, "inner"),
+        ("quarter_h_right", "upper_right", 1j, R * e4, "inner"),
+        ("quarter_v_near", "upper_left", -1j, em4 / R, "inner"),
+        ("quarter_v_far", "upper_left", -1j, -em4 / R, "outer"),
+        ("end_left", "upper_left", 1j / lam, -r * e4, "outer"),
+        ("end_right", "upper_right", 1j / lam, r * e4, "outer"),
+        ("vertical_normal_left", "upper_left", 1j * lam, -r * e4, "inner"),
+        ("vertical_normal_right", "upper_right", 1j * lam, r * e4, "inner"),
+        ("w_unit_plus", "upper_right", zeta + zeta_shift, 1.0 + 0.0j, None),
+        ("w_unit_minus", "upper_left", zeta - zeta_shift, -1.0 + 0.0j, None),
+    )
 
 
 def _left_points(rng_seed, n=64):
@@ -80,6 +127,8 @@ def test_wrong_half_plane_rejected():
     with pytest.raises(SheetDomainError):
         w_on_sheet(P, "upper_left", 1.0 + 0.5j)
     with pytest.raises(SheetDomainError):
+        w_branch_left(P, 1.0 + 0.5j, "outer")
+    with pytest.raises(SheetDomainError):
         lift_angle_left(np.array([0.3 + 0.1j]))
 
 
@@ -106,39 +155,27 @@ def test_branch_points_have_unit_w_squared_factor():
     assert abs(curve_rhs(P, 1e12)) < 1e-10
     tip = -cmath.exp(-1j * P.rho)
     assert abs(curve_rhs(P, tip * (1.0 + 1e-10))) > 1e8
-    assert slit_tip_angle(P) == pytest.approx(math.pi - P.rho, rel=1e-15)
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIES))
 def test_symmetry_preserves_curve(name):
     z = _left_points(5, n=32)
     w = w_on_sheet(P, "upper_left", z)
-    z2, w2 = apply_symmetry(P, name, z, w)
-    res = master_relation_residual(P, z2, w2)
+    act = SYMMETRIES[name]
+    res = master_relation_residual(P, act.z_map(P, z), act.w_map(P, w))
     assert np.max(np.abs(res)) < 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIES))
 def test_symmetry_is_involution(name):
-    # every named action squares to the identity on (z, w); for the
-    # half-lattice translation the square is a full lattice vector
+    # each half-turn squares to the identity on (z, w)
     z = _left_points(7, n=16)
     w = w_on_sheet(P, "upper_left", z)
-    z2, w2 = apply_symmetry(P, name, z, w)
-    z3, w3 = apply_symmetry(P, name, z2, w2)
+    act = SYMMETRIES[name]
+    z3 = act.z_map(P, act.z_map(P, z))
+    w3 = act.w_map(P, act.w_map(P, w))
     assert np.max(np.abs(z3 - z)) < 1e-10
     assert np.max(np.abs(w3 - w)) < 1e-10
-
-
-def test_mobius_flip_is_involution_pointwise():
-    z = _left_points(13, n=16)
-    assert np.max(np.abs(mobius_flip_z(P, mobius_flip_z(P, z)) - z)) < 1e-11
-
-
-def test_du_dz_value():
-    z = 0.4 + 0.9j
-    w = 1.1 - 0.2j
-    assert du_dz(z, w) == pytest.approx(w / (2 * z), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +205,6 @@ def test_chart_edge_tables_roundtrip(chart):
     t = np.linspace(0.05, 0.95, 17)
     xi = chart.xi_of_t(t)
     assert np.max(np.abs(chart.t_of_xi(xi) - t)) < 1e-10
-    eta = chart.eta_of_tv(t)
-    assert np.max(np.abs(chart.tv_of_eta(eta) - t)) < 1e-10
 
 
 def test_chart_edge_symmetry(chart):
@@ -178,40 +213,13 @@ def test_chart_edge_symmetry(chart):
         assert chart.xi_of_t(t) + chart.xi_of_t(1.0 / t) == pytest.approx(
             chart.width, rel=1e-11
         )
-    # the vertical edge table folds t > 1 back to 1/t
-    assert chart.eta_of_tv(2.0) == pytest.approx(chart.eta_of_tv(0.5), rel=1e-13)
 
 
-def test_chart_reduce(chart):
-    W, H = chart.width, chart.height
-    xi, eta = chart.reduce(0.3 * W + 2 * W, 0.1 * H + 2 * H)
-    assert xi == pytest.approx(0.3 * W, abs=1e-12)
-    assert eta == pytest.approx(0.1 * H, abs=1e-12)
-
-
-def test_marked_points_on_curve(chart):
-    p = chart.params
-    for q in chart.marked_points():
-        if q.z is None or q.w is None:
-            continue
-        if abs(q.z) > 1e-9:
-            res = master_relation_residual(p, q.z, q.w)
-            assert abs(res) < 1e-10, q.name
-        if q.region in ("inner", "outer") and abs(q.z) > 1e-9:
-            w_direct = w_on_sheet(p, q.sheet, q.z, q.region)
-            assert abs(w_direct - q.w) < 1e-10, q.name
-
-
-def test_marked_point_chart_positions(chart):
-    mp = {q.name: q for q in chart.marked_points()}
-    W, H = chart.width, chart.height
-    assert mp["node_zero"].chart == (0.0, 0.0)
-    assert mp["w_pole_left"].chart == (-W / 2, H / 2)
-    xi_end = mp["end_right"].chart[0]
-    xi_vert = mp["vertical_normal_right"].chart[0]
-    assert 0 < xi_vert < W / 2 < xi_end < W
-    # ends and vertical-normal points sit mirror-symmetric about W/2
-    assert xi_end + xi_vert == pytest.approx(W, rel=1e-10)
+def test_marked_points_on_curve(params):
+    for name, sheet, z, w, region in marked_points(params):
+        assert abs(master_relation_residual(params, z, w)) < 1e-10, name
+        if region is not None:
+            assert abs(w_on_sheet(params, sheet, z, region) - w) < 1e-10, name
 
 
 @settings(max_examples=40, deadline=None)

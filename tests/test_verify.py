@@ -1,6 +1,7 @@
 """The verification suite itself: every check passes at the solution, the
 report serializes deterministically, and the guard rails trip correctly."""
 
+import dataclasses
 import inspect
 import json
 import math
@@ -9,10 +10,10 @@ import os
 import numpy as np
 import pytest
 
-from g1helicoid import mesh
+from g1helicoid import NumericError, mesh, verify
 from g1helicoid import weierstrass as W
 from g1helicoid.mesh import SurfaceMesh, distance_to_polyline, point_in_polygon
-from g1helicoid.period_solver import scan_H
+from g1helicoid.period_solver import PeriodSolverError, scan_H
 from g1helicoid.quadrature import DEFAULT_SPEC
 from g1helicoid.verify import (
     _GRAPH_BINS,
@@ -160,6 +161,39 @@ def test_limit_constants_check():
     assert res.value < 0.0  # the combined bound is strictly negative
     # the check's spec also shapes the Lambda(rho) solve and G of each row
     assert res.detail("G_at_1p45") == scan_H((1.45,), DEFAULT_SPEC)[0][3]
+
+
+def test_limit_constants_check_rejects_an_unconverged_integral(monkeypatch):
+    # each of its six integrals in turn misses its tolerance: the check raises
+    # a NumericError (the CLI exits 1) that names it, its estimate and level
+    names = [
+        "limit-constant comparison integral did not converge",
+        "limit-constant limit integral did not converge",
+        "lower-window integral(rho=1.45, Lam=",
+        "lower-window integral(rho=1.52, Lam=",
+        "lower-window integral(rho=1.55, Lam=",
+        "upper-window moment integral(rho=1.55, Lam=",
+    ]
+    real_integrate = verify.integrate
+    for k, name in enumerate(names):
+        calls = []
+
+        def integrate(*args, k=k, calls=calls):
+            res = real_integrate(*args)
+            calls.append(res)
+            return dataclasses.replace(res, converged=False) if len(calls) == k + 1 else res
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "integrate", integrate)
+            with pytest.raises(PeriodSolverError) as exc:
+                check_limit_constants(DEFAULT_SPEC)
+        bad = calls[k]
+        assert isinstance(exc.value, NumericError)
+        assert str(exc.value).startswith(name)
+        assert str(exc.value).endswith(
+            f"did not converge: error estimate {bad.error_estimate:.3e} at level {bad.levels_used}"
+        )
+        assert len(calls) == k + 1
 
 
 def test_diagnostic_checks_flagged():

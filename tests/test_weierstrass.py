@@ -10,13 +10,33 @@ import g1helicoid.mesh as mesh
 import g1helicoid.weierstrass as W
 from g1helicoid.params import SurfaceParams, lambda_from_Lambda
 from g1helicoid.period_solver import F_integral, G_integral
-from g1helicoid.torus import SHEETS, build_chart, w_on_sheet
+from g1helicoid.torus import SHEETS, w_on_sheet
 
 # Frozen reference values.
 A0 = 0.4348562680146608        # height of the upper slit-curve endpoint
 X1_TIP = -0.5536234052449172   # first coordinate of the slit-curve tip
 
 P = SurfaceParams.create(0.5, 0.61)
+
+
+def seg_edge_up(sheet, t0, t1):
+    """Bottom-edge leg z = i t, t linear from t0 to t1 (no singular endpoint)."""
+    return W.Segment(
+        sheet, "auto",
+        lambda s: 1j * (t0 + (t1 - t0) * s),
+        lambda s: 1j * (t1 - t0) * np.ones_like(s),
+        f"edge_up[{t0:g}->{t1:g}]@{sheet}",
+    )
+
+
+def seg_edge_up_from_infinity(sheet, m):
+    """Bottom-edge leg z = i t from the node z=oo in to t = m (t = m / s^2)."""
+    return W.Segment(
+        sheet, "outer",
+        lambda s: 1j * m / (s * s),
+        lambda s: -2j * m / (s * s * s),
+        f"edge_up[inf->{m:g}]@{sheet}",
+    )
 
 
 def _left_points(seed, n=100):
@@ -56,20 +76,18 @@ def test_gauss_map_factorization():
 
 
 def test_gauss_map_vertical_points():
-    chart = build_chart(P)
-    mp = {q.name: q for q in chart.marked_points()}
-    for name, expect_zero in [
-        ("vertical_normal_left", True),
-        ("end_left", True),
-        ("vertical_normal_right", False),
-        ("end_right", False),
+    # the normal is vertical at z = i lam and at the ends z = i/lam
+    for sheet, z, region, expect_zero in [
+        ("upper_left", 1j * P.lam, "inner", True),
+        ("upper_left", 1j / P.lam, "outer", True),
+        ("upper_right", 1j * P.lam, "inner", False),
+        ("upper_right", 1j / P.lam, "outer", False),
     ]:
-        q = mp[name]
-        g = W.gauss_map(P, q.sheet, q.z * (1 + 1e-8), q.region)
+        g = W.gauss_map(P, sheet, z * (1 + 1e-8), region)
         if expect_zero:
-            assert abs(g) < 1e-3, name
+            assert abs(g) < 1e-3, (sheet, z)
         else:
-            assert abs(g) > 1e3, name
+            assert abs(g) > 1e3, (sheet, z)
 
 
 def test_gauss_map_formula_moebius():
@@ -139,7 +157,7 @@ def test_x2_H1_matches_path_integral(params, m):
 
 @pytest.mark.parametrize("m", [2.5, 5.0])
 def test_x2_H2_matches_path_integral(params, m):
-    seg = W.seg_edge_up_from_infinity("upper_left", m)
+    seg = seg_edge_up_from_infinity("upper_left", m)
     val = W.integrate_path(params, [seg])
     assert val[1].real == pytest.approx(W.x2_H2(params, m), abs=1e-11)
 
@@ -253,7 +271,7 @@ def test_tip_position(params):
 def test_positions_along_edge(params):
     # walking the bottom edge reproduces the closed form at every break
     s = np.linspace(0.0, 1.0, 9)
-    seg = W.seg_edge_up("upper_left", 0.2, 0.9)
+    seg = seg_edge_up("upper_left", 0.2, 0.9)
     pos = W.positions_along(params, seg, s, np.zeros(3))
     t = 0.2 + 0.7 * s
     progress = np.array([W.x2_H1(params, tt) for tt in t])
@@ -336,21 +354,21 @@ def test_arc_positions_bisect_like_positions_along(params, monkeypatch):
 
 
 def test_integrate_path_additivity(params):
-    whole = W.integrate_path(params, [W.seg_edge_up("upper_left", 0.2, 0.9)])
+    whole = W.integrate_path(params, [seg_edge_up("upper_left", 0.2, 0.9)])
     parts = W.integrate_path(
         params,
         [
-            W.seg_edge_up("upper_left", 0.2, 0.5),
-            W.seg_edge_up("upper_left", 0.5, 0.9),
+            seg_edge_up("upper_left", 0.2, 0.5),
+            seg_edge_up("upper_left", 0.5, 0.9),
         ],
     )
     assert np.max(np.abs(whole - parts)) < 1e-12
 
 
 def test_reversed_segment(params):
-    fwd = W.integrate_path(params, [W.seg_edge_up("upper_left", 0.2, 0.9)])
+    fwd = W.integrate_path(params, [seg_edge_up("upper_left", 0.2, 0.9)])
     rev = W.integrate_path(
-        params, [W.reversed_segment(W.seg_edge_up("upper_left", 0.2, 0.9))]
+        params, [W.reversed_segment(seg_edge_up("upper_left", 0.2, 0.9))]
     )
     assert np.max(np.abs(fwd + rev)) < 1e-12
 
