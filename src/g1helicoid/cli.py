@@ -88,7 +88,6 @@ class RunConfig:
     rho: Optional[float] = None
     lam: Optional[float] = None
     verify_grid: int = 100
-    config_path: Optional[str] = None
     out: Optional[str] = None
 
     def validate(self) -> None:
@@ -217,10 +216,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
             if key in takes:
                 file_values[key] = _coerce(key, text)
 
-    values: Dict[str, object] = {
-        "subcommand": args.subcommand,
-        "config_path": args.config,
-    }
+    values: Dict[str, object] = {"subcommand": args.subcommand}
     for key in _OPTIONS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:

@@ -465,9 +465,6 @@ def mesh_patch_D(
     c_proj[:, 2] = 0.0
     boundary["c"] = c_proj
 
-    interior = np.ones(len(vertices), dtype=bool)
-    interior[np.concatenate(list(seam_ids.values()) + [end_ids])] = False
-
     metadata: Dict[str, object] = {
         "rho0": params.rho,
         "lambda0": params.lam,
@@ -477,7 +474,6 @@ def mesh_patch_D(
         "resolution": resolution,
         "cutoff": cutoff,
         "worst_x1_closed_form_dev": worst_x1,
-        "interior_mask": interior,
         "seam_ids": seam_ids,
     }
 
@@ -531,10 +527,6 @@ def _append_asymptotic_cap(
     strips = zip(ring_ids[:-1], ring_ids[1:])
     mesh.faces = np.vstack(
         [mesh.faces] + [_strip_faces(mesh.vertices, lo, hi) for lo, hi in strips]
-    )
-    interior = mesh.metadata["interior_mask"]
-    mesh.metadata["interior_mask"] = np.concatenate(
-        [interior, np.zeros(n_new, dtype=bool)]
     )
     mesh.metadata["asymptotic_cap"] = {"vertex_start": int(n0), "vertex_count": int(n_new)}
 
@@ -661,7 +653,6 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
     }
 
     metadata = dict(patch.metadata)
-    metadata.pop("interior_mask", None)
     metadata.pop("seam_ids", None)
     metadata["weld_tol"] = weld_tol
     metadata["weld_duplicates_removed"] = removed
@@ -879,13 +870,25 @@ def _obj_columns(lines: List[bytes], dtype, path: str) -> np.ndarray:
         raise MeshError(f"malformed OBJ record in {path!r}: {exc}") from exc
 
 
+def _require_vertex_indices(faces: np.ndarray, nv: int, path: str, first: int) -> None:
+    """Raise :class:`MeshError` naming the first face that refers to no vertex;
+    the file numbers the ``nv`` vertices from ``first``."""
+    if len(faces) and (faces.min() < 0 or faces.max() >= nv):
+        k = int(np.flatnonzero(np.any((faces < 0) | (faces >= nv), axis=1))[0])
+        raise MeshError(
+            f"{path!r}: face {k} ({' '.join(str(i + first) for i in faces[k])}) refers to "
+            f"a vertex outside {first}..{nv - 1 + first}"
+        )
+
+
 def import_obj(path: str) -> SurfaceMesh:
     """Read the lines that begin ``v `` and ``f `` of an OBJ file.
 
     A vertex is the first three coordinates of its line, a face the first
     three vertex references (``f a/b/c`` keeps ``a``); other lines are
-    skipped.  A record with fewer than three fields, or a field that is not
-    a number, raises :class:`MeshError`."""
+    skipped.  A record with fewer than three fields, a field that is not a
+    number, or a reference that is not a vertex number (1 to the vertex
+    count; relative references are not read) raises :class:`MeshError`."""
     try:
         with open(path, "rb") as fh:
             lines = fh.read().splitlines()
@@ -900,6 +903,7 @@ def import_obj(path: str) -> SurfaceMesh:
         faces = _obj_columns(f_lines, np.int64, path) - 1
     else:
         faces = np.empty((0, 3), dtype=np.int64)
+    _require_vertex_indices(faces, len(v_lines), path, 1)
     return SurfaceMesh(_obj_columns(v_lines, float, path), faces)
 
 
@@ -947,7 +951,8 @@ def export_ply(mesh: SurfaceMesh, path: str) -> None:
 
 def import_ply(path: str) -> SurfaceMesh:
     """Read a PLY file in the layout :func:`export_ply` writes; any other
-    header raises :class:`MeshError` naming its first unsupported line."""
+    header raises :class:`MeshError` naming its first unsupported line, and a
+    face index outside the vertex range raises it too."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -980,7 +985,9 @@ def import_ply(path: str) -> SurfaceMesh:
     bad = np.flatnonzero(records["n"] != 3)
     if len(bad):
         raise MeshError(f"{path!r}: non-triangular face of size {records['n'][bad[0]]}")
-    return SurfaceMesh(vertices.copy(), records["i"].astype(int))
+    faces = records["i"].astype(int)
+    _require_vertex_indices(faces, nv, path, 0)
+    return SurfaceMesh(vertices.copy(), faces)
 
 
 def export_curves_csv(mesh: SurfaceMesh, path: str) -> None:

@@ -74,10 +74,6 @@ class BracketSignError(PeriodSolverError):
 class NoSignChangeError(PeriodSolverError):
     """The rho-scan of G(rho, Lambda(rho)) found no sign change."""
 
-    def __init__(self, message: str, table: List[Tuple[float, float, float, float]]):
-        super().__init__(message)
-        self.table = table
-
 
 def _brent(
     f: Callable[[float], float], a: float, b: float, fa: float, fb: float, xtol: float
@@ -270,9 +266,6 @@ class PeriodSolution:
     Lambda0: float
     residual_F: float
     residual_G: float
-    sign_changes: List[Tuple[float, float]]
-    table: List[Tuple[float, float, float, float]]  # (rho, Lambda(rho), F, G)
-    bracket_used: Tuple[float, float]
 
 
 def scan_H(
@@ -301,16 +294,15 @@ def solve_period_problem(
     """Solve both period conditions; returns the closed parameter set.
 
     A ``grid_size``-point scan of ``H(rho) = G(rho, Lambda(rho))`` over
-    ``(rho_min, rho_max)`` locates every sign change (all are reported; no
-    uniqueness is asserted).  The first bracket is refined to ``root_tol``
-    in rho by Brent's method, which starts from the two scan values of H at
-    its ends instead of solving them again.
+    ``(rho_min, rho_max)`` locates the first sign change (no uniqueness is
+    asserted).  That bracket is refined to ``root_tol`` in rho by Brent's
+    method, which starts from the two scan values of H at its ends instead
+    of solving them again.
 
     Raises
     ------
     NoSignChangeError
-        If the scan finds no sign change; the sampled table is attached to
-        the exception for inspection.
+        If the scan finds no sign change.
     PeriodSolverError
         If a root solve does not converge within 100 iterations.
     """
@@ -323,22 +315,19 @@ def solve_period_problem(
         for i in range(len(table) - 1)
         if g_vals[i] == 0.0 or (g_vals[i] < 0.0) != (g_vals[i + 1] < 0.0)
     ]
-    sign_changes = [(table[i][0], table[i + 1][0]) for i in changes]
-    if not sign_changes:
+    if not changes:
         raise NoSignChangeError(
             f"no sign change of G(rho, Lambda(rho)) on ({rho_min}, {rho_max}) "
-            f"with {grid_size} samples",
-            table,
+            f"with {grid_size} samples"
         )
-
-    lo, hi = sign_changes[0]
+    i = changes[0]
 
     def H(rho: float) -> float:
         Lam = solve_Lambda_of_rho(rho, spec, root_tol=1e-13)
         return G_integral(rho, Lam, spec).value
 
     # the scan used the same spec and inner root_tol, so its G values are H
-    rho0 = _brent(H, lo, hi, g_vals[changes[0]], g_vals[changes[0] + 1], root_tol)
+    rho0 = _brent(H, table[i][0], table[i + 1][0], g_vals[i], g_vals[i + 1], root_tol)
     Lambda0 = solve_Lambda_of_rho(rho0, spec, root_tol=1e-14)
     lambda0 = lambda_from_Lambda(Lambda0)
     residual_F = F_integral(rho0, Lambda0, spec).value
@@ -351,9 +340,6 @@ def solve_period_problem(
         Lambda0=Lambda0,
         residual_F=residual_F,
         residual_G=residual_G,
-        sign_changes=sign_changes,
-        table=table,
-        bracket_used=(lo, hi),
     )
 
 

@@ -37,9 +37,7 @@ Chart edges of ``upper_left`` (t, tt > 0):
                               outer bank  w = -|w| e^{-i pi/4},
                               |w|^2 = cos rho / (sin rho - sin phi) at z = -e^{-i phi}
 
-Only the bottom edge has a position table (:meth:`TorusChart.xi_of_t`); the
-vertical edges enter through ``height``, twice the chart length of the right
-edge.
+Only the bottom edge has a position table (:meth:`TorusChart.xi_of_t`).
 
 The two punctures sit on the bottom edges at z = i/lam (one on the
 ``upper_left``/``lower_left`` shared edge, one on the mirror edge).
@@ -262,14 +260,13 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
-# Uniform s-intervals of the chart edge tables.
+# Uniform s-intervals of the bottom-edge table.
 _N_TABLE = 1024
 
 
-def _edge_density(params: SurfaceParams, vertical: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Chart speed d(xi)/ds along an edge, with t = s^2 (quartic form)."""
-    sgn = 1.0 if vertical else -1.0
-    two_sin = 2.0 * math.sin(params.rho) * sgn
+def _edge_density(params: SurfaceParams) -> Callable[[np.ndarray], np.ndarray]:
+    """Chart speed d(xi)/ds along the bottom edge, with t = s^2 (quartic form)."""
+    two_sin = -2.0 * math.sin(params.rho)
     pref = math.sqrt(2.0 * math.cos(params.rho))
 
     def f(s: np.ndarray) -> np.ndarray:
@@ -295,20 +292,19 @@ def _gl_cumulative(f: Callable, n_intervals: int) -> Tuple[np.ndarray, np.ndarra
 class TorusChart:
     """Precomputed chart geometry for one parameter set.
 
-    ``width``/``height`` are the fundamental dimensions; the bottom-edge
-    table gives machine-accurate xi(t) and its inverse.
+    ``width`` is the horizontal period of the chart; the bottom-edge table
+    gives machine-accurate xi(t) and its inverse.
     """
 
     params: SurfaceParams
     width: float
-    height: float
     _s_grid: np.ndarray
     _xi_grid: np.ndarray
 
     # -- horizontal edge: z = i t at chart (+/- xi_of_t(t), 0) --------
 
     def _xi_of_s(self, s: np.ndarray) -> np.ndarray:
-        f = _edge_density(self.params, vertical=False)
+        f = _edge_density(self.params)
         s = np.asarray(s, dtype=float)
         n = len(self._s_grid) - 1
         idx = np.clip(
@@ -323,7 +319,7 @@ class TorusChart:
     def _t_of_table(self, target: np.ndarray) -> np.ndarray:
         """The t = s^2 <= 1 where the edge table reaches ``target``: a table
         lookup for s refined by four clipped Newton steps."""
-        f = _edge_density(self.params, vertical=False)
+        f = _edge_density(self.params)
         s = np.interp(target, self._xi_grid, self._s_grid)
         for _ in range(4):
             s = s - (self._xi_of_s(s) - target) / f(s)
@@ -361,13 +357,11 @@ class TorusChart:
 
 
 def build_chart(params: SurfaceParams) -> TorusChart:
-    """Build the chart geometry (edge tables at machine accuracy)."""
-    s_grid, xi_grid = _gl_cumulative(_edge_density(params, vertical=False), _N_TABLE)
-    _, eta_grid = _gl_cumulative(_edge_density(params, vertical=True), _N_TABLE)
+    """Build the chart geometry (the bottom-edge table at machine accuracy)."""
+    s_grid, xi_grid = _gl_cumulative(_edge_density(params), _N_TABLE)
     return TorusChart(
         params=params,
         width=2.0 * float(xi_grid[-1]),
-        height=2.0 * float(eta_grid[-1]),
         _s_grid=s_grid,
         _xi_grid=xi_grid,
     )

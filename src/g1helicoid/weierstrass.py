@@ -649,15 +649,15 @@ def _anchor_value(name: str, params: SurfaceParams, m: float, res: QuadratureRes
     return float(res.value)
 
 
-def x2_H1(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
+def x2_H1(params: SurfaceParams, m: float) -> float:
     """Total |x2| progress along the bottom edge from the node to t = m < 1/lam."""
     if not 0.0 < m < 1.0 / params.lam:
         raise ValueError(f"m={m!r} outside (0, 1/lam)")
-    res = integrate(lambda t, da, db: -x2_rate_edge(params, t), 0.0, float(m), spec)
+    res = integrate(lambda t, da, db: -x2_rate_edge(params, t), 0.0, float(m), _ANCHOR_SPEC)
     return _anchor_value("x2_H1", params, m, res)
 
 
-def x2_H2(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
+def x2_H2(params: SurfaceParams, m: float) -> float:
     """Remaining |x2| along the bottom edge from t = m > 1/lam out to the node at oo."""
     if not m > 1.0 / params.lam:
         raise ValueError(f"m={m!r} must exceed 1/lam")
@@ -666,18 +666,19 @@ def x2_H2(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) 
         t = 1.0 / s
         return -x2_rate_edge(params, t) * t * t
 
-    return _anchor_value("x2_H2", params, m, integrate(integrand, 0.0, 1.0 / float(m), spec))
+    res = integrate(integrand, 0.0, 1.0 / float(m), _ANCHOR_SPEC)
+    return _anchor_value("x2_H2", params, m, res)
 
 
-def x3_E(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
+def x3_E(params: SurfaceParams, m: float) -> float:
     """x3 rise along the right vertical edge from the node to t = m."""
     if m <= 0.0:
         raise ValueError("m must be positive")
-    res = integrate(lambda t, da, db: x3_rate_vertical(params, t), 0.0, float(m), spec)
+    res = integrate(lambda t, da, db: x3_rate_vertical(params, t), 0.0, float(m), _ANCHOR_SPEC)
     return _anchor_value("x3_E", params, m, res)
 
 
-def x3_E_tail(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SPEC) -> float:
+def x3_E_tail(params: SurfaceParams, m: float) -> float:
     """Integral of the vertical-edge x3 rate from t = m out to oo."""
     if m <= 0.0:
         raise ValueError("m must be positive")
@@ -686,7 +687,8 @@ def x3_E_tail(params: SurfaceParams, m: float, spec: QuadratureSpec = _ANCHOR_SP
         t = 1.0 / s
         return x3_rate_vertical(params, t) * t * t
 
-    return _anchor_value("x3_E_tail", params, m, integrate(integrand, 0.0, 1.0 / float(m), spec))
+    res = integrate(integrand, 0.0, 1.0 / float(m), _ANCHOR_SPEC)
+    return _anchor_value("x3_E_tail", params, m, res)
 
 
 def axis_rise(params: SurfaceParams) -> float:
@@ -703,22 +705,13 @@ def x3_Ehat(params: SurfaceParams, m: float) -> float:
     return -0.5 * params.T + x3_E_tail(params, m)
 
 
-def tip_position(params: SurfaceParams, via: str = "ring") -> np.ndarray:
+def tip_position(params: SurfaceParams) -> np.ndarray:
     """X at the left w-pole (the slit tip), expected on the negative x1-axis.
 
-    ``via="ring"`` integrates out the bottom edge to the unit circle and
-    along the interior gluing arc into the tip; ``via="slit"`` goes up the
-    right vertical edge and along the inner slit bank.  The two must agree
-    (homotopic paths), and the point is fixed by the x1-axis half-turn so
-    its x2 and x3 vanish.  The last leg is integrated one digit tighter
-    than the other fixed paths (rel_tol 1e-12, abs_tol 1e-15).
+    Integrates out the bottom edge to the unit circle and along the interior
+    gluing arc into the tip; the point is fixed by the x1-axis half-turn, so
+    its x2 and x3 vanish.  The last leg is integrated one digit tighter than
+    the other fixed paths (rel_tol 1e-12, abs_tol 1e-15).
     """
-    if via == "ring":
-        x0 = np.array([0.0, -x2_H1(params, 1.0), 0.0])
-        seg = seg_ring_left_to_tip(params)
-    elif via == "slit":
-        x0 = np.array([0.0, 0.0, axis_rise(params)])
-        seg = seg_slit_bank(params, "inner")
-    else:
-        raise ValueError(f"via must be 'ring' or 'slit', got {via!r}")
-    return x0 + integrate_path(params, [seg], 1e-12, 1e-15).real
+    x0 = np.array([0.0, -x2_H1(params, 1.0), 0.0])
+    return x0 + integrate_path(params, [seg_ring_left_to_tip(params)], 1e-12, 1e-15).real

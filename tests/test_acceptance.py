@@ -80,11 +80,12 @@ def test_criterion_04_limit_constants_to_4dp():
     """The two closed-form bound constants reproduce to 4 decimal places."""
     res = check_limit_constants()
     assert res.passed
-    assert res.detail("c1_rounded_4dp") == -1.2067
-    assert res.detail("c2_rounded_4dp") == 1.1547
+    details = dict(res.details)
+    assert details["c1_rounded_4dp"] == -1.2067
+    assert details["c2_rounded_4dp"] == 1.1547
     # and the quadrature pipeline agrees with the closed forms
-    assert res.detail("comparison_integral_residual") < 1e-10
-    assert res.detail("limit_integral_residual") < 1e-10
+    assert details["comparison_integral_residual"] < 1e-10
+    assert details["limit_integral_residual"] < 1e-10
 
 
 def test_criterion_05_out_of_branch_impossibility():
@@ -161,25 +162,22 @@ def test_criterion_08_symmetry_pullbacks(params):
     assert worst < 1e-8 * scale
 
 
-def test_criterion_09_embeddedness_spot_checks(params):
+def test_criterion_09_embeddedness_spot_checks(params, patch):
     """Strict height monotonicity on C, convex lens c, strict graph order
     F_hat > F off c on a 10^4-point grid, and the boundary descriptions."""
-    mono = check_x3_monotone_on_C(params, n=1000)
+    mono = check_x3_monotone_on_C(params)
     assert mono.passed
-    convex = check_c_convex(params, n=720)
+    convex = check_c_convex(params)
     assert convex.passed
     assert math.pi < convex.value < 2.0 * math.pi
-    graph = check_graph_disjointness(params, grid=100)
+    graph = check_graph_disjointness(params, patch, grid=100)
     assert graph.passed
-    assert graph.detail("n_grid") == 100 * 100
-    covered = (
-        graph.detail("n_checked")
-        + graph.detail("n_inside_c")
-        + graph.detail("n_near_c")
-    )
-    assert covered == graph.detail("n_grid")
-    assert graph.detail("n_lookup_misses") == 0
-    boundary = check_slab_and_boundary(params, n=64)
+    details = dict(graph.details)
+    assert details["n_grid"] == 100 * 100
+    covered = details["n_checked"] + details["n_inside_c"] + details["n_near_c"]
+    assert covered == details["n_grid"]
+    assert details["n_lookup_misses"] == 0
+    boundary = check_slab_and_boundary(params)
     assert boundary.passed
     assert boundary.tolerance == pytest.approx(1e-8 * params.T)
 

@@ -88,6 +88,19 @@ def test_patch_projects_into_left_half_plane(patch, params):
     assert patch.vertices[:, 0].max() < 1e-8 * params.T
 
 
+def _interior_vertices(mesh):
+    """Mask of the vertices of the faces outside the asymptotic cap that lie
+    on no edge used by only one of those faces."""
+    cap = mesh.metadata.get("asymptotic_cap")
+    faces = mesh.faces[np.all(mesh.faces < cap["vertex_start"], axis=1)] if cap else mesh.faces
+    edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, uses = np.unique(edges, axis=0, return_counts=True)
+    interior = np.zeros(len(mesh.vertices), dtype=bool)
+    interior[faces.ravel()] = True
+    interior[edges[uses == 1].ravel()] = False
+    return interior
+
+
 def _graph_collisions(mesh, T):
     """Check the graph property on the projected triangles.
 
@@ -102,7 +115,7 @@ def _graph_collisions(mesh, T):
     The lookup grid is uniform and the mesh is graded towards the origin, so
     each vertex is looked up in the square box, halving in size, whose outer
     half holds it."""
-    pts = mesh.vertices[mesh.metadata["interior_mask"], :2]
+    pts = mesh.vertices[_interior_vertices(mesh), :2]
     lens = np.asarray(mesh.boundary_polylines["c"])[:, :2]
     pts = pts[~point_in_polygon(pts, lens) & ~(distance_to_polyline(pts, lens) < 0.02 * T)]
     reach = np.abs(pts).max(axis=1)
@@ -140,7 +153,6 @@ def test_graph_collisions_seen_on_a_lifted_second_sheet(patch, params):
         np.vstack([patch.vertices, lifted]),
         np.vstack([faces, faces + n]),
         boundary_polylines={"c": patch.boundary_polylines["c"]},
-        metadata={"interior_mask": np.concatenate([patch.metadata["interior_mask"]] * 2)},
     )
     checked, collisions = _graph_collisions(doubled, T)
     assert checked > 2000
@@ -203,8 +215,8 @@ def test_strip_faces_rejects_a_repeated_row_index(lo, hi):
 @pytest.mark.parametrize("resolution, cutoff", [(48, 1e-2), (8, 5e-2), (23, 3e-3)])
 def test_patch_boundary_is_its_named_curves(patch, params, resolution, cutoff):
     # outside the cap, the edges used by one face are exactly the edges
-    # between consecutive vertices of the named curves, the interior mask
-    # marks the vertices on none of them, and each seam names its curve
+    # between consecutive vertices of the named curves, and each seam names
+    # its curve
     if (resolution, cutoff) != (48, 1e-2):
         patch = mesh_patch_D(params, resolution, cutoff)
     v = patch.vertices
@@ -219,9 +231,6 @@ def test_patch_boundary_is_its_named_curves(patch, params, resolution, cutoff):
     edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     edges, uses = np.unique(edges, axis=0, return_counts=True)
     assert {frozenset(e) for e in edges[uses == 1].tolist()} == curve_edges
-    on_curve = np.zeros(n, dtype=bool)
-    on_curve[list(set().union(*curve_edges))] = True
-    assert np.array_equal(patch.metadata["interior_mask"][:n], ~on_curve)
 
 
 def test_the_levels_that_straddle_the_puncture_are_the_cutoff_rim(params):
@@ -706,6 +715,32 @@ def test_malformed_obj_record_raises_mesh_error(tmp_path, line):
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n" + line)
     with pytest.raises(MeshError, match="bad.obj"):
         import_obj(str(path))
+
+
+@pytest.mark.parametrize(
+    "faces, named",
+    [
+        ("f 1 2 3\nf 0 1 2\n", r"face 1 \(0 1 2\)"),
+        ("f 1 2 9\n", r"face 0 \(1 2 9\)"),
+        ("f -1 -2 -3\n", r"face 0 \(-1 -2 -3\)"),
+    ],
+    ids=["zero", "past_the_end", "relative"],
+)
+def test_obj_face_outside_the_vertices_raises_mesh_error(tmp_path, faces, named):
+    # 0 once wrapped to the last vertex, 9 failed at the first use of the
+    # faces, and relative references were read as absolute ones
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n" + faces)
+    with pytest.raises(MeshError, match=rf"bad.obj': {named} refers to a vertex outside 1\.\.3"):
+        import_obj(str(path))
+
+
+def test_ply_face_outside_the_vertices_raises_mesh_error(tmp_path):
+    path = tmp_path / "bad.ply"
+    export_ply(SurfaceMesh(np.eye(3), np.array([[0, 1, 2], [0, 1, 7]])), str(path))
+    message = r"bad.ply': face 1 \(0 1 7\) refers to a vertex outside 0\.\.2"
+    with pytest.raises(MeshError, match=message):
+        import_ply(str(path))
 
 
 def test_ply_roundtrip_exact(patch, tmp_path):

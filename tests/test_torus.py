@@ -183,22 +183,50 @@ def test_symmetry_is_involution(name):
 # ---------------------------------------------------------------------------
 
 
+def _K(m):
+    """Complete elliptic integral of the first kind, pi / (2 AGM(1, sqrt(1 - m)))
+    (DLMF 19.8.5); ten AGM steps, which converge quadratically."""
+    a, b = 1.0, math.sqrt(1.0 - m)
+    for _ in range(10):
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (2.0 * a)
+
+
+def _closed_width(rho):
+    return math.sqrt(2.0 * math.cos(rho)) * _K((1.0 + math.sin(rho)) / 2.0)
+
+
+def _closed_height(rho):
+    return math.sqrt(2.0 * math.cos(rho)) * _K((1.0 - math.sin(rho)) / 2.0)
+
+
 def test_chart_dimensions_frozen():
     chart = build_chart(P)
     assert chart.width == pytest.approx(WIDTH_AT_05, rel=1e-11)
-    assert chart.height == pytest.approx(HEIGHT_AT_05, rel=1e-11)
 
 
 def test_square_torus_at_zero():
     # rho = 0 sits outside the physical branch but the chart is still defined
     chart = build_chart(SurfaceParams.diagnostic_branch(0.0, 0.5))
     assert chart.width == pytest.approx(WIDTH_AT_0, rel=1e-11)
-    assert chart.height == pytest.approx(WIDTH_AT_0, rel=1e-11)
 
 
 def test_chart_dimensions_at_solution(chart):
     assert chart.width == pytest.approx(WIDTH_AT_RHO0, rel=1e-10)
-    assert chart.height == pytest.approx(HEIGHT_AT_RHO0, rel=1e-10)
+
+
+def test_chart_width_matches_the_closed_form(params):
+    for rho in (0.0, 0.5, params.rho, 1.2):
+        chart = build_chart(SurfaceParams.diagnostic_branch(rho, 0.5))
+        assert math.isclose(chart.width, _closed_width(rho), rel_tol=1e-14), rho
+
+
+def test_frozen_heights_match_the_closed_form(params):
+    # the height of the chart is twice the chart length of a vertical edge;
+    # at rho = 0 the torus is square.  HEIGHT_AT_RHO0 has 14 digits.
+    assert math.isclose(HEIGHT_AT_05, _closed_height(0.5), rel_tol=1e-14)
+    assert math.isclose(HEIGHT_AT_RHO0, _closed_height(params.rho), rel_tol=5e-14)
+    assert math.isclose(WIDTH_AT_0, _closed_height(0.0), rel_tol=1e-14)
 
 
 def test_chart_edge_tables_roundtrip(chart):

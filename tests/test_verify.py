@@ -19,8 +19,6 @@ from g1helicoid.verify import (
     _GRAPH_BINS,
     GEOM_TOL_FACTOR,
     MONOTONE_STEP_SLACK,
-    SLIT_PIECES_MAX,
-    CheckResult,
     _near_polyline,
     _polyline_diameter,
     _ProjectedGraph,
@@ -42,7 +40,7 @@ def report(params):
 
 
 def test_all_checks_pass(report):
-    assert report.all_passed()
+    assert report.passed()
     assert report.n_failed == 0
     assert report.n_failed_diagnostic == 0
     assert len(report.checks) == 7
@@ -68,8 +66,8 @@ def test_report_parameters(report, params):
 
 
 def test_json_roundtrip_and_determinism(report):
-    s1 = report.to_json()
-    s2 = report.to_json()
+    s1 = json_text(report.to_dict())
+    s2 = json_text(report.to_dict())
     assert s1 == s2
     parsed = json.loads(s1)
     assert parsed["rho0"] == report.rho0
@@ -83,7 +81,7 @@ def test_report_does_not_depend_on_the_level_threads(report, params, monkeypatch
     # lowered and two CPUs, on two
     monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert run_all(params=params).to_json() == report.to_json()
+    assert json_text(run_all(params=params).to_dict()) == json_text(report.to_dict())
 
 
 def test_table_mentions_every_check(report):
@@ -101,36 +99,18 @@ def test_json_text_formatting():
 
 
 def test_monotone_check_details(params):
-    res = check_x3_monotone_on_C(params, n=400)
+    res = check_x3_monotone_on_C(params)
     assert res.passed
     assert res.value < 0.0  # worst step is genuinely decreasing
-    assert res.detail("tip_height_residual") < 1e-8 * params.T
-
-
-def test_monotone_check_rejects_tiny_n(params):
-    with pytest.raises(ValueError):
-        check_x3_monotone_on_C(params, n=50)
-
-
-@pytest.mark.parametrize(
-    "check, n",
-    [(check_x3_monotone_on_C, 1002), (check_x3_monotone_on_C, 2000), (check_c_convex, 1002)],
-)
-def test_slit_checks_reject_a_tip_piece_shorter_than_tested(params, check, n):
-    with pytest.raises(ValueError, match="n must be at most 1001"):
-        check(params, n=n)
-
-
-def test_slit_checks_take_the_most_pieces_they_allow(params):
-    assert SLIT_PIECES_MAX == 500
-    assert check_x3_monotone_on_C(params, n=2 * SLIT_PIECES_MAX + 1).passed
+    assert dict(res.details)["tip_height_residual"] < 1e-8 * params.T
+    assert dict(res.details)["n_samples"] == 2 * 500 + 1
 
 
 def test_slit_position_error_bounds_sit_inside_the_check_tolerances(params):
     # positions_along holds each slit piece to rel_tol times the bank's net
     # displacement: one step of the monotone check carries one piece's
     # error, and the tip gap between the two banks' chains the errors of
-    # all 2 * SLIT_PIECES_MAX pieces
+    # all 2 * 500 pieces of the monotone check
     rel_tol = inspect.signature(W.positions_along).parameters["rel_tol"].default
     net = max(
         np.max(np.abs(W.integrate_path(params, [W.seg_slit_bank(params, bank)])))
@@ -138,17 +118,18 @@ def test_slit_position_error_bounds_sit_inside_the_check_tolerances(params):
     )
     piece = rel_tol * net
     assert piece < MONOTONE_STEP_SLACK / 10
-    assert 2 * SLIT_PIECES_MAX * piece < GEOM_TOL_FACTOR * params.T / 3
+    assert 2 * 500 * piece < GEOM_TOL_FACTOR * params.T / 3
 
 
 def test_convexity_check(params):
-    res = check_c_convex(params, n=480)
+    res = check_c_convex(params)
     assert res.passed
+    assert dict(res.details)["n_samples"] == 2 * 360 + 1
     assert math.pi < res.value < 2.0 * math.pi  # total turning of the lens
 
 
 def test_slab_check(params):
-    res = check_slab_and_boundary(params, n=48)
+    res = check_slab_and_boundary(params)
     assert res.passed
     assert res.value < res.tolerance
 
@@ -156,11 +137,12 @@ def test_slab_check(params):
 def test_limit_constants_check():
     res = check_limit_constants(DEFAULT_SPEC)
     assert res.passed
-    assert res.detail("c1_rounded_4dp") == pytest.approx(-1.2067, abs=1e-12)
-    assert res.detail("c2_rounded_4dp") == pytest.approx(1.1547, abs=1e-12)
+    details = dict(res.details)
+    assert details["c1_rounded_4dp"] == pytest.approx(-1.2067, abs=1e-12)
+    assert details["c2_rounded_4dp"] == pytest.approx(1.1547, abs=1e-12)
     assert res.value < 0.0  # the combined bound is strictly negative
     # the check's spec also shapes the Lambda(rho) solve and G of each row
-    assert res.detail("G_at_1p45") == scan_H((1.45,), DEFAULT_SPEC)[0][3]
+    assert details["G_at_1p45"] == scan_H((1.45,), DEFAULT_SPEC)[0][3]
 
 
 def test_limit_constants_check_rejects_an_unconverged_integral(monkeypatch):
@@ -204,7 +186,7 @@ def test_diagnostic_checks_flagged():
 
 
 def test_graph_check_with_data(params, patch):
-    res = check_graph_disjointness(params, grid=40, patch=patch)
+    res = check_graph_disjointness(params, patch, grid=40)
     # value is the smallest F_hat - F gap; passing requires no lookup misses
     assert res.passed and res.value > 0
 
@@ -371,13 +353,8 @@ def test_failed_check_detected():
     from g1helicoid.params import SurfaceParams
 
     off = SurfaceParams.create(0.5, 0.61)
-    res = check_slab_and_boundary(off, n=32)
+    res = check_slab_and_boundary(off)
     assert not res.passed
-
-
-def test_check_result_detail_missing(report):
-    with pytest.raises(KeyError):
-        report.checks[0].detail("no_such_detail")
 
 
 def test_near_mask_prefilter_matches_full_distance(patch):

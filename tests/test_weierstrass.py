@@ -260,8 +260,12 @@ def test_route_independence(params):
 
 
 def test_tip_position(params):
-    tip_r = W.tip_position(params, "ring")
-    tip_s = W.tip_position(params, "slit")
+    # the ring route against the route up the right vertical edge and along
+    # the inner slit bank (homotopic paths)
+    tip_r = W.tip_position(params)
+    tip_s = W.axis_rise(params) * np.array([0.0, 0.0, 1.0]) + W.integrate_path(
+        params, [W.seg_slit_bank(params, "inner")], 1e-12, 1e-15
+    ).real
     assert np.max(np.abs(tip_r - tip_s)) < 1e-9
     assert abs(tip_r[1]) < 1e-9
     assert abs(tip_r[2]) < 1e-9
@@ -382,11 +386,12 @@ def test_reversed_segment(params):
         ("x3_E_tail", lambda lam: 1e-6),
     ],
 )
-def test_unconverged_anchor_raises(params, name, m_of_lam):
+def test_unconverged_anchor_raises(params, name, m_of_lam, monkeypatch):
     level_4 = W.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4)
+    monkeypatch.setattr(W, "_ANCHOR_SPEC", level_4)
     m = m_of_lam(params.lam)
     with pytest.raises(W.IntegrationError) as exc:
-        getattr(W, name)(params, m, level_4)
+        getattr(W, name)(params, m)
     msg = str(exc.value)
     assert msg.startswith(f"{name}(m={m!r}) at rho={params.rho!r}, lam={params.lam!r}")
     assert "did not converge" in msg and "at level 4" in msg

@@ -1,7 +1,7 @@
 """The CI workflow parses, every job has a time limit, each step does
 something, the tier-1 step runs the tier-1 command that ROADMAP.md states,
-with warnings as errors, and the traced benchmark runs cover every workload
-that BENCHMARK.json declares."""
+every pytest step turns warnings into errors, and the traced benchmark runs
+cover every workload that BENCHMARK.json declares."""
 
 import json
 import re
@@ -44,6 +44,13 @@ def test_tier1_step_runs_the_roadmap_command_with_warnings_as_errors():
     (step,) = [step for step in _steps() if step.get("name") == "Tier-1 tests"]
     assert step["run"].strip() == command
     assert step["env"]["PYTHONWARNINGS"] == "error"
+
+
+def test_every_pytest_step_turns_warnings_into_errors():
+    steps = [step for step in _steps() if "-m pytest" in step.get("run", "")]
+    assert len(steps) >= 2
+    for step in steps:
+        assert step.get("env", {}).get("PYTHONWARNINGS") == "error", step["name"]
 
 
 def test_traced_runs_cover_every_benchmark_workload():
