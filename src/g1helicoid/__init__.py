@@ -14,7 +14,7 @@ Module map
 ``params``         closed-form parameter relations (rho, lambda) -> (Lambda, r, R, T)
 ``quadrature``     tanh-sinh quadrature engine with endpoint-safe evaluation
 ``period_solver``  the two period integrals and the nested root solve
-``torus``          rhombic-torus curve: w on each sheet, xi-edge chart table, half-turns
+``torus``          rhombic-torus curve: w on each sheet, closed-form xi-edge chart, half-turns
 ``weierstrass``    Weierstrass forms, path/contour integration, period checks
 ``mesh``           patch meshing, fundamental-domain assembly, exporters
 ``verify``         verification report over all computable surface claims

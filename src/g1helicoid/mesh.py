@@ -654,6 +654,12 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
 
     metadata = dict(patch.metadata)
     metadata.pop("seam_ids", None)
+    # a cap is on no seam, so each copy's cap stays one run of vertices
+    cap = metadata.pop("asymptotic_cap")
+    metadata["asymptotic_caps"] = [
+        dict(cap, vertex_start=int(old_to_new[k * n + cap["vertex_start"]]))
+        for k in range(len(_COPY_SPECS))
+    ]
     metadata["weld_tol"] = weld_tol
     metadata["weld_duplicates_removed"] = removed
     metadata["vertices_before_weld"] = 4 * n
@@ -719,16 +725,21 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
     np.add(v, 0 * shift, out=vertices[:n])  # -0.0 becomes +0.0, as in later copies
     faces[0] = f
     table = np.arange(n)
+    domain_caps = domain.metadata["asymptotic_caps"]
+    caps = list(domain_caps)
     for j in range(1, k):
         start = n + (j - 1) * m
         np.add(v[keep], j * shift, out=vertices[start : start + m])
         below = table[top]  # where copy j-1 put the top seam
         table[keep] = np.arange(start, start + m)
         table[bottom] = below
+        # a cap is on no seam: copy j lays it out as one run
+        caps += [dict(cap, vertex_start=int(table[cap["vertex_start"]])) for cap in domain_caps]
         # f is in range: "clip" only spares the buffered copy "raise" makes
         np.take(table, f, out=faces[j], mode="clip")
     metadata = dict(domain.metadata)
     metadata["stack_duplicates_removed"] = (k - 1) * (n - m)
+    metadata["asymptotic_caps"] = caps
     metadata.pop("stack_seams", None)
     return SurfaceMesh(vertices, faces.reshape(-1, 3), metadata=metadata)
 
@@ -829,12 +840,12 @@ def _metadata_header_lines(mesh: SurfaceMesh) -> List[str]:
     for key in ("rho0", "lambda0", "Lambda0", "T", "a", "resolution", "cutoff"):
         if key in md:
             lines.append(f"{key} = {md[key]!r}")
-    cap = md.get("asymptotic_cap")
-    if cap:
-        lines.append(
-            f"asymptotic cap: vertices {cap['vertex_start']}.."
-            f"{cap['vertex_start'] + cap['vertex_count'] - 1}"
-        )
+    for cap in md.get("asymptotic_caps", [md.get("asymptotic_cap")]):
+        if cap:
+            lines.append(
+                f"asymptotic cap: vertices {cap['vertex_start']}.."
+                f"{cap['vertex_start'] + cap['vertex_count'] - 1}"
+            )
     return lines
 
 

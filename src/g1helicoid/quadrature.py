@@ -118,13 +118,9 @@ DEFAULT_SPEC = QuadratureSpec()
 # Level 0 holds tau = j*1.0; level k>0 holds the odd multiples of 2**-k.
 
 _NodeTable = Tuple[np.ndarray, np.ndarray, np.ndarray]
-_TS_CACHE: Dict[int, _NodeTable] = {}
 
 
 def _tanh_sinh_nodes(level: int) -> _NodeTable:
-    table = _TS_CACHE.get(level)
-    if table is not None:
-        return table
     h = 2.0 ** (-level)
     if level == 0:
         tau = np.arange(-_T_MAX, _T_MAX + 0.5 * h, h)
@@ -140,9 +136,7 @@ def _tanh_sinh_nodes(level: int) -> _NodeTable:
     beta = np.where(s < 0, big, small)    # db/c
     # dx/dtau = c * (pi/2) cosh(tau) * sech(s)^2, sech^2 = (1-tanh)(1+tanh)
     weight = 0.5 * np.pi * np.cosh(tau) * (small * big)
-    table = (alpha, beta, weight)
-    _TS_CACHE[level] = table
-    return table
+    return alpha, beta, weight
 
 
 # Levels 0.._BATCH_LEVEL (the floor of QuadratureSpec.max_level) share one

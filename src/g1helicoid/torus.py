@@ -37,7 +37,7 @@ Chart edges of ``upper_left`` (t, tt > 0):
                               outer bank  w = -|w| e^{-i pi/4},
                               |w|^2 = cos rho / (sin rho - sin phi) at z = -e^{-i phi}
 
-Only the bottom edge has a position table (:meth:`TorusChart.xi_of_t`).
+Only the bottom edge has a position map, in closed form (:meth:`TorusChart.xi_of_t`).
 
 The two punctures sit on the bottom edges at z = i/lam (one on the
 ``upper_left``/``lower_left`` shared edge, one on the mirror edge).
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -94,16 +94,12 @@ def _require_left_half_plane(z: np.ndarray, m: np.ndarray) -> None:
         raise SheetDomainError(f"z={bad!r} is not in the closed left half-plane")
 
 
-def _lifted_angle(z: np.ndarray) -> np.ndarray:
-    th = np.arctan2(z.imag, z.real)
-    return np.where(th < 0.0, th + 2.0 * math.pi, th)
-
-
 def lift_angle_left(z) -> np.ndarray:
     """Angle of z lifted to [pi/2, 3pi/2] on the closed left half-plane."""
     z = np.asarray(z, dtype=complex)
     _require_left_half_plane(z, np.abs(z))
-    return _lifted_angle(z)
+    th = np.arctan2(z.imag, z.real)
+    return np.where(th < 0.0, th + 2.0 * math.pi, th)
 
 
 def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
@@ -117,8 +113,8 @@ def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
     keep their square-root arguments off the principal branch cut everywhere
     in their stated regions, the only exception being the common pole at the
     slit tip ``z = -e^{-i rho}``.  When every point falls in one region,
-    its form runs on the whole array, with no gather or scatter.  Only the
-    inner form needs the lifted angle.
+    its form runs on the whole array, with no gather or scatter.  The inner
+    form writes sqrt(z), its angle lifted to [pi/2, 3pi/2], as i sqrt(-z).
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -144,21 +140,20 @@ def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
     ea = complex(np.exp(1j * rho))
     eb = complex(np.exp(-1j * rho))
 
-    def inner(zi, mi):
-        return (pref * np.sqrt(mi) * np.exp(0.5j * _lifted_angle(zi))
-                / (np.sqrt(ea - zi) * np.sqrt(zi + eb)))
+    def inner(zi):
+        return pref * 1j * np.sqrt(-zi) / (np.sqrt(ea - zi) * np.sqrt(zi + eb))
 
     def outer(zo):
         return pref / (np.sqrt(ea - zo) * np.sqrt(1.0 + eb / zo))
 
     if np.all(inner_mask):
-        w = inner(z, m)
+        w = inner(z)
     elif not np.any(inner_mask):
         w = outer(z)
     else:
         i, o = inner_mask, ~inner_mask
         w = np.empty(z.shape, dtype=complex)
-        w[i], w[o] = inner(z[i], m[i]), outer(z[o])
+        w[i], w[o] = inner(z[i]), outer(z[o])
     return w[0] if scalar else w
 
 
@@ -255,113 +250,85 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
 
 
 # ----------------------------------------------------------------------
-# Chart lengths and edge parameterizations
+# The bottom chart edge in closed form
 # ----------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-# Uniform s-intervals of the bottom-edge table.
-_N_TABLE = 1024
-
-
-def _edge_density(params: SurfaceParams) -> Callable[[np.ndarray], np.ndarray]:
-    """Chart speed d(xi)/ds along the bottom edge, with t = s^2 (quartic form)."""
-    two_sin = -2.0 * math.sin(params.rho)
-    pref = math.sqrt(2.0 * math.cos(params.rho))
-
-    def f(s: np.ndarray) -> np.ndarray:
-        s2 = s * s
-        return pref / np.sqrt(1.0 + two_sin * s2 + s2 * s2)
-
-    return f
+def _agm(m: float) -> Tuple[List[float], List[float]]:
+    """Descending AGM of (1, sqrt(1 - m)) (DLMF 19.8.1, 22.20.1): the lists a_n
+    and c_n = (a_{n-1} - b_{n-1})/2, c_0 = sqrt(m), up to the first
+    c_n <= 1e-15 a_n (the next c is below 1e-30 a_n).  A tighter rule need
+    not stop: c_n can stay at the rounding level of a_n, as at m = 1/2."""
+    a, b, c = [1.0], math.sqrt(1.0 - m), [math.sqrt(m)]
+    while c[-1] > 1e-15 * a[-1]:
+        a, b, c = a + [0.5 * (a[-1] + b)], math.sqrt(a[-1] * b), c + [0.5 * (a[-1] - b)]
+    return a, c
 
 
-def _gl_cumulative(f: Callable, n_intervals: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cumulative integral of f over [0, 1] at n_intervals+1 uniform edges."""
-    edges = np.linspace(0.0, 1.0, n_intervals + 1)
-    a = edges[:-1]
-    h = edges[1] - edges[0]
-    x = a[:, None] + 0.5 * h * (_GL_NODES[None, :] + 1.0)
-    vals = f(x)
-    per_interval = 0.5 * h * vals @ _GL_WEIGHTS
-    cum = np.concatenate(([0.0], np.cumsum(per_interval)))
-    return edges, cum
+def _carlson_rf(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """R_F(x, y, z) for x, y, z >= 0, at most one zero, by duplication
+    (B. C. Carlson, Numer. Algorithms 10, 1995; DLMF 19.36.1)."""
+    a = (x + y + z) / 3.0
+    dx, dy = a - x, a - y
+    # Carlson's (3 r)^(-1/6) max|a - x|, r = 2^-53: the series below is then exact to r
+    q = (3.0 * 2.0 ** -53) ** (-1.0 / 6.0) * np.max(np.abs([dx, dy, a - z]), axis=0)
+    scale = 1.0  # 4^-n after n duplications
+    while np.any(q * scale > np.abs(a)):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sy * sz + sz * sx
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        scale *= 0.25
+    X, Y = dx * scale / a, dy * scale / a
+    e2, e3 = X * Y - (X + Y) ** 2, -X * Y * (X + Y)
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a)
 
 
 @dataclass(frozen=True)
 class TorusChart:
-    """Precomputed chart geometry for one parameter set.
+    """The chart's bottom edge z = i t, in closed form.
 
-    ``width`` is the horizontal period of the chart; the bottom-edge table
-    gives machine-accurate xi(t) and its inverse.
+    With k0 = sqrt(2 cos rho) and m = (1 + sin rho)/2, ``width`` = k0 K(m),
+    and for t <= 1, xi(t) = (k0/2) F(2 arctan sqrt(t) | m), which is
+    k0 sqrt(t) R_F((1-t)^2, 1 - 2 t sin rho + t^2, (1+t)^2).
     """
 
     params: SurfaceParams
     width: float
-    _s_grid: np.ndarray
-    _xi_grid: np.ndarray
-
-    # -- horizontal edge: z = i t at chart (+/- xi_of_t(t), 0) --------
-
-    def _xi_of_s(self, s: np.ndarray) -> np.ndarray:
-        f = _edge_density(self.params)
-        s = np.asarray(s, dtype=float)
-        n = len(self._s_grid) - 1
-        idx = np.clip(
-            np.searchsorted(self._s_grid, s, side="right") - 1, 0, n - 1
-        )
-        a = self._s_grid[idx]
-        h = s - a
-        x = a[..., None] + 0.5 * h[..., None] * (_GL_NODES + 1.0)
-        partial = 0.5 * h * (f(x) @ _GL_WEIGHTS)
-        return self._xi_grid[idx] + partial
-
-    def _t_of_table(self, target: np.ndarray) -> np.ndarray:
-        """The t = s^2 <= 1 where the edge table reaches ``target``: a table
-        lookup for s refined by four clipped Newton steps."""
-        f = _edge_density(self.params)
-        s = np.interp(target, self._xi_grid, self._s_grid)
-        for _ in range(4):
-            s = s - (self._xi_of_s(s) - target) / f(s)
-            s = np.clip(s, 0.0, 1.0)
-        return s * s
 
     def xi_of_t(self, t):
-        """Unsigned chart offset of z = i t on the bottom edge (t > 0)."""
+        """Unsigned chart offset of z = i t on the bottom edge (t > 0);
+        xi(t) = width - xi(1/t) for t > 1."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t).copy()
         if np.any(t <= 0.0) or np.any(~np.isfinite(t)):
             raise ValueError("xi_of_t requires finite t > 0")
-        out = np.empty_like(t)
         low = t <= 1.0
-        if np.any(low):
-            out[low] = self._xi_of_s(np.sqrt(t[low]))
-        if np.any(~low):
-            out[~low] = self.width - self._xi_of_s(np.sqrt(1.0 / t[~low]))
-        return float(out[0]) if scalar else out
+        t = np.where(low, t, 1.0 / t)
+        rho, d2 = self.params.rho, (1.0 - t) ** 2
+        y = d2 + 2.0 * t * (1.0 - math.sin(rho))  # 1 - 2 t sin rho + t^2, no cancellation
+        xi = math.sqrt(2.0 * math.cos(rho)) * np.sqrt(t) * _carlson_rf(d2, y, (1.0 + t) ** 2)
+        out = np.where(low, xi, self.width - xi)
+        return float(out) if out.ndim == 0 else out
 
     def t_of_xi(self, xi):
-        """Inverse of :meth:`xi_of_t` on (0, width)."""
+        """Inverse of :meth:`xi_of_t` on (0, width): up to width/2,
+        t = tan^2(am/2) with the Jacobi amplitude am(2 xi / k0 | m) by the
+        descending AGM (DLMF 22.20.1); beyond, 1/t of width - xi."""
         xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi).astype(float)
         if np.any(xi <= 0.0) or np.any(xi >= self.width):
             raise ValueError("t_of_xi requires 0 < xi < width")
-        half = 0.5 * self.width
-        flip = xi > half
-        target = np.where(flip, self.width - xi, xi)
-        t = self._t_of_table(target)
+        flip = xi > 0.5 * self.width
+        rho = self.params.rho
+        a, c = _agm(0.5 * (1.0 + math.sin(rho)))
+        n = len(a) - 1
+        u = 2.0 * np.where(flip, self.width - xi, xi) / math.sqrt(2.0 * math.cos(rho))
+        phi = 2.0 ** n * a[n] * u
+        for k in range(n, 0, -1):
+            phi = 0.5 * (phi + np.arcsin(c[k] / a[k] * np.sin(phi)))
+        t = np.tan(0.5 * phi) ** 2
         t = np.where(flip, 1.0 / np.maximum(t, 1e-300), t)
-        return float(t[0]) if scalar else t
+        return float(t) if t.ndim == 0 else t
 
 
 def build_chart(params: SurfaceParams) -> TorusChart:
-    """Build the chart geometry (the bottom-edge table at machine accuracy)."""
-    s_grid, xi_grid = _gl_cumulative(_edge_density(params), _N_TABLE)
-    return TorusChart(
-        params=params,
-        width=2.0 * float(xi_grid[-1]),
-        _s_grid=s_grid,
-        _xi_grid=xi_grid,
-    )
+    """The chart of ``params``; K(m) = pi / (2 AGM(1, sqrt(1 - m)))."""
+    a, _ = _agm(0.5 * (1.0 + math.sin(params.rho)))
+    return TorusChart(params, math.sqrt(2.0 * math.cos(params.rho)) * math.pi / (2.0 * a[-1]))

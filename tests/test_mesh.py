@@ -4,6 +4,7 @@ planar-graph property, and file-format round-trips."""
 import csv
 import math
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -31,6 +32,7 @@ from g1helicoid.mesh import (
     point_in_polygon,
     stack_periods,
 )
+from g1helicoid.torus import SYMMETRIES
 from g1helicoid.verify import _ProjectedGraph
 
 CURVE_NAMES = {"C", "E", "E_hat", "H1", "H2", "c", "end"}
@@ -402,6 +404,28 @@ def test_stack_three_periods(domain, params):
     assert rep["overused_edges"] == 0
     # welding consumed the interface duplicates
     assert len(stack.vertices) < 3 * len(domain.vertices)
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_header_names_the_cap_of_every_copy(patch, domain, copies):
+    # the domain holds the patch's cap under each of its four copies (base,
+    # then the x1, x3 and x2 half-turns); each period above repeats them
+    stack = stack_periods(domain, copies)
+    cap = patch.metadata["asymptotic_cap"]
+    start = cap["vertex_start"]
+    base = patch.vertices[start : start + cap["vertex_count"]]
+    header = [
+        re.fullmatch(r"asymptotic cap: vertices (\d+)\.\.(\d+)", line)
+        for line in mesh._metadata_header_lines(stack)
+        if line.startswith("asymptotic cap")
+    ]
+    assert len(header) == 4 * copies
+    half_turns = ("half_turn_x1", "half_turn_x3", "half_turn_x2")
+    mats = [np.eye(3)] + [SYMMETRIES[name].space_matrix for name in half_turns]
+    for i, match in enumerate(header):
+        lo, hi = int(match.group(1)), int(match.group(2))
+        lift = np.array([0.0, 0.0, (i // 4) * domain.metadata["T"]])
+        assert np.array_equal(stack.vertices[lo : hi + 1], base @ mats[i % 4].T + lift), i
 
 
 def _union_find_roots(n, pairs):

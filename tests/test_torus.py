@@ -14,6 +14,7 @@ from g1helicoid.torus import (
     SHEETS,
     SYMMETRIES,
     SheetDomainError,
+    _agm,
     build_chart,
     lift_angle_left,
     tau_horizontal,
@@ -132,6 +133,21 @@ def test_wrong_half_plane_rejected():
         lift_angle_left(np.array([0.3 + 0.1j]))
 
 
+def test_inner_form_is_the_lifted_angle_square_root(params):
+    # the inner form writes sqrt(|z|) e^{i theta/2}, theta lifted to
+    # [pi/2, 3pi/2], as i sqrt(-z); the rays theta = pi/2 and 3pi/2 and
+    # |z| down to 1e-12 included
+    m = np.geomspace(1e-12, 1.0, 200)
+    th = np.linspace(math.pi / 2, 3 * math.pi / 2, 300)
+    z = (m[:, None] * np.exp(1j * th)).ravel()
+    for p in (P, params):
+        ea, eb = np.exp(1j * p.rho), np.exp(-1j * p.rho)
+        lifted = np.sqrt(np.abs(z)) * np.exp(0.5j * lift_angle_left(z))
+        oracle = -math.sqrt(2.0 * math.cos(p.rho)) * lifted / (np.sqrt(ea - z) * np.sqrt(z + eb))
+        w = w_branch_left(p, z, "inner")
+        assert np.max(np.abs(w - oracle) / np.abs(oracle)) < 1e-15, p.rho
+
+
 def test_lift_angle_range():
     z = _left_points(11)
     th = lift_angle_left(z)
@@ -192,10 +208,6 @@ def _K(m):
     return math.pi / (2.0 * a)
 
 
-def _closed_width(rho):
-    return math.sqrt(2.0 * math.cos(rho)) * _K((1.0 + math.sin(rho)) / 2.0)
-
-
 def _closed_height(rho):
     return math.sqrt(2.0 * math.cos(rho)) * _K((1.0 - math.sin(rho)) / 2.0)
 
@@ -215,10 +227,39 @@ def test_chart_dimensions_at_solution(chart):
     assert chart.width == pytest.approx(WIDTH_AT_RHO0, rel=1e-10)
 
 
-def test_chart_width_matches_the_closed_form(params):
-    for rho in (0.0, 0.5, params.rho, 1.2):
+def _gl64_edge(rho, s_end):
+    """Chart length of the bottom edge from s = 0 to each ``s_end`` (t = s^2):
+    32 panels of 64-point Gauss-Legendre on the speed in s."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    h = np.asarray(s_end, dtype=float)[..., None, None] / 32
+    s = h * (np.arange(32)[:, None] + 0.5 * (x + 1.0))
+    speed = math.sqrt(2.0 * math.cos(rho)) / np.sqrt(1.0 - 2.0 * math.sin(rho) * s * s + s**4)
+    return np.sum(0.5 * h[..., 0] * (speed @ w), axis=-1)
+
+
+def _gl64_xi(rho, t):
+    """xi(t) by quadrature; past t = 1 through s -> 1/s, which maps the
+    speed onto itself, so xi(t) = 2 xi(1) - xi(1/t)."""
+    xi = _gl64_edge(rho, np.sqrt(np.minimum(t, 1.0 / t)))
+    return np.where(t <= 1.0, xi, 2.0 * _gl64_edge(rho, 1.0) - xi)
+
+
+def test_chart_edge_matches_a_gauss_legendre_oracle(params):
+    t = np.append(np.geomspace(1e-6, 1e6, 121), 1.0)
+    for rho in (0.0, 0.5, params.rho, 1.2, 1.55):
         chart = build_chart(SurfaceParams.diagnostic_branch(rho, 0.5))
-        assert math.isclose(chart.width, _closed_width(rho), rel_tol=1e-14), rho
+        assert np.max(np.abs(chart.xi_of_t(t) - _gl64_xi(rho, t))) < 2e-15, rho
+        assert abs(chart.width - 2.0 * _gl64_edge(rho, 1.0)) < 2e-15, rho
+
+
+def test_agm_stops_within_ten_steps():
+    # a stop rule of c_n <= 1e-17 a_n never stops at m = 1/2, where c_n
+    # stays at the rounding level of a_n
+    grid = np.linspace(0.0, 1.0, 20003)[1:-1]
+    assert 0.5 in grid
+    for m in grid:
+        a, c = _agm(float(m))
+        assert len(a) == len(c) <= 11, m
 
 
 def test_frozen_heights_match_the_closed_form(params):
@@ -229,10 +270,13 @@ def test_frozen_heights_match_the_closed_form(params):
     assert math.isclose(WIDTH_AT_0, _closed_height(0.0), rel_tol=1e-14)
 
 
-def test_chart_edge_tables_roundtrip(chart):
-    t = np.linspace(0.05, 0.95, 17)
-    xi = chart.xi_of_t(t)
-    assert np.max(np.abs(chart.t_of_xi(xi) - t)) < 1e-10
+def test_chart_edge_tables_roundtrip(params):
+    # as t -> 0 or oo the chart gap to 0 or width loses digits, most at
+    # rho = 1.55 (about 1e-12)
+    t = np.geomspace(1e-6, 1e6, 241)
+    for rho in (0.0, 0.5, params.rho, 1.2, 1.55):
+        chart = build_chart(SurfaceParams.diagnostic_branch(rho, 0.5))
+        assert np.max(np.abs(chart.t_of_xi(chart.xi_of_t(t)) / t - 1.0)) < 2e-12, rho
 
 
 def test_chart_edge_symmetry(chart):
