@@ -118,12 +118,9 @@ def _level_values(
     base = chart.t_of_xi(xi_base[xi_base < xi_cap - 0.35 * dxi])
     base = base[np.abs(base - t_punct) > cutoff]  # no level enters the disk
 
-    # local base spacing in t near the puncture: dxi/dt = tau(t) / (2t)
-    tau_punct = math.sqrt(
-        2.0 * math.cos(params.rho)
-        / (t_punct + params.lam - 2.0 * math.sin(params.rho))
-    )
-    dt_base = dxi * 2.0 * t_punct / tau_punct
+    # local base spacing in t near the puncture: dxi/dt = tau(t) / (2t), and
+    # tau(1/lam) = r
+    dt_base = dxi * 2.0 * t_punct / params.r
     offsets = [cutoff]
     while offsets[-1] * 1.6 < 0.6 * dt_base:
         offsets.append(offsets[-1] * 1.6)
@@ -297,7 +294,12 @@ def _asymptote_positions(A, B, C, zeta: np.ndarray) -> np.ndarray:
 
 # Integrand nodes from which a patch's levels are swept on two threads.  In-process
 # on two CPUs two threads lost 15-18 % at res 48-96 (0.2-0.8 million nodes), tied at
-# res 112 (1.1 million) and won 12-33 % at res 128-160 (1.4-2.2 million).
+# res 112 (1.1 million) and won 12-33 % at res 128-160 (1.4-2.2 million).  The pool
+# stays on the benchmark's mesh workload (5 alternating pairs, seeds 1-5, 20 s runs,
+# shared 2-core VM): mesh_ply median 1.19 s with it, 1.30 s on one thread (+9 %, more
+# than the 5 % that would retire it).  Nor does batching help one thread: every level's
+# first GL wave as one integrand call per block took 0.61 s at res 160, level by level
+# 0.38 s (best of 3; the 2.2 million nodes' temporaries leave the cache).
 _THREADED_NODES = 1_200_000
 
 
@@ -321,7 +323,7 @@ def mesh_patch_D(
     no level enters; the two rows that straddle it sit at 1/lam -+ cutoff.
     |z| is truncated at 10/lam near the far node, where the grid closes with
     a fan onto the exact node image.  The truncated helicoidal end is
-    continued by an asymptote strip, flagged in ``metadata['asymptotic_cap']``
+    continued by an asymptote strip, flagged in ``metadata['asymptotic_caps']``
     (its vertices are approximations, not surface samples, and are excluded
     from the exactness checks).
     """
@@ -528,7 +530,7 @@ def _append_asymptotic_cap(
     mesh.faces = np.vstack(
         [mesh.faces] + [_strip_faces(mesh.vertices, lo, hi) for lo, hi in strips]
     )
-    mesh.metadata["asymptotic_cap"] = {"vertex_start": int(n0), "vertex_count": int(n_new)}
+    mesh.metadata["asymptotic_caps"] = [{"vertex_start": int(n0), "vertex_count": int(n_new)}]
 
 
 # ----------------------------------------------------------------------
@@ -655,10 +657,10 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
     metadata = dict(patch.metadata)
     metadata.pop("seam_ids", None)
     # a cap is on no seam, so each copy's cap stays one run of vertices
-    cap = metadata.pop("asymptotic_cap")
     metadata["asymptotic_caps"] = [
         dict(cap, vertex_start=int(old_to_new[k * n + cap["vertex_start"]]))
         for k in range(len(_COPY_SPECS))
+        for cap in patch.metadata["asymptotic_caps"]
     ]
     metadata["weld_tol"] = weld_tol
     metadata["weld_duplicates_removed"] = removed
@@ -840,12 +842,11 @@ def _metadata_header_lines(mesh: SurfaceMesh) -> List[str]:
     for key in ("rho0", "lambda0", "Lambda0", "T", "a", "resolution", "cutoff"):
         if key in md:
             lines.append(f"{key} = {md[key]!r}")
-    for cap in md.get("asymptotic_caps", [md.get("asymptotic_cap")]):
-        if cap:
-            lines.append(
-                f"asymptotic cap: vertices {cap['vertex_start']}.."
-                f"{cap['vertex_start'] + cap['vertex_count'] - 1}"
-            )
+    for cap in md.get("asymptotic_caps", []):
+        lines.append(
+            f"asymptotic cap: vertices {cap['vertex_start']}.."
+            f"{cap['vertex_start'] + cap['vertex_count'] - 1}"
+        )
     return lines
 
 

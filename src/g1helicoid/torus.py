@@ -253,12 +253,15 @@ SYMMETRIES: Dict[str, SymmetryAction] = {
 # The bottom chart edge in closed form
 # ----------------------------------------------------------------------
 
-def _agm(m: float) -> Tuple[List[float], List[float]]:
-    """Descending AGM of (1, sqrt(1 - m)) (DLMF 19.8.1, 22.20.1): the lists a_n
-    and c_n = (a_{n-1} - b_{n-1})/2, c_0 = sqrt(m), up to the first
-    c_n <= 1e-15 a_n (the next c is below 1e-30 a_n).  A tighter rule need
-    not stop: c_n can stay at the rounding level of a_n, as at m = 1/2."""
-    a, b, c = [1.0], math.sqrt(1.0 - m), [math.sqrt(m)]
+def _agm(rho: float) -> Tuple[List[float], List[float]]:
+    """Descending AGM of (1, sqrt(1 - m)) at m = (1 + sin rho)/2 (DLMF 19.8.1,
+    22.20.1): the lists a_n and c_n = (a_{n-1} - b_{n-1})/2, c_0 = sqrt(m),
+    up to the first c_n <= 1e-15 a_n (the next c is below 1e-30 a_n).  A
+    tighter rule need not stop: c_n can stay at the rounding level of a_n, as
+    at m = 1/2.  sqrt(1 - m) is cos rho / sqrt(2 (1 + sin rho)), free of the
+    cancellation in 1 - m as rho -> pi/2."""
+    s = math.sin(rho)
+    a, b, c = [1.0], math.cos(rho) / math.sqrt(2.0 * (1.0 + s)), [math.sqrt(0.5 * (1.0 + s))]
     while c[-1] > 1e-15 * a[-1]:
         a, b, c = a + [0.5 * (a[-1] + b)], math.sqrt(a[-1] * b), c + [0.5 * (a[-1] - b)]
     return a, c
@@ -303,7 +306,8 @@ class TorusChart:
         low = t <= 1.0
         t = np.where(low, t, 1.0 / t)
         rho, d2 = self.params.rho, (1.0 - t) ** 2
-        y = d2 + 2.0 * t * (1.0 - math.sin(rho))  # 1 - 2 t sin rho + t^2, no cancellation
+        # 1 - 2 t sin rho + t^2, with 1 - sin rho = cos^2 rho / (1 + sin rho): no cancellation
+        y = d2 + 2.0 * t * (math.cos(rho) ** 2 / (1.0 + math.sin(rho)))
         xi = math.sqrt(2.0 * math.cos(rho)) * np.sqrt(t) * _carlson_rf(d2, y, (1.0 + t) ** 2)
         out = np.where(low, xi, self.width - xi)
         return float(out) if out.ndim == 0 else out
@@ -317,7 +321,7 @@ class TorusChart:
             raise ValueError("t_of_xi requires 0 < xi < width")
         flip = xi > 0.5 * self.width
         rho = self.params.rho
-        a, c = _agm(0.5 * (1.0 + math.sin(rho)))
+        a, c = _agm(rho)
         n = len(a) - 1
         u = 2.0 * np.where(flip, self.width - xi, xi) / math.sqrt(2.0 * math.cos(rho))
         phi = 2.0 ** n * a[n] * u
@@ -330,5 +334,5 @@ class TorusChart:
 
 def build_chart(params: SurfaceParams) -> TorusChart:
     """The chart of ``params``; K(m) = pi / (2 AGM(1, sqrt(1 - m)))."""
-    a, _ = _agm(0.5 * (1.0 + math.sin(params.rho)))
+    a, _ = _agm(params.rho)
     return TorusChart(params, math.sqrt(2.0 * math.cos(params.rho)) * math.pi / (2.0 * a[-1]))

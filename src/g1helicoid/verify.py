@@ -387,8 +387,7 @@ class _ProjectedGraph:
     def __init__(self, patch: SurfaceMesh, box: Tuple[float, float, float, float]):
         verts = patch.vertices
         faces = patch.faces
-        cap = patch.metadata.get("asymptotic_cap")
-        if cap:
+        for cap in patch.metadata.get("asymptotic_caps", []):  # a patch's last vertices
             faces = faces[np.all(faces < int(cap["vertex_start"]), axis=1)]
         tri = verts[faces]  # (F, 3, 3)
         xy = tri[:, :, :2]
@@ -462,16 +461,22 @@ class _ProjectedGraph:
         return vals, found
 
 
-def _near_polyline(pts: np.ndarray, poly: np.ndarray, margin: float) -> np.ndarray:
-    """Mask of the points nearer than ``margin`` to the polyline.
+def _lens_masks(
+    pts: np.ndarray, poly: np.ndarray, margin: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the points inside the polygon ``poly`` and of the points
+    nearer than ``margin`` to it as a polyline.
 
     A point outside the polyline's bounding box widened by ``margin`` is at
-    least ``margin`` away, so only the points inside it are measured.
+    least ``margin`` away, and outside the polygon (its ray crosses an even
+    number of edges), so only the points inside that box are tested.
     """
     box = np.all((pts >= poly.min(axis=0) - margin) & (pts <= poly.max(axis=0) + margin), axis=1)
+    inside = np.zeros(len(pts), dtype=bool)
     near = np.zeros(len(pts), dtype=bool)
+    inside[box] = point_in_polygon(pts[box], poly)
     near[box] = distance_to_polyline(pts[box], poly) < margin
-    return near
+    return inside, near
 
 
 def check_graph_disjointness(
@@ -504,8 +509,7 @@ def check_graph_disjointness(
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
 
-    inside = point_in_polygon(pts, c_poly)
-    near = _near_polyline(pts, c_poly, margin)
+    inside, near = _lens_masks(pts, c_poly, margin)
     kept = ~inside & ~near
     omega = pts[kept]
     mirror = omega.copy()
@@ -598,20 +602,14 @@ def check_graph_disjointness(
 
 def _edge_transverse_residual(
     params: SurfaceParams, zs: np.ndarray, tangent: complex, region: str, active: int
-) -> Tuple[float, float, float]:
-    """Pointwise rates along an edge: transverse residual and active range.
-
-    Returns ``(transverse_residual, rate_min, rate_max)`` where the
-    residual is the largest off-component of Re[phi * tangent] relative
-    to the active component's scale.
-    """
+) -> float:
+    """The largest off-component of the rates Re[phi * tangent] along an
+    edge, relative to the largest ``active`` component."""
     rates = np.real(phi_dz(params, "upper_left", zs, region=region) * tangent)
     scale = float(np.abs(rates[:, active]).max())
     off = [k for k in range(3) if k != active]
     residual = float(np.abs(rates[:, off]).max())
-    return residual / max(scale, 1e-300), float(rates[:, active].min()), float(
-        rates[:, active].max()
-    )
+    return residual / max(scale, 1e-300)
 
 
 def check_slab_and_boundary(params: SurfaceParams) -> CheckResult:
@@ -635,13 +633,14 @@ def check_slab_and_boundary(params: SurfaceParams) -> CheckResult:
     t_far = np.geomspace(1.02, 50.0, 64)
 
     # horizontal edge (z = +i t): only the x2-rate may be nonzero
-    r_h1a, h1_min, h1_max = _edge_transverse_residual(params, 1j * t_in, 1j, "inner", 1)
-    r_h1b, h1b_min, h1b_max = _edge_transverse_residual(params, 1j * t_mid, 1j, "outer", 1)
-    r_h2, h2_min, h2_max = _edge_transverse_residual(params, 1j * t_out, 1j, "outer", 1)
-    # vertical edge (z = -i t): only the x3-rate may be nonzero
-    r_e, e_min, e_max = _edge_transverse_residual(params, -1j * t_in, -1j, "inner", 2)
-    r_eh, eh_min, eh_max = _edge_transverse_residual(params, -1j * t_far, -1j, "outer", 2)
-    transverse_residual = max(r_h1a, r_h1b, r_h2, r_e, r_eh)
+    transverse_residual = max(
+        _edge_transverse_residual(params, 1j * t_in, 1j, "inner", 1),
+        _edge_transverse_residual(params, 1j * t_mid, 1j, "outer", 1),
+        _edge_transverse_residual(params, 1j * t_out, 1j, "outer", 1),
+        # vertical edge (z = -i t): only the x3-rate may be nonzero
+        _edge_transverse_residual(params, -1j * t_in, -1j, "inner", 2),
+        _edge_transverse_residual(params, -1j * t_far, -1j, "outer", 2),
+    )
 
     # axis anchors: full descent lands at (0, 0, -T/2); the two segment
     # heights split the descent at -a

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import NumericError
 from .params import SurfaceParams
-from .quadrature import QuadratureResult, QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, integrate
 from .torus import lift_angle_left, tau_horizontal, tau_vertical, w_on_sheet
 
 __all__ = [
@@ -639,8 +639,17 @@ def x3_rate_vertical(params: SurfaceParams, t):
     return (t + params.lam) * tau_v / (2.0 * t * (t + 1.0 / params.lam))
 
 
-def _anchor_value(name: str, params: SurfaceParams, m: float, res: QuadratureResult) -> float:
-    """Value of an anchor integral; :class:`IntegrationError` if it missed its tolerance."""
+def _edge_integral(name: str, params: SurfaceParams, rate, m: float, tail: bool) -> float:
+    """Integral of ``rate(t)`` from 0 to m, or from m out to oo with ``tail``
+    (in s = 1/t); :class:`IntegrationError` if it missed its tolerance."""
+    if tail:
+        def integrand(s, da, db):
+            t = 1.0 / s
+            return rate(t) * t * t
+
+        res = integrate(integrand, 0.0, 1.0 / float(m), _ANCHOR_SPEC)
+    else:
+        res = integrate(lambda t, da, db: rate(t), 0.0, float(m), _ANCHOR_SPEC)
     if not res.converged:
         raise IntegrationError(
             f"{name}(m={m!r}) at rho={params.rho!r}, lam={params.lam!r} did not converge: "
@@ -653,42 +662,28 @@ def x2_H1(params: SurfaceParams, m: float) -> float:
     """Total |x2| progress along the bottom edge from the node to t = m < 1/lam."""
     if not 0.0 < m < 1.0 / params.lam:
         raise ValueError(f"m={m!r} outside (0, 1/lam)")
-    res = integrate(lambda t, da, db: -x2_rate_edge(params, t), 0.0, float(m), _ANCHOR_SPEC)
-    return _anchor_value("x2_H1", params, m, res)
+    return _edge_integral("x2_H1", params, lambda t: -x2_rate_edge(params, t), m, tail=False)
 
 
 def x2_H2(params: SurfaceParams, m: float) -> float:
     """Remaining |x2| along the bottom edge from t = m > 1/lam out to the node at oo."""
     if not m > 1.0 / params.lam:
         raise ValueError(f"m={m!r} must exceed 1/lam")
-
-    def integrand(s, da, db):
-        t = 1.0 / s
-        return -x2_rate_edge(params, t) * t * t
-
-    res = integrate(integrand, 0.0, 1.0 / float(m), _ANCHOR_SPEC)
-    return _anchor_value("x2_H2", params, m, res)
+    return _edge_integral("x2_H2", params, lambda t: -x2_rate_edge(params, t), m, tail=True)
 
 
 def x3_E(params: SurfaceParams, m: float) -> float:
     """x3 rise along the right vertical edge from the node to t = m."""
     if m <= 0.0:
         raise ValueError("m must be positive")
-    res = integrate(lambda t, da, db: x3_rate_vertical(params, t), 0.0, float(m), _ANCHOR_SPEC)
-    return _anchor_value("x3_E", params, m, res)
+    return _edge_integral("x3_E", params, lambda t: x3_rate_vertical(params, t), m, tail=False)
 
 
 def x3_E_tail(params: SurfaceParams, m: float) -> float:
     """Integral of the vertical-edge x3 rate from t = m out to oo."""
     if m <= 0.0:
         raise ValueError("m must be positive")
-
-    def integrand(s, da, db):
-        t = 1.0 / s
-        return x3_rate_vertical(params, t) * t * t
-
-    res = integrate(integrand, 0.0, 1.0 / float(m), _ANCHOR_SPEC)
-    return _anchor_value("x3_E_tail", params, m, res)
+    return _edge_integral("x3_E_tail", params, lambda t: x3_rate_vertical(params, t), m, tail=True)
 
 
 def axis_rise(params: SurfaceParams) -> float:

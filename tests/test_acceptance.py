@@ -194,7 +194,7 @@ def test_criterion_10_mesh_integrity(params, tmp_path):
     assert len(stack.vertices) < 3 * len(domain.vertices)
     # slab confinement: exact-surface vertices hard against the wall, the
     # asymptotic cap within its truncation error of it
-    cap = patch.metadata["asymptotic_cap"]
+    cap = patch.metadata["asymptotic_caps"][0]
     is_cap = np.zeros(len(patch.vertices), dtype=bool)
     is_cap[cap["vertex_start"] : cap["vertex_start"] + cap["vertex_count"]] = True
     x3 = patch.vertices[:, 2]

@@ -59,7 +59,7 @@ def test_patch_metadata(patch, params):
     assert md["T"] == pytest.approx(params.T, rel=1e-14)
     assert md["resolution"] == 48
     assert md["worst_x1_closed_form_dev"] < 1e-8 * params.T
-    cap = md["asymptotic_cap"]
+    (cap,) = md["asymptotic_caps"]  # one cap, recorded like the domain's
     assert set(cap) == {"vertex_start", "vertex_count"}
     assert cap["vertex_start"] + cap["vertex_count"] <= len(patch.vertices)
 
@@ -74,7 +74,7 @@ def test_patch_is_oriented_manifold(patch):
 def test_patch_in_quarter_slab(patch, params):
     x3 = patch.vertices[:, 2]
     T = params.T
-    cap = patch.metadata["asymptotic_cap"]
+    cap = patch.metadata["asymptotic_caps"][0]
     is_cap = np.zeros(len(x3), dtype=bool)
     is_cap[cap["vertex_start"] : cap["vertex_start"] + cap["vertex_count"]] = True
     # exact-surface vertices respect the slab wall to rounding
@@ -93,8 +93,9 @@ def test_patch_projects_into_left_half_plane(patch, params):
 def _interior_vertices(mesh):
     """Mask of the vertices of the faces outside the asymptotic cap that lie
     on no edge used by only one of those faces."""
-    cap = mesh.metadata.get("asymptotic_cap")
-    faces = mesh.faces[np.all(mesh.faces < cap["vertex_start"], axis=1)] if cap else mesh.faces
+    faces = mesh.faces
+    for cap in mesh.metadata.get("asymptotic_caps", []):  # the patch's last vertices
+        faces = faces[np.all(faces < cap["vertex_start"], axis=1)]
     edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     edges, uses = np.unique(edges, axis=0, return_counts=True)
     interior = np.zeros(len(mesh.vertices), dtype=bool)
@@ -146,7 +147,7 @@ def test_graph_collisions_seen_on_a_lifted_second_sheet(patch, params):
     # a second copy of the patch, lifted by T/4 over the half plane x2 > 0,
     # lies over the first: the check must see the two heights there
     T = params.T
-    cap = patch.metadata["asymptotic_cap"]
+    cap = patch.metadata["asymptotic_caps"][0]
     faces = patch.faces[np.all(patch.faces < cap["vertex_start"], axis=1)]
     lifted = patch.vertices.copy()
     lifted[lifted[:, 1] > 0, 2] += T / 4
@@ -222,7 +223,7 @@ def test_patch_boundary_is_its_named_curves(patch, params, resolution, cutoff):
     if (resolution, cutoff) != (48, 1e-2):
         patch = mesh_patch_D(params, resolution, cutoff)
     v = patch.vertices
-    n = patch.metadata["asymptotic_cap"]["vertex_start"]
+    n = patch.metadata["asymptotic_caps"][0]["vertex_start"]
     faces = patch.faces[np.all(patch.faces < n, axis=1)]
     seams = patch.metadata["seam_ids"]
     for name, ids in seams.items():
@@ -250,7 +251,7 @@ def test_patch_keeps_off_the_pole_and_the_cap_meets_the_rim(params):
     # at res 31 a base level once fell inside the cutoff disk: a vertex sat
     # 4,760 out and the cap, fitted at the disk rim, missed the end by 2,640
     patch = mesh_patch_D(params, 31, 1e-2)
-    cap = patch.metadata["asymptotic_cap"]
+    cap = patch.metadata["asymptotic_caps"][0]
     n = cap["vertex_start"]
     assert np.linalg.norm(patch.vertices[:n], axis=1).max() < 200
     cap_vertices = patch.vertices[n : n + cap["vertex_count"]]
@@ -411,7 +412,7 @@ def test_header_names_the_cap_of_every_copy(patch, domain, copies):
     # the domain holds the patch's cap under each of its four copies (base,
     # then the x1, x3 and x2 half-turns); each period above repeats them
     stack = stack_periods(domain, copies)
-    cap = patch.metadata["asymptotic_cap"]
+    cap = patch.metadata["asymptotic_caps"][0]
     start = cap["vertex_start"]
     base = patch.vertices[start : start + cap["vertex_count"]]
     header = [

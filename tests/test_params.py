@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g1helicoid.params import (
-    Lambda_from_lambda,
-    ParameterDomainError,
-    SurfaceParams,
-    lambda_from_Lambda,
-    period_T,
-)
+from g1helicoid.params import ParameterDomainError, SurfaceParams, lambda_from_Lambda
 
 # Frozen reference values, computed once with 50-digit arithmetic and pinned.
 LAM_OF_0_2 = 2.985467255270842
@@ -28,7 +22,7 @@ def test_lambda_of_Lambda_frozen_values():
     for Lam in (LAM_OF_0_2, LAM_OF_0_7, LAM_OF_1_2):
         lam = lambda_from_Lambda(Lam)
         assert 0.0 < lam < 1.0
-        assert Lambda_from_lambda(lam) == pytest.approx(Lam, rel=1e-14)
+        assert SurfaceParams.create(0.5, lam).Lambda == pytest.approx(Lam, rel=1e-14)
 
 
 def test_R_frozen_value():
@@ -37,7 +31,8 @@ def test_R_frozen_value():
 
 
 def test_T_frozen_value():
-    assert period_T(0.0, 0.5) == pytest.approx(T_AT_0_0_5, rel=1e-14)
+    T = SurfaceParams.diagnostic_branch(0.0, 0.5).T
+    assert T == pytest.approx(T_AT_0_0_5, rel=1e-14)
 
 
 def test_r_squared_identity():
@@ -50,7 +45,7 @@ def test_r_squared_identity():
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 def test_lambda_Lambda_involution(lam):
-    Lam = Lambda_from_lambda(lam)
+    Lam = SurfaceParams.create(0.5, lam).Lambda
     assert Lam > 2.0
     # Lambda - 2 = (1 - lam)^2 / lam cancels as lam -> 1, so the achievable
     # round-trip accuracy degrades like eps / (1 - lam).

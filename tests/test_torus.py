@@ -229,11 +229,14 @@ def test_chart_dimensions_at_solution(chart):
 
 def _gl64_edge(rho, s_end):
     """Chart length of the bottom edge from s = 0 to each ``s_end`` (t = s^2):
-    32 panels of 64-point Gauss-Legendre on the speed in s."""
+    32 panels of 64-point Gauss-Legendre on the speed in s, whose
+    1 - 2 sin(rho) s^2 + s^4 is formed as (1 - s^2)^2 + 2 s^2 (1 - sin rho)
+    with 1 - sin rho = cos^2 rho / (1 + sin rho), free of cancellation."""
     x, w = np.polynomial.legendre.leggauss(64)
     h = np.asarray(s_end, dtype=float)[..., None, None] / 32
     s = h * (np.arange(32)[:, None] + 0.5 * (x + 1.0))
-    speed = math.sqrt(2.0 * math.cos(rho)) / np.sqrt(1.0 - 2.0 * math.sin(rho) * s * s + s**4)
+    gap = math.cos(rho) ** 2 / (1.0 + math.sin(rho))
+    speed = math.sqrt(2.0 * math.cos(rho)) / np.sqrt((1.0 - s * s) ** 2 + 2.0 * s * s * gap)
     return np.sum(0.5 * h[..., 0] * (speed @ w), axis=-1)
 
 
@@ -253,13 +256,33 @@ def test_chart_edge_matches_a_gauss_legendre_oracle(params):
 
 
 def test_agm_stops_within_ten_steps():
-    # a stop rule of c_n <= 1e-17 a_n never stops at m = 1/2, where c_n
-    # stays at the rounding level of a_n
-    grid = np.linspace(0.0, 1.0, 20003)[1:-1]
-    assert 0.5 in grid
-    for m in grid:
-        a, c = _agm(float(m))
-        assert len(a) == len(c) <= 11, m
+    # a stop rule of c_n <= 1e-17 a_n never stops at rho = 0 (m = 1/2),
+    # where c_n stays at the rounding level of a_n
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 20003)[1:-1]
+    assert 0.0 in grid
+    for rho in grid:
+        a, c = _agm(float(rho))
+        assert len(a) == len(c) <= 11, rho
+
+
+def test_chart_edge_matches_mpmath_up_to_the_branch_limit():
+    # m = (1 + sin rho)/2 -> 1 as rho -> pi/2, so the chart must not form
+    # 1 - m or 1 - sin rho by subtraction: that costs 2.7e-10 of the width
+    # at rho = 1.5707 and 7e-15 of xi at rho = 1.5
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    t = np.append(np.geomspace(1e-6, 1e6, 25), 1.0)
+    for rho in (0.5, 1.2, 1.4, 1.5, 1.55, 1.5707):
+        chart = build_chart(SurfaceParams.diagnostic_branch(rho, 0.5))
+        m = (1 + mp.sin(rho)) / 2
+        k0 = mp.sqrt(2 * mp.cos(rho))
+        width = k0 * mp.ellipk(m)
+        assert abs(chart.width - width) < 5e-16 * width, rho
+        for ti, xi in zip(t, chart.xi_of_t(t)):
+            low = mp.mpf(ti) if ti <= 1.0 else 1 / mp.mpf(ti)
+            ref = k0 / 2 * mp.ellipf(2 * mp.atan(mp.sqrt(low)), m)
+            ref = ref if ti <= 1.0 else width - ref
+            assert abs(xi - ref) < 1e-15 * ref, (rho, ti)
 
 
 def test_frozen_heights_match_the_closed_form(params):

@@ -19,7 +19,7 @@ from g1helicoid.verify import (
     _GRAPH_BINS,
     GEOM_TOL_FACTOR,
     MONOTONE_STEP_SLACK,
-    _near_polyline,
+    _lens_masks,
     _polyline_diameter,
     _ProjectedGraph,
     check_c_convex,
@@ -198,8 +198,7 @@ class _LoopGraph:
     def __init__(self, patch, box):
         verts = patch.vertices
         faces = patch.faces
-        cap = patch.metadata.get("asymptotic_cap")
-        if cap:
+        for cap in patch.metadata.get("asymptotic_caps", []):
             faces = faces[np.all(faces < int(cap["vertex_start"]), axis=1)]
         tri = verts[faces]
         xy = tri[:, :, :2]
@@ -366,9 +365,10 @@ def test_near_mask_prefilter_matches_full_distance(patch):
     ys = -L + (np.arange(grid) + 0.5) * (2.0 * L / grid)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    near = _near_polyline(pts, c_poly, margin)
+    inside, near = _lens_masks(pts, c_poly, margin)
+    assert np.array_equal(inside, point_in_polygon(pts, c_poly))
     assert np.array_equal(near, distance_to_polyline(pts, c_poly) < margin)
-    assert 0 < near.sum() < len(pts)
+    assert 0 < inside.sum() < len(pts) and 0 < near.sum() < len(pts)
 
     # points exactly margin outside the bounding box of c, and one and two
     # ulps either side of that, along all four sides
@@ -387,6 +387,6 @@ def test_near_mask_prefilter_matches_full_distance(patch):
                     p[axis] = v
                     edge.append(p)
     edge = np.array(edge)
-    assert np.array_equal(
-        _near_polyline(edge, c_poly, margin), distance_to_polyline(edge, c_poly) < margin
-    )
+    inside, near = _lens_masks(edge, c_poly, margin)
+    assert np.array_equal(inside, point_in_polygon(edge, c_poly))
+    assert np.array_equal(near, distance_to_polyline(edge, c_poly) < margin)
