@@ -91,6 +91,10 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
+        for key, opt in _OPTIONS.items():
+            value = getattr(self, key)
+            if opt.type is float and value is not None and not math.isfinite(value):
+                raise UsageError(f"{_flag(key)} must be finite, got {value}")
         if self.rel_tol <= 0 or self.abs_tol <= 0 or self.root_tol <= 0:
             raise UsageError("tolerances must be positive")
         if self.cutoff <= 0:
@@ -152,7 +156,8 @@ _OPTIONS: Dict[str, _Option] = {
     "abs_tol": _Option(float, "X", "quadrature absolute tolerance"),
     "max_level": _Option(int, "N", "max quadrature refinement level"),
     "grid": _Option(int, "N", "scan grid size for the outer root"),
-    "root_tol": _Option(float, "X", "root-solve tolerance"),
+    "root_tol": _Option(float, "X", "tolerance of the outer rho solve "
+                                    "(periods: of each row's Lambda solve)"),
     "rho_min": _Option(float, "X", "lower end of the rho range"),
     "rho_max": _Option(float, "X", "upper end of the rho range"),
     "rho_grid": _Option(int, "N", "number of rho samples"),

@@ -52,8 +52,8 @@ import numpy as np
 from .cli import json_text
 from .mesh import SurfaceMesh, distance_to_polyline, mesh_patch_D, point_in_polygon
 from .params import SurfaceParams
-from .period_solver import G_integrand_samples, _converged, scan_H
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate
+from .period_solver import PERIOD_SPEC, G_integrand_samples, _converged, scan_H
+from .quadrature import QuadratureSpec, integrate
 from .weierstrass import (
     axis_rise,
     descent_axis,
@@ -353,10 +353,6 @@ def check_c_convex(params: SurfaceParams) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-# Side of the uniform point-location grid over the query box.
-_GRAPH_BINS = 128
-
-
 def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Row and offset within the row of every entry of a ragged array whose
     rows have the given lengths, in row order."""
@@ -365,100 +361,50 @@ def _ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return row, offset
 
 
-class _ProjectedGraph:
-    """Barycentric height lookup on the projected patch triangles.
+def _graph_heights(patch: SurfaceMesh, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Height of the patch graph at every lattice point ``(xs[i], ys[j])``,
+    NaN where no projected triangle holds the point.
 
-    Only triangles intersecting the query box are kept (the far wings
-    of the patch lie outside it), binned by bounding box on a uniform
-    ``_GRAPH_BINS`` square grid for point-location.  The asymptotic cap is
-    excluded: it is an unstitched comparison component, not part of the
-    graph.
-
-    The buckets are in CSR form: ``_tris`` lists the triangle of every
-    (cell, triangle) pair, sorted by cell ``ix * _GRAPH_BINS + iy`` and then
-    by triangle index, and cell k owns ``_tris[_starts[k]:_starts[k + 1]]``.
-    A lookup expands the candidates of all points into one ragged array.  A
-    candidate contains a point when all three barycentrics are at least
-    ``-1e-9``; of the containing triangles, the first one in candidate order
-    with the largest ``min(u, v, w)`` (the most interior) gives the height,
-    which settles points on shared edges.
+    ``xs`` and ``ys`` ascend.  The asymptotic cap is excluded: it is an
+    unstitched comparison component, not part of the graph.  Each triangle
+    is tested at the lattice points inside its bounding box; it holds a
+    point when all three barycentrics are at least ``-1e-9``, and a
+    degenerate triangle holds none.  Of the
+    triangles that hold a point, the lowest-indexed one with the largest
+    ``min(u, v, w)`` (the most interior) gives the height, which settles
+    points on shared edges.
     """
-
-    def __init__(self, patch: SurfaceMesh, box: Tuple[float, float, float, float]):
-        verts = patch.vertices
-        faces = patch.faces
-        for cap in patch.metadata.get("asymptotic_caps", []):  # a patch's last vertices
-            faces = faces[np.all(faces < int(cap["vertex_start"]), axis=1)]
-        tri = verts[faces]  # (F, 3, 3)
-        xy = tri[:, :, :2]
-        lo_x, hi_x, lo_y, hi_y = box
-        keep = (
-            (xy[:, :, 0].min(axis=1) <= hi_x)
-            & (xy[:, :, 0].max(axis=1) >= lo_x)
-            & (xy[:, :, 1].min(axis=1) <= hi_y)
-            & (xy[:, :, 1].max(axis=1) >= lo_y)
-        )
-        xy = xy[keep]
-        self._z = tri[keep][:, :, 2]
-        self._p0 = xy[:, 0, :]
-        d1 = xy[:, 1, :] - self._p0
-        d2 = xy[:, 2, :] - self._p0
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        scale = max(hi_x - lo_x, hi_y - lo_y)
-        good = np.abs(det) > 1e-300 * scale * scale
-        self._p0, d1, d2 = self._p0[good], d1[good], d2[good]
-        self._z = self._z[good]
-        self._d1, self._d2 = d1, d2
-        self._inv_det = 1.0 / (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        self._lo = np.array([lo_x, lo_y])
-        self._span = np.array([hi_x - lo_x, hi_y - lo_y])
-        # bin triangles by bbox overlap: every cell of each bbox's cell range
-        xy = xy[good]
-        lo_cells = self._cell_of(np.minimum(np.minimum(xy[:, 0], xy[:, 1]), xy[:, 2]))
-        hi_cells = self._cell_of(np.maximum(np.maximum(xy[:, 0], xy[:, 1]), xy[:, 2]))
-        ny = hi_cells[:, 1] - lo_cells[:, 1] + 1
-        t, k = _ragged((hi_cells[:, 0] - lo_cells[:, 0] + 1) * ny)
-        cell = (lo_cells[t, 0] + k // ny[t]) * _GRAPH_BINS + lo_cells[t, 1] + k % ny[t]
-        order = np.argsort(cell, kind="stable")  # by cell, then triangle
-        self._tris = t[order]
-        self._starts = np.searchsorted(cell[order], np.arange(_GRAPH_BINS**2 + 1))
-
-    def _cell_of(self, pts: np.ndarray) -> np.ndarray:
-        rel = (np.atleast_2d(pts) - self._lo) / self._span
-        cells = np.floor(rel * _GRAPH_BINS).astype(np.int64)
-        return np.clip(cells, 0, _GRAPH_BINS - 1)
-
-    def _containing(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (point, containing triangle) pair, by point and then in
-        candidate order: the point's index, the score ``min(u, v, w)`` and
-        the triangle's interpolated height at the point."""
-        cells = self._cell_of(pts)
-        cell = cells[:, 0] * _GRAPH_BINS + cells[:, 1]
-        first = self._starts[cell]
-        owner, k = _ragged(self._starts[cell + 1] - first)
-        tri = self._tris[first[owner] + k]
-        rel = pts[owner] - self._p0[tri]
-        u = (rel[:, 0] * self._d2[tri, 1] - rel[:, 1] * self._d2[tri, 0]) * self._inv_det[tri]
-        v = (self._d1[tri, 0] * rel[:, 1] - self._d1[tri, 1] * rel[:, 0]) * self._inv_det[tri]
-        w = 1.0 - u - v
-        inside = (u >= -1e-9) & (v >= -1e-9) & (w >= -1e-9)
-        z = self._z[tri[inside]]
-        u, v, w = u[inside], v[inside], w[inside]
-        height = z[:, 0] * w + z[:, 1] * u + z[:, 2] * v
-        return owner[inside], np.minimum(np.minimum(u, v), w), height
-
-    def lookup(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Heights of the graph over each 2D point; found-mask for misses."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        vals = np.full(len(pts), np.nan)
-        found = np.zeros(len(pts), dtype=bool)
-        owner, score, height = self._containing(pts)
-        # per point, the first candidate with the largest score
-        order = np.lexsort((np.arange(len(owner)), -score, owner))
-        best = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
-        vals[owner[best]] = height[best]
-        found[owner[best]] = True
-        return vals, found
+    faces = patch.faces
+    for cap in patch.metadata.get("asymptotic_caps", []):  # a patch's last vertices
+        faces = faces[np.all(faces < int(cap["vertex_start"]), axis=1)]
+    tri = patch.vertices[faces]  # (F, 3, 3)
+    p0 = tri[:, 0, :2]
+    d1 = tri[:, 1, :2] - p0
+    d2 = tri[:, 2, :2] - p0
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    good = np.abs(det) > 1e-300
+    tri, p0, d1, d2, inv_det = tri[good], p0[good], d1[good], d2[good], 1.0 / det[good]
+    lo, hi = tri[:, :, :2].min(axis=1), tri[:, :, :2].max(axis=1)
+    i0, i1 = np.searchsorted(xs, lo[:, 0]), np.searchsorted(xs, hi[:, 0], side="right")
+    j0, j1 = np.searchsorted(ys, lo[:, 1]), np.searchsorted(ys, hi[:, 1], side="right")
+    nj = j1 - j0
+    t, k = _ragged((i1 - i0) * nj)
+    i, j = i0[t] + k // nj[t], j0[t] + k % nj[t]
+    rel_x, rel_y = xs[i] - p0[t, 0], ys[j] - p0[t, 1]
+    u = (rel_x * d2[t, 1] - rel_y * d2[t, 0]) * inv_det[t]
+    v = (d1[t, 0] * rel_y - d1[t, 1] * rel_x) * inv_det[t]
+    w = 1.0 - u - v
+    inside = (u >= -1e-9) & (v >= -1e-9) & (w >= -1e-9)
+    t, u, v, w = t[inside], u[inside], v[inside], w[inside]
+    point = i[inside] * len(ys) + j[inside]
+    z = tri[t, :, 2]
+    height = z[:, 0] * w + z[:, 1] * u + z[:, 2] * v
+    # per point, the lowest triangle index with the largest score
+    order = np.lexsort((t, -np.minimum(np.minimum(u, v), w), point))
+    best = order[np.flatnonzero(np.diff(point[order], prepend=-1))]
+    heights = np.full(len(xs) * len(ys), np.nan)
+    heights[point[best]] = height[best]
+    return heights.reshape(len(xs), len(ys))
 
 
 def _lens_masks(
@@ -488,8 +434,12 @@ def check_graph_disjointness(
     ``grid x grid`` rectangle of cell centres on ``[-L, 0] x [-L, L]`` with
     ``L = 5 * diameter(c)``, discards points inside the polygon c or within
     ``0.05 * diameter(c)`` of it, and compares the patch height F against the
-    mirrored height ``F_hat(x1, x2) = -F(x1, -x2)`` by barycentric
-    interpolation on the projected patch triangles.  Off-curve strictness
+    mirrored height ``F_hat(x1, x2) = -F(x1, -x2)``.  Both are read off the
+    projected patch triangles by :func:`_graph_heights`: F on the lattice
+    itself and F_hat on the lattice mirrored across the x1-axis, each point
+    by barycentric interpolation in the triangles whose bounding boxes hold
+    it; a point that no triangle holds counts as a lookup miss and fails
+    the check.  Off-curve strictness
     requires the minimal gap to clear a floor well above interpolation noise;
     equality on c itself is certified by the height antisymmetry of the slit
     curve (exact path integration, no interpolation).  Far-field samples must
@@ -511,16 +461,10 @@ def check_graph_disjointness(
 
     inside, near = _lens_masks(pts, c_poly, margin)
     kept = ~inside & ~near
-    omega = pts[kept]
-    mirror = omega.copy()
-    mirror[:, 1] *= -1.0
-
-    lookup = _ProjectedGraph(patch, box=(-L - margin, 0.0, -L - margin, L + margin))
-    F_vals, found_f = lookup.lookup(omega)
-    F_mirrored, found_m = lookup.lookup(mirror)
-    F_hat = -F_mirrored
-    misses = int(np.sum(~found_f) + np.sum(~found_m))
-    ok = found_f & found_m
+    F_vals = _graph_heights(patch, xs, ys).ravel()[kept]
+    F_hat = -_graph_heights(patch, xs, -ys[::-1])[:, ::-1].ravel()[kept]
+    misses = int(np.isnan(F_vals).sum() + np.isnan(F_hat).sum())
+    ok = ~np.isnan(F_vals) & ~np.isnan(F_hat)
     gaps = F_hat[ok] - F_vals[ok]
     min_gap = float(gaps.min()) if len(gaps) else math.nan
 
@@ -544,7 +488,7 @@ def check_graph_disjointness(
     pos_axis_residual = float(np.abs(h2[:, 2] + T / 2.0).max())
 
     # far field: gap of order T/2
-    radius = np.hypot(omega[ok][:, 0], omega[ok][:, 1])
+    radius = np.hypot(*pts[kept][ok].T)
     far = radius >= L
     far_gaps = gaps[far]
     far_dev = float(np.abs(far_gaps - T / 2.0).max()) if len(far_gaps) else math.nan
@@ -746,7 +690,7 @@ def check_slab_and_boundary(params: SurfaceParams) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def check_limit_constants(spec: QuadratureSpec = DEFAULT_SPEC) -> CheckResult:
+def check_limit_constants(spec: QuadratureSpec = PERIOD_SPEC) -> CheckResult:
     """Recompute the two closed-form constants and their inequality chain.
 
     Near the upper end of the angle interval the vertical-period
@@ -995,7 +939,7 @@ def run_all(
     grid: int = 100,
     resolution: int = 48,
     cutoff: float = 1e-2,
-    quad_spec: QuadratureSpec = DEFAULT_SPEC,
+    quad_spec: QuadratureSpec = PERIOD_SPEC,
 ) -> VerificationReport:
     """Run every check at the solved parameters ``params``, one after
     another, and assemble the report in the fixed check order."""

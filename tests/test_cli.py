@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import g1helicoid
-from g1helicoid.cli import RunConfig, UsageError, _build_parser, run
+from g1helicoid.cli import _OPTIONS, _SUBCOMMANDS, RunConfig, UsageError, _build_parser, _flag, run
 
 RHO0 = 0.7105219800457504
 LAM0 = 0.5882995303657090
@@ -245,6 +245,23 @@ def test_rejected_setting_exits_2(tmp_path, capsys, argv, config, named):
         argv = ["--config", str(path), *argv]
     assert run(argv) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [key for key, opt in _OPTIONS.items() if opt.type is float])
+def test_non_finite_setting_exits_2(tmp_path, capsys, key):
+    # NaN passes every `<= 0` test and inf every test without an upper end,
+    # so a solve would run on them: from a flag or a config key, each float
+    # setting must be finite
+    command = next(name for name, sub in _SUBCOMMANDS.items() if key in sub.options.split())
+    partner = {"rho": ["--lambda", "0.6"], "lam": ["--rho", "0.7"]}.get(key, [])
+    argv = [command, *partner, "--out", str(tmp_path / "out")]
+    config = tmp_path / "run.cfg"
+    for value in ("nan", "inf", "-inf"):
+        config.write_text(f"{'lambda' if key == 'lam' else key} = {value}\n")
+        for args in ([*argv, f"{_flag(key)}={value}"], ["--config", str(config), *argv]):
+            assert run(args) == 2
+            assert f"{_flag(key)} must be finite, got {float(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unwritable_out_exits_2():

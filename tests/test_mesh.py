@@ -33,7 +33,8 @@ from g1helicoid.mesh import (
     stack_periods,
 )
 from g1helicoid.torus import SYMMETRIES
-from g1helicoid.verify import _ProjectedGraph
+
+from conftest import graph_faces, triangles_holding
 
 CURVE_NAMES = {"C", "E", "E_hat", "H1", "H2", "c", "end"}
 
@@ -93,9 +94,7 @@ def test_patch_projects_into_left_half_plane(patch, params):
 def _interior_vertices(mesh):
     """Mask of the vertices of the faces outside the asymptotic cap that lie
     on no edge used by only one of those faces."""
-    faces = mesh.faces
-    for cap in mesh.metadata.get("asymptotic_caps", []):  # the patch's last vertices
-        faces = faces[np.all(faces < cap["vertex_start"], axis=1)]
+    faces = graph_faces(mesh)
     edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     edges, uses = np.unique(edges, axis=0, return_counts=True)
     interior = np.zeros(len(mesh.vertices), dtype=bool)
@@ -115,24 +114,26 @@ def _graph_collisions(mesh, T):
     triangles whose heights there differ by more than ``10 * 1e-4 * T``.
     Returns (vertices checked, vertices in collision).
 
-    The lookup grid is uniform and the mesh is graded towards the origin, so
-    each vertex is looked up in the square box, halving in size, whose outer
-    half holds it."""
+    The mesh is graded towards the origin, so the vertices go in rings: the
+    square box, halving in size, whose outer half holds them, each ring
+    tested only against the triangles that reach that outer half."""
     pts = mesh.vertices[_interior_vertices(mesh), :2]
     lens = np.asarray(mesh.boundary_polylines["c"])[:, :2]
     pts = pts[~point_in_polygon(pts, lens) & ~(distance_to_polyline(pts, lens) < 0.02 * T)]
     reach = np.abs(pts).max(axis=1)
+    faces = graph_faces(mesh)
+    xy = mesh.vertices[faces][:, :, :2]
+    # the half sides of the smallest origin-centred square that the triangle
+    # reaches and of the smallest that holds it
+    near = np.maximum(xy.min(axis=1), -xy.max(axis=1)).max(axis=1)
+    far = np.abs(xy).max(axis=(1, 2))
     collisions = 0
     size = reach.max()
     while size >= reach.min():
         ring = pts[(reach <= size) & (reach > size / 2)]
-        graph = _ProjectedGraph(mesh, box=(-size, size, -size, size))
-        owner, _, height = graph._containing(ring)
-        top = np.full(len(ring), -np.inf)
-        bottom = np.full(len(ring), np.inf)
-        np.maximum.at(top, owner, height)
-        np.minimum.at(bottom, owner, height)
-        collisions += int(np.count_nonzero(top - bottom > 10 * 1e-4 * T))
+        in_ring = faces[(near <= size) & (far > size / 2)]
+        for _, _, heights in triangles_holding(mesh, ring, in_ring):
+            collisions += len(heights) > 1 and np.ptp(heights) > 10 * 1e-4 * T
         size /= 2
     return len(pts), collisions
 

@@ -10,6 +10,10 @@ attribute (``obj.member``), matched by name.  Constructor keywords do not
 count, and neither do reads inside the class itself, except from a method
 that is read in turn (as ``to_dict`` reads ``checks`` for its caller).
 
+A module-level private function, class or constant (one leading underscore)
+counts as read when some module of the package refers to it outside its own
+definition; the tests and the benchmark do not count.
+
 The few names that only the tests use today are listed below with the
 reason each one stays; a listed name that gains a reader must leave the
 list.  ``module.Class.*`` stands for every member of the class.
@@ -151,6 +155,34 @@ def _waiting():
     for key in WAITING:
         out |= _members_of(key) if key.endswith(".*") else {key}
     return out
+
+
+def _private_names(node):
+    """The private names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        found = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        names = [n.id for n in found if isinstance(n.ctx, ast.Store)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _unread_private():
+    statements = [(module, node) for module, tree in _trees().items() for node in tree.body]
+    references = [_references(node) for _, node in statements]
+    return {
+        f"{module}.{name}"
+        for k, (module, node) in enumerate(statements)
+        for name in _private_names(node)
+        if not any(name in refs for j, refs in enumerate(references) if j != k)
+    }
+
+
+def test_every_private_name_has_a_reader_in_the_package():
+    assert sorted(_unread_private()) == []
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

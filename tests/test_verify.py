@@ -10,18 +10,17 @@ import os
 import numpy as np
 import pytest
 
-from g1helicoid import NumericError, mesh, verify
+from g1helicoid import NumericError, cli, mesh, verify
 from g1helicoid import weierstrass as W
 from g1helicoid.mesh import SurfaceMesh, distance_to_polyline, point_in_polygon
 from g1helicoid.period_solver import PeriodSolverError, scan_H
 from g1helicoid.quadrature import DEFAULT_SPEC
 from g1helicoid.verify import (
-    _GRAPH_BINS,
     GEOM_TOL_FACTOR,
     MONOTONE_STEP_SLACK,
+    _graph_heights,
     _lens_masks,
     _polyline_diameter,
-    _ProjectedGraph,
     check_c_convex,
     check_graph_disjointness,
     check_lambda_above_one_reversal,
@@ -32,6 +31,8 @@ from g1helicoid.verify import (
     json_text,
     run_all,
 )
+
+from conftest import graph_faces, triangles_holding
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,15 @@ def test_json_roundtrip_and_determinism(report):
     assert len(parsed["checks"]) == 7
     # runtimes are excluded so reruns stay byte-identical
     assert "runtime_s" not in s1
+
+
+def test_run_all_reproduces_the_cli_report(report, tmp_path):
+    # run_all's defaults are the CLI's: its quadrature policy included
+    out = tmp_path / "report.json"
+    assert cli.run(["verify", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    del written["provenance"]
+    assert json_text(written) == json_text(report.to_dict())
 
 
 def test_report_does_not_depend_on_the_level_threads(report, params, monkeypatch):
@@ -191,113 +201,44 @@ def test_graph_check_with_data(params, patch):
     assert res.passed and res.value > 0
 
 
-class _LoopGraph:
-    """Reference for :class:`_ProjectedGraph`: dict buckets built in a
-    triple loop and one lookup per point, with the same arithmetic."""
-
-    def __init__(self, patch, box):
-        verts = patch.vertices
-        faces = patch.faces
-        for cap in patch.metadata.get("asymptotic_caps", []):
-            faces = faces[np.all(faces < int(cap["vertex_start"]), axis=1)]
-        tri = verts[faces]
-        xy = tri[:, :, :2]
-        lo_x, hi_x, lo_y, hi_y = box
-        keep = (
-            (xy[:, :, 0].min(axis=1) <= hi_x)
-            & (xy[:, :, 0].max(axis=1) >= lo_x)
-            & (xy[:, :, 1].min(axis=1) <= hi_y)
-            & (xy[:, :, 1].max(axis=1) >= lo_y)
-        )
-        xy = xy[keep]
-        self._z = tri[keep][:, :, 2]
-        self._p0 = xy[:, 0, :]
-        d1 = xy[:, 1, :] - self._p0
-        d2 = xy[:, 2, :] - self._p0
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        scale = max(hi_x - lo_x, hi_y - lo_y)
-        good = np.abs(det) > 1e-300 * scale * scale
-        self._p0, d1, d2 = self._p0[good], d1[good], d2[good]
-        self._z = self._z[good]
-        self._d1, self._d2 = d1, d2
-        self._inv_det = 1.0 / (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        self._lo = np.array([lo_x, lo_y])
-        self._span = np.array([hi_x - lo_x, hi_y - lo_y])
-        mins = np.minimum(np.minimum(xy[good][:, 0], xy[good][:, 1]), xy[good][:, 2])
-        maxs = np.maximum(np.maximum(xy[good][:, 0], xy[good][:, 1]), xy[good][:, 2])
-        lo_cells = self._cell_of(mins)
-        hi_cells = self._cell_of(maxs)
-        buckets = {}
-        for t in range(len(self._p0)):
-            for ix in range(lo_cells[t, 0], hi_cells[t, 0] + 1):
-                for iy in range(lo_cells[t, 1], hi_cells[t, 1] + 1):
-                    buckets.setdefault((ix, iy), []).append(t)
-        self._buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-
-    def _cell_of(self, pts):
-        rel = (np.atleast_2d(pts) - self._lo) / self._span
-        cells = np.floor(rel * _GRAPH_BINS).astype(np.int64)
-        return np.clip(cells, 0, _GRAPH_BINS - 1)
-
-    def lookup(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        vals = np.full(len(pts), np.nan)
-        found = np.zeros(len(pts), dtype=bool)
-        cells = self._cell_of(pts)
-        for i, (p, (ix, iy)) in enumerate(zip(pts, cells)):
-            cand = self._buckets.get((int(ix), int(iy)))
-            if cand is None:
-                continue
-            rel = p - self._p0[cand]
-            u = (rel[:, 0] * self._d2[cand, 1] - rel[:, 1] * self._d2[cand, 0]) * self._inv_det[cand]
-            v = (self._d1[cand, 0] * rel[:, 1] - self._d1[cand, 1] * rel[:, 0]) * self._inv_det[cand]
-            w = 1.0 - u - v
-            inside = (u >= -1e-9) & (v >= -1e-9) & (w >= -1e-9)
-            if not inside.any():
-                continue
-            idx = np.flatnonzero(inside)
-            best = idx[np.argmax(np.minimum(np.minimum(u[idx], v[idx]), w[idx]))]
-            tri = cand[best]
-            vals[i] = (
-                self._z[tri, 0] * w[best] + self._z[tri, 1] * u[best] + self._z[tri, 2] * v[best]
-            )
-            found[i] = True
-        return vals, found
+def _reference_heights(mesh, pts):
+    """Per-point reference for :func:`_graph_heights`: of the triangles that
+    hold each point, the first (lowest face row) with the largest score; NaN
+    where none does."""
+    out = np.full(len(pts), np.nan)
+    for k, (rows, scores, heights) in enumerate(triangles_holding(mesh, pts, graph_faces(mesh))):
+        if len(rows):
+            out[k] = heights[np.argmax(scores)]
+    return out
 
 
-def _same_lookup(mesh, box, *point_sets):
-    """Both lookups give the same heights (bit for bit, NaN for a miss) and
-    found-masks on each point set; returns them, one pair per set."""
-    graph, ref = _ProjectedGraph(mesh, box), _LoopGraph(mesh, box)
-    results = []
-    for pts in point_sets:
-        vals, found = graph.lookup(pts)
-        ref_vals, ref_found = ref.lookup(pts)
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert np.array_equal(found, ref_found)
-        assert np.array_equal(np.isnan(vals), ~found)
-        results.append((vals, found))
-    return results if len(results) > 1 else results[0]
+def _same_heights(mesh, xs, ys):
+    """The lattice lookup equals the per-point reference at every lattice
+    point (bit for bit, NaN for a miss); returns its heights."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    heights = _graph_heights(mesh, xs, ys)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    ref = _reference_heights(mesh, np.column_stack([gx.ravel(), gy.ravel()]))
+    assert heights.shape == (len(xs), len(ys))
+    assert heights.tobytes() == ref.tobytes()
+    return heights
 
 
 def test_graph_lookup_matches_per_point_loop(patch):
-    # the queries of check_graph_disjointness at grid 100, plus the lens
-    # interior and the patch vertices (which sit on shared edges)
+    # the lattice of check_graph_disjointness at grid 100 and its mirror
+    # across the x1-axis, which the check reads on its kept points
     c_poly = np.asarray(patch.boundary_polylines["c"])[:, :2]
     diam = _polyline_diameter(c_poly)
     L, margin = 5.0 * diam, 0.05 * diam
-    box = (-L - margin, 0.0, -L - margin, L + margin)
     xs = -L + (np.arange(100) + 0.5) * (L / 100)
     ys = -L + (np.arange(100) + 0.5) * (2.0 * L / 100)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    kept = ~point_in_polygon(grid, c_poly) & ~(distance_to_polyline(grid, c_poly) < margin)
-    mirror = grid[kept] * [1.0, -1.0]
-    base, mirrored, full, _ = _same_lookup(
-        patch, box, grid[kept], mirror, grid, patch.vertices[:, :2]
-    )
-    assert base[1].all() and mirrored[1].all()
-    assert 0 < np.count_nonzero(~full[1]) < len(grid) // 10
+    inside, near = _lens_masks(np.column_stack([gx.ravel(), gy.ravel()]), c_poly, margin)
+    kept = ~inside & ~near
+    full = _same_heights(patch, xs, ys).ravel()
+    mirrored = _same_heights(patch, xs, -ys[::-1])[:, ::-1].ravel()
+    assert not np.isnan(full[kept]).any() and not np.isnan(mirrored[kept]).any()
+    assert 0 < np.count_nonzero(np.isnan(full)) < len(full) // 10
 
 
 def _sheets(*heights):
@@ -309,41 +250,36 @@ def _sheets(*heights):
     return SurfaceMesh(verts, faces)
 
 
-def test_graph_lookup_empty_and_clipped_cells():
-    mesh = _sheets(0.25)
-    pts = np.array(
-        [
-            [0.5, 0.2],  # inside the first triangle
-            [3.0, 3.0],  # in the box, in a cell no triangle reaches
-            [0.5, -0.5],  # below the box: clipped into a filled cell, in no triangle
-            [9.0, 9.0],  # beyond the box: clipped into an empty corner cell
-        ]
-    )
-    vals, found = _same_lookup(mesh, (0.0, 4.0, 0.0, 4.0), pts)
-    assert found.tolist() == [True, False, False, False]
-    assert vals[0] == 0.25
-    # a point left of a box that cuts the square is still found, through
-    # the clipped cell at the box edge
-    vals, found = _same_lookup(mesh, (0.5, 4.0, 0.0, 4.0), np.array([[0.1, 0.7]]))
-    assert found[0] and vals[0] == 0.25
+def test_graph_lookup_off_the_triangles():
+    # lattice points that no triangle holds read NaN
+    base, xs, ys = _sheets(0.25), [0.5, 3.0], [0.2, 3.0]
+    alone = _same_heights(base, xs, ys)
+    assert alone[0, 0] == 0.25 and np.isnan(alone).ravel().tolist() == [False, True, True, True]
+    # copies of the square whose bounding boxes hold no lattice point (left
+    # of, right of, below, above and between the lattice points, and one
+    # that spans a lattice column between two rows) change nothing
+    shifts = [(-5.0, 0.0), (9.0, 0.0), (0.0, -7.0), (0.0, 4.0), (1.6, 1.4), (2.5, 1.2)]
+    verts = np.vstack([base.vertices] + [base.vertices + [dx, dy, 0.5] for dx, dy in shifts])
+    faces = np.vstack([base.faces + 4 * k for k in range(len(shifts) + 1)])
+    crowded = _same_heights(SurfaceMesh(verts, faces), xs, ys)
+    assert crowded.tobytes() == alone.tobytes()
 
 
 def test_graph_lookup_tie_takes_first_candidate():
     # a point on the shared diagonal scores 0 in both triangles
-    vals, found = _same_lookup(_sheets(0.25), (0.0, 4.0, 0.0, 4.0), np.array([[0.5, 0.5]]))
-    assert found[0] and vals[0] == 0.25
+    assert _same_heights(_sheets(0.25), [0.5], [0.5])[0, 0] == 0.25
     # two sheets over the same square tie everywhere: the lower triangle
     # index wins, whichever sheet it is on
-    pts = np.array([[0.5, 0.5], [0.7, 0.2], [0.2, 0.7]])
-    vals, _ = _same_lookup(_sheets(0.25, 0.75), (0.0, 4.0, 0.0, 4.0), pts)
-    assert vals == pytest.approx([0.25, 0.25, 0.25], abs=1e-12)
-    vals, _ = _same_lookup(_sheets(0.75, 0.25), (0.0, 4.0, 0.0, 4.0), pts)
-    assert vals == pytest.approx([0.75, 0.75, 0.75], abs=1e-12)
+    lattice = [0.2, 0.5, 0.7]
+    vals = _same_heights(_sheets(0.25, 0.75), lattice, lattice)
+    assert vals.ravel() == pytest.approx([0.25] * 9, abs=1e-12)
+    vals = _same_heights(_sheets(0.75, 0.25), lattice, lattice)
+    assert vals.ravel() == pytest.approx([0.75] * 9, abs=1e-12)
 
 
 def test_graph_lookup_of_no_points():
-    vals, found = _same_lookup(_sheets(0.25), (0.0, 4.0, 0.0, 4.0), np.empty((0, 2)))
-    assert vals.shape == found.shape == (0,)
+    assert _same_heights(_sheets(0.25), [], []).shape == (0, 0)
+    assert _same_heights(_sheets(0.25), [0.5, 0.7], []).shape == (2, 0)
 
 
 def test_failed_check_detected():
