@@ -458,8 +458,8 @@ def _cmd_mesh(cfg: RunConfig) -> int:
     from .mesh import assemble_fundamental_domain, export_obj, export_ply, stack_periods
 
     params, triple = _resolve_params(cfg)
-    patch = _build_patch(cfg, params, triple)
-    mesh = assemble_fundamental_domain(patch)
+    # no name holds the patch, so it is freed once the domain is assembled
+    mesh = assemble_fundamental_domain(_build_patch(cfg, params, triple))
     if cfg.copies > 1:
         mesh = stack_periods(mesh, cfg.copies)
     if cfg.format == "ply":

@@ -83,7 +83,12 @@ class MeshError(RuntimeError, NumericError):
 
 @dataclass
 class SurfaceMesh:
-    """Triangle mesh with named boundary polylines and build metadata."""
+    """Triangle mesh with named boundary polylines and build metadata.
+
+    Every mesh this module builds or reads stores ``faces`` as int32, the
+    index type of the PLY face records, so a mesh holds at most 2**31 - 1
+    vertices; functions that take a mesh accept any integer dtype.
+    """
 
     vertices: np.ndarray
     faces: np.ndarray
@@ -441,7 +446,7 @@ def mesh_patch_D(
         if r == hole - 1:
             lo_row, hi_row = lo_row[1:], hi_row[1:]  # skip the cell around the puncture
         face_blocks.append(_strip_faces(vertices, lo_row, hi_row))
-    faces_arr = np.concatenate(face_blocks)
+    faces_arr = np.concatenate(face_blocks, dtype=np.int32)
     areas = _face_areas(vertices, faces_arr)
     tiny = np.where(areas < (1e-8 * T) ** 2)[0]
     if len(tiny) > 0:
@@ -527,8 +532,9 @@ def _append_asymptotic_cap(
     mesh.vertices = np.vstack([mesh.vertices] + rings)
     ring_ids = n0 + np.arange(n_new).reshape(n_rings, n_angles)
     strips = zip(ring_ids[:-1], ring_ids[1:])
-    mesh.faces = np.vstack(
-        [mesh.faces] + [_strip_faces(mesh.vertices, lo, hi) for lo, hi in strips]
+    mesh.faces = np.concatenate(
+        [mesh.faces] + [_strip_faces(mesh.vertices, lo, hi) for lo, hi in strips],
+        dtype=np.int32,
     )
     mesh.metadata["asymptotic_caps"] = [{"vertex_start": int(n0), "vertex_count": int(n_new)}]
 
@@ -574,7 +580,8 @@ def _weld_by_pairs(
     A root is a vertex labelled with its own index, so a cumulative sum of
     the roots numbers them without a sort.  Faces that lost a corner go.
 
-    Returns (vertices, faces, old_to_new, n_duplicates_removed).
+    Returns (vertices, faces, old_to_new, n_duplicates_removed); the faces
+    and ``old_to_new`` are int32.
     """
     for ids_a, ids_b, label in pairs:
         _check_seam(label, vertices[ids_a], vertices[ids_b], tol)
@@ -592,7 +599,7 @@ def _weld_by_pairs(
                 break
             roots = step
     is_root = roots == np.arange(len(vertices))
-    old_to_new = (np.cumsum(is_root) - 1)[roots]
+    old_to_new = (np.cumsum(is_root, dtype=np.int32) - 1)[roots]
     new_faces = old_to_new[faces]
     keep = (
         (new_faces[:, 0] != new_faces[:, 1])
@@ -620,7 +627,7 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
     n = len(patch.vertices)
     seams = patch.metadata["seam_ids"]
     vertices = np.empty((4, n, 3))
-    faces = np.empty((4,) + patch.faces.shape, dtype=patch.faces.dtype)
+    faces = np.empty((4,) + patch.faces.shape, dtype=np.int32)
     offsets = {}
     for k, (name, sym) in enumerate(_COPY_SPECS):
         mat = np.eye(3) if sym is None else SYMMETRIES[sym].space_matrix
@@ -687,7 +694,9 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
     then each later copy without its bottom-seam vertices (the layout
     :func:`_weld_by_pairs` gives the k staged copies).  The ``stack_seams``
     must pair bottom and top vertices one to one, and no vertex may sit on
-    both a top and a bottom seam; otherwise :class:`MeshError` is raised.
+    both a top and a bottom seam; otherwise :class:`MeshError` is raised.  So
+    is a stack whose vertex count passes the int32 face-index limit, before
+    any seam is checked or any copy is built.
     """
     if k < 1:
         raise MeshError("k must be >= 1")
@@ -704,11 +713,6 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
     sides = ("pos", "neg")
     tops = [np.asarray(seams[f"top_{side}_x2"], dtype=int) for side in sides]
     bottoms = [np.asarray(seams[f"bottom_{side}_x2"], dtype=int) for side in sides]
-    for j in range(k - 1):
-        for side, top, bottom in zip(sides, tops, bottoms):
-            label = f"stack {side}-x2 {j}~{j+1}"
-            _check_seam(label, v[top] + j * shift, v[bottom] + (j + 1) * shift, weld_tol)
-
     top, bottom = np.concatenate(tops), np.concatenate(bottoms)
     partner = np.full(n, -1)
     partner[bottom] = top
@@ -720,25 +724,36 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
         raise MeshError("stack seams do not pair bottom and top vertices one to one")
     if np.any(on_top[bottom]):
         raise MeshError("a vertex sits on both a top and a bottom stack seam")
+    size = n + (k - 1) * m
+    if size > np.iinfo(np.int32).max:
+        raise MeshError(
+            f"{k} copies need {size} vertices, past the int32 face-index limit "
+            f"of {np.iinfo(np.int32).max}"
+        )
+    for j in range(k - 1):
+        for side, top, bottom in zip(sides, tops, bottoms):
+            label = f"stack {side}-x2 {j}~{j+1}"
+            _check_seam(label, v[top] + j * shift, v[bottom] + (j + 1) * shift, weld_tol)
+
+    kept = np.flatnonzero(keep)
     bottom = np.flatnonzero(~keep)
     top = partner[bottom]
-    vertices = np.empty((n + (k - 1) * m, 3))
-    faces = np.empty((k,) + f.shape, dtype=np.intp)
+    vertices = np.empty((size, 3))
     np.add(v, 0 * shift, out=vertices[:n])  # -0.0 becomes +0.0, as in later copies
-    faces[0] = f
-    table = np.arange(n)
+    table = np.empty((k, n), dtype=np.int32)  # table[j]: copy j's index of each vertex
+    table[0] = np.arange(n)
     domain_caps = domain.metadata["asymptotic_caps"]
     caps = list(domain_caps)
     for j in range(1, k):
         start = n + (j - 1) * m
-        np.add(v[keep], j * shift, out=vertices[start : start + m])
-        below = table[top]  # where copy j-1 put the top seam
-        table[keep] = np.arange(start, start + m)
-        table[bottom] = below
+        rows = vertices[start : start + m]
+        np.take(v, kept, axis=0, out=rows, mode="clip")  # "clip" spares the copy "raise" makes
+        rows += j * shift
+        table[j, kept] = np.arange(start, start + m)
+        table[j, bottom] = table[j - 1, top]  # where copy j-1 put the top seam
         # a cap is on no seam: copy j lays it out as one run
-        caps += [dict(cap, vertex_start=int(table[cap["vertex_start"]])) for cap in domain_caps]
-        # f is in range: "clip" only spares the buffered copy "raise" makes
-        np.take(table, f, out=faces[j], mode="clip")
+        caps += [dict(cap, vertex_start=int(table[j, cap["vertex_start"]])) for cap in domain_caps]
+    faces = table[np.arange(k)[:, None, None], f]  # every copy's faces in one gather
     metadata = dict(domain.metadata)
     metadata["stack_duplicates_removed"] = (k - 1) * (n - m)
     metadata["asymptotic_caps"] = caps
@@ -789,38 +804,43 @@ def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
     """Edge-use report: interior edges must be shared by exactly two faces
     with opposite orientation; boundary edges by one.
 
-    Each of the 3F directed face edges a->b gets the key
-    2 (min(a, b) n + max(a, b)) + [a < b], in one array sorted in place.  A
-    run of keys with the same half is one edge: the run length is its use
-    count, and an edge used twice is consistently oriented when exactly one of its uses
-    runs from the smaller index to the larger (one odd key in the run).
+    Each of the 3F directed face edges a->b gets the int64 key
+    2 (min(a, b) n + max(a, b)) + [a < b], written one face corner at a time
+    from the faces as they are (any integer dtype, never copied) into one
+    array sorted in place.  A run of keys with the same half is one edge: the
+    run length is its use count, and an edge used twice is consistently
+    oriented when exactly one of its uses runs from the smaller index to the
+    larger (its two keys differ in the last bit).
     """
-    f = np.asarray(mesh.faces, dtype=np.int64)
-    a = f.ravel()
-    b = f[:, [1, 2, 0]].ravel()
+    f = np.asarray(mesh.faces)
     n = int(f.max()) + 1 if f.size else 0
-    up = a < b
-    keys = np.minimum(a, b)
-    keys *= n
-    keys += np.maximum(a, b, out=b)
-    keys *= 2
-    keys += up
-    del b, up
+    keys = np.empty((3, len(f)), dtype=np.int64)
+    for j in range(3):  # no name may keep a view of keys past the del below
+        a, b = f[:, j], f[:, (j + 1) % 3]
+        np.minimum(a, b, out=keys[j])
+        keys[j] *= n
+        keys[j] += np.maximum(a, b)
+        keys[j] *= 2
+        keys[j] += a < b
+    keys = keys.reshape(-1)
     keys.sort()
-    ascending = keys & 1
+    ascending = np.empty(len(keys), dtype=bool)
+    np.bitwise_and(keys, 1, out=ascending, casting="unsafe")
     keys >>= 1
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    # same[i]: keys i - 1 and i are one edge; False at 0 and past the end
+    same = np.zeros(len(keys) + 2, dtype=bool)
+    np.equal(keys[1:], keys[:-1], out=same[1:-2])
     del keys
-    starts = np.flatnonzero(first)
-    uses = np.diff(np.append(starts, len(first)))
-    ascending = np.add.reduceat(ascending, starts)
-    twice = uses == 2
+    first = ~same[:-2]  # key i begins an edge
+    twice = first & same[1:-1]
+    overused = twice & same[2:]
+    twice &= ~overused
+    interior = int(np.count_nonzero(twice[:-1] & (ascending[:-1] != ascending[1:])))
     return {
-        "interior_edges": int(np.count_nonzero(twice & (ascending == 1))),
-        "boundary_edges": int(np.count_nonzero(uses == 1)),
-        "misoriented_edges": int(np.count_nonzero(twice & (ascending != 1))),
-        "overused_edges": int(np.count_nonzero(uses > 2)),
+        "interior_edges": interior,
+        "boundary_edges": int(np.count_nonzero(first & ~same[1:-1])),
+        "misoriented_edges": int(np.count_nonzero(twice)) - interior,
+        "overused_edges": int(np.count_nonzero(overused)),
     }
 
 
@@ -912,9 +932,9 @@ def import_obj(path: str) -> SurfaceMesh:
     f_lines = [line for line in lines if line.startswith(b"f ")]
     if f_lines:
         f_lines = re.sub(rb"/\S*", b"", b"\n".join(f_lines)).splitlines()
-        faces = _obj_columns(f_lines, np.int64, path) - 1
+        faces = _obj_columns(f_lines, np.int32, path) - 1
     else:
-        faces = np.empty((0, 3), dtype=np.int64)
+        faces = np.empty((0, 3), dtype=np.int32)
     _require_vertex_indices(faces, len(v_lines), path, 1)
     return SurfaceMesh(_obj_columns(v_lines, float, path), faces)
 
@@ -953,10 +973,12 @@ def export_ply(mesh: SurfaceMesh, path: str) -> None:
         with open(path, "wb") as fh:
             fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
             fh.write(memoryview(np.ascontiguousarray(mesh.vertices, dtype="<f8")).cast("B"))
-            records = np.empty(nf, dtype=_PLY_FACE)
+            records = np.empty(min(nf, _ROWS_PER_WRITE), dtype=_PLY_FACE)
             records["n"] = 3
-            records["i"] = mesh.faces
-            fh.write(memoryview(records).cast("B"))
+            for start in range(0, nf, _ROWS_PER_WRITE):
+                block = records[: nf - start]
+                block["i"] = mesh.faces[start : start + _ROWS_PER_WRITE]
+                fh.write(memoryview(block).cast("B"))
     except OSError as exc:
         raise MeshError(f"PLY export failed for {path!r}: {exc}") from exc
 
@@ -997,7 +1019,7 @@ def import_ply(path: str) -> SurfaceMesh:
     bad = np.flatnonzero(records["n"] != 3)
     if len(bad):
         raise MeshError(f"{path!r}: non-triangular face of size {records['n'][bad[0]]}")
-    faces = records["i"].astype(int)
+    faces = records["i"].astype(np.int32)
     _require_vertex_indices(faces, nv, path, 0)
     return SurfaceMesh(vertices.copy(), faces)
 

@@ -293,11 +293,12 @@ def solve_period_problem(
 ) -> PeriodSolution:
     """Solve both period conditions; returns the closed parameter set.
 
-    A ``grid_size``-point scan of ``H(rho) = G(rho, Lambda(rho))`` over
-    ``(rho_min, rho_max)`` locates the first sign change (no uniqueness is
-    asserted).  That bracket is refined to ``root_tol`` in rho by Brent's
-    method, which starts from the two scan values of H at its ends instead
-    of solving them again.
+    ``H(rho) = G(rho, Lambda(rho))`` is evaluated at the points of a
+    ``grid_size``-point grid over ``(rho_min, rho_max)`` in order, until two
+    neighbours bracket the first sign change (no uniqueness is asserted);
+    grid points past it are not evaluated.  The bracket is refined to
+    ``root_tol`` in rho by Brent's method, which starts from the two scan
+    values of H at its ends instead of solving them again.
 
     Raises
     ------
@@ -306,28 +307,24 @@ def solve_period_problem(
     PeriodSolverError
         If a root solve does not converge within 100 iterations.
     """
-    grid = np.linspace(rho_min, rho_max, int(grid_size))
-    table = scan_H(grid, spec)
-
-    g_vals = [row[3] for row in table]
-    changes = [
-        i
-        for i in range(len(table) - 1)
-        if g_vals[i] == 0.0 or (g_vals[i] < 0.0) != (g_vals[i + 1] < 0.0)
-    ]
-    if not changes:
-        raise NoSignChangeError(
-            f"no sign change of G(rho, Lambda(rho)) on ({rho_min}, {rho_max}) "
-            f"with {grid_size} samples"
-        )
-    i = changes[0]
 
     def H(rho: float) -> float:
         Lam = solve_Lambda_of_rho(rho, spec, root_tol=1e-13)
         return G_integral(rho, Lam, spec).value
 
-    # the scan used the same spec and inner root_tol, so its G values are H
-    rho0 = _brent(H, table[i][0], table[i + 1][0], g_vals[i], g_vals[i + 1], root_tol)
+    grid = [float(rho) for rho in np.linspace(rho_min, rho_max, int(grid_size))]
+    rho_lo = h_lo = None
+    for rho_hi in grid:
+        h_hi = H(rho_hi)
+        if h_lo is not None and (h_lo == 0.0 or (h_lo < 0.0) != (h_hi < 0.0)):
+            break
+        rho_lo, h_lo = rho_hi, h_hi
+    else:
+        raise NoSignChangeError(
+            f"no sign change of G(rho, Lambda(rho)) on ({rho_min}, {rho_max}) "
+            f"with {grid_size} samples"
+        )
+    rho0 = _brent(H, rho_lo, rho_hi, h_lo, h_hi, root_tol)
     Lambda0 = solve_Lambda_of_rho(rho0, spec, root_tol=1e-14)
     lambda0 = lambda_from_Lambda(Lambda0)
     residual_F = F_integral(rho0, Lambda0, spec).value

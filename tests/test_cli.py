@@ -56,10 +56,12 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def _fresh_python(code):
+def _fresh_python(code, timeout=None):
     src = str(Path(g1helicoid.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def test_solve_and_periods_load_only_the_solver():
@@ -109,6 +111,22 @@ def test_mesh_error_exits_1_from_a_fresh_process(tmp_path):
     assert out.stderr.startswith(
         "g1helicoid: numeric error: MeshError: closure failure at level t=1.04006"
     )
+
+
+def test_copies_past_the_int32_index_limit_exit_1_at_once(tmp_path):
+    # a billion periods of even the smallest patch need more vertex indices
+    # than int32 has: the stack refuses before its per-copy seam checks
+    code = (
+        "import sys\n"
+        "from g1helicoid import cli\n"
+        "sys.exit(cli.main(['mesh', '--resolution', '8', '--copies', '1000000000',"
+        f" '--out', {str(tmp_path / 'm.obj')!r}]))\n"
+    )
+    out = _fresh_python(code, timeout=30)
+    assert out.returncode == 1
+    assert out.stderr.startswith("g1helicoid: numeric error: MeshError: 1000000000 copies need ")
+    assert "past the int32 face-index limit of 2147483647" in out.stderr
+    assert not (tmp_path / "m.obj").exists()
 
 
 def test_unconverged_solve_exits_1(capsys):

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from g1helicoid import mesh, weierstrass
+from g1helicoid import cli, mesh, weierstrass
 from g1helicoid.mesh import (
     MeshError,
     SurfaceMesh,
@@ -603,6 +603,70 @@ def test_ply_export_peak_memory(domain, tmp_path):
     assert peak <= 0.5 * (stack.vertices.nbytes + stack.faces.nbytes)
 
 
+def test_mesh_command_peak_memory_per_written_vertex(tmp_path):
+    # the whole `mesh` run, solve to export: int32 faces, no patch held past
+    # assembly, the manifold check's keys as the only int64 index array and
+    # PLY face records written block by block (int64 faces peaked at 120
+    # bytes per vertex, int32 faces at 76)
+    out = str(tmp_path / "m.ply")
+    argv = ["mesh", "--resolution", "48", "--copies", "3", "--format", "ply", "--out", out]
+    code, peak = _traced_peak(cli.run, argv)
+    assert code == 0
+    assert peak <= 110 * len(import_ply(out).vertices)
+
+
+def _mesh_from(source, patch, domain, path):
+    if source == "patch":
+        return patch
+    if source == "domain":
+        return domain
+    if source == "stack":
+        return stack_periods(domain, 2)
+    export, read = {"import_obj": (export_obj, import_obj), "import_ply": (export_ply, import_ply)}[
+        source
+    ]
+    export(patch, path)
+    return read(path)
+
+
+@pytest.mark.parametrize("source", ["patch", "domain", "stack", "import_obj", "import_ply"])
+def test_built_and_read_meshes_store_int32_faces(patch, domain, tmp_path, source):
+    mesh = _mesh_from(source, patch, domain, str(tmp_path / "m"))
+    assert mesh.faces.dtype == np.int32
+    if source.startswith("import"):
+        assert np.array_equal(mesh.faces, patch.faces)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+def test_mesh_functions_accept_any_integer_faces(domain, tmp_path, dtype):
+    # int32 is what the package builds, not what its functions require
+    wide = SurfaceMesh(domain.vertices, domain.faces.astype(dtype), metadata=domain.metadata)
+    assert check_oriented_manifold(wide) == check_oriented_manifold(domain)
+    assert np.array_equal(stack_periods(wide, 2).faces, stack_periods(domain, 2).faces)
+    for name, export in (("m.ply", export_ply), ("m.obj", export_obj)):
+        export(wide, str(tmp_path / f"wide_{name}"))
+        export(domain, str(tmp_path / name))
+        assert (tmp_path / f"wide_{name}").read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_stack_past_the_int32_index_limit_raises_before_any_copy(domain, monkeypatch):
+    # a billion copies would need more vertex indices than int32 has; the
+    # limit is checked before the k - 1 seam checks and before the output
+    # arrays are allocated
+    def no_seam_check(*args):
+        raise AssertionError("a seam was checked before the index limit")
+
+    monkeypatch.setattr(mesh, "_check_seam", no_seam_check)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeshError, match=r"1000000000 copies need \d+ vertices, past the int32"):
+            stack_periods(domain, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < domain.vertices.nbytes
+
+
 def _report(faces):
     mesh = SurfaceMesh(np.zeros((max(map(max, faces)) + 1, 3)), np.array(faces))
     return check_oriented_manifold(mesh)
@@ -730,7 +794,7 @@ def test_obj_reads_v_vt_vn_faces(tmp_path):
         back.vertices, [[0, 0, 0], [1.5, 0, -2e-3], [1, 1, 0.1], [0, 1, 0]]
     )
     assert np.array_equal(back.faces, [[0, 1, 2], [0, 2, 3]])
-    assert back.faces.dtype == np.int64
+    assert back.faces.dtype == np.int32
 
 
 @pytest.mark.parametrize(

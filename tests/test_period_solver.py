@@ -235,6 +235,45 @@ def test_root_solves_start_from_known_end_values(monkeypatch):
     assert Lambda_args.count(lo) == 1 and Lambda_args.count(hi) == 1
 
 
+def test_scan_stops_at_the_first_sign_change(monkeypatch):
+    # Lambda(rho) is solved at the grid points up to the first sign change of
+    # H, then only inside that bracket (Brent) and at rho0
+    rhos = []
+    real_solve = period_solver.solve_Lambda_of_rho
+
+    def counting_solve(rho, spec=period_solver.PERIOD_SPEC, root_tol=1e-13):
+        rhos.append(rho)
+        return real_solve(rho, spec, root_tol)
+
+    monkeypatch.setattr(period_solver, "solve_Lambda_of_rho", counting_solve)
+    sol = solve_period_problem()
+    grid = np.linspace(0.02, math.pi / 2 - 0.02, 64)
+    k = int(np.searchsorted(grid, sol.rho0))  # grid[k - 1] < rho0 < grid[k]
+    assert rhos[: k + 1] == list(grid[: k + 1])
+    assert all(grid[k - 1] < rho < grid[k] for rho in rhos[k + 1 :])
+    assert len(rhos) < len(grid)
+
+
+@pytest.mark.parametrize("grid_size", [48, 64, 80])
+def test_solve_matches_a_full_scan_bit_for_bit(grid_size):
+    # the reference scans every grid point with scan_H, then refines the
+    # first sign change as the solve does
+    grid = np.linspace(0.02, math.pi / 2 - 0.02, grid_size)
+    table = scan_H(grid)
+    g = [row[3] for row in table]
+    i = next(i for i in range(len(g) - 1) if g[i] == 0.0 or (g[i] < 0.0) != (g[i + 1] < 0.0))
+
+    def H(rho):
+        return G_integral(rho, solve_Lambda_of_rho(rho, root_tol=1e-13)).value
+
+    rho0 = _brent(H, table[i][0], table[i + 1][0], g[i], g[i + 1], 1e-12)
+    Lambda0 = solve_Lambda_of_rho(rho0, root_tol=1e-14)
+    sol = solve_period_problem(grid_size=grid_size)
+    assert (sol.rho0, sol.Lambda0) == (rho0, Lambda0)
+    assert sol.residual_F == F_integral(rho0, Lambda0).value
+    assert sol.residual_G == G_integral(rho0, Lambda0).value
+
+
 # ---------------------------------------------------------------------------
 # diagnostics outside the physical branch
 # ---------------------------------------------------------------------------
