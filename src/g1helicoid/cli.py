@@ -118,6 +118,8 @@ class RunConfig:
         if (self.rho is None) != (self.lam is None):
             raise UsageError("--rho and --lambda must be given together")
         if self.out is not None:
+            if os.path.isdir(self.out):
+                raise UsageError(f"--out names a directory: {self.out}")
             parent = os.path.dirname(os.path.abspath(self.out))
             if not os.path.isdir(parent):
                 raise UsageError(f"output directory does not exist: {parent}")
@@ -300,11 +302,9 @@ def _build_parser() -> _Parser:
 # --------------------------------------------------------------------------
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_float(x: float) -> str:
+def _fmt_float(x: object) -> str:
+    """A float at 17 significant digits (JSON's names for NaN and the
+    infinities), anything else as ``str``."""
     if isinstance(x, float):
         if math.isnan(x):
             return "NaN"
@@ -349,6 +349,11 @@ def json_text(obj: object, indent: int = 2, _level: int = 0) -> str:
     return json.dumps(str(obj))
 
 
+def _triple(params: SurfaceParams) -> Dict[str, float]:
+    """The solved parameters a provenance record names."""
+    return {"rho0": params.rho, "lambda0": params.lam, "T": params.T}
+
+
 def _provenance(cfg: RunConfig, solution: Optional[Dict[str, float]] = None) -> Dict[str, object]:
     prov: Dict[str, object] = {
         "artifact": "g1helicoid",
@@ -363,19 +368,9 @@ def _provenance(cfg: RunConfig, solution: Optional[Dict[str, float]] = None) -> 
 def _provenance_comment_lines(cfg: RunConfig,
                               solution: Optional[Dict[str, float]] = None) -> List[str]:
     lines = [f"g1helicoid {__version__}"]
-    echo = cfg.echo()
-    parts = []
-    for key, value in echo.items():
-        if isinstance(value, float):
-            parts.append(f"{key}={_g17(value)}")
-        else:
-            parts.append(f"{key}={value}")
-    lines.append("config: " + " ".join(parts))
-    if solution is not None:
-        lines.append(
-            "solution: "
-            + " ".join(f"{k}={_g17(v)}" for k, v in solution.items())
-        )
+    for head, record in (("config", cfg.echo()), ("solution", solution)):
+        if record is not None:
+            lines.append(f"{head}: " + " ".join(f"{k}={_fmt_float(v)}" for k, v in record.items()))
     return lines
 
 
@@ -398,15 +393,11 @@ def _solve(cfg: RunConfig):
     )
 
 
-def _resolve_params(cfg: RunConfig) -> Tuple[SurfaceParams, Dict[str, float]]:
+def _resolve_params(cfg: RunConfig) -> SurfaceParams:
     """Solve unless an explicit (rho, lambda) override was given."""
     if cfg.rho is not None and cfg.lam is not None:
-        params = SurfaceParams.create(cfg.rho, cfg.lam)
-        triple = {"rho0": params.rho, "lambda0": params.lam, "T": params.T}
-        return params, triple
-    sol = _solve(cfg)
-    triple = {"rho0": sol.rho0, "lambda0": sol.lambda0, "T": sol.params.T}
-    return sol.params, triple
+        return SurfaceParams(cfg.rho, cfg.lam)
+    return _solve(cfg).params
 
 
 # --------------------------------------------------------------------------
@@ -418,11 +409,9 @@ def _cmd_solve(cfg: RunConfig) -> int:
     sol = _solve(cfg)
     p = sol.params
     payload = {
-        "provenance": _provenance(
-            cfg, {"rho0": sol.rho0, "lambda0": sol.lambda0, "T": p.T}
-        ),
-        "rho0": sol.rho0,
-        "lambda0": sol.lambda0,
+        "provenance": _provenance(cfg, _triple(p)),
+        "rho0": p.rho,
+        "lambda0": p.lam,
         "Lambda0": sol.Lambda0,
         "r": p.r,
         "R": p.R,
@@ -440,26 +429,25 @@ def _cmd_periods(cfg: RunConfig) -> int:
     lines = ["# " + s for s in _provenance_comment_lines(cfg)]
     lines.append("rho,Lambda,F,G")
     for rho, Lam, F, G in rows:
-        lines.append(",".join(_g17(v) for v in (rho, Lam, F, G)))
+        lines.append(",".join(_fmt_float(v) for v in (rho, Lam, F, G)))
     _emit_text(cfg, "\n".join(lines) + "\n")
     return 0
 
 
-def _build_patch(cfg: RunConfig, params: SurfaceParams,
-                 triple: Dict[str, float]) -> SurfaceMesh:
+def _build_patch(cfg: RunConfig) -> SurfaceMesh:
     from .mesh import mesh_patch_D
 
+    params = _resolve_params(cfg)
     patch = mesh_patch_D(params, resolution=cfg.resolution, cutoff=cfg.cutoff)
-    patch.metadata["provenance"] = _provenance_comment_lines(cfg, triple)
+    patch.metadata["provenance"] = _provenance_comment_lines(cfg, _triple(params))
     return patch
 
 
 def _cmd_mesh(cfg: RunConfig) -> int:
     from .mesh import assemble_fundamental_domain, export_obj, export_ply, stack_periods
 
-    params, triple = _resolve_params(cfg)
     # no name holds the patch, so it is freed once the domain is assembled
-    mesh = assemble_fundamental_domain(_build_patch(cfg, params, triple))
+    mesh = assemble_fundamental_domain(_build_patch(cfg))
     if cfg.copies > 1:
         mesh = stack_periods(mesh, cfg.copies)
     if cfg.format == "ply":
@@ -476,8 +464,7 @@ def _cmd_mesh(cfg: RunConfig) -> int:
 def _cmd_curves(cfg: RunConfig) -> int:
     from .mesh import export_curves_csv
 
-    params, triple = _resolve_params(cfg)
-    patch = _build_patch(cfg, params, triple)
+    patch = _build_patch(cfg)
     export_curves_csv(patch, cfg.out)
     names = ", ".join(sorted(patch.boundary_polylines))
     sys.stdout.write(f"wrote {cfg.out}: curves {names}\n")
@@ -494,9 +481,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         cutoff=cfg.cutoff,
         quad_spec=cfg.quad_spec(),
     )
-    triple = {"rho0": report.rho0, "lambda0": report.lambda0, "T": report.T}
-    payload = dict(report.to_dict())
-    payload = {"provenance": _provenance(cfg, triple), **payload}
+    payload = {"provenance": _provenance(cfg, _triple(report.params)), **report.to_dict()}
     _emit_text(cfg, json_text(payload) + "\n")
     if cfg.out is None:
         sys.stdout.write("\n")

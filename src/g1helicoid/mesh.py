@@ -372,12 +372,10 @@ def mesh_patch_D(
     if 24 * (n_rays - 1) * len(level_t) < _THREADED_NODES or (cpus or 1) < 2:  # GL8 + GL16
         levels = [level(t) for t in level_t]
     else:
-        with ThreadPoolExecutor(2) as pool:  # more threads were never measured
-            futures = [pool.submit(level, t) for t in level_t]
-            try:
-                levels = [future.result() for future in futures]
-            finally:  # after an error or an interrupt, start no further level
-                pool.shutdown(cancel_futures=True)
+        # map yields in level order, raises the first error and cancels the
+        # levels not yet started; more threads were never measured
+        with ThreadPoolExecutor(2) as pool:
+            levels = list(pool.map(level, level_t))
 
     glue_pos, bank_in_pos, bank_out_pos, glue_mask, slit_mask = _ring_polylines(
         params, rays, a_rise, rel_tol, abs_tol
@@ -916,11 +914,12 @@ def _require_vertex_indices(faces: np.ndarray, nv: int, path: str, first: int) -
 def import_obj(path: str) -> SurfaceMesh:
     """Read the lines that begin ``v `` and ``f `` of an OBJ file.
 
-    A vertex is the first three coordinates of its line, a face the first
-    three vertex references (``f a/b/c`` keeps ``a``); other lines are
-    skipped.  A record with fewer than three fields, a field that is not a
-    number, or a reference that is not a vertex number (1 to the vertex
-    count; relative references are not read) raises :class:`MeshError`."""
+    A vertex is the first three coordinates of its line, a face its three
+    vertex references (``f a/b/c`` keeps ``a``); other lines are skipped.  A
+    record with fewer than three fields, a face with more than three (a
+    polygon), a field that is not a number, or a reference that is not a
+    vertex number (1 to the vertex count; relative references are not read)
+    raises :class:`MeshError`."""
     try:
         with open(path, "rb") as fh:
             lines = fh.read().splitlines()
@@ -931,8 +930,17 @@ def import_obj(path: str) -> SurfaceMesh:
         raise MeshError(f"no vertices found in {path!r}")
     f_lines = [line for line in lines if line.startswith(b"f ")]
     if f_lines:
-        f_lines = re.sub(rb"/\S*", b"", b"\n".join(f_lines)).splitlines()
+        block = re.sub(rb"/\S*", b"", b"\n".join(f_lines))
+        f_lines = block.splitlines()
         faces = _obj_columns(f_lines, np.int32, path) - 1
+        # every record has at least four fields now, so three spaces and no
+        # tab per record leave no room for a fourth reference; else count
+        # per record (`in` is a memchr, a tenth of the cost of a count)
+        if b"\t" in block or block.count(b" ") != 3 * len(f_lines):
+            for k, line in enumerate(f_lines):
+                n = len(line.split(b"#", 1)[0].split()) - 1  # as np.loadtxt reads it
+                if n > 3:
+                    raise MeshError(f"{path!r}: face {k} has {n} vertices; only triangles are read")
     else:
         faces = np.empty((0, 3), dtype=np.int32)
     _require_vertex_indices(faces, len(v_lines), path, 1)

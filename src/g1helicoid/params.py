@@ -55,10 +55,11 @@ def lambda_from_Lambda(Lam: float) -> float:
 class SurfaceParams:
     """Validated, immutable parameter bundle with cached derived quantities.
 
-    Use :meth:`create` for the physical branch (``0 < rho < pi/2``,
-    ``0 < lam < 1``) and :meth:`diagnostic_branch` for out-of-branch studies
-    (``lam > 1`` or ``rho <= 0``); diagnostic instances are accepted by the
-    analysis routines but must never be meshed.
+    ``SurfaceParams(rho, lam)`` is a point of the physical branch
+    (``0 < rho < pi/2``, ``0 < lam < 1``); ``SurfaceParams(rho, lam,
+    diagnostic=True)`` also admits the out-of-branch studies (``lam > 1`` or
+    ``rho <= 0``).  Diagnostic instances are accepted by the analysis
+    routines but must never be meshed.
     """
 
     rho: float
@@ -102,13 +103,3 @@ class SurfaceParams:
         # 0.5 * den is Lam/2 - sin(rho) to the bit: halving is exact
         T = math.pi * math.sqrt(math.cos(rho)) * (1.0 - lam * lam) / math.sqrt(0.5 * den)
         object.__setattr__(self, "T", T)
-
-    @classmethod
-    def create(cls, rho: float, lam: float) -> "SurfaceParams":
-        """Physical-branch constructor (rho in (0, pi/2), lam in (0, 1))."""
-        return cls(rho=rho, lam=lam, diagnostic=False)
-
-    @classmethod
-    def diagnostic_branch(cls, rho: float, lam: float) -> "SurfaceParams":
-        """Out-of-branch constructor for sign/monotonicity diagnostics."""
-        return cls(rho=rho, lam=lam, diagnostic=True)

@@ -258,11 +258,10 @@ def solve_Lambda_of_rho(
 
 @dataclass(frozen=True)
 class PeriodSolution:
-    """Result of the nested period solve."""
+    """Result of the nested period solve; the solved pair is ``params.rho``
+    and ``params.lam``, and ``Lambda0`` is the root of the last inner solve."""
 
     params: SurfaceParams
-    rho0: float
-    lambda0: float
     Lambda0: float
     residual_F: float
     residual_G: float
@@ -298,7 +297,9 @@ def solve_period_problem(
     neighbours bracket the first sign change (no uniqueness is asserted);
     grid points past it are not evaluated.  The bracket is refined to
     ``root_tol`` in rho by Brent's method, which starts from the two scan
-    values of H at its ends instead of solving them again.
+    values of H at its ends instead of solving them again.  The residuals
+    are evaluated at :data:`PERIOD_SPEC` whatever ``spec`` the roots were
+    solved with, so they certify the returned root.
 
     Raises
     ------
@@ -326,17 +327,11 @@ def solve_period_problem(
         )
     rho0 = _brent(H, rho_lo, rho_hi, h_lo, h_hi, root_tol)
     Lambda0 = solve_Lambda_of_rho(rho0, spec, root_tol=1e-14)
-    lambda0 = lambda_from_Lambda(Lambda0)
-    residual_F = F_integral(rho0, Lambda0, spec).value
-    residual_G = G_integral(rho0, Lambda0, spec).value
-    params = SurfaceParams.create(rho0, lambda0)
     return PeriodSolution(
-        params=params,
-        rho0=rho0,
-        lambda0=lambda0,
+        params=SurfaceParams(rho0, lambda_from_Lambda(Lambda0)),
         Lambda0=Lambda0,
-        residual_F=residual_F,
-        residual_G=residual_G,
+        residual_F=F_integral(rho0, Lambda0).value,
+        residual_G=G_integral(rho0, Lambda0).value,
     )
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
@@ -107,19 +107,16 @@ class CheckResult:
     value: float
     tolerance: float
     passed: bool
-    diagnostic: bool
-    runtime_s: float
-    details: Tuple[Tuple[str, float], ...] = ()
+    details: Mapping[str, float]
+    diagnostic: bool = False
+    runtime_s: float = 0.0  # set by run_all
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Ordered collection of check results plus the parameter provenance."""
+    """Ordered check results and the parameters they were run at."""
 
-    rho0: float
-    lambda0: float
-    Lambda0: float
-    T: float
+    params: SurfaceParams
     checks: Tuple[CheckResult, ...]
 
     @property
@@ -144,15 +141,15 @@ class VerificationReport:
                 "tolerance": c.tolerance,
                 "passed": bool(c.passed),
                 "diagnostic": bool(c.diagnostic),
-                "details": {k: v for k, v in c.details},
+                "details": {k: float(v) for k, v in c.details.items()},
             }
             for c in self.checks
         ]
         return {
-            "rho0": self.rho0,
-            "lambda0": self.lambda0,
-            "Lambda0": self.Lambda0,
-            "T": self.T,
+            "rho0": self.params.rho,
+            "lambda0": self.params.lam,
+            "Lambda0": self.params.Lambda,
+            "T": self.params.T,
             "n_failed": self.n_failed,
             "n_failed_diagnostic": self.n_failed_diagnostic,
             "passed": self.passed(),
@@ -177,10 +174,6 @@ class VerificationReport:
             f"[* = diagnostic check of an out-of-branch regime]"
         )
         return "\n".join(lines)
-
-
-def _details(d: Mapping[str, float]) -> Tuple[Tuple[str, float], ...]:
-    return tuple((k, float(v)) for k, v in d.items())
 
 
 # --------------------------------------------------------------------------
@@ -243,7 +236,6 @@ def check_x3_monotone_on_C(params: SurfaceParams) -> CheckResult:
     independently integrated banks land on the same tip point (which
     certifies that the full traverse from +a does reach -a).
     """
-    t0 = time.perf_counter()
     # 500 pieces per bank keep a step's error (8e-12) under MONOTONE_STEP_SLACK
     # and the tip gap (8e-9) under GEOM_TOL_FACTOR * T; not more, because the
     # piece that ends at the tip carries rounding noise and fails from 900.
@@ -269,17 +261,13 @@ def check_x3_monotone_on_C(params: SurfaceParams) -> CheckResult:
         value=worst_step,
         tolerance=MONOTONE_STEP_SLACK,
         passed=bool(passed),
-        diagnostic=False,
-        runtime_s=time.perf_counter() - t0,
-        details=_details(
-            {
-                "n_samples": float(len(pts)),
-                "median_step": float(middle.mean()),
-                "tip_height_residual": tip_residual,
-                "tip_closure_gap": tip_gap,
-                "axis_rise_a": a,
-            }
-        ),
+        details={
+            "n_samples": float(len(pts)),
+            "median_step": float(middle.mean()),
+            "tip_height_residual": tip_residual,
+            "tip_closure_gap": tip_gap,
+            "axis_rise_a": a,
+        },
     )
 
 
@@ -297,7 +285,6 @@ def check_c_convex(params: SurfaceParams) -> CheckResult:
     symmetry c(t) = (x1, -x2)(c(-t)); containment in the half plane
     {x1 <= 0}.
     """
-    t0 = time.perf_counter()
     pts, m, _tip_gap = _sample_slit_curve(params, 720)
     c = pts[:, :2]
     geom_tol = GEOM_TOL_FACTOR * params.T
@@ -331,20 +318,16 @@ def check_c_convex(params: SurfaceParams) -> CheckResult:
         value=abs(total_turn),
         tolerance=2.0 * math.pi,
         passed=bool(passed),
-        diagnostic=False,
-        runtime_s=time.perf_counter() - t0,
-        details=_details(
-            {
-                "total_turning": total_turn,
-                "turning_lower_bound": math.pi,
-                "worst_wrong_sign_turn": sign_violation,
-                "min_abs_turn": float(np.abs(turning).min()),
-                "endpoint_residual": endpoints,
-                "mirror_residual": mirror_residual,
-                "max_x1": max_x1,
-                "n_samples": float(len(c)),
-            }
-        ),
+        details={
+            "total_turning": total_turn,
+            "turning_lower_bound": math.pi,
+            "worst_wrong_sign_turn": sign_violation,
+            "min_abs_turn": float(np.abs(turning).min()),
+            "endpoint_residual": endpoints,
+            "mirror_residual": mirror_residual,
+            "max_x1": max_x1,
+            "n_samples": float(len(c)),
+        },
     )
 
 
@@ -445,7 +428,6 @@ def check_graph_disjointness(
     curve (exact path integration, no interpolation).  Far-field samples must
     show the order-T/2 gap.
     """
-    t0 = time.perf_counter()
     if grid < 10:
         raise ValueError("grid must be at least 10")
     T = params.T
@@ -512,30 +494,26 @@ def check_graph_disjointness(
         value=min_gap,
         tolerance=sign_floor,
         passed=bool(passed),
-        diagnostic=False,
-        runtime_s=time.perf_counter() - t0,
-        details=_details(
-            {
-                "grid_side": float(grid),
-                "n_grid": float(len(pts)),
-                "n_inside_c": float(int(np.sum(inside))),
-                "n_near_c": float(int(np.sum(near & ~inside))),
-                "n_checked": float(len(gaps)),
-                "n_lookup_misses": float(misses),
-                "sign_floor": sign_floor,
-                "margin": margin,
-                "L": L,
-                "curve_diameter": diam,
-                "equality_on_c_residual": equality_residual,
-                "neg_axis_residual": neg_axis_residual,
-                "pos_axis_half_T_residual": pos_axis_residual,
-                "n_far": float(len(far_gaps)),
-                "far_gap_min": float(far_gaps.min()) if len(far_gaps) else math.nan,
-                "far_gap_max": float(far_gaps.max()) if len(far_gaps) else math.nan,
-                "far_gap_dev_from_half_T": far_dev,
-                "half_T": T / 2.0,
-            }
-        ),
+        details={
+            "grid_side": float(grid),
+            "n_grid": float(len(pts)),
+            "n_inside_c": float(int(np.sum(inside))),
+            "n_near_c": float(int(np.sum(near & ~inside))),
+            "n_checked": float(len(gaps)),
+            "n_lookup_misses": float(misses),
+            "sign_floor": sign_floor,
+            "margin": margin,
+            "L": L,
+            "curve_diameter": diam,
+            "equality_on_c_residual": equality_residual,
+            "neg_axis_residual": neg_axis_residual,
+            "pos_axis_half_T_residual": pos_axis_residual,
+            "n_far": float(len(far_gaps)),
+            "far_gap_min": float(far_gaps.min()) if len(far_gaps) else math.nan,
+            "far_gap_max": float(far_gaps.max()) if len(far_gaps) else math.nan,
+            "far_gap_dev_from_half_T": far_dev,
+            "half_T": T / 2.0,
+        },
     )
 
 
@@ -566,7 +544,6 @@ def check_slab_and_boundary(params: SurfaceParams) -> CheckResult:
     points per edge (the off-axis rate components vanish identically along
     the edges), anchors by independent path integration.
     """
-    t0 = time.perf_counter()
     T = params.T
     a = axis_rise(params)
     geom_tol = GEOM_TOL_FACTOR * T
@@ -663,25 +640,21 @@ def check_slab_and_boundary(params: SurfaceParams) -> CheckResult:
         value=worst_geom,
         tolerance=geom_tol,
         passed=bool(passed),
-        diagnostic=False,
-        runtime_s=time.perf_counter() - t0,
-        details=_details(
-            {
-                "transverse_rate_residual": transverse_residual,
-                "descent_anchor_residual": descent_residual,
-                "axis_split_residual": split_residual,
-                "lower_segment_top_residual": lower_top_residual,
-                "bank_tip_gap": bank_tip_gap,
-                "tip_route_residual": tip_route_residual,
-                "tip_off_axis_residual": tip_residual,
-                "tip_x1": tip_x1,
-                "curve_max_x1": c_max_x1,
-                "curve_height_overshoot": c_x3_overshoot,
-                "ray_rate_max": ray_rate_max,
-                "axis_rise_a": a,
-                "half_T": T / 2.0,
-            }
-        ),
+        details={
+            "transverse_rate_residual": transverse_residual,
+            "descent_anchor_residual": descent_residual,
+            "axis_split_residual": split_residual,
+            "lower_segment_top_residual": lower_top_residual,
+            "bank_tip_gap": bank_tip_gap,
+            "tip_route_residual": tip_route_residual,
+            "tip_off_axis_residual": tip_residual,
+            "tip_x1": tip_x1,
+            "curve_max_x1": c_max_x1,
+            "curve_height_overshoot": c_x3_overshoot,
+            "ray_rate_max": ray_rate_max,
+            "axis_rise_a": a,
+            "half_T": T / 2.0,
+        },
     )
 
 
@@ -709,7 +682,6 @@ def check_limit_constants(spec: QuadratureSpec = PERIOD_SPEC) -> CheckResult:
     the G values of its near-corner rows included.  An integral that misses
     its tolerance raises :class:`PeriodSolverError`.
     """
-    t0 = time.perf_counter()
     c1 = 2.0 * (1.0 - math.sqrt(1.0 + math.pi / 2.0))
     c2 = 4.0 * math.sqrt(1.5) / (3.0 * math.sqrt(2.0))
     four_dp_ok = round(c1, 4) == -1.2067 and round(c2, 4) == 1.1547
@@ -814,28 +786,24 @@ def check_limit_constants(spec: QuadratureSpec = PERIOD_SPEC) -> CheckResult:
         value=combination,
         tolerance=0.0,
         passed=bool(passed),
-        diagnostic=False,
-        runtime_s=time.perf_counter() - t0,
-        details=_details(
-            {
-                "c1_closed_form": c1,
-                "c2_closed_form": c2,
-                "c1_rounded_4dp": round(c1, 4),
-                "c2_rounded_4dp": round(c2, 4),
-                "comparison_integral_residual": cmp_residual,
-                "limit_integral": q_lim,
-                "limit_integral_residual": lim_residual,
-                "window_gap_at_1p45": window_gaps[0],
-                "window_gap_at_1p52": window_gaps[1],
-                "window_gap_at_1p55": window_gaps[2],
-                "moment_identity_rel_residual": moment_residual,
-                "upper_window_bound": upper_bound,
-                "G_at_1p45": G_near[0],
-                "G_at_1p52": G_near[1],
-                "G_at_1p55": G_near[2],
-                "c1_plus_c2": c1 + c2,
-            }
-        ),
+        details={
+            "c1_closed_form": c1,
+            "c2_closed_form": c2,
+            "c1_rounded_4dp": round(c1, 4),
+            "c2_rounded_4dp": round(c2, 4),
+            "comparison_integral_residual": cmp_residual,
+            "limit_integral": q_lim,
+            "limit_integral_residual": lim_residual,
+            "window_gap_at_1p45": window_gaps[0],
+            "window_gap_at_1p52": window_gaps[1],
+            "window_gap_at_1p55": window_gaps[2],
+            "moment_identity_rel_residual": moment_residual,
+            "upper_window_bound": upper_bound,
+            "G_at_1p45": G_near[0],
+            "G_at_1p52": G_near[1],
+            "G_at_1p55": G_near[2],
+            "c1_plus_c2": c1 + c2,
+        },
     )
 
 
@@ -853,15 +821,14 @@ def check_lambda_above_one_reversal(rho: float = 0.71) -> CheckResult:
     cannot descend and the closing geometry is impossible.  Diagnostic
     check.
     """
-    t0 = time.perf_counter()
     lam, n = 1.5, 200
-    diag = SurfaceParams.diagnostic_branch(rho, lam)
+    diag = SurfaceParams(rho, lam, diagnostic=True)
     phis = np.linspace(-math.pi / 2.0, diag.rho, n + 2)[1:-1]
     rates = dh_rate_on_slit_inner(diag, phis)
     floor = SIGN_FLOOR_FACTOR * float(np.abs(rates).max())
     min_rate = float(rates.min())
     # reference: at a physical-branch lambda the same rate is negative
-    ref = SurfaceParams.create(rho, 1.0 / lam)
+    ref = SurfaceParams(rho, 1.0 / lam)
     ref_rates = dh_rate_on_slit_inner(ref, np.linspace(-math.pi / 2.0, rho, n + 2)[1:-1])
     ref_max = float(ref_rates.max())
     passed = min_rate > floor and ref_max < -floor
@@ -875,18 +842,15 @@ def check_lambda_above_one_reversal(rho: float = 0.71) -> CheckResult:
         tolerance=floor,
         passed=bool(passed),
         diagnostic=True,
-        runtime_s=time.perf_counter() - t0,
-        details=_details(
-            {
-                "rho": rho,
-                "lam": lam,
-                "n_samples": float(n),
-                "max_rate": float(rates.max()),
-                "sign_floor": floor,
-                "reference_lam": 1.0 / lam,
-                "reference_max_rate": ref_max,
-            }
-        ),
+        details={
+            "rho": rho,
+            "lam": lam,
+            "n_samples": float(n),
+            "max_rate": float(rates.max()),
+            "sign_floor": floor,
+            "reference_lam": 1.0 / lam,
+            "reference_max_rate": ref_max,
+        },
     )
 
 
@@ -898,7 +862,6 @@ def check_rho_nonpositive_single_sign() -> CheckResult:
     positive everywhere, so the vertical period cannot vanish and no
     nonpositive rho closes the geometry.  Diagnostic check.
     """
-    t0 = time.perf_counter()
     rhos, Lams, n = (-0.5, -0.1, 0.0), (2.2, 3.0, 6.0), 200
     global_min = math.inf
     global_max = -math.inf
@@ -924,8 +887,7 @@ def check_rho_nonpositive_single_sign() -> CheckResult:
         tolerance=floor,
         passed=bool(passed),
         diagnostic=True,
-        runtime_s=time.perf_counter() - t0,
-        details=_details(details),
+        details=details,
     )
 
 
@@ -942,21 +904,26 @@ def run_all(
     quad_spec: QuadratureSpec = PERIOD_SPEC,
 ) -> VerificationReport:
     """Run every check at the solved parameters ``params``, one after
-    another, and assemble the report in the fixed check order."""
-    patch = mesh_patch_D(params, resolution=resolution, cutoff=cutoff)
-    checks = (
-        check_x3_monotone_on_C(params),
-        check_c_convex(params),
-        check_graph_disjointness(params, patch, grid),
-        check_slab_and_boundary(params),
-        check_limit_constants(quad_spec),
-        check_lambda_above_one_reversal(rho=round(params.rho, 2)),
-        check_rho_nonpositive_single_sign(),
+    another, and assemble the report in the fixed check order.
+
+    Each check's ``runtime_s`` is its wall time here, so the seven add up to
+    the run; the graph check's includes the :func:`mesh_patch_D` patch it
+    reads.
+    """
+    runs = (
+        lambda: check_x3_monotone_on_C(params),
+        lambda: check_c_convex(params),
+        lambda: check_graph_disjointness(
+            params, mesh_patch_D(params, resolution=resolution, cutoff=cutoff), grid
+        ),
+        lambda: check_slab_and_boundary(params),
+        lambda: check_limit_constants(quad_spec),
+        lambda: check_lambda_above_one_reversal(rho=round(params.rho, 2)),
+        lambda: check_rho_nonpositive_single_sign(),
     )
-    return VerificationReport(
-        rho0=params.rho,
-        lambda0=params.lam,
-        Lambda0=params.Lambda,
-        T=params.T,
-        checks=checks,
-    )
+    checks = []
+    for check in runs:
+        t0 = time.perf_counter()
+        result = check()
+        checks.append(replace(result, runtime_s=time.perf_counter() - t0))
+    return VerificationReport(params=params, checks=tuple(checks))

@@ -224,22 +224,23 @@ def _tip_substitution(pole: float, start: float):
     return phi, dphi
 
 
-def seg_ring_left_to_tip(params: SurfaceParams) -> Segment:
-    """Unit-circle arc on the upper-left sheet (inner region) from the
-    horizontal quarter point theta = pi/2 INTO the w-pole at the slit tip
-    theta = pi - rho, with the square-root substitution
-    theta = tip - (tip - pi/2)(1-s)^2."""
-    tip = math.pi - params.rho
-    theta, dtheta = _tip_substitution(tip, math.pi / 2)
+def _ring_into_pole(sheet: str, region: str, pole: float, label: str) -> Segment:
+    """Unit-circle arc z = e^{i theta} from the horizontal quarter point
+    theta = pi/2 INTO the w-pole angle ``pole``, with the square-root
+    substitution theta = pole - (pole - pi/2)(1-s)^2."""
+    theta, dtheta = _tip_substitution(pole, math.pi / 2)
 
     def z_of(s):
         return np.exp(1j * theta(s))
 
-    return Segment(
-        "upper_left", "inner",
-        z_of,
-        lambda s: 1j * dtheta(s) * z_of(s),
-        f"ring[{math.pi / 2:.4f}->tip]",
+    return Segment(sheet, region, z_of, lambda s: 1j * dtheta(s) * z_of(s), label)
+
+
+def seg_ring_left_to_tip(params: SurfaceParams) -> Segment:
+    """Upper-left-sheet (inner region) unit-circle arc from theta = pi/2 INTO
+    the w-pole at the slit tip theta = pi - rho."""
+    return _ring_into_pole(
+        "upper_left", "inner", math.pi - params.rho, f"ring[{math.pi / 2:.4f}->tip]"
     )
 
 
@@ -271,20 +272,10 @@ def seg_slit_bank(params: SurfaceParams, bank: str) -> Segment:
 
 
 def seg_mirror_ring_right(params: SurfaceParams) -> Segment:
-    """Right-sheet unit-circle arc z = e^{i phi} from the horizontal quarter
-    point phi = pi/2 INTO that sheet's w-pole phi = rho, with the
-    square-root substitution."""
-    phi0 = math.pi / 2
-    phi, dphi = _tip_substitution(params.rho, phi0)
-
-    def z_of(s):
-        return np.exp(1j * phi(s))
-
-    return Segment(
-        "upper_right", "auto",
-        z_of,
-        lambda s: 1j * dphi(s) * z_of(s),
-        f"mirror_ring[{phi0:.4f}->{params.rho:.4f}]",
+    """Upper-right-sheet unit-circle arc from phi = pi/2 INTO that sheet's
+    w-pole phi = rho."""
+    return _ring_into_pole(
+        "upper_right", "auto", params.rho, f"mirror_ring[{math.pi / 2:.4f}->{params.rho:.4f}]"
     )
 
 

@@ -42,8 +42,8 @@ def test_criterion_01_solver_success():
     t0 = time.perf_counter()
     sol = solve_period_problem()
     elapsed = time.perf_counter() - t0
-    assert 0.0 < sol.rho0 < math.pi / 2
-    assert 0.0 < sol.lambda0 < 1.0
+    assert 0.0 < sol.params.rho < math.pi / 2
+    assert 0.0 < sol.params.lam < 1.0
     assert abs(sol.residual_F) < 1e-9
     assert abs(sol.residual_G) < 1e-9
     assert elapsed < 30.0
@@ -96,7 +96,7 @@ def test_criterion_05_out_of_branch_impossibility():
             vals = G_integrand_samples(rho, Lam, n=200)
             assert vals.shape == (200,)
             assert np.all(vals > 0.0) or np.all(vals < 0.0)
-    diag = SurfaceParams.diagnostic_branch(0.71, 1.5)
+    diag = SurfaceParams(0.71, 1.5, diagnostic=True)
     phis = np.linspace(-math.pi / 2, diag.rho, 202)[1:-1]
     assert np.all(W.dh_rate_on_slit_inner(diag, phis) > 0.0)
 
@@ -121,7 +121,7 @@ def test_criterion_07_direct_vs_reduced(rho, Lam):
     """Path-integral period residuals match the reduced integrals in sign and
     through the lam*sqrt(cos rho) conversion factors to 1e-5 relative."""
     lam = lambda_from_Lambda(Lam)
-    pp = SurfaceParams.create(rho, lam)
+    pp = SurfaceParams(rho, lam)
     Fv = F_integral(rho, Lam).value
     Gv = G_integral(rho, Lam).value
     rI = W.period_residual_I(pp)

@@ -286,6 +286,34 @@ def test_unwritable_out_exits_2():
     assert run(["solve", "--out", "/no/such/dir/x.json"]) == 2
 
 
+@pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
+def test_out_naming_a_directory_exits_2(tmp_path, capsys, monkeypatch, name):
+    # a usage error on every subcommand, refused before anything is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the usage check")
+
+    monkeypatch.setattr("g1helicoid.cli.solve_period_problem", no_solve)
+    monkeypatch.setattr("g1helicoid.cli.scan_H", no_solve)
+    assert run([name, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out names a directory: {tmp_path}" in err
+    assert "Traceback" not in err
+
+
+def test_the_console_script_runs_the_cli(capsys):
+    # pyproject's [project.scripts] target, which the benchmark's launcher
+    # also imports, must stay a callable that returns the exit code
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(g1helicoid.__file__).resolve().parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["g1helicoid"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert callable(entry)
+    assert entry(["solve", "--no-such-flag"]) == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
 def test_rho_without_lambda_exits_2(tmp_path):
     assert run(["mesh", "--rho", "0.7", "--out", str(tmp_path / "m.obj")]) == 2
 

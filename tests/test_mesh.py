@@ -807,6 +807,16 @@ def test_malformed_obj_record_raises_mesh_error(tmp_path, line):
         import_obj(str(path))
 
 
+@pytest.mark.parametrize("face", ["f 1 2 3 4", "f 1/1/1 2/2/1 3/3/1 4/4/1", "f 1\t2 3  4"])
+def test_obj_polygon_face_raises_mesh_error(tmp_path, face):
+    # a polygon is refused, not cut to its first three corners; face 0, with
+    # extra blanks around its fields, is a triangle and reads
+    path = tmp_path / "quad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf  1 2 3 \n" + face + "\n")
+    with pytest.raises(MeshError, match="quad.obj': face 1 has 4 vertices; only triangles are read"):
+        import_obj(str(path))
+
+
 @pytest.mark.parametrize(
     "faces, named",
     [

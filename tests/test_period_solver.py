@@ -7,6 +7,8 @@ production quadrature at generic points.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,8 +169,8 @@ def test_scan_row_frozen():
 
 
 def test_solution_frozen(solution):
-    assert abs(solution.rho0 - RHO0) < 1e-10
-    assert abs(solution.lambda0 - LAMBDA0) < 1e-10
+    assert abs(solution.params.rho - RHO0) < 1e-10
+    assert abs(solution.params.lam - LAMBDA0) < 1e-10
     assert abs(solution.Lambda0 - BIG_LAMBDA0) < 1e-10
     assert abs(solution.residual_F) < 1e-11
     assert abs(solution.residual_G) < 1e-11
@@ -177,8 +179,61 @@ def test_solution_frozen(solution):
 def test_solution_consistency(solution):
     p = solution.params
     assert p.lam == pytest.approx(lambda_from_Lambda(solution.Lambda0), rel=1e-12)
-    assert 0.0 < solution.rho0 < math.pi / 2
-    assert 0.0 < solution.lambda0 < 1.0
+    assert 0.0 < solution.params.rho < math.pi / 2
+    assert 0.0 < solution.params.lam < 1.0
+
+
+def _oracle_solution(mp):
+    """(rho0, Lambda0, lambda0, T) from F = G = 0 solved at the working
+    precision of ``mp``: tanh-sinh quadrature in s, with p = rho +- s^2 and
+    sin p - sin rho in product form, so no endpoint singularity is left."""
+
+    def F(rho, Lam):
+        def f(s):
+            sp = mp.sin(rho + s * s)
+            sing = 2 * mp.cos(rho + s * s / 2) * mp.sin(s * s / 2)
+            return (2 - Lam * sp) / (Lam - 2 * sp) * 2 * s / mp.sqrt(sing)
+
+        return mp.quad(f, [0, mp.sqrt(mp.pi / 2 - rho)])
+
+    def G(rho, Lam):
+        def g(s):
+            sp = mp.sin(rho - s * s)
+            sing = 2 * mp.cos(rho - s * s / 2) * mp.sin(s * s / 2)
+            den = Lam - 2 * sp
+            num = (Lam - 4 * mp.sin(rho) + 2 * sp) * (2 - Lam * sp)
+            return num / (den * den) * 2 * s / mp.sqrt(sing)
+
+        return mp.quad(g, [0, mp.sqrt(rho + mp.pi / 2)])
+
+    rho, Lam = mp.findroot(lambda r, L: (F(r, L), G(r, L)), (RHO0, BIG_LAMBDA0))
+    lam = 2 / (Lam + mp.sqrt((Lam - 2) * (Lam + 2)))
+    T = mp.pi * mp.sqrt(mp.cos(rho)) * (1 - lam * lam) / mp.sqrt(Lam / 2 - mp.sin(rho))
+    return rho, Lam, lam, T
+
+
+def test_headline_constants_match_a_30_digit_oracle(solution):
+    # the README's four constants to 1e-16, the solve to 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = dict(re.findall(r"^(rho0|lambda0|Lambda0|T) += ([0-9.]+)", readme, re.M))
+    p = solution.params
+    solved = {"rho0": p.rho, "lambda0": p.lam, "Lambda0": solution.Lambda0, "T": p.T}
+    with mpmath.workdps(30):
+        oracle = dict(zip(("rho0", "Lambda0", "lambda0", "T"), _oracle_solution(mpmath.mp)))
+        assert sorted(stated) == sorted(oracle)
+        for name, exact in oracle.items():
+            assert abs(mpmath.mpf(stated[name]) - exact) < 1e-16, name
+            assert abs(solved[name] - exact) < 1e-12, name
+
+
+def test_residuals_are_taken_at_the_period_spec():
+    # a loose spec finds a root 3e-4 off; its residuals must show that
+    loose = period_solver.QuadratureSpec(rel_tol=1e-12, abs_tol=1.0, max_level=12)
+    sol = solve_period_problem(spec=loose)
+    assert max(abs(sol.residual_F), abs(sol.residual_G)) > 1e-4
+    assert sol.residual_F == F_integral(sol.params.rho, sol.Lambda0).value
+    assert sol.residual_G == G_integral(sol.params.rho, sol.Lambda0).value
 
 
 def test_solve_raises_without_sign_change():
@@ -230,7 +285,7 @@ def test_root_solves_start_from_known_end_values(monkeypatch):
     monkeypatch.setattr(period_solver, "solve_Lambda_of_rho", counting_solve)
     sol = solve_period_problem()
     grid = np.linspace(0.02, math.pi / 2 - 0.02, 64)  # the scan of solve_period_problem
-    k = np.searchsorted(grid, sol.rho0)
+    k = np.searchsorted(grid, sol.params.rho)
     lo, hi = grid[k - 1], grid[k]
     assert Lambda_args.count(lo) == 1 and Lambda_args.count(hi) == 1
 
@@ -248,7 +303,7 @@ def test_scan_stops_at_the_first_sign_change(monkeypatch):
     monkeypatch.setattr(period_solver, "solve_Lambda_of_rho", counting_solve)
     sol = solve_period_problem()
     grid = np.linspace(0.02, math.pi / 2 - 0.02, 64)
-    k = int(np.searchsorted(grid, sol.rho0))  # grid[k - 1] < rho0 < grid[k]
+    k = int(np.searchsorted(grid, sol.params.rho))  # grid[k - 1] < rho0 < grid[k]
     assert rhos[: k + 1] == list(grid[: k + 1])
     assert all(grid[k - 1] < rho < grid[k] for rho in rhos[k + 1 :])
     assert len(rhos) < len(grid)
@@ -269,7 +324,7 @@ def test_solve_matches_a_full_scan_bit_for_bit(grid_size):
     rho0 = _brent(H, table[i][0], table[i + 1][0], g[i], g[i + 1], 1e-12)
     Lambda0 = solve_Lambda_of_rho(rho0, root_tol=1e-14)
     sol = solve_period_problem(grid_size=grid_size)
-    assert (sol.rho0, sol.Lambda0) == (rho0, Lambda0)
+    assert (sol.params.rho, sol.Lambda0) == (rho0, Lambda0)
     assert sol.residual_F == F_integral(rho0, Lambda0).value
     assert sol.residual_G == G_integral(rho0, Lambda0).value
 

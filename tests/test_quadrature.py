@@ -182,8 +182,8 @@ def compared(monkeypatch):
 
 
 def test_period_integrals_match_level_loop(compared, solution):
-    period_solver.F_integral(solution.rho0, solution.Lambda0)
-    period_solver.G_integral(solution.rho0, solution.Lambda0)
+    period_solver.F_integral(solution.params.rho, solution.Lambda0)
+    period_solver.G_integral(solution.params.rho, solution.Lambda0)
     # every F of the inner root solves, then F and G at the roots
     period_solver.scan_H([0.02, math.pi / 2 - 0.02])
     assert len(compared) > 20
@@ -276,7 +276,7 @@ def test_f_integral_at_level_4_calls_its_integrand_once(monkeypatch, solution):
         return g
 
     monkeypatch.setattr(period_solver, "_f_integrand", counting)
-    res = period_solver.F_integral(solution.rho0, solution.Lambda0)
+    res = period_solver.F_integral(solution.params.rho, solution.Lambda0)
     assert res.levels_used == 4
     assert calls == [193]
     assert res.n_evals == 193

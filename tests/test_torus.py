@@ -30,7 +30,7 @@ WIDTH_AT_0 = 2.6220575542921198  # square torus: width == height at rho = 0
 WIDTH_AT_RHO0 = 2.857855157377792
 HEIGHT_AT_RHO0 = 2.0275333056426
 
-P = SurfaceParams.create(0.5, 0.61)
+P = SurfaceParams(0.5, 0.61)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_chart_dimensions_frozen():
 
 def test_square_torus_at_zero():
     # rho = 0 sits outside the physical branch but the chart is still defined
-    chart = build_chart(SurfaceParams.diagnostic_branch(0.0, 0.5))
+    chart = build_chart(SurfaceParams(0.0, 0.5, diagnostic=True))
     assert chart.width == pytest.approx(WIDTH_AT_0, rel=1e-11)
 
 
@@ -250,7 +250,7 @@ def _gl64_xi(rho, t):
 def test_chart_edge_matches_a_gauss_legendre_oracle(params):
     t = np.append(np.geomspace(1e-6, 1e6, 121), 1.0)
     for rho in (0.0, 0.5, params.rho, 1.2, 1.55):
-        chart = build_chart(SurfaceParams.diagnostic_branch(rho, 0.5))
+        chart = build_chart(SurfaceParams(rho, 0.5, diagnostic=True))
         assert np.max(np.abs(chart.xi_of_t(t) - _gl64_xi(rho, t))) < 2e-15, rho
         assert abs(chart.width - 2.0 * _gl64_edge(rho, 1.0)) < 2e-15, rho
 
@@ -273,7 +273,7 @@ def test_chart_edge_matches_mpmath_up_to_the_branch_limit():
     mp.mp.dps = 40
     t = np.append(np.geomspace(1e-6, 1e6, 25), 1.0)
     for rho in (0.5, 1.2, 1.4, 1.5, 1.55, 1.5707):
-        chart = build_chart(SurfaceParams.diagnostic_branch(rho, 0.5))
+        chart = build_chart(SurfaceParams(rho, 0.5, diagnostic=True))
         m = (1 + mp.sin(rho)) / 2
         k0 = mp.sqrt(2 * mp.cos(rho))
         width = k0 * mp.ellipk(m)
@@ -298,7 +298,7 @@ def test_chart_edge_tables_roundtrip(params):
     # rho = 1.55 (about 1e-12)
     t = np.geomspace(1e-6, 1e6, 241)
     for rho in (0.0, 0.5, params.rho, 1.2, 1.55):
-        chart = build_chart(SurfaceParams.diagnostic_branch(rho, 0.5))
+        chart = build_chart(SurfaceParams(rho, 0.5, diagnostic=True))
         assert np.max(np.abs(chart.t_of_xi(chart.xi_of_t(t)) / t - 1.0)) < 2e-12, rho
 
 

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -61,9 +62,18 @@ def test_report_order_is_fixed(report):
 
 
 def test_report_parameters(report, params):
-    assert report.rho0 == pytest.approx(params.rho, rel=1e-14)
-    assert report.lambda0 == pytest.approx(params.lam, rel=1e-14)
-    assert report.T == pytest.approx(params.T, rel=1e-14)
+    assert report.params.rho == pytest.approx(params.rho, rel=1e-14)
+    assert report.params.lam == pytest.approx(params.lam, rel=1e-14)
+    assert report.params.T == pytest.approx(params.T, rel=1e-14)
+
+
+def test_check_times_cover_the_run(params):
+    # run_all times every check itself, the graph check together with the
+    # patch it reads, so the table's times add up to the run
+    t0 = time.perf_counter()
+    timed = run_all(params=params)
+    wall = time.perf_counter() - t0
+    assert sum(c.runtime_s for c in timed.checks) >= 0.9 * wall
 
 
 def test_json_roundtrip_and_determinism(report):
@@ -71,7 +81,7 @@ def test_json_roundtrip_and_determinism(report):
     s2 = json_text(report.to_dict())
     assert s1 == s2
     parsed = json.loads(s1)
-    assert parsed["rho0"] == report.rho0
+    assert parsed["rho0"] == report.params.rho
     assert len(parsed["checks"]) == 7
     # runtimes are excluded so reruns stay byte-identical
     assert "runtime_s" not in s1
@@ -287,7 +297,7 @@ def test_failed_check_detected():
     # period is open, so the mirror-graph equality on c fails
     from g1helicoid.params import SurfaceParams
 
-    off = SurfaceParams.create(0.5, 0.61)
+    off = SurfaceParams(0.5, 0.61)
     res = check_slab_and_boundary(off)
     assert not res.passed
 

@@ -16,7 +16,7 @@ from g1helicoid.torus import SHEETS, w_on_sheet
 A0 = 0.4348562680146608        # height of the upper slit-curve endpoint
 X1_TIP = -0.5536234052449172   # first coordinate of the slit-curve tip
 
-P = SurfaceParams.create(0.5, 0.61)
+P = SurfaceParams(0.5, 0.61)
 
 
 def seg_edge_up(sheet, t0, t1):
@@ -114,7 +114,7 @@ def test_slit_rate_sign_and_closed_form():
 
 
 def test_slit_rate_flips_on_diagnostic_branch():
-    d = SurfaceParams.diagnostic_branch(0.5, 1.5)
+    d = SurfaceParams(0.5, 1.5, diagnostic=True)
     phis = np.linspace(-math.pi / 2, d.rho, 202)[1:-1]
     assert np.all(W.dh_rate_on_slit_inner(d, phis) > 0.0)
 
@@ -209,7 +209,7 @@ def test_vertical_period_gap_open_off_solution():
 )
 def test_period_residual_ratios(rho, Lam):
     lam = lambda_from_Lambda(Lam)
-    pp = SurfaceParams.create(rho, lam)
+    pp = SurfaceParams(rho, lam)
     Fv = F_integral(rho, Lam).value
     Gv = G_integral(rho, Lam).value
     kI = lam * math.sqrt(math.cos(rho)) / 2.0
