@@ -17,7 +17,8 @@ Behaviour shared by every subcommand:
   configuration used, and the solved parameters when applicable),
 * floating-point output uses 17 significant digits, so reruns with the same
   configuration are byte-identical,
-* exit 0 on success, 2 on usage/config errors, 1 on numeric failures.
+* exit 0 on success, 2 on usage/config errors, 1 on numeric failures and
+  failed writes of ``--out``.
 
 Options are declared in one table: ``_OPTIONS`` (type, metavar, help) and
 ``_SUBCOMMANDS`` (each subcommand's options in provenance order), which the
@@ -374,13 +375,20 @@ def _provenance_comment_lines(cfg: RunConfig,
     return lines
 
 
+class _WriteError(Exception):
+    """A failed write of --out (exit 1)."""
+
+
 def _emit_text(cfg: RunConfig, text: str) -> None:
     """Write to --out when given, otherwise to stdout."""
     if cfg.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {cfg.out}: {exc.strerror or exc}") from exc
 
 
 def _solve(cfg: RunConfig):
@@ -444,18 +452,15 @@ def _build_patch(cfg: RunConfig) -> SurfaceMesh:
 
 
 def _cmd_mesh(cfg: RunConfig) -> int:
-    from .mesh import assemble_fundamental_domain, export_obj, export_ply, stack_periods
+    from .mesh import assemble_fundamental_domain, export_obj, export_ply
 
-    # no name holds the patch, so it is freed once the domain is assembled
-    mesh = assemble_fundamental_domain(_build_patch(cfg))
-    if cfg.copies > 1:
-        mesh = stack_periods(mesh, cfg.copies)
-    if cfg.format == "ply":
-        export_ply(mesh, cfg.out)
-    else:
-        export_obj(mesh, cfg.out)
+    # no name holds the patch, so it is freed once the domain is assembled;
+    # the exporter writes the periods copy by copy, so no stack is built
+    domain = assemble_fundamental_domain(_build_patch(cfg))
+    export = export_ply if cfg.format == "ply" else export_obj
+    n_vertices, n_faces = export(domain, cfg.out, cfg.copies)
     sys.stdout.write(
-        f"wrote {cfg.out}: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces"
+        f"wrote {cfg.out}: {n_vertices} vertices, {n_faces} faces"
         f" ({cfg.copies} period{'s' if cfg.copies != 1 else ''})\n"
     )
     return 0
@@ -537,8 +542,8 @@ _SUBCOMMANDS: Dict[str, _Subcommand] = {
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse ``argv``, execute the subcommand, and return the exit code.
 
-    0 = success, 1 = numeric failure (with a diagnostic on stderr),
-    2 = usage or configuration error.
+    0 = success, 1 = numeric failure or a failed write of ``--out`` (with a
+    diagnostic on stderr), 2 = usage or configuration error.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -555,6 +560,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return _SUBCOMMANDS[cfg.subcommand].run(cfg)
     except (NumericError, FloatingPointError, ZeroDivisionError) as exc:
         sys.stderr.write(f"g1helicoid: numeric error: {type(exc).__name__}: {exc}\n")
+        return 1
+    except _WriteError as exc:
+        sys.stderr.write(f"g1helicoid: error: {exc}\n")
         return 1
 
 

@@ -43,6 +43,7 @@ import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from stat import S_ISREG
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -683,6 +684,97 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
     return fd
 
 
+class _Periods:
+    """k periods of a fundamental domain, checked and laid out but not
+    built: the one body that :func:`stack_periods` fills its arrays from and
+    that :func:`export_obj` and :func:`export_ply` write copy by copy.
+
+    The constructor runs every check :func:`stack_periods` documents, in its
+    order, and lays out the stack: ``table[j]`` is copy j's stack index of
+    each domain vertex, ``metadata`` the stack's metadata with every copy's
+    caps.  ``vertices(j)`` and ``faces(j)`` then form copy j's new vertex
+    rows and its faces.  One period is the domain as it is and reads no
+    stack metadata.
+    """
+
+    def __init__(self, domain: SurfaceMesh, k: int):
+        if k < 1:
+            raise MeshError("k must be >= 1")
+        if domain.is_empty():
+            raise MeshError("cannot stack an empty mesh")
+        self.domain, self.k = domain, k
+        v, f = domain.vertices, domain.faces
+        n = len(v)
+        self.n_faces = k * len(f)
+        if k == 1:
+            self.n_vertices, self.metadata = n, domain.metadata
+            return
+        T = float(domain.metadata["T"])
+        weld_tol = float(domain.metadata["weld_tol"])
+        seams = domain.metadata["stack_seams"]
+        self.shift = shift = np.array([0.0, 0.0, T])
+        sides = ("pos", "neg")
+        tops = [np.asarray(seams[f"top_{side}_x2"], dtype=int) for side in sides]
+        bottoms = [np.asarray(seams[f"bottom_{side}_x2"], dtype=int) for side in sides]
+        top, bottom = np.concatenate(tops), np.concatenate(bottoms)
+        partner = np.full(n, -1)
+        partner[bottom] = top
+        keep = partner < 0
+        on_top = np.zeros(n, dtype=bool)
+        on_top[top] = True
+        m = int(np.count_nonzero(keep))
+        if np.any(partner[bottom] != top) or np.count_nonzero(on_top) != n - m:
+            raise MeshError("stack seams do not pair bottom and top vertices one to one")
+        if np.any(on_top[bottom]):
+            raise MeshError("a vertex sits on both a top and a bottom stack seam")
+        self.n_vertices = n + (k - 1) * m
+        if self.n_vertices > np.iinfo(np.int32).max:
+            raise MeshError(
+                f"{k} copies need {self.n_vertices} vertices, past the int32 face-index "
+                f"limit of {np.iinfo(np.int32).max}"
+            )
+        for j in range(k - 1):
+            for side, top, bottom in zip(sides, tops, bottoms):
+                label = f"stack {side}-x2 {j}~{j+1}"
+                _check_seam(label, v[top] + j * shift, v[bottom] + (j + 1) * shift, weld_tol)
+
+        self.kept = np.flatnonzero(keep)
+        bottom = np.flatnonzero(~keep)
+        top = partner[bottom]
+        self.table = table = np.empty((k, n), dtype=np.int32)
+        table[0] = np.arange(n)
+        for j in range(1, k):
+            start = n + (j - 1) * m
+            table[j, self.kept] = np.arange(start, start + m)
+            table[j, bottom] = table[j - 1, top]  # where copy j-1 put the top seam
+        # a cap is on no seam: each copy lays it out as one run
+        caps = [
+            dict(cap, vertex_start=int(table[j, cap["vertex_start"]]))
+            for j in range(k)
+            for cap in domain.metadata["asymptotic_caps"]
+        ]
+        self.metadata = dict(domain.metadata)
+        self.metadata["stack_duplicates_removed"] = (k - 1) * (n - m)
+        self.metadata["asymptotic_caps"] = caps
+        self.metadata.pop("stack_seams", None)
+
+    def vertices(self, j: int) -> np.ndarray:
+        """The vertex rows copy j adds to the stack."""
+        v = self.domain.vertices
+        if self.k == 1:
+            return v
+        if j == 0:
+            return v + 0 * self.shift  # -0.0 becomes +0.0, as in later copies
+        rows = v[self.kept]
+        rows += j * self.shift
+        return rows
+
+    def faces(self, j: int) -> np.ndarray:
+        """Copy j's faces as stack vertex indices."""
+        f = self.domain.faces
+        return f if self.k == 1 else self.table[j][f]
+
+
 def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
     """k copies of the fundamental domain translated by (0,0,T) steps, welded
     along the matching horizontal boundary lines with the domain's own
@@ -694,69 +786,24 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
     must pair bottom and top vertices one to one, and no vertex may sit on
     both a top and a bottom seam; otherwise :class:`MeshError` is raised.  So
     is a stack whose vertex count passes the int32 face-index limit, before
-    any seam is checked or any copy is built.
+    any seam is checked or any copy is built.  ``export_obj(domain, path, k)``
+    and ``export_ply(domain, path, k)`` write the same stack copy by copy,
+    without building it.
     """
-    if k < 1:
-        raise MeshError("k must be >= 1")
-    if domain.is_empty():
-        raise MeshError("cannot stack an empty mesh")
+    periods = _Periods(domain, k)
     if k == 1:
         return domain
-    T = float(domain.metadata["T"])
-    weld_tol = float(domain.metadata["weld_tol"])
-    v, f = domain.vertices, domain.faces
-    n = len(v)
-    seams = domain.metadata["stack_seams"]
-    shift = np.array([0.0, 0.0, T])
-    sides = ("pos", "neg")
-    tops = [np.asarray(seams[f"top_{side}_x2"], dtype=int) for side in sides]
-    bottoms = [np.asarray(seams[f"bottom_{side}_x2"], dtype=int) for side in sides]
-    top, bottom = np.concatenate(tops), np.concatenate(bottoms)
-    partner = np.full(n, -1)
-    partner[bottom] = top
-    keep = partner < 0
-    on_top = np.zeros(n, dtype=bool)
-    on_top[top] = True
-    m = int(np.count_nonzero(keep))
-    if np.any(partner[bottom] != top) or np.count_nonzero(on_top) != n - m:
-        raise MeshError("stack seams do not pair bottom and top vertices one to one")
-    if np.any(on_top[bottom]):
-        raise MeshError("a vertex sits on both a top and a bottom stack seam")
-    size = n + (k - 1) * m
-    if size > np.iinfo(np.int32).max:
-        raise MeshError(
-            f"{k} copies need {size} vertices, past the int32 face-index limit "
-            f"of {np.iinfo(np.int32).max}"
-        )
-    for j in range(k - 1):
-        for side, top, bottom in zip(sides, tops, bottoms):
-            label = f"stack {side}-x2 {j}~{j+1}"
-            _check_seam(label, v[top] + j * shift, v[bottom] + (j + 1) * shift, weld_tol)
-
-    kept = np.flatnonzero(keep)
-    bottom = np.flatnonzero(~keep)
-    top = partner[bottom]
-    vertices = np.empty((size, 3))
-    np.add(v, 0 * shift, out=vertices[:n])  # -0.0 becomes +0.0, as in later copies
-    table = np.empty((k, n), dtype=np.int32)  # table[j]: copy j's index of each vertex
-    table[0] = np.arange(n)
-    domain_caps = domain.metadata["asymptotic_caps"]
-    caps = list(domain_caps)
-    for j in range(1, k):
-        start = n + (j - 1) * m
-        rows = vertices[start : start + m]
-        np.take(v, kept, axis=0, out=rows, mode="clip")  # "clip" spares the copy "raise" makes
-        rows += j * shift
-        table[j, kept] = np.arange(start, start + m)
-        table[j, bottom] = table[j - 1, top]  # where copy j-1 put the top seam
-        # a cap is on no seam: copy j lays it out as one run
-        caps += [dict(cap, vertex_start=int(table[j, cap["vertex_start"]])) for cap in domain_caps]
-    faces = table[np.arange(k)[:, None, None], f]  # every copy's faces in one gather
-    metadata = dict(domain.metadata)
-    metadata["stack_duplicates_removed"] = (k - 1) * (n - m)
-    metadata["asymptotic_caps"] = caps
-    metadata.pop("stack_seams", None)
-    return SurfaceMesh(vertices, faces.reshape(-1, 3), metadata=metadata)
+    vertices = np.empty((periods.n_vertices, 3))
+    faces = np.empty((periods.n_faces, 3), dtype=np.int32)
+    nf = len(domain.faces)
+    start = 0
+    for j in range(k):
+        rows = periods.vertices(j)
+        vertices[start : start + len(rows)] = rows
+        start += len(rows)
+        del rows  # before the next copy's rows are formed
+        faces[j * nf : (j + 1) * nf] = periods.faces(j)
+    return SurfaceMesh(vertices, faces, metadata=periods.metadata)
 
 
 # ----------------------------------------------------------------------
@@ -851,8 +898,7 @@ def _require_nonempty(mesh: SurfaceMesh) -> None:
         raise MeshError("refusing to export an empty mesh")
 
 
-def _metadata_header_lines(mesh: SurfaceMesh) -> List[str]:
-    md = mesh.metadata
+def _metadata_header_lines(md: Dict[str, object]) -> List[str]:
     lines = ["artifact surface mesh"]
     prov = md.get("provenance")
     if isinstance(prov, (list, tuple)):
@@ -879,17 +925,25 @@ def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
         fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def export_obj(mesh: SurfaceMesh, path: str) -> None:
-    """ASCII OBJ (v/f records, 1-based indices, 9 significant digits)."""
+def export_obj(mesh: SurfaceMesh, path: str, copies: int = 1) -> Tuple[int, int]:
+    """ASCII OBJ (v/f records, 1-based indices, 9 significant digits) of
+    ``copies`` periods of ``mesh``, the bytes ``export_obj(stack_periods(mesh,
+    copies), path)`` writes, formed and written one copy at a time.  Every
+    check of the stack runs before the file is opened.  Returns the vertex
+    and face counts written."""
     _require_nonempty(mesh)
+    periods = _Periods(mesh, copies)
     try:
         with open(path, "w", encoding="ascii") as fh:
-            for line in _metadata_header_lines(mesh):
+            for line in _metadata_header_lines(periods.metadata):
                 fh.write(f"# {line}\n")
-            _write_rows(fh, "v %.9g %.9g %.9g\n", mesh.vertices)
-            _write_rows(fh, "f %d %d %d\n", mesh.faces + 1)
+            for j in range(copies):
+                _write_rows(fh, "v %.9g %.9g %.9g\n", periods.vertices(j))
+            for j in range(copies):
+                _write_rows(fh, "f %d %d %d\n", periods.faces(j) + 1)
     except OSError as exc:
         raise MeshError(f"OBJ export failed for {path!r}: {exc}") from exc
+    return periods.n_vertices, periods.n_faces
 
 
 def _obj_columns(lines: List[bytes], dtype, path: str) -> np.ndarray:
@@ -966,45 +1020,56 @@ def _ply_layout(nv, nf) -> List[str]:
     ]
 
 
-def export_ply(mesh: SurfaceMesh, path: str) -> None:
-    """Binary little-endian PLY with float64 coordinates."""
+def _write_ply_faces(fh, records: np.ndarray, faces: np.ndarray) -> None:
+    """Write ``faces`` as PLY face records, ``_ROWS_PER_WRITE`` at a time
+    through ``records`` (whose counts are set)."""
+    for start in range(0, len(faces), _ROWS_PER_WRITE):
+        block = records[: len(faces) - start]
+        block["i"] = faces[start : start + _ROWS_PER_WRITE]
+        fh.write(memoryview(block).cast("B"))
+
+
+def export_ply(mesh: SurfaceMesh, path: str, copies: int = 1) -> Tuple[int, int]:
+    """Binary little-endian PLY with float64 coordinates of ``copies``
+    periods of ``mesh``, the bytes ``export_ply(stack_periods(mesh, copies),
+    path)`` writes, formed and written one copy at a time.  Every check of
+    the stack runs before the file is opened.  Returns the vertex and face
+    counts written."""
     _require_nonempty(mesh)
-    nv, nf = len(mesh.vertices), len(mesh.faces)
-    layout = _ply_layout(nv, nf)
+    periods = _Periods(mesh, copies)
+    layout = _ply_layout(periods.n_vertices, periods.n_faces)
     header_lines = (
         layout[:2]
-        + [f"comment {line}" for line in _metadata_header_lines(mesh)]
+        + [f"comment {line}" for line in _metadata_header_lines(periods.metadata)]
         + layout[2:]
         + ["end_header"]
     )
     try:
         with open(path, "wb") as fh:
             fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
-            fh.write(memoryview(np.ascontiguousarray(mesh.vertices, dtype="<f8")).cast("B"))
-            records = np.empty(min(nf, _ROWS_PER_WRITE), dtype=_PLY_FACE)
+            for j in range(copies):
+                rows = np.ascontiguousarray(periods.vertices(j), dtype="<f8")
+                fh.write(memoryview(rows).cast("B"))
+                del rows  # before the next copy's rows are formed
+            records = np.empty(min(len(mesh.faces), _ROWS_PER_WRITE), dtype=_PLY_FACE)
             records["n"] = 3
-            for start in range(0, nf, _ROWS_PER_WRITE):
-                block = records[: nf - start]
-                block["i"] = mesh.faces[start : start + _ROWS_PER_WRITE]
-                fh.write(memoryview(block).cast("B"))
+            for j in range(copies):
+                _write_ply_faces(fh, records, periods.faces(j))
     except OSError as exc:
         raise MeshError(f"PLY export failed for {path!r}: {exc}") from exc
+    return periods.n_vertices, periods.n_faces
 
 
-def import_ply(path: str) -> SurfaceMesh:
-    """Read a PLY file in the layout :func:`export_ply` writes; any other
-    header raises :class:`MeshError` naming its first unsupported line, and a
-    face index outside the vertex range raises it too."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise MeshError(f"PLY import failed for {path!r}: {exc}") from exc
-    end = data.find(b"end_header\n")
-    if end < 0:
-        raise MeshError(f"{path!r} is not a PLY file")
-    header = data[:end].decode("ascii", errors="replace").splitlines()
-    header = [line for line in header if not line.startswith("comment ")]
+def _read_ply(fh, path: str) -> SurfaceMesh:
+    """The body of :func:`import_ply` on the open file ``fh``."""
+    head = []
+    while not head or not head[-1].endswith(b"end_header\n"):
+        line = fh.readline()
+        if not line:
+            raise MeshError(f"{path!r} is not a PLY file")
+        head.append(line)
+    header = b"".join(head)[: -len(b"end_header\n")].decode("ascii", errors="replace")
+    header = [line for line in header.splitlines() if not line.startswith("comment ")]
     counts = [
         re.search(rf"^element {name} (\d+)$", "\n".join(header), re.M)
         for name in ("vertex", "face")
@@ -1015,21 +1080,52 @@ def import_ply(path: str) -> SurfaceMesh:
             found = "no line" if line is None else f"line {line!r}"
             raise MeshError(f"{path!r}: unsupported PLY header: {found}, expected {want!r}")
     nv, nf = int(nv), int(nf)
-    start = end + len(b"end_header\n")
     need = nv * 24 + nf * _PLY_FACE.itemsize
-    if len(data) - start < need:
-        raise MeshError(
-            f"{path!r}: truncated PLY body, {len(data) - start} bytes "
+
+    def truncated(size: int) -> MeshError:
+        return MeshError(
+            f"{path!r}: truncated PLY body, {size} bytes "
             f"for {nv} vertices and {nf} faces ({need} bytes)"
         )
-    vertices = np.frombuffer(data, dtype="<f8", count=3 * nv, offset=start).reshape(nv, 3)
-    records = np.frombuffer(data, dtype=_PLY_FACE, count=nf, offset=start + nv * 24)
-    bad = np.flatnonzero(records["n"] != 3)
-    if len(bad):
-        raise MeshError(f"{path!r}: non-triangular face of size {records['n'][bad[0]]}")
-    faces = records["i"].astype(np.int32)
+
+    # a regular file too short for its counts allocates nothing
+    stat = os.fstat(fh.fileno())
+    if S_ISREG(stat.st_mode) and stat.st_size - fh.tell() < need:
+        raise truncated(stat.st_size - fh.tell())
+    vertices = np.empty((nv, 3), dtype="<f8")
+    faces = np.empty((nf, 3), dtype=np.int32)
+    got = fh.readinto(vertices)
+    records = np.empty(min(nf, _ROWS_PER_WRITE), dtype=_PLY_FACE)
+    bad_size = None
+    for start in range(0, nf, _ROWS_PER_WRITE):
+        block = records[: nf - start]
+        n_read = fh.readinto(block)
+        got += n_read
+        if n_read < block.nbytes:
+            break
+        faces[start : start + len(block)] = block["i"]
+        bad = np.flatnonzero(block["n"] != 3)
+        if bad_size is None and len(bad):
+            bad_size = block["n"][bad[0]]
+    if got < need:
+        raise truncated(got)
+    if bad_size is not None:
+        raise MeshError(f"{path!r}: non-triangular face of size {bad_size}")
     _require_vertex_indices(faces, nv, path, 0)
-    return SurfaceMesh(vertices.copy(), faces)
+    return SurfaceMesh(vertices, faces)
+
+
+def import_ply(path: str) -> SurfaceMesh:
+    """Read a PLY file in the layout :func:`export_ply` writes; any other
+    header raises :class:`MeshError` naming its first unsupported line, and a
+    face index outside the vertex range raises it too.  The vertex block is
+    read straight into the returned float64 array and the face records a
+    block at a time into the int32 face array."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_ply(fh, path)
+    except OSError as exc:
+        raise MeshError(f"PLY import failed for {path!r}: {exc}") from exc
 
 
 def export_curves_csv(mesh: SurfaceMesh, path: str) -> None:
@@ -1038,7 +1134,7 @@ def export_curves_csv(mesh: SurfaceMesh, path: str) -> None:
         raise MeshError("mesh has no named curves to export")
     try:
         with open(path, "w", encoding="ascii") as fh:
-            for line in _metadata_header_lines(mesh):
+            for line in _metadata_header_lines(mesh.metadata):
                 fh.write(f"# {line}\n")
             fh.write("name,index,x1,x2,x3\n")
             for name in sorted(mesh.boundary_polylines):

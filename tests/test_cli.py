@@ -1,6 +1,7 @@
 """Command-line interface: subcommand contracts, exit codes, config-file
 merging, provenance headers, and byte-identical reruns."""
 
+import errno
 import importlib
 import json
 import os
@@ -284,6 +285,15 @@ def test_non_finite_setting_exits_2(tmp_path, capsys, key):
 
 def test_unwritable_out_exits_2():
     assert run(["solve", "--out", "/no/such/dir/x.json"]) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("subcommand", ["solve", "periods", "verify"])
+def test_failed_text_write_exits_1_with_one_line(capsys, subcommand):
+    # /dev/full accepts the open and fails the write with ENOSPC
+    assert run([subcommand, "--out", "/dev/full"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"g1helicoid: error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))

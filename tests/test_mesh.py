@@ -418,7 +418,7 @@ def test_header_names_the_cap_of_every_copy(patch, domain, copies):
     base = patch.vertices[start : start + cap["vertex_count"]]
     header = [
         re.fullmatch(r"asymptotic cap: vertices (\d+)\.\.(\d+)", line)
-        for line in mesh._metadata_header_lines(stack)
+        for line in mesh._metadata_header_lines(stack.metadata)
         if line.startswith("asymptotic cap")
     ]
     assert len(header) == 4 * copies
@@ -560,12 +560,37 @@ def test_stack_rejects_a_vertex_on_both_a_top_and_a_bottom_seam(domain):
         stack_periods(both, 2)
 
 
-def test_stack_rejects_a_seam_gap_above_the_weld_tolerance(domain):
+def _moved_seam(domain):
+    """``domain`` with one pos-x2 top-seam vertex moved 1e-3 off its partner."""
     vertices = domain.vertices.copy()
     vertices[domain.metadata["stack_seams"]["top_pos_x2"][3], 0] += 1e-3
-    moved = SurfaceMesh(vertices, domain.faces, domain.boundary_polylines, domain.metadata)
+    return SurfaceMesh(vertices, domain.faces, domain.boundary_polylines, domain.metadata)
+
+
+def test_stack_rejects_a_seam_gap_above_the_weld_tolerance(domain):
     with pytest.raises(MeshError, match=r"seam stack pos-x2 0~1: max gap 1\.000e-03 exceeds"):
-        stack_periods(moved, 3)
+        stack_periods(_moved_seam(domain), 3)
+
+
+@pytest.mark.parametrize("export", [export_obj, export_ply])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_streamed_periods_write_the_stack_bytes(domain, tmp_path, export, k):
+    stack = stack_periods(domain, k)
+    streamed, built = tmp_path / "streamed", tmp_path / "built"
+    assert export(domain, str(streamed), k) == (len(stack.vertices), len(stack.faces))
+    export(stack, str(built))
+    assert streamed.read_bytes() == built.read_bytes()
+
+
+@pytest.mark.parametrize("export", [export_obj, export_ply])
+def test_streamed_periods_check_every_seam_before_the_file_opens(domain, tmp_path, export):
+    path = tmp_path / "moved"
+    with pytest.raises(MeshError) as built:
+        stack_periods(_moved_seam(domain), 3)
+    with pytest.raises(MeshError) as streamed:
+        export(_moved_seam(domain), str(path), 3)
+    assert str(streamed.value) == str(built.value)
+    assert not path.exists()
 
 
 def _traced_peak(fn, *args):
@@ -606,13 +631,26 @@ def test_ply_export_peak_memory(domain, tmp_path):
 def test_mesh_command_peak_memory_per_written_vertex(tmp_path):
     # the whole `mesh` run, solve to export: int32 faces, no patch held past
     # assembly, the manifold check's keys as the only int64 index array and
-    # PLY face records written block by block (int64 faces peaked at 120
-    # bytes per vertex, int32 faces at 76)
+    # the periods written copy by copy without building the stack, so the
+    # assembly sets the peak (int64 faces peaked at 120 bytes per written
+    # vertex, int32 faces at 76 with the stack built, streamed copies at 49)
     out = str(tmp_path / "m.ply")
     argv = ["mesh", "--resolution", "48", "--copies", "3", "--format", "ply", "--out", out]
     code, peak = _traced_peak(cli.run, argv)
     assert code == 0
-    assert peak <= 110 * len(import_ply(out).vertices)
+    assert peak <= 60 * len(import_ply(out).vertices)
+
+
+def test_ply_import_reads_straight_into_its_arrays(domain, tmp_path):
+    # the whole file held as bytes, then copied and converted, peaked at 2.04x
+    path = str(tmp_path / "stack.ply")
+    stack = stack_periods(domain, 3)
+    export_ply(stack, path)
+    n_vertices = len(stack.vertices)
+    del stack
+    back, peak = _traced_peak(import_ply, path)
+    assert len(back.vertices) == n_vertices
+    assert peak <= 1.25 * (back.vertices.nbytes + back.faces.nbytes)
 
 
 def _mesh_from(source, patch, domain, path):
@@ -647,6 +685,10 @@ def test_mesh_functions_accept_any_integer_faces(domain, tmp_path, dtype):
         export(wide, str(tmp_path / f"wide_{name}"))
         export(domain, str(tmp_path / name))
         assert (tmp_path / f"wide_{name}").read_bytes() == (tmp_path / name).read_bytes()
+        export(wide, str(tmp_path / f"wide_streamed_{name}"), 2)
+        export(stack_periods(domain, 2), str(tmp_path / f"stack_{name}"))
+        streamed = (tmp_path / f"wide_streamed_{name}").read_bytes()
+        assert streamed == (tmp_path / f"stack_{name}").read_bytes()
 
 
 def test_stack_past_the_int32_index_limit_raises_before_any_copy(domain, monkeypatch):
