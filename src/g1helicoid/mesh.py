@@ -44,7 +44,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from stat import S_ISREG
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -76,6 +76,12 @@ __all__ = [
     "import_ply",
     "export_curves_csv",
 ]
+
+
+#: Rows that a stage forms or writes at a time where it need not hold a whole
+#: array's temporaries: face areas, the exporters' vertex rows and faces, and
+#: the PLY reader's face records.
+_ROWS_PER_WRITE = 1 << 16
 
 
 class MeshError(RuntimeError, NumericError):
@@ -488,10 +494,20 @@ def mesh_patch_D(
     return mesh
 
 
+def _blocks(rows: np.ndarray):
+    """``rows`` as consecutive slices of ``_ROWS_PER_WRITE`` rows."""
+    return (rows[s : s + _ROWS_PER_WRITE] for s in range(0, len(rows), _ROWS_PER_WRITE))
+
+
 def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
-    a = vertices[faces[:, 1]] - vertices[faces[:, 0]]
-    b = vertices[faces[:, 2]] - vertices[faces[:, 0]]
-    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+    """The area of each face, formed ``_ROWS_PER_WRITE`` faces at a time."""
+    areas = np.empty(len(faces))
+    for start in range(0, len(faces), _ROWS_PER_WRITE):
+        block = faces[start : start + _ROWS_PER_WRITE]
+        a = vertices[block[:, 1]] - vertices[block[:, 0]]
+        b = vertices[block[:, 2]] - vertices[block[:, 0]]
+        areas[start : start + len(block)] = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+    return areas
 
 
 def _append_asymptotic_cap(
@@ -560,55 +576,27 @@ def _check_seam(label: str, pts_a: np.ndarray, pts_b: np.ndarray, tol: float) ->
         raise MeshError(f"seam {label}: max gap {worst:.3e} exceeds weld tol {tol:.3e}")
 
 
-def _weld_by_pairs(
-    vertices: np.ndarray,
-    faces: np.ndarray,
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray, str]],
-    tol: float,
-):
-    """Merge vertices along explicit seam index pairs; validates gaps first.
+def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label each of ``n`` nodes (int32) with the smallest node of its
+    component in the graph whose edges join ``a[i]`` and ``b[i]``.
 
-    Each vertex is labelled with the smallest index of its component in the
-    graph of seam pairs.  Labels start as the indices; each round lowers both
-    ends of every pair to the smaller of their two labels and then replaces
-    every label by its own label (pointer jumping), until a round changes
-    nothing.  Labels only fall and always name a vertex of the same
-    component, so at that point every component carries its smallest index.
-    The welded vertices are these minima in ascending order, the roots a
-    union-find that always links the larger root under the smaller finds.
-    A root is a vertex labelled with its own index, so a cumulative sum of
-    the roots numbers them without a sort.  Faces that lost a corner go.
-
-    Returns (vertices, faces, old_to_new, n_duplicates_removed); the faces
-    and ``old_to_new`` are int32.
+    Labels start as the node numbers; each round lowers both ends of every
+    edge to the smaller of their two labels and then replaces every label by
+    its own label (pointer jumping), until a round changes nothing.  Labels
+    only fall and always name a node of the same component, so at that point
+    every component carries its smallest node: the roots of a union-find that
+    always links the larger root under the smaller.
     """
-    for ids_a, ids_b, label in pairs:
-        _check_seam(label, vertices[ids_a], vertices[ids_b], tol)
-    roots = np.arange(len(vertices))
-    if pairs:
-        a = np.concatenate([ids_a for ids_a, _, _ in pairs])
-        b = np.concatenate([ids_b for _, ids_b, _ in pairs])
-        while True:
-            low = np.minimum(roots[a], roots[b])
-            step = roots.copy()
-            np.minimum.at(step, a, low)
-            np.minimum.at(step, b, low)
-            step = step[step]
-            if np.array_equal(step, roots):
-                break
-            roots = step
-    is_root = roots == np.arange(len(vertices))
-    old_to_new = (np.cumsum(is_root, dtype=np.int32) - 1)[roots]
-    new_faces = old_to_new[faces]
-    keep = (
-        (new_faces[:, 0] != new_faces[:, 1])
-        & (new_faces[:, 1] != new_faces[:, 2])
-        & (new_faces[:, 0] != new_faces[:, 2])
-    )
-    if not keep.all():
-        new_faces = new_faces[keep]
-    removed = len(vertices) - int(np.count_nonzero(is_root))
-    return vertices[is_root], new_faces, old_to_new, removed
+    labels = np.arange(n, dtype=np.int32)
+    while True:
+        low = np.minimum(labels[a], labels[b])
+        step = labels.copy()
+        np.minimum.at(step, a, low)
+        np.minimum.at(step, b, low)
+        step = step[step]
+        if np.array_equal(step, labels):
+            return labels
+        labels = step
 
 
 def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
@@ -619,46 +607,71 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
     ``metadata["weld_tol"]``).  The two antiholomorphic copies (x3-axis and
     x2-axis half-turns) get flipped triangle windings so the assembled
     orientation is consistent.
+
+    The domain's two arrays are the only full-size ones built.  Each seam gap
+    is measured on the two images' seam rows.  Each seam vertex is welded
+    into the smallest vertex of its component in the graph of seam pairs,
+    labelled on the seam vertices alone; every other vertex stays.  So the
+    domain holds the vertices that stay, image after image (base, then the
+    x1, x3 and x2 half-turns), each image's faces are mapped straight into
+    the domain's face array, and faces that lost a corner go.  The edge-use
+    check reads those faces before any vertex row is formed; then each
+    image's rows ``patch.vertices @ M.T`` fill its block.
     """
     if patch.is_empty():
         raise MeshError("cannot assemble from an empty patch")
     weld_tol = 1e-7 * float(patch.metadata["T"])
     n = len(patch.vertices)
     seams = patch.metadata["seam_ids"]
-    vertices = np.empty((4, n, 3))
-    faces = np.empty((4,) + patch.faces.shape, dtype=np.int32)
-    offsets = {}
-    for k, (name, sym) in enumerate(_COPY_SPECS):
-        mat = np.eye(3) if sym is None else SYMMETRIES[sym].space_matrix
-        flip = sym is not None and SYMMETRIES[sym].orientation < 0
-        np.matmul(patch.vertices, mat.T, out=vertices[k])
-        np.add(patch.faces[:, ::-1] if flip else patch.faces, k * n, out=faces[k])
-        offsets[name] = k * n
+    mats = [np.eye(3) if sym is None else SYMMETRIES[sym].space_matrix for _, sym in _COPY_SPECS]
+    copy_of = {name: k for k, (name, _) in enumerate(_COPY_SPECS)}
 
-    def ids(copy: str, seam: str) -> np.ndarray:
-        return np.asarray(seams[seam], dtype=int) + offsets[copy]
-
-    pairs = [
-        (ids("base", "C"), ids("half_turn_x1", "C")[::-1], "C: base~x1"),
-        (ids("half_turn_x3", "C"), ids("half_turn_x2", "C")[::-1], "C: x3~x2"),
-        (ids("base", "E"), ids("half_turn_x3", "E"), "E: base~x3"),
-        (ids("base", "E_hat"), ids("half_turn_x3", "E_hat"), "E_hat: base~x3"),
-        (ids("half_turn_x1", "E"), ids("half_turn_x2", "E"), "E: x1~x2"),
-        (ids("half_turn_x1", "E_hat"), ids("half_turn_x2", "E_hat"), "E_hat: x1~x2"),
-        (ids("base", "H1"), ids("half_turn_x2", "H1"), "H1: base~x2"),
-        (ids("half_turn_x1", "H1"), ids("half_turn_x3", "H1"), "H1: x1~x3"),
+    # the curves two images share; each C pair runs the second image's curve backwards
+    shared = [
+        ("base", "half_turn_x1", "C", "C: base~x1"),
+        ("half_turn_x3", "half_turn_x2", "C", "C: x3~x2"),
+        ("base", "half_turn_x3", "E", "E: base~x3"),
+        ("base", "half_turn_x3", "E_hat", "E_hat: base~x3"),
+        ("half_turn_x1", "half_turn_x2", "E", "E: x1~x2"),
+        ("half_turn_x1", "half_turn_x2", "E_hat", "E_hat: x1~x2"),
+        ("base", "half_turn_x2", "H1", "H1: base~x2"),
+        ("half_turn_x1", "half_turn_x3", "H1", "H1: x1~x3"),
     ]
-    new_vertices, new_faces, old_to_new, removed = _weld_by_pairs(
-        vertices.reshape(-1, 3), faces.reshape(-1, 3), pairs, weld_tol
-    )
-    del vertices, faces
+    ends_a: List[np.ndarray] = []
+    ends_b: List[np.ndarray] = []
+    for copy_a, copy_b, curve, label in shared:
+        ids_a = np.asarray(seams[curve], dtype=int)
+        ids_b = ids_a[::-1] if curve == "C" else ids_a
+        rows_a = patch.vertices[ids_a] @ mats[copy_of[copy_a]].T
+        rows_b = patch.vertices[ids_b] @ mats[copy_of[copy_b]].T
+        _check_seam(label, rows_a, rows_b, weld_tol)
+        ends_a.append(ids_a + n * copy_of[copy_a])
+        ends_b.append(ids_b + n * copy_of[copy_b])
 
-    stack_seams = {
-        "bottom_pos_x2": old_to_new[ids("base", "H2")],
-        "bottom_neg_x2": old_to_new[ids("half_turn_x3", "H2")],
-        "top_pos_x2": old_to_new[ids("half_turn_x2", "H2")],
-        "top_neg_x2": old_to_new[ids("half_turn_x1", "H2")],
-    }
+    # `nodes` ascends, so each component's smallest node is its smallest vertex
+    nodes, pairs = np.unique(np.concatenate(ends_a + ends_b), return_inverse=True)
+    labels = _component_labels(len(nodes), *np.split(pairs, 2))
+    kept = np.ones(4 * n, dtype=bool)
+    kept[nodes[labels != np.arange(len(nodes))]] = False
+    old_to_new = np.cumsum(kept, dtype=np.int32)
+    old_to_new -= 1
+    old_to_new[nodes] = old_to_new[nodes[labels]]
+
+    nf = len(patch.faces)
+    faces = np.empty((4 * nf, 3), dtype=np.int32)
+    for k, (_, sym) in enumerate(_COPY_SPECS):
+        flip = sym is not None and SYMMETRIES[sym].orientation < 0
+        image = patch.faces[:, ::-1] if flip else patch.faces
+        np.take(old_to_new[k * n : (k + 1) * n], image, out=faces[k * nf : (k + 1) * nf])
+    keep = (
+        (faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2]) & (faces[:, 0] != faces[:, 2])
+    )
+    if not keep.all():
+        faces = faces[keep]
+    del keep
+
+    def new_ids(copy: str, seam: str) -> np.ndarray:
+        return old_to_new[np.asarray(seams[seam], dtype=int) + n * copy_of[copy]]
 
     metadata = dict(patch.metadata)
     metadata.pop("seam_ids", None)
@@ -669,19 +682,33 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
         for cap in patch.metadata["asymptotic_caps"]
     ]
     metadata["weld_tol"] = weld_tol
-    metadata["weld_duplicates_removed"] = removed
+    metadata["weld_duplicates_removed"] = 4 * n - int(np.count_nonzero(kept))
     metadata["vertices_before_weld"] = 4 * n
-    metadata["stack_seams"] = stack_seams
+    metadata["stack_seams"] = {
+        "bottom_pos_x2": new_ids("base", "H2"),
+        "bottom_neg_x2": new_ids("half_turn_x3", "H2"),
+        "top_pos_x2": new_ids("half_turn_x2", "H2"),
+        "top_neg_x2": new_ids("half_turn_x1", "H2"),
+    }
+    del old_to_new
 
-    fd = SurfaceMesh(new_vertices, new_faces, metadata=metadata)
-    report = check_oriented_manifold(fd)
+    # the edge-use check reads the faces alone
+    report = check_oriented_manifold(SurfaceMesh(np.empty((0, 3)), faces))
     if report["misoriented_edges"] or report["overused_edges"]:
         raise MeshError(
             "fundamental domain is not consistently oriented: "
             f"{report['misoriented_edges']} misoriented, "
             f"{report['overused_edges']} overused edges"
         )
-    return fd
+
+    vertices = np.empty((4 * n - metadata["weld_duplicates_removed"], 3))
+    start = 0
+    for k, mat in enumerate(mats):
+        stays = kept[k * n : (k + 1) * n]
+        count = int(np.count_nonzero(stays))
+        np.compress(stays, patch.vertices @ mat.T, axis=0, out=vertices[start : start + count])
+        start += count
+    return SurfaceMesh(vertices, faces, metadata=metadata)
 
 
 class _Periods:
@@ -690,11 +717,11 @@ class _Periods:
     that :func:`export_obj` and :func:`export_ply` write copy by copy.
 
     The constructor runs every check :func:`stack_periods` documents, in its
-    order, and lays out the stack: ``table[j]`` is copy j's stack index of
-    each domain vertex, ``metadata`` the stack's metadata with every copy's
-    caps.  ``vertices(j)`` and ``faces(j)`` then form copy j's new vertex
-    rows and its faces.  One period is the domain as it is and reads no
-    stack metadata.
+    order, and lays out the stack: its vertex and face counts and
+    ``metadata``, the stack's metadata with every copy's caps.
+    ``vertices()`` and ``faces()`` then form the stack's vertex rows and its
+    faces copy after copy, ``_ROWS_PER_WRITE`` rows at a time.  One period is
+    the domain as it is and reads no stack metadata.
     """
 
     def __init__(self, domain: SurfaceMesh, k: int):
@@ -739,40 +766,59 @@ class _Periods:
                 _check_seam(label, v[top] + j * shift, v[bottom] + (j + 1) * shift, weld_tol)
 
         self.kept = np.flatnonzero(keep)
-        bottom = np.flatnonzero(~keep)
-        top = partner[bottom]
-        self.table = table = np.empty((k, n), dtype=np.int32)
-        table[0] = np.arange(n)
-        for j in range(1, k):
-            start = n + (j - 1) * m
-            table[j, self.kept] = np.arange(start, start + m)
-            table[j, bottom] = table[j - 1, top]  # where copy j-1 put the top seam
-        # a cap is on no seam: each copy lays it out as one run
-        caps = [
-            dict(cap, vertex_start=int(table[j, cap["vertex_start"]]))
-            for j in range(k)
-            for cap in domain.metadata["asymptotic_caps"]
-        ]
+        self.bottom = np.flatnonzero(~keep)
+        self.top = partner[self.bottom]
+        # a cap is on no seam: each copy lays it out as one run, copy j >= 1
+        # from stack index n + (j - 1) m on in the order of the kept vertices
+        caps = domain.metadata["asymptotic_caps"]
+        rank = [int(np.searchsorted(self.kept, cap["vertex_start"])) for cap in caps]
         self.metadata = dict(domain.metadata)
         self.metadata["stack_duplicates_removed"] = (k - 1) * (n - m)
-        self.metadata["asymptotic_caps"] = caps
+        self.metadata["asymptotic_caps"] = [
+            dict(cap, vertex_start=n + (j - 1) * m + r if j else cap["vertex_start"])
+            for j in range(k)
+            for cap, r in zip(caps, rank)
+        ]
         self.metadata.pop("stack_seams", None)
 
-    def vertices(self, j: int) -> np.ndarray:
-        """The vertex rows copy j adds to the stack."""
+    def vertices(self):
+        """The stack's vertex rows: the domain's, then the rows each later
+        copy adds.  A stack's rows are formed in one block of memory, so each
+        is valid until the next one is asked for."""
         v = self.domain.vertices
         if self.k == 1:
-            return v
-        if j == 0:
-            return v + 0 * self.shift  # -0.0 becomes +0.0, as in later copies
-        rows = v[self.kept]
-        rows += j * self.shift
-        return rows
+            yield from _blocks(v)
+            return
+        block = np.empty((min(len(v), _ROWS_PER_WRITE), 3), dtype=v.dtype)
+        for rows in _blocks(v):
+            # -0.0 becomes +0.0 in copy 0, as in later copies
+            yield np.add(rows, 0 * self.shift, out=block[: len(rows)])
+        for j in range(1, self.k):
+            for ids in _blocks(self.kept):
+                # the kept ids index v by construction; "clip" writes straight to out
+                rows = np.take(v, ids, axis=0, out=block[: len(ids)], mode="clip")
+                rows += j * self.shift
+                yield rows
 
-    def faces(self, j: int) -> np.ndarray:
-        """Copy j's faces as stack vertex indices."""
+    def faces(self):
+        """Every copy's faces as stack vertex indices, copy after copy.
+
+        ``index`` holds one copy's stack index of each domain vertex; copy
+        j's is formed from copy j - 1's, whose top seam is copy j's bottom
+        seam, so no more than one copy's is held."""
         f = self.domain.faces
-        return f if self.k == 1 else self.table[j][f]
+        if self.k == 1:
+            yield from _blocks(f)
+            return
+        index = np.arange(len(self.domain.vertices), dtype=np.int32)
+        for j in range(self.k):
+            if j:
+                top = index[self.top]
+                first = len(index) + (j - 1) * len(self.kept)
+                index[self.kept] = np.arange(first, first + len(self.kept))
+                index[self.bottom] = top
+            for block in _blocks(f):
+                yield index[block]
 
 
 def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
@@ -781,28 +827,26 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
     ``metadata["weld_tol"]``.
 
     Copy j's bottom seam is copy j-1's top seam, so the output is copy 0,
-    then each later copy without its bottom-seam vertices (the layout
-    :func:`_weld_by_pairs` gives the k staged copies).  The ``stack_seams``
-    must pair bottom and top vertices one to one, and no vertex may sit on
-    both a top and a bottom seam; otherwise :class:`MeshError` is raised.  So
-    is a stack whose vertex count passes the int32 face-index limit, before
-    any seam is checked or any copy is built.  ``export_obj(domain, path, k)``
-    and ``export_ply(domain, path, k)`` write the same stack copy by copy,
-    without building it.
+    then each later copy without its bottom-seam vertices (the layout a weld
+    of the k staged copies into the smallest vertex of each seam pair gives).
+    The ``stack_seams`` must pair bottom and top vertices one to one, and no
+    vertex may sit on both a top and a bottom seam; otherwise
+    :class:`MeshError` is raised.  So is a stack whose vertex count passes the
+    int32 face-index limit, before any seam is checked or any copy is built.
+    ``export_obj(domain, path, k)`` and ``export_ply(domain, path, k)`` write
+    the same stack copy by copy, without building it.
     """
     periods = _Periods(domain, k)
     if k == 1:
         return domain
     vertices = np.empty((periods.n_vertices, 3))
     faces = np.empty((periods.n_faces, 3), dtype=np.int32)
-    nf = len(domain.faces)
-    start = 0
-    for j in range(k):
-        rows = periods.vertices(j)
-        vertices[start : start + len(rows)] = rows
-        start += len(rows)
-        del rows  # before the next copy's rows are formed
-        faces[j * nf : (j + 1) * nf] = periods.faces(j)
+    for out, blocks in ((vertices, periods.vertices()), (faces, periods.faces())):
+        start = 0
+        for block in blocks:
+            out[start : start + len(block)] = block
+            start += len(block)
+            del block  # before the next block is formed
     return SurfaceMesh(vertices, faces, metadata=periods.metadata)
 
 
@@ -845,29 +889,33 @@ def distance_to_polyline(points: np.ndarray, polyline: np.ndarray) -> np.ndarray
 # Structural checks
 # ----------------------------------------------------------------------
 
-def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
-    """Edge-use report: interior edges must be shared by exactly two faces
-    with opposite orientation; boundary edges by one.
+#: Directed edges whose int64 keys :func:`check_oriented_manifold` holds at a
+#: time, besides the rest of one block of 16 vertices' edges.
+_KEYS_PER_BUCKET = 1 << 17
 
-    Each of the 3F directed face edges a->b gets the int64 key
-    2 (min(a, b) n + max(a, b)) + [a < b], written one face corner at a time
-    from the faces as they are (any integer dtype, never copied) into one
-    array sorted in place.  A run of keys with the same half is one edge: the
-    run length is its use count, and an edge used twice is consistently
-    oriented when exactly one of its uses runs from the smaller index to the
-    larger (its two keys differ in the last bit).
+
+def _bucket_uses(sides, buckets, k: int, size: int, n: int) -> np.ndarray:
+    """Interior, boundary, misoriented and overused edges among the ``size``
+    directed edges of bucket ``k``, which hold every use of their edges.
+
+    ``sides`` holds each face corner's (tail, head) columns and ``buckets``
+    each corner's edge buckets.  The keys are written one face corner at a
+    time into one array, which is sorted in place.
     """
-    f = np.asarray(mesh.faces)
-    n = int(f.max()) + 1 if f.size else 0
-    keys = np.empty((3, len(f)), dtype=np.int64)
-    for j in range(3):  # no name may keep a view of keys past the del below
-        a, b = f[:, j], f[:, (j + 1) % 3]
-        np.minimum(a, b, out=keys[j])
-        keys[j] *= n
-        keys[j] += np.maximum(a, b)
-        keys[j] *= 2
-        keys[j] += a < b
-    keys = keys.reshape(-1)
+    keys = np.empty(size, dtype=np.int64)
+    start = 0
+    for (a, b), bucket in zip(sides, buckets):
+        picked = np.flatnonzero(bucket == k)
+        a, b = a[picked], b[picked]
+        del picked
+        out = keys[start : start + len(a)]
+        start += len(a)
+        np.minimum(a, b, out=out)
+        out *= n
+        out += np.maximum(a, b)
+        out *= 2
+        out += a < b
+    del a, b, out  # no name may keep a view of keys past the del below
     keys.sort()
     ascending = np.empty(len(keys), dtype=bool)
     np.bitwise_and(keys, 1, out=ascending, casting="unsafe")
@@ -881,12 +929,59 @@ def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
     overused = twice & same[2:]
     twice &= ~overused
     interior = int(np.count_nonzero(twice[:-1] & (ascending[:-1] != ascending[1:])))
-    return {
-        "interior_edges": interior,
-        "boundary_edges": int(np.count_nonzero(first & ~same[1:-1])),
-        "misoriented_edges": int(np.count_nonzero(twice)) - interior,
-        "overused_edges": int(np.count_nonzero(overused)),
-    }
+    return np.array([
+        interior,
+        int(np.count_nonzero(first & ~same[1:-1])),
+        int(np.count_nonzero(twice)) - interior,
+        int(np.count_nonzero(overused)),
+    ])
+
+
+def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
+    """Edge-use report: interior edges must be shared by exactly two faces
+    with opposite orientation; boundary edges by one.
+
+    Each of the 3F directed face edges a->b gets the int64 key
+    2 (min(a, b) n + max(a, b)) + [a < b].  Sorted, a run of keys with the
+    same half is one edge: the run length is its use count, and an edge used
+    twice is consistently oriented when exactly one of its uses runs from the
+    smaller index to the larger (its two keys differ in the last bit).
+
+    The keys are formed and sorted a bucket at a time.  The vertices are
+    taken in blocks of 16 consecutive indices; counted block by block, the
+    edges whose smaller vertex lies in a lower block, over
+    ``_KEYS_PER_BUCKET``, give a block's share, and the blocks of one share
+    form a bucket, which takes the edges whose smaller vertex lies in them.
+    So every use of an edge lands in one bucket, a bucket holds fewer keys
+    than that constant plus one block's edges, and a small mesh is one
+    bucket.  Each edge's bucket is found once, from the faces as they are
+    (any integer dtype, never copied).
+    """
+    f = np.asarray(mesh.faces)
+    n = int(f.max()) + 1 if f.size else 0
+    sides = [(f[:, j], f[:, (j + 1) % 3]) for j in range(3)]
+    block = np.empty(len(f), dtype=np.intp)  # each edge's smaller vertex's block
+    per_block = np.zeros((n >> 4) + 1, dtype=np.intp)
+    for a, b in sides:
+        np.minimum(a, b, out=block)
+        block >>= 4
+        per_block += np.bincount(block, minlength=len(per_block))
+    below = np.cumsum(per_block)
+    below -= per_block
+    opens = np.flatnonzero(np.diff(below // _KEYS_PER_BUCKET)) + 1  # a bucket's first block
+    sizes = np.diff(below[opens], prepend=0, append=f.size)
+    block_bucket = np.zeros(len(per_block), dtype=np.min_scalar_type(len(sizes) - 1))
+    block_bucket[opens] = 1
+    np.cumsum(block_bucket, out=block_bucket)
+    buckets = []
+    for a, b in sides:
+        np.minimum(a, b, out=block)
+        block >>= 4
+        buckets.append(block_bucket[block])
+    del block
+    counts = sum(_bucket_uses(sides, buckets, k, size, n) for k, size in enumerate(sizes.tolist()))
+    names = ("interior_edges", "boundary_edges", "misoriented_edges", "overused_edges")
+    return {name: int(count) for name, count in zip(names, counts)}
 
 
 # ----------------------------------------------------------------------
@@ -914,33 +1009,28 @@ def _metadata_header_lines(md: Dict[str, object]) -> List[str]:
     return lines
 
 
-_ROWS_PER_WRITE = 1 << 16
-
-
 def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
-    """Write ``row_format % row`` for every row, formatting a block of rows
-    per write (``%.9g`` gives the same text as ``f"{x:.9g}"``)."""
-    for start in range(0, len(rows), _ROWS_PER_WRITE):
-        block = rows[start : start + _ROWS_PER_WRITE]
-        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+    """Write ``row_format % row`` for every row of a block in one write
+    (``%.9g`` gives the same text as ``f"{x:.9g}"``)."""
+    fh.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def export_obj(mesh: SurfaceMesh, path: str, copies: int = 1) -> Tuple[int, int]:
     """ASCII OBJ (v/f records, 1-based indices, 9 significant digits) of
     ``copies`` periods of ``mesh``, the bytes ``export_obj(stack_periods(mesh,
-    copies), path)`` writes, formed and written one copy at a time.  Every
-    check of the stack runs before the file is opened.  Returns the vertex
-    and face counts written."""
+    copies), path)`` writes, formed and written ``_ROWS_PER_WRITE`` rows at a
+    time.  Every check of the stack runs before the file is opened.  Returns
+    the vertex and face counts written."""
     _require_nonempty(mesh)
     periods = _Periods(mesh, copies)
     try:
         with open(path, "w", encoding="ascii") as fh:
             for line in _metadata_header_lines(periods.metadata):
                 fh.write(f"# {line}\n")
-            for j in range(copies):
-                _write_rows(fh, "v %.9g %.9g %.9g\n", periods.vertices(j))
-            for j in range(copies):
-                _write_rows(fh, "f %d %d %d\n", periods.faces(j) + 1)
+            for rows in periods.vertices():
+                _write_rows(fh, "v %.9g %.9g %.9g\n", rows)
+            for block in periods.faces():
+                _write_rows(fh, "f %d %d %d\n", block + 1)
     except OSError as exc:
         raise MeshError(f"OBJ export failed for {path!r}: {exc}") from exc
     return periods.n_vertices, periods.n_faces
@@ -965,6 +1055,36 @@ def _require_vertex_indices(faces: np.ndarray, nv: int, path: str, first: int) -
         )
 
 
+def _record_lines(data: bytes, tags: bytes) -> List[List[bytes]]:
+    """For each tag byte t, the lines of ``data`` that begin with t and a
+    space, cut as ``data.splitlines()`` cuts them.
+
+    A line begins at the start of the data and after each ``\\n`` and each
+    ``\\r`` that no ``\\n`` follows, unless the data ends there.  The line
+    starts are classified with numpy over the bytes, and each run of
+    consecutive lines with one tag is cut by one ``splitlines`` call."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    lf = buf == ord("\n")
+    breaks = buf == ord("\r")
+    breaks[:-1] &= ~lf[1:]
+    breaks |= lf
+    del lf
+    bounds = np.concatenate([[0], np.flatnonzero(breaks) + 1])
+    if bounds[-1] != len(buf):
+        bounds = np.append(bounds, len(buf))
+    starts = bounds[:-1]
+    # a line's second byte, or its first when the data ends after that one
+    second = buf[np.minimum(starts + 1, len(buf) - 1)] == ord(" ")
+    out = []
+    for tag in tags:
+        runs = np.diff((second & (buf[starts] == tag)).astype(np.int8), prepend=0, append=0)
+        lines: List[bytes] = []
+        for i, j in zip(np.flatnonzero(runs == 1).tolist(), np.flatnonzero(runs == -1).tolist()):
+            lines += data[bounds[i] : bounds[j]].splitlines()
+        out.append(lines)
+    return out
+
+
 def import_obj(path: str) -> SurfaceMesh:
     """Read the lines that begin ``v `` and ``f `` of an OBJ file.
 
@@ -976,13 +1096,13 @@ def import_obj(path: str) -> SurfaceMesh:
     raises :class:`MeshError`."""
     try:
         with open(path, "rb") as fh:
-            lines = fh.read().splitlines()
+            data = fh.read()
     except OSError as exc:
         raise MeshError(f"OBJ import failed for {path!r}: {exc}") from exc
-    v_lines = [line for line in lines if line.startswith(b"v ")]
+    v_lines, f_lines = _record_lines(data, b"vf")
+    del data
     if not v_lines:
         raise MeshError(f"no vertices found in {path!r}")
-    f_lines = [line for line in lines if line.startswith(b"f ")]
     if f_lines:
         block = re.sub(rb"/\S*", b"", b"\n".join(f_lines))
         f_lines = block.splitlines()
@@ -1020,21 +1140,12 @@ def _ply_layout(nv, nf) -> List[str]:
     ]
 
 
-def _write_ply_faces(fh, records: np.ndarray, faces: np.ndarray) -> None:
-    """Write ``faces`` as PLY face records, ``_ROWS_PER_WRITE`` at a time
-    through ``records`` (whose counts are set)."""
-    for start in range(0, len(faces), _ROWS_PER_WRITE):
-        block = records[: len(faces) - start]
-        block["i"] = faces[start : start + _ROWS_PER_WRITE]
-        fh.write(memoryview(block).cast("B"))
-
-
 def export_ply(mesh: SurfaceMesh, path: str, copies: int = 1) -> Tuple[int, int]:
     """Binary little-endian PLY with float64 coordinates of ``copies``
     periods of ``mesh``, the bytes ``export_ply(stack_periods(mesh, copies),
-    path)`` writes, formed and written one copy at a time.  Every check of
-    the stack runs before the file is opened.  Returns the vertex and face
-    counts written."""
+    path)`` writes, formed and written ``_ROWS_PER_WRITE`` rows at a time.
+    Every check of the stack runs before the file is opened.  Returns the
+    vertex and face counts written."""
     _require_nonempty(mesh)
     periods = _Periods(mesh, copies)
     layout = _ply_layout(periods.n_vertices, periods.n_faces)
@@ -1047,14 +1158,16 @@ def export_ply(mesh: SurfaceMesh, path: str, copies: int = 1) -> Tuple[int, int]
     try:
         with open(path, "wb") as fh:
             fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
-            for j in range(copies):
-                rows = np.ascontiguousarray(periods.vertices(j), dtype="<f8")
-                fh.write(memoryview(rows).cast("B"))
-                del rows  # before the next copy's rows are formed
+            for rows in periods.vertices():
+                fh.write(memoryview(np.ascontiguousarray(rows, dtype="<f8")).cast("B"))
+            del rows  # a view of the block the rows were formed in
             records = np.empty(min(len(mesh.faces), _ROWS_PER_WRITE), dtype=_PLY_FACE)
             records["n"] = 3
-            for j in range(copies):
-                _write_ply_faces(fh, records, periods.faces(j))
+            for block in periods.faces():
+                block_records = records[: len(block)]
+                block_records["i"] = block
+                del block  # before the next block is formed
+                fh.write(memoryview(block_records).cast("B"))
     except OSError as exc:
         raise MeshError(f"PLY export failed for {path!r}: {exc}") from exc
     return periods.n_vertices, periods.n_faces

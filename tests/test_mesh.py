@@ -19,7 +19,6 @@ from g1helicoid.mesh import (
     SurfaceMesh,
     _level_values,
     _strip_faces,
-    _weld_by_pairs,
     assemble_fundamental_domain,
     check_oriented_manifold,
     distance_to_polyline,
@@ -456,28 +455,163 @@ def test_weld_labels_match_union_find(rng):
         (rng.integers(0, n, 150), rng.integers(0, n, 150), "random"),
         (np.array([5, 5, 399]), np.array([399, 399, 5]), "repeats"),
     ]
-    vertices = np.zeros((n, 3))
-    faces = np.array([[0, 1, 2], [100, 101, 102], [397, 398, 399]])
-    _, new_faces, old_to_new, removed = _weld_by_pairs(vertices, faces, pairs, 0.0)
-    roots = _union_find_roots(n, pairs)
-    _, expect = np.unique(roots, return_inverse=True)
-    assert np.array_equal(old_to_new, expect)
-    assert removed == n - len(np.unique(roots))
-    mapped = expect[faces]
-    distinct = (mapped[:, 0] != mapped[:, 1]) & (mapped[:, 1] != mapped[:, 2]) & (
-        mapped[:, 0] != mapped[:, 2]
-    )
-    assert not distinct[0]  # the chain welds all of face 0 into one vertex
-    assert np.array_equal(new_faces, mapped[distinct])
+    a = np.concatenate([ids_a for ids_a, _, _ in pairs])
+    b = np.concatenate([ids_b for _, ids_b, _ in pairs])
+    labels = mesh._component_labels(n, a, b)
+    assert labels.dtype == np.int32
+    assert np.array_equal(labels, _union_find_roots(n, pairs))
 
 
 def test_weld_rejects_bad_seams():
     vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
-    faces = np.array([[0, 1, 2]])
-    with pytest.raises(MeshError, match="length mismatch"):
-        _weld_by_pairs(vertices, faces, [(np.array([0, 1]), np.array([2]), "s")], 1.0)
-    with pytest.raises(MeshError, match="max gap"):
-        _weld_by_pairs(vertices, faces, [(np.array([0]), np.array([2]), "s")], 1e-4)
+    with pytest.raises(MeshError, match="seam s: length mismatch 2 vs 1"):
+        mesh._check_seam("s", vertices[[0, 1]], vertices[[2]], 1.0)
+    with pytest.raises(MeshError, match=r"seam s: max gap 1\.000e-03 exceeds weld tol 1\.000e-04"):
+        mesh._check_seam("s", vertices[[0]], vertices[[2]], 1e-4)
+
+
+def _weld_by_pairs(vertices, faces, pairs, tol):
+    """Reference weld of staged copies: every seam gap is checked, then each
+    vertex is labelled with the smallest index of its component in the graph
+    of seam pairs (its own pointer-jumping loop, not the package's), the
+    smallest indices stay in ascending order and faces that lost a corner go.
+    Returns (vertices, faces, old_to_new, n_duplicates_removed)."""
+    for ids_a, ids_b, label in pairs:
+        mesh._check_seam(label, vertices[ids_a], vertices[ids_b], tol)
+    roots = np.arange(len(vertices))
+    if pairs:
+        a = np.concatenate([ids_a for ids_a, _, _ in pairs])
+        b = np.concatenate([ids_b for _, ids_b, _ in pairs])
+        while True:
+            low = np.minimum(roots[a], roots[b])
+            step = roots.copy()
+            np.minimum.at(step, a, low)
+            np.minimum.at(step, b, low)
+            step = step[step]
+            if np.array_equal(step, roots):
+                break
+            roots = step
+    is_root = roots == np.arange(len(vertices))
+    old_to_new = (np.cumsum(is_root, dtype=np.int32) - 1)[roots]
+    new_faces = old_to_new[faces]
+    keep = (
+        (new_faces[:, 0] != new_faces[:, 1])
+        & (new_faces[:, 1] != new_faces[:, 2])
+        & (new_faces[:, 0] != new_faces[:, 2])
+    )
+    removed = len(vertices) - int(np.count_nonzero(is_root))
+    return vertices[is_root], new_faces[keep], old_to_new, removed
+
+
+def _staged_domain(patch):
+    """Reference assembly: the four images staged whole, ``np.matmul`` into
+    one (4, n, 3) array, welded by ``_weld_by_pairs``.  Returns the domain's
+    arrays, stack seams, caps and weld count."""
+    n = len(patch.vertices)
+    seams = patch.metadata["seam_ids"]
+    names = ("base", "half_turn_x1", "half_turn_x3", "half_turn_x2")
+    vertices = np.empty((4, n, 3))
+    faces = np.empty((4,) + patch.faces.shape, dtype=np.int32)
+    for k, name in enumerate(names):
+        sym = SYMMETRIES.get(name)
+        mat = np.eye(3) if sym is None else sym.space_matrix
+        np.matmul(patch.vertices, mat.T, out=vertices[k])
+        flip = sym is not None and sym.orientation < 0
+        np.add(patch.faces[:, ::-1] if flip else patch.faces, k * n, out=faces[k])
+
+    def ids(copy, seam):
+        return np.asarray(seams[seam], dtype=int) + names.index(copy) * n
+
+    pairs = [
+        (ids("base", "C"), ids("half_turn_x1", "C")[::-1], "C: base~x1"),
+        (ids("half_turn_x3", "C"), ids("half_turn_x2", "C")[::-1], "C: x3~x2"),
+        (ids("base", "E"), ids("half_turn_x3", "E"), "E: base~x3"),
+        (ids("base", "E_hat"), ids("half_turn_x3", "E_hat"), "E_hat: base~x3"),
+        (ids("half_turn_x1", "E"), ids("half_turn_x2", "E"), "E: x1~x2"),
+        (ids("half_turn_x1", "E_hat"), ids("half_turn_x2", "E_hat"), "E_hat: x1~x2"),
+        (ids("base", "H1"), ids("half_turn_x2", "H1"), "H1: base~x2"),
+        (ids("half_turn_x1", "H1"), ids("half_turn_x3", "H1"), "H1: x1~x3"),
+    ]
+    vertices, faces, old_to_new, removed = _weld_by_pairs(
+        vertices.reshape(-1, 3), faces.reshape(-1, 3), pairs, 1e-7 * patch.metadata["T"]
+    )
+    stack_seams = {
+        "bottom_pos_x2": old_to_new[ids("base", "H2")],
+        "bottom_neg_x2": old_to_new[ids("half_turn_x3", "H2")],
+        "top_pos_x2": old_to_new[ids("half_turn_x2", "H2")],
+        "top_neg_x2": old_to_new[ids("half_turn_x1", "H2")],
+    }
+    caps = [
+        dict(cap, vertex_start=int(old_to_new[k * n + cap["vertex_start"]]))
+        for k in range(4)
+        for cap in patch.metadata["asymptotic_caps"]
+    ]
+    return vertices, faces, stack_seams, caps, removed
+
+
+def _assert_assembled_as_staged(patch):
+    domain = assemble_fundamental_domain(patch)
+    vertices, faces, stack_seams, caps, removed = _staged_domain(patch)
+    # tobytes tells -0.0 from +0.0
+    assert domain.vertices.dtype == vertices.dtype and domain.vertices.shape == vertices.shape
+    assert domain.vertices.tobytes() == vertices.tobytes()
+    assert domain.faces.dtype == faces.dtype and domain.faces.shape == faces.shape
+    assert domain.faces.tobytes() == faces.tobytes()
+    assert domain.metadata["stack_seams"].keys() == stack_seams.keys()
+    for name, ids in stack_seams.items():
+        got = domain.metadata["stack_seams"][name]
+        assert got.dtype == ids.dtype and np.array_equal(got, ids), name
+    assert domain.metadata["asymptotic_caps"] == caps
+    assert domain.metadata["weld_duplicates_removed"] == removed
+    assert domain.metadata["vertices_before_weld"] == 4 * len(patch.vertices)
+    return domain
+
+
+@pytest.mark.parametrize("resolution", [16, 48])
+def test_assembly_matches_the_staged_weld_bit_for_bit(patch, params, resolution):
+    if resolution != patch.metadata["resolution"]:
+        patch = mesh_patch_D(params, resolution=resolution, cutoff=1e-2)
+    # a -0.0 on the origin O must come out of each image as the staged
+    # product gives it
+    vertices = patch.vertices.copy()
+    assert vertices[0].tobytes() == np.zeros(3).tobytes()
+    vertices[0, 0] = -0.0
+    signed = SurfaceMesh(vertices, patch.faces, patch.boundary_polylines, patch.metadata)
+    for source in (patch, signed):
+        _assert_assembled_as_staged(source)
+
+
+def test_assembly_drops_the_faces_that_lose_a_corner():
+    # every image sits on the origin, so every seam gap is 0; vertices 0 and 1
+    # lie on all the welded curves, so all their images weld into one vertex
+    # and face (0, 1, 2) loses a corner in every image; (1, 2, 3) stays
+    seam = np.array([0, 1])
+    patch = SurfaceMesh(
+        np.zeros((4, 3)),
+        np.array([[0, 1, 2], [1, 2, 3]], dtype=np.int32),
+        metadata={
+            "T": 1.0,
+            "seam_ids": {"C": seam, "E": seam, "E_hat": seam, "H1": seam, "H2": seam[:0]},
+            "asymptotic_caps": [],
+        },
+    )
+    domain = _assert_assembled_as_staged(patch)
+    assert len(domain.faces) == 4 and domain.metadata["weld_duplicates_removed"] == 7
+
+
+def test_assembly_raises_the_staged_weld_s_first_seam_error(patch):
+    # a vertex on C and one on H1 moved off their partners: the C pairs are
+    # checked first
+    vertices = patch.vertices.copy()
+    for curve in ("C", "H1"):
+        vertices[patch.metadata["seam_ids"][curve][3], 0] += 1e-3
+    moved = SurfaceMesh(vertices, patch.faces, patch.boundary_polylines, patch.metadata)
+    with pytest.raises(MeshError) as staged:
+        _staged_domain(moved)
+    with pytest.raises(MeshError) as streamed:
+        assemble_fundamental_domain(moved)
+    assert str(streamed.value) == str(staged.value)
+    assert str(streamed.value).startswith("seam C: base~x1: max gap")
 
 
 def test_stack_requires_positive_count(domain):
@@ -603,13 +737,18 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-# Each bound sits between the in-place stage and the staged copies it
-# replaced, which peaked at 6.47x / 3.36x / 5.00x / 0.72x at res 48.
+# Each bound sits between the stage and the one it replaced, at res 48: the
+# assembly that forms only the domain's arrays peaks at 1.60x them, the four
+# staged images welded into new arrays at 2.68x (at 6.47x before the staged
+# copies were written in place); the stack 1.24x, at 3.36x before it was
+# written in place; the bucketed manifold check 2.12x the face bytes, one
+# sort of every key at 2.50x (at 5.00x with staged copies); the PLY export
+# 0.15x, at 0.72x with staged copies.
 
 
 def test_assembly_peak_memory(patch):
     fd, peak = _traced_peak(assemble_fundamental_domain, patch)
-    assert peak <= 5.0 * (fd.vertices.nbytes + fd.faces.nbytes)
+    assert peak <= 2.0 * (fd.vertices.nbytes + fd.faces.nbytes)
 
 
 def test_stack_peak_memory(domain):
@@ -619,7 +758,7 @@ def test_stack_peak_memory(domain):
 
 def test_manifold_check_peak_memory(domain):
     _, peak = _traced_peak(check_oriented_manifold, domain)
-    assert peak <= 4.0 * domain.faces.nbytes
+    assert peak <= 2.3 * domain.faces.nbytes
 
 
 def test_ply_export_peak_memory(domain, tmp_path):
@@ -630,15 +769,25 @@ def test_ply_export_peak_memory(domain, tmp_path):
 
 def test_mesh_command_peak_memory_per_written_vertex(tmp_path):
     # the whole `mesh` run, solve to export: int32 faces, no patch held past
-    # assembly, the manifold check's keys as the only int64 index array and
-    # the periods written copy by copy without building the stack, so the
-    # assembly sets the peak (int64 faces peaked at 120 bytes per written
-    # vertex, int32 faces at 76 with the stack built, streamed copies at 49)
+    # assembly, the domain's arrays the only full-size ones the assembly
+    # forms and the periods written a block at a time without building the
+    # stack (int64 faces peaked at 120 bytes per written vertex, int32 faces
+    # at 76 with the stack built, streamed copies at 49, the streamed
+    # assembly and bucketed check at 36)
     out = str(tmp_path / "m.ply")
     argv = ["mesh", "--resolution", "48", "--copies", "3", "--format", "ply", "--out", out]
     code, peak = _traced_peak(cli.run, argv)
     assert code == 0
-    assert peak <= 60 * len(import_ply(out).vertices)
+    assert peak <= 42 * len(import_ply(out).vertices)
+
+
+def test_streamed_export_memory_does_not_grow_with_the_period_count(domain):
+    # copy j's stack index of each domain vertex is formed from copy j - 1's;
+    # the (k, n) table of every copy's took 2.7 MB at k = 3 and 18.5 MB at
+    # k = 100; the header's cap lines are all that grows now
+    _, three = _traced_peak(export_ply, domain, os.devnull, 3)
+    _, hundred = _traced_peak(export_ply, domain, os.devnull, 100)
+    assert hundred <= 1.1 * three
 
 
 def test_ply_import_reads_straight_into_its_arrays(domain, tmp_path):
@@ -776,6 +925,43 @@ def test_manifold_report_matches_edge_dict(domain):
     assert check_oriented_manifold(empty) == _edge_use_report(empty.faces)
 
 
+@pytest.mark.parametrize("n_faces, limit", [(2000, 1), (2000, 7), (None, 500), (None, 20_000)])
+def test_bucketed_manifold_report_matches_edge_dict(domain, monkeypatch, n_faces, limit):
+    # a block of 16 vertices has as share the count of edges whose smaller
+    # vertex lies in a lower block, over the limit; the edges of the blocks
+    # whose share differs from the previous block's (a bucket begins) or the
+    # next one's (a bucket ends) are made misoriented or overused
+    def shares(faces):
+        block = np.minimum(faces, np.roll(faces, -1, axis=1)) // 16
+        per_block = np.bincount(block.ravel(), minlength=int(faces.max()) // 16 + 1)
+        return block, per_block, (np.cumsum(per_block) - per_block) // limit
+
+    faces = domain.faces[:n_faces].copy()
+    block, _, share = shares(faces)
+    opens = np.flatnonzero(np.diff(share)) + 1
+    on_boundary = np.flatnonzero(np.isin(block, np.union1d(opens, opens - 1)).any(axis=1))
+    faces[on_boundary[::3]] = faces[on_boundary[::3], ::-1]
+    faces = np.vstack([faces, faces[on_boundary[1::5]]])
+    _, per_block, share = shares(faces)
+
+    held = []
+
+    def bucket_uses(sides, buckets, k, size, n):
+        held.append(size)
+        return counted(sides, buckets, k, size, n)
+
+    counted = mesh._bucket_uses
+    monkeypatch.setattr(mesh, "_KEYS_PER_BUCKET", limit)
+    monkeypatch.setattr(mesh, "_bucket_uses", bucket_uses)
+    expect = _edge_use_report(faces)
+    assert expect["misoriented_edges"] > 0 and expect["overused_edges"] > 0
+    assert check_oriented_manifold(SurfaceMesh(domain.vertices, faces)) == expect
+    # one bucket per share that occurs, each below the limit plus one
+    # block's edges, every edge in one of them
+    assert len(held) == len(np.unique(share)) > 1
+    assert sum(held) == faces.size and max(held) < limit + per_block.max()
+
+
 # ---------------------------------------------------------------------------
 # planar predicates
 # ---------------------------------------------------------------------------
@@ -837,6 +1023,52 @@ def test_obj_reads_v_vt_vn_faces(tmp_path):
     )
     assert np.array_equal(back.faces, [[0, 1, 2], [0, 2, 3]])
     assert back.faces.dtype == np.int32
+
+
+_OBJ_RECORDS = "v 0 0 0\nv 1.5 0 -2e-3\nv 1 1 0.1\nv 0 1 0\nf 1 2 3\nf 1 3 4\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _OBJ_RECORDS.replace("\n", "\r\n"),
+        _OBJ_RECORDS.rstrip("\n"),
+        _OBJ_RECORDS.replace("\n", "\r"),
+        "# a comment\nv 0 0 0\nvn 0 0 1\nvt 0 0\nv 1.5 0 -2e-3\n# between\nv 1 1 0.1\n"
+        "vt 1 1\nv 0 1 0\n\ns off\nf 1 2 3\nvn 1 0 0\nf 1 3 4",
+    ],
+    ids=["crlf", "no_final_newline", "cr", "vn_vt_comments_between"],
+)
+def test_obj_line_endings_and_other_records_read_the_same_arrays(tmp_path, text):
+    path = tmp_path / "tri.obj"
+    path.write_bytes(text.encode("ascii"))
+    back = import_obj(str(path))
+    assert np.array_equal(back.vertices, [[0, 0, 0], [1.5, 0, -2e-3], [1, 1, 0.1], [0, 1, 0]])
+    assert np.array_equal(back.faces, [[0, 1, 2], [0, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b"\n",
+        b"\r\n\r\n",
+        b"v",
+        b"v ",
+        b"v\n",
+        b"v\r\nv 1 2 3",
+        b"\rv 1 2 3\r\r\nf 1 2 3\n\rf 4 5 6\r",
+        b"vt 1 2\nvn 1 2 3\nv\t1 2 3\n v 1 2 3\nf1 2 3\nf 1 2 3\x0bx\n",
+        _OBJ_RECORDS.encode() + b"# end",
+        b"v 1 2 3\n\nv 4 5 6\n\n\nf 1 2 3\r\n\rf 3 2 1\n",
+    ],
+)
+def test_obj_record_lines_are_cut_as_splitlines_cuts_them(data):
+    # the reader's classification over the bytes against the lines that
+    # `bytes.splitlines` gives and `startswith` picks
+    lines = data.splitlines()
+    expect = [[line for line in lines if line.startswith(tag)] for tag in (b"v ", b"f ")]
+    assert mesh._record_lines(data, b"vf") == expect
 
 
 @pytest.mark.parametrize(
