@@ -2,6 +2,7 @@
 planar-graph property, and file-format round-trips."""
 
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -581,12 +582,13 @@ def test_assembly_matches_the_staged_weld_bit_for_bit(patch, params, resolution)
         _assert_assembled_as_staged(source)
 
 
-def test_assembly_drops_the_faces_that_lose_a_corner():
-    # every image sits on the origin, so every seam gap is 0; vertices 0 and 1
-    # lie on all the welded curves, so all their images weld into one vertex
-    # and face (0, 1, 2) loses a corner in every image; (1, 2, 3) stays
+def _collapsing_patch():
+    """Every image sits on the origin, so every seam gap is 0; vertices 0 and
+    1 lie on all the welded curves, so all their images weld into one vertex
+    and face (0, 1, 2) loses a corner in every image; (1, 2, 3) stays.  The
+    two faces run their edge 1-2 the same way, which the weld collapses."""
     seam = np.array([0, 1])
-    patch = SurfaceMesh(
+    return SurfaceMesh(
         np.zeros((4, 3)),
         np.array([[0, 1, 2], [1, 2, 3]], dtype=np.int32),
         metadata={
@@ -595,8 +597,70 @@ def test_assembly_drops_the_faces_that_lose_a_corner():
             "asymptotic_caps": [],
         },
     )
-    domain = _assert_assembled_as_staged(patch)
+
+
+def test_assembly_drops_the_faces_that_lose_a_corner():
+    domain = _assert_assembled_as_staged(_collapsing_patch())
     assert len(domain.faces) == 4 and domain.metadata["weld_duplicates_removed"] == 7
+
+
+def _welded(patch):
+    welded = np.zeros(len(patch.vertices), dtype=bool)
+    for curve in ("C", "E", "E_hat", "H1"):
+        welded[patch.metadata["seam_ids"][curve]] = True
+    return welded
+
+
+@pytest.mark.parametrize("case", ["flipped_face", "flipped_image", "collapsed_face"])
+def test_assembly_raises_exactly_when_the_whole_domain_misuses_an_edge(patch, monkeypatch, case):
+    # the assembly checks the patch and the faces at the weld seams, not the
+    # whole domain; it must raise exactly when the whole domain's check finds
+    # an error, with the two parts' counts: a patch-interior error once
+    if case == "flipped_face":
+        faces = patch.faces.copy()
+        k = len(faces) // 2
+        assert not _welded(patch)[faces[k]].any()
+        faces[k] = faces[k, ::-1]
+        patch = SurfaceMesh(patch.vertices, faces, patch.boundary_polylines, patch.metadata)
+    elif case == "flipped_image":
+        sym = SYMMETRIES["half_turn_x1"]
+        monkeypatch.setitem(mesh.SYMMETRIES, sym.name, dataclasses.replace(sym, orientation=-1))
+    else:
+        patch = _collapsing_patch()
+    whole = check_oriented_manifold(SurfaceMesh(np.empty((0, 3)), _staged_domain(patch)[1]))
+    bad = (whole["misoriented_edges"], whole["overused_edges"])
+    if case == "collapsed_face":
+        assert bad == (0, 0)
+        assemble_fundamental_domain(patch)
+        return
+    with pytest.raises(MeshError) as err:
+        assemble_fundamental_domain(patch)
+    if case == "flipped_face":
+        assert bad == (12, 0)  # the face's three edges in each of the four images
+        counts = (3, 0)
+    else:
+        assert bad[0] > 0
+        counts = bad  # every misused edge has a welded end
+    assert str(err.value) == (
+        "fundamental domain is not consistently oriented: "
+        "{} misoriented, {} overused edges".format(*counts)
+    )
+
+
+def test_assembly_checks_under_half_the_faces_through_the_module_global(patch, monkeypatch):
+    # the benchmark times and counts the check by replacing the module's
+    # check_oriented_manifold and reading its first positional argument
+    passed = []
+    checked = mesh.check_oriented_manifold
+
+    def spy(*args, **kwargs):
+        assert len(args) == 1 and not kwargs
+        passed.append(len(args[0].faces))
+        return checked(*args)
+
+    monkeypatch.setattr(mesh, "check_oriented_manifold", spy)
+    domain = assemble_fundamental_domain(patch)
+    assert len(passed) == 2 and sum(passed) < 0.5 * len(domain.faces)
 
 
 def test_assembly_raises_the_staged_weld_s_first_seam_error(patch):
@@ -738,12 +802,14 @@ def _traced_peak(fn, *args):
 
 
 # Each bound sits between the stage and the one it replaced, at res 48: the
-# assembly that forms only the domain's arrays peaks at 1.60x them, the four
-# staged images welded into new arrays at 2.68x (at 6.47x before the staged
-# copies were written in place); the stack 1.24x, at 3.36x before it was
-# written in place; the bucketed manifold check 2.12x the face bytes, one
-# sort of every key at 2.50x (at 5.00x with staged copies); the PLY export
-# 0.15x, at 0.72x with staged copies.
+# assembly that checks the patch and the weld band peaks at 1.35x the
+# domain's arrays, at 1.60x when it checked the whole domain's faces, the
+# four staged images welded into new arrays at 2.68x (at 6.47x before the
+# staged copies were written in place); the stack 1.24x, at 3.36x before it
+# was written in place; the manifold check, one sort of every key classified
+# a window at a time, 2.19x the face bytes, bucketed 2.12x, classified whole
+# at 2.50x (at 5.00x with staged copies); the PLY export 0.15x, at 0.72x
+# with staged copies.
 
 
 def test_assembly_peak_memory(patch):
@@ -767,13 +833,20 @@ def test_ply_export_peak_memory(domain, tmp_path):
     assert peak <= 0.5 * (stack.vertices.nbytes + stack.faces.nbytes)
 
 
+def test_obj_export_peak_memory(domain, tmp_path):
+    # set by the rows formatted in one `%` string, not by the mesh: 65,536
+    # rows at a time peaked at 10.9 MB on the res-48 domain, 16,384 at 3.3 MB
+    _, peak = _traced_peak(export_obj, domain, str(tmp_path / "domain.obj"))
+    assert peak <= 6_000_000
+
+
 def test_mesh_command_peak_memory_per_written_vertex(tmp_path):
     # the whole `mesh` run, solve to export: int32 faces, no patch held past
     # assembly, the domain's arrays the only full-size ones the assembly
     # forms and the periods written a block at a time without building the
     # stack (int64 faces peaked at 120 bytes per written vertex, int32 faces
     # at 76 with the stack built, streamed copies at 49, the streamed
-    # assembly and bucketed check at 36)
+    # assembly at 36, with the bucketed check or the check by structure)
     out = str(tmp_path / "m.ply")
     argv = ["mesh", "--resolution", "48", "--copies", "3", "--format", "ply", "--out", out]
     code, peak = _traced_peak(cli.run, argv)
@@ -925,41 +998,23 @@ def test_manifold_report_matches_edge_dict(domain):
     assert check_oriented_manifold(empty) == _edge_use_report(empty.faces)
 
 
-@pytest.mark.parametrize("n_faces, limit", [(2000, 1), (2000, 7), (None, 500), (None, 20_000)])
-def test_bucketed_manifold_report_matches_edge_dict(domain, monkeypatch, n_faces, limit):
-    # a block of 16 vertices has as share the count of edges whose smaller
-    # vertex lies in a lower block, over the limit; the edges of the blocks
-    # whose share differs from the previous block's (a bucket begins) or the
-    # next one's (a bucket ends) are made misoriented or overused
-    def shares(faces):
-        block = np.minimum(faces, np.roll(faces, -1, axis=1)) // 16
-        per_block = np.bincount(block.ravel(), minlength=int(faces.max()) // 16 + 1)
-        return block, per_block, (np.cumsum(per_block) - per_block) // limit
-
-    faces = domain.faces[:n_faces].copy()
-    block, _, share = shares(faces)
-    opens = np.flatnonzero(np.diff(share)) + 1
-    on_boundary = np.flatnonzero(np.isin(block, np.union1d(opens, opens - 1)).any(axis=1))
-    faces[on_boundary[::3]] = faces[on_boundary[::3], ::-1]
-    faces = np.vstack([faces, faces[on_boundary[1::5]]])
-    _, per_block, share = shares(faces)
-
-    held = []
-
-    def bucket_uses(sides, buckets, k, size, n):
-        held.append(size)
-        return counted(sides, buckets, k, size, n)
-
-    counted = mesh._bucket_uses
-    monkeypatch.setattr(mesh, "_KEYS_PER_BUCKET", limit)
-    monkeypatch.setattr(mesh, "_bucket_uses", bucket_uses)
+@pytest.mark.parametrize("window", [1, 2, 3, 7])
+def test_windowed_manifold_report_matches_edge_dict(domain, monkeypatch, window):
+    # flipped faces misorient edges and faces repeated once or twice overuse
+    # others; the sorted keys are classified `window` at a time, and some
+    # edge's three or more uses straddle a window edge
+    faces = domain.faces[:300].copy()
+    faces[::7] = faces[::7, ::-1]
+    faces = np.vstack([faces, faces[3::11], faces[5::13], faces[5::13]])
+    heads = np.roll(faces, -1, axis=1)
+    edges = np.sort(np.minimum(faces, heads) * len(domain.vertices) + np.maximum(faces, heads), None)
+    _, first, uses = np.unique(edges, return_index=True, return_counts=True)
+    last = first + uses - 1
+    assert np.any((uses >= 3) & (first // window != last // window))
+    monkeypatch.setattr(mesh, "_KEYS_PER_WINDOW", window)
     expect = _edge_use_report(faces)
     assert expect["misoriented_edges"] > 0 and expect["overused_edges"] > 0
     assert check_oriented_manifold(SurfaceMesh(domain.vertices, faces)) == expect
-    # one bucket per share that occurs, each below the limit plus one
-    # block's edges, every edge in one of them
-    assert len(held) == len(np.unique(share)) > 1
-    assert sum(held) == faces.size and max(held) < limit + per_block.max()
 
 
 # ---------------------------------------------------------------------------
