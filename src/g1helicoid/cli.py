@@ -542,8 +542,9 @@ _SUBCOMMANDS: Dict[str, _Subcommand] = {
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse ``argv``, execute the subcommand, and return the exit code.
 
-    0 = success, 1 = numeric failure or a failed write of ``--out`` (with a
-    diagnostic on stderr), 2 = usage or configuration error.
+    0 = success, 1 = numeric failure, a failed write of ``--out`` or an
+    allocation the process cannot make (with a diagnostic on stderr), 2 =
+    usage or configuration error.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -563,6 +564,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except _WriteError as exc:
         sys.stderr.write(f"g1helicoid: error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"g1helicoid: error: out of memory: {exc}\n")
         return 1
 
 

@@ -1,7 +1,10 @@
 """Shared fixtures: the period solve and a mid-resolution mesh patch are
 expensive, so they are computed once per session and shared.  Also the
 test-side point location on a projected mesh, which the graph lookup's
-reference and the mesh's graph-injectivity tests share."""
+reference and the mesh's graph-injectivity tests share, and the traced
+memory peak that the mesh's and the verification's memory tests read."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,3 +87,13 @@ def triangles_holding(mesh, pts, faces):
             (rows, np.minimum(np.minimum(u, v), w), z[:, 0] * w + z[:, 1] * u + z[:, 2] * v)
         )
     return out
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated (tracemalloc
+    sees numpy's array buffers)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

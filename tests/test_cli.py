@@ -364,6 +364,24 @@ def test_every_numeric_error_exits_1(monkeypatch, capsys, module, name):
     assert f"numeric error: {name}: forced failure" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_1_with_one_line(monkeypatch, capsys):
+    # `verify --verify-grid 2000000` asks numpy for a 29.1 TiB lattice; the
+    # graph check raises what numpy raises there, without allocating it
+    message = (
+        "Unable to allocate 29.1 TiB for an array with shape (2000000, 2000000) "
+        "and data type float64"
+    )
+
+    def fail(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("g1helicoid.verify.check_graph_disjointness", fail)
+    assert run(["verify", "--verify-grid", "2000000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"g1helicoid: error: out of memory: {message}\n"
+
+
 def test_mesh_obj_output(tmp_path):
     from g1helicoid.mesh import check_oriented_manifold, import_obj
 

@@ -22,19 +22,18 @@ from g1helicoid.mesh import (
     _strip_faces,
     assemble_fundamental_domain,
     check_oriented_manifold,
-    distance_to_polyline,
     export_curves_csv,
     export_obj,
     export_ply,
     import_obj,
     import_ply,
     mesh_patch_D,
-    point_in_polygon,
     stack_periods,
 )
 from g1helicoid.torus import SYMMETRIES
+from g1helicoid.verify import distance_to_polyline, point_in_polygon
 
-from conftest import graph_faces, triangles_holding
+from conftest import graph_faces, traced_peak, triangles_holding
 
 CURVE_NAMES = {"C", "E", "E_hat", "H1", "H2", "c", "end"}
 
@@ -791,16 +790,6 @@ def test_streamed_periods_check_every_seam_before_the_file_opens(domain, tmp_pat
     assert not path.exists()
 
 
-def _traced_peak(fn, *args):
-    """``fn(*args)`` and the peak of the memory it allocated (tracemalloc
-    sees numpy's array buffers)."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # Each bound sits between the stage and the one it replaced, at res 48: the
 # assembly that checks the patch and the weld band peaks at 1.35x the
 # domain's arrays, at 1.60x when it checked the whole domain's faces, the
@@ -812,31 +801,39 @@ def _traced_peak(fn, *args):
 # with staged copies.
 
 
+def test_face_areas_peak_memory(patch):
+    # the patch build's degenerate-face check: all 20,026 res-48 faces in one
+    # block traced 2.7 MB, 8,192 faces at a time 1.2 MB
+    areas, peak = traced_peak(mesh._face_areas, patch.vertices, patch.faces)
+    assert len(areas) == len(patch.faces)
+    assert peak <= 1_600_000
+
+
 def test_assembly_peak_memory(patch):
-    fd, peak = _traced_peak(assemble_fundamental_domain, patch)
+    fd, peak = traced_peak(assemble_fundamental_domain, patch)
     assert peak <= 2.0 * (fd.vertices.nbytes + fd.faces.nbytes)
 
 
 def test_stack_peak_memory(domain):
-    stack, peak = _traced_peak(stack_periods, domain, 3)
+    stack, peak = traced_peak(stack_periods, domain, 3)
     assert peak <= 1.75 * (stack.vertices.nbytes + stack.faces.nbytes)
 
 
 def test_manifold_check_peak_memory(domain):
-    _, peak = _traced_peak(check_oriented_manifold, domain)
+    _, peak = traced_peak(check_oriented_manifold, domain)
     assert peak <= 2.3 * domain.faces.nbytes
 
 
 def test_ply_export_peak_memory(domain, tmp_path):
     stack = stack_periods(domain, 3)
-    _, peak = _traced_peak(export_ply, stack, str(tmp_path / "stack.ply"))
+    _, peak = traced_peak(export_ply, stack, str(tmp_path / "stack.ply"))
     assert peak <= 0.5 * (stack.vertices.nbytes + stack.faces.nbytes)
 
 
 def test_obj_export_peak_memory(domain, tmp_path):
     # set by the rows formatted in one `%` string, not by the mesh: 65,536
     # rows at a time peaked at 10.9 MB on the res-48 domain, 16,384 at 3.3 MB
-    _, peak = _traced_peak(export_obj, domain, str(tmp_path / "domain.obj"))
+    _, peak = traced_peak(export_obj, domain, str(tmp_path / "domain.obj"))
     assert peak <= 6_000_000
 
 
@@ -849,7 +846,7 @@ def test_mesh_command_peak_memory_per_written_vertex(tmp_path):
     # assembly at 36, with the bucketed check or the check by structure)
     out = str(tmp_path / "m.ply")
     argv = ["mesh", "--resolution", "48", "--copies", "3", "--format", "ply", "--out", out]
-    code, peak = _traced_peak(cli.run, argv)
+    code, peak = traced_peak(cli.run, argv)
     assert code == 0
     assert peak <= 42 * len(import_ply(out).vertices)
 
@@ -858,8 +855,8 @@ def test_streamed_export_memory_does_not_grow_with_the_period_count(domain):
     # copy j's stack index of each domain vertex is formed from copy j - 1's;
     # the (k, n) table of every copy's took 2.7 MB at k = 3 and 18.5 MB at
     # k = 100; the header's cap lines are all that grows now
-    _, three = _traced_peak(export_ply, domain, os.devnull, 3)
-    _, hundred = _traced_peak(export_ply, domain, os.devnull, 100)
+    _, three = traced_peak(export_ply, domain, os.devnull, 3)
+    _, hundred = traced_peak(export_ply, domain, os.devnull, 100)
     assert hundred <= 1.1 * three
 
 
@@ -870,7 +867,7 @@ def test_ply_import_reads_straight_into_its_arrays(domain, tmp_path):
     export_ply(stack, path)
     n_vertices = len(stack.vertices)
     del stack
-    back, peak = _traced_peak(import_ply, path)
+    back, peak = traced_peak(import_ply, path)
     assert len(back.vertices) == n_vertices
     assert peak <= 1.25 * (back.vertices.nbytes + back.faces.nbytes)
 

@@ -13,7 +13,7 @@ import pytest
 
 from g1helicoid import NumericError, cli, mesh, verify
 from g1helicoid import weierstrass as W
-from g1helicoid.mesh import SurfaceMesh, distance_to_polyline, point_in_polygon
+from g1helicoid.mesh import SurfaceMesh
 from g1helicoid.period_solver import PeriodSolverError, scan_H
 from g1helicoid.quadrature import DEFAULT_SPEC
 from g1helicoid.verify import (
@@ -29,11 +29,13 @@ from g1helicoid.verify import (
     check_rho_nonpositive_single_sign,
     check_slab_and_boundary,
     check_x3_monotone_on_C,
+    distance_to_polyline,
     json_text,
+    point_in_polygon,
     run_all,
 )
 
-from conftest import graph_faces, triangles_holding
+from conftest import graph_faces, traced_peak, triangles_holding
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +251,79 @@ def test_graph_lookup_matches_per_point_loop(patch):
     mirrored = _same_heights(patch, xs, -ys[::-1])[:, ::-1].ravel()
     assert not np.isnan(full[kept]).any() and not np.isnan(mirrored[kept]).any()
     assert 0 < np.count_nonzero(np.isnan(full)) < len(full) // 10
+
+
+def _check_lattice(patch, grid):
+    """The cell centres of ``check_graph_disjointness`` at ``grid``, and the
+    polygon c and margin it masks them with."""
+    c_poly = np.asarray(patch.boundary_polylines["c"])[:, :2]
+    diam = _polyline_diameter(c_poly)
+    L = 5.0 * diam
+    xs = -L + (np.arange(grid) + 0.5) * (L / grid)
+    ys = -L + (np.arange(grid) + 0.5) * (2.0 * L / grid)
+    return xs, ys, c_poly, 0.05 * diam
+
+
+@pytest.mark.parametrize("size", [1, 7, "split"])
+def test_graph_lookup_in_blocks_and_chunks_matches_per_point_loop(patch, monkeypatch, size):
+    # the grid-20 lattice of the check joined with one over the end cell's two
+    # giant triangles (faces 13335 and 13336 at res 48, ROADMAP item 13),
+    # which fold over each other; faces and candidates go 1 or 7 at a time,
+    # or in default blocks with chunks half as long as the most candidates
+    # of any triangle (face 13336's), so a chunk boundary falls inside it
+    near_xs, near_ys, _, _ = _check_lattice(patch, 20)
+    xs = np.concatenate([np.linspace(-62.0, -53.0, 8), near_xs])
+    ys = np.union1d(np.linspace(-95.0, 95.0, 24), near_ys)
+    if size == "split":
+        xy = patch.vertices[graph_faces(patch)][:, :, :2]
+        lo, hi = xy.min(axis=1), xy.max(axis=1)
+        counts = (np.searchsorted(xs, hi[:, 0], "right") - np.searchsorted(xs, lo[:, 0])) * (
+            np.searchsorted(ys, hi[:, 1], "right") - np.searchsorted(ys, lo[:, 1])
+        )
+        size = int(counts.max()) // 2
+        assert size >= 7
+        monkeypatch.setattr(verify, "_CANDIDATES_PER_CHUNK", size)
+    else:
+        monkeypatch.setattr(verify, "_FACES_PER_BLOCK", size)
+        monkeypatch.setattr(verify, "_CANDIDATES_PER_CHUNK", size)
+    heights = _same_heights(patch, xs, ys)
+    assert np.count_nonzero(~np.isnan(heights[:8])) > 0
+
+
+@pytest.mark.parametrize("block, chunk", [(2, 4), (1, 1)])
+def test_graph_lookup_tie_across_blocks_takes_the_lower_face_row(monkeypatch, block, chunk):
+    # the two sheets' triangles tie at every point, and each sheet, or each
+    # triangle, is a block of its own, scored a few candidates at a time: the
+    # first sheet's face rows win
+    monkeypatch.setattr(verify, "_FACES_PER_BLOCK", block)
+    monkeypatch.setattr(verify, "_CANDIDATES_PER_CHUNK", chunk)
+    lattice = [0.2, 0.5, 0.7]
+    vals = _same_heights(_sheets(0.25, 0.75), lattice, lattice)
+    assert vals.ravel() == pytest.approx([0.25] * 9, abs=1e-12)
+    vals = _same_heights(_sheets(0.75, 0.25), lattice, lattice)
+    assert vals.ravel() == pytest.approx([0.75] * 9, abs=1e-12)
+
+
+@pytest.mark.parametrize("points", [1, 7])
+def test_lens_masks_in_blocks_match_the_unblocked_masks(patch, monkeypatch, points):
+    xs, ys, c_poly, margin = _check_lattice(patch, 40)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    monkeypatch.setattr(verify, "_PAIRS_PER_BLOCK", points * len(c_poly))
+    inside, near = _lens_masks(pts, c_poly, margin)
+    assert np.array_equal(inside, point_in_polygon(pts, c_poly))
+    assert np.array_equal(near, distance_to_polyline(pts, c_poly) < margin)
+    assert 0 < inside.sum() and 0 < near.sum()
+
+
+@pytest.mark.parametrize("grid, bound", [(100, 4_000_000), (300, 12_000_000)])
+def test_graph_check_peak_memory(params, patch, grid, bound):
+    # every (triangle, lattice point) candidate of the patch formed at once,
+    # and the lens masks' points x segments matrices, traced 7.0 MB at grid
+    # 100 and 27.9 MB at grid 300; in blocks and chunks 3.2 MB and 9.0 MB
+    res, peak = traced_peak(check_graph_disjointness, params, patch, grid)
+    assert res.passed
+    assert peak <= bound
 
 
 def _sheets(*heights):
