@@ -22,7 +22,8 @@ level enters the cutoff disk; the two rows that straddle the puncture sit at
 Each level is anchored on the x3-axis (its theta = 3pi/2 endpoint has the
 closed-form height) and swept independently, so no error accumulates from
 one level to the next.  The levels share one node table; a large patch
-sweeps them on two threads, with the same output.  The bottom-edge
+sweeps them on two threads, with the same output, and only such a patch
+imports the thread pool's module.  The bottom-edge
 endpoints then get re-derived by the sweep and checked against the
 independent closed-form ray values -- a strong whole-pipeline consistency
 check.  The first coordinate of every vertex is additionally checked
@@ -43,7 +44,6 @@ import itertools
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from stat import S_ISREG
 from typing import Dict, List, Tuple
@@ -317,7 +317,8 @@ def _asymptote_positions(A, B, C, zeta: np.ndarray) -> np.ndarray:
 # shared 2-core VM): mesh_ply median 1.19 s with it, 1.30 s on one thread (+9 %, more
 # than the 5 % that would retire it).  Nor does batching help one thread: every level's
 # first GL wave as one integrand call per block took 0.61 s at res 160, level by level
-# 0.38 s (best of 3; the 2.2 million nodes' temporaries leave the cache).
+# 0.38 s (best of 3; the 2.2 million nodes' temporaries leave the cache).  The pool's
+# module, concurrent.futures (which loads logging), is imported on this branch only.
 _THREADED_NODES = 1_200_000
 
 
@@ -336,6 +337,7 @@ def mesh_patch_D(
     read this table.  The levels share one node table; from ``_THREADED_NODES``
     integrand nodes on, two threads sweep them, read in order: the output and
     the first error do not depend on the thread count; no level starts after an error.
+    Only that branch imports ``concurrent.futures``.
 
     ``cutoff`` is the radius of the disk around the puncture z = i/lam that
     no level enters; the two rows that straddle it sit at 1/lam -+ cutoff.
@@ -385,6 +387,8 @@ def mesh_patch_D(
     if 24 * (n_rays - 1) * len(level_t) < _THREADED_NODES or (cpus or 1) < 2:  # GL8 + GL16
         levels = [level(t) for t in level_t]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         # map yields in level order, raises the first error and cancels the
         # levels not yet started; more threads were never measured
         with ThreadPoolExecutor(2) as pool:
@@ -1071,8 +1075,10 @@ def import_obj(path: str) -> SurfaceMesh:
     if not v_lines:
         raise MeshError(f"no vertices found in {path!r}")
     if f_lines:
-        block = re.sub(rb"/\S*", b"", b"\n".join(f_lines))
-        f_lines = block.splitlines()
+        block = b"\n".join(f_lines)
+        if b"/" in block:  # never in the files export_obj writes
+            block = re.sub(rb"/\S*", b"", block)
+            f_lines = block.splitlines()
         faces = _obj_columns(f_lines, np.int32, path) - 1
         # every record has at least four fields now, so three spaces and no
         # tab per record leave no room for a fourth reference; else count

@@ -336,78 +336,113 @@ def check_c_convex(params: SurfaceParams) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-#: Patch faces whose lattice candidates :func:`_graph_heights` forms as one
+#: Patch faces whose lattice candidates :class:`_GraphLattice` forms as one
 #: block, and the candidates it scores at a time.  With every candidate of the
 #: res-48 patch formed at once, and the lens masks as one points x segments
 #: matrix, the graph check traced 7.0 MB at grid 100 and 266 MB at grid 1000;
-#: in blocks, 3.2 MB and 99 MB.
-_FACES_PER_BLOCK = 1 << 12
-_CANDIDATES_PER_CHUNK = 1 << 14
+#: in blocks of 4,096 faces and 16,384 candidates and pairs, 3.2 MB and 99 MB;
+#: with these sizes and the lattice in bands, 1.8 MB and 5.9 MB.
+_FACES_PER_BLOCK = 1 << 10
+_CANDIDATES_PER_CHUNK = 1 << 12
 
 #: Point-segment pairs that :func:`_lens_masks` tests at a time.
-_PAIRS_PER_BLOCK = 1 << 14
+_PAIRS_PER_BLOCK = 1 << 12
+
+#: Lattice points that :func:`_lattice_gaps` reads as one band of whole rows
+#: (at least one row); up to grid 256 the lattice is one band.
+_POINTS_PER_BAND = 1 << 16
 
 
-def _graph_heights(patch: SurfaceMesh, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Height of the patch graph at every lattice point ``(xs[i], ys[j])``,
-    NaN where no projected triangle holds the point.
+def _frames(tri: np.ndarray):
+    """Per triangle of ``tri`` (B, 3, 3): its first vertex projected, its two
+    projected edge vectors from there, and their determinant."""
+    p0 = tri[:, 0, :2]
+    d1 = tri[:, 1, :2] - p0
+    d2 = tri[:, 2, :2] - p0
+    return p0, d1, d2, d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
-    ``xs`` and ``ys`` ascend.  The asymptotic cap is excluded: it is an
+
+class _GraphLattice:
+    """Heights of the patch graph on the lattices ``(xs[i], ys[j])``, one per
+    ``ys`` in ``yss``, a band of rows at a time; NaN where no projected
+    triangle holds the point.
+
+    ``xs`` and each ``ys`` ascend.  The asymptotic cap is excluded: it is an
     unstitched comparison component, not part of the graph.  Each triangle
     is tested at the lattice points inside its bounding box; it holds a
     point when all three barycentrics are at least ``-1e-9``, and a
-    degenerate triangle holds none.  Of the
-    triangles that hold a point, the lowest-indexed one with the largest
-    ``min(u, v, w)`` (the most interior) gives the height, which settles
-    points on shared edges.
+    degenerate triangle holds none.  Of the triangles that hold a point, the
+    lowest-indexed one with the largest ``min(u, v, w)`` (the most interior)
+    gives the height, which settles points on shared edges.
 
-    The faces are read ``_FACES_PER_BLOCK`` at a time, and a block's
-    (triangle, lattice point) candidates, in face order, are scored
-    ``_CANDIDATES_PER_CHUNK`` at a time.  A chunk replaces a point's running
-    best only with a strictly larger score, so the lowest-indexed triangle
-    keeps a tie across chunks and blocks.
+    The boxes, as index ranges into the lattices, are formed once.  A band
+    reads the faces whose boxes reach it ``_FACES_PER_BLOCK`` at a time, and
+    a block's (triangle, lattice point) candidates, in face order, are
+    scored ``_CANDIDATES_PER_CHUNK`` at a time.  A chunk replaces a point's
+    running best only with a strictly larger score, so the lowest-indexed
+    triangle keeps a tie across chunks and blocks.  Every value is formed
+    point by point, so a band holds the bits of the whole lattice's rows.
     """
-    faces = patch.faces
-    for cap in patch.metadata.get("asymptotic_caps", []):  # a patch's last vertices
-        faces = faces[np.all(faces < int(cap["vertex_start"]), axis=1)]
-    best = np.full(len(xs) * len(ys), -np.inf)
-    heights = np.full(len(xs) * len(ys), np.nan)
-    for block in _blocks(faces, _FACES_PER_BLOCK):
-        tri = patch.vertices[block]  # (B, 3, 3)
-        p0 = tri[:, 0, :2]
-        d1 = tri[:, 1, :2] - p0
-        d2 = tri[:, 2, :2] - p0
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        good = np.abs(det) > 1e-300
-        tri, p0, d1, d2, inv_det = tri[good], p0[good], d1[good], d2[good], 1.0 / det[good]
-        lo, hi = tri[:, :, :2].min(axis=1), tri[:, :, :2].max(axis=1)
-        i0, i1 = np.searchsorted(xs, lo[:, 0]), np.searchsorted(xs, hi[:, 0], side="right")
-        j0, j1 = np.searchsorted(ys, lo[:, 1]), np.searchsorted(ys, hi[:, 1], side="right")
-        nj = j1 - j0
-        counts = (i1 - i0) * nj
-        ends, total = np.cumsum(counts), int(counts.sum())
-        for first in range(0, total, _CANDIDATES_PER_CHUNK):
-            # candidate n is entry n - (ends[t] - counts[t]) of triangle t's box
-            n = np.arange(first, min(first + _CANDIDATES_PER_CHUNK, total))
-            t = np.searchsorted(ends, n, side="right")
-            k = n - (ends[t] - counts[t])
-            i, j = i0[t] + k // nj[t], j0[t] + k % nj[t]
-            rel_x, rel_y = xs[i] - p0[t, 0], ys[j] - p0[t, 1]
-            u = (rel_x * d2[t, 1] - rel_y * d2[t, 0]) * inv_det[t]
-            v = (d1[t, 0] * rel_y - d1[t, 1] * rel_x) * inv_det[t]
-            w = 1.0 - u - v
-            inside = (u >= -1e-9) & (v >= -1e-9) & (w >= -1e-9)
-            t, u, v, w = t[inside], u[inside], v[inside], w[inside]
-            point = i[inside] * len(ys) + j[inside]
-            score = np.minimum(np.minimum(u, v), w)
-            # per point, the chunk's lowest triangle index with the largest score
-            order = np.lexsort((t, -score, point))
-            top = order[np.flatnonzero(np.diff(point[order], prepend=-1))]
-            top = top[score[top] > best[point[top]]]
-            z = tri[t[top], :, 2]
-            best[point[top]] = score[top]
-            heights[point[top]] = z[:, 0] * w[top] + z[:, 1] * u[top] + z[:, 2] * v[top]
-    return heights.reshape(len(xs), len(ys))
+
+    def __init__(self, patch: SurfaceMesh, xs: np.ndarray, yss):
+        faces = patch.faces
+        caps = [int(cap["vertex_start"]) for cap in patch.metadata.get("asymptotic_caps", [])]
+        # per face: rows [i0, i1) of xs, then columns [j0, j1) of each ys
+        boxes = np.empty((len(faces), 2 + 2 * len(yss)), dtype=np.int32)
+        for first in range(0, len(faces), _FACES_PER_BLOCK):
+            block = faces[first : first + _FACES_PER_BLOCK]
+            tri = patch.vertices[block]
+            lo, hi = tri[:, :, :2].min(axis=1), tri[:, :, :2].max(axis=1)
+            box = boxes[first : first + len(block)]
+            for col, (c, axis) in enumerate([(0, xs)] + [(1, ys) for ys in yss]):
+                box[:, 2 * col] = np.searchsorted(axis, lo[:, c])
+                box[:, 2 * col + 1] = np.searchsorted(axis, hi[:, c], side="right")
+            # degenerate triangles and a cap's faces (a patch's last vertices) get no rows
+            off = ~(np.abs(_frames(tri)[3]) > 1e-300)
+            for start in caps:
+                off |= np.any(block >= start, axis=1)
+            box[off, 1] = box[off, 0]
+        self.vertices, self.faces, self.boxes, self.xs, self.yss = (
+            patch.vertices, faces, boxes, xs, yss
+        )
+
+    def heights(self, lattice: int, r0: int, r1: int) -> np.ndarray:
+        """Heights on rows ``r0:r1`` of the lattice ``(xs, yss[lattice])``."""
+        xs, ys = self.xs[r0:r1], self.yss[lattice]
+        i0 = np.maximum(self.boxes[:, 0], r0) - r0
+        i1 = np.minimum(self.boxes[:, 1], r1) - r0
+        j0, j1 = self.boxes[:, 2 + 2 * lattice], self.boxes[:, 3 + 2 * lattice]
+        best = np.full(len(xs) * len(ys), -np.inf)
+        heights = np.full(len(xs) * len(ys), np.nan)
+        for ids in _blocks(np.flatnonzero((i0 < i1) & (j0 < j1)), _FACES_PER_BLOCK):
+            tri = self.vertices[self.faces[ids]]  # (B, 3, 3)
+            p0, d1, d2, det = _frames(tri)
+            inv_det = 1.0 / det
+            box_i, box_j, nj = i0[ids], j0[ids], j1[ids] - j0[ids]
+            counts = (i1[ids] - box_i) * nj
+            ends, total = np.cumsum(counts), int(counts.sum())
+            for first in range(0, total, _CANDIDATES_PER_CHUNK):
+                # candidate n is entry n - (ends[t] - counts[t]) of triangle t's box
+                n = np.arange(first, min(first + _CANDIDATES_PER_CHUNK, total))
+                t = np.searchsorted(ends, n, side="right")
+                k = n - (ends[t] - counts[t])
+                i, j = box_i[t] + k // nj[t], box_j[t] + k % nj[t]
+                rel_x, rel_y = xs[i] - p0[t, 0], ys[j] - p0[t, 1]
+                u = (rel_x * d2[t, 1] - rel_y * d2[t, 0]) * inv_det[t]
+                v = (d1[t, 0] * rel_y - d1[t, 1] * rel_x) * inv_det[t]
+                w = 1.0 - u - v
+                inside = (u >= -1e-9) & (v >= -1e-9) & (w >= -1e-9)
+                t, u, v, w = t[inside], u[inside], v[inside], w[inside]
+                point = i[inside] * len(ys) + j[inside]
+                score = np.minimum(np.minimum(u, v), w)
+                # per point, the chunk's lowest triangle index with the largest score
+                order = np.lexsort((t, -score, point))
+                top = order[np.flatnonzero(np.diff(point[order], prepend=-1))]
+                top = top[score[top] > best[point[top]]]
+                z = tri[t[top], :, 2]
+                best[point[top]] = score[top]
+                heights[point[top]] = z[:, 0] * w[top] + z[:, 1] * u[top] + z[:, 2] * v[top]
+        return heights.reshape(len(xs), len(ys))
 
 
 def point_in_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
@@ -463,6 +498,50 @@ def _lens_masks(
     return inside, near
 
 
+def _lattice_gaps(
+    patch: SurfaceMesh, c_poly: np.ndarray, margin: float, L: float, half_T: float, grid: int
+) -> Dict[str, float]:
+    """The counts and gap extremes of :func:`check_graph_disjointness` on
+    its ``grid x grid`` lattice, read in bands of whole rows.
+
+    Only counts and exact minima and maxima carry from one band to the
+    next, so the bands give the values of one pass over the lattice.
+    """
+    xs = -L + (np.arange(grid) + 0.5) * (L / grid)  # in (-L, 0), strictly x1 < 0
+    ys = -L + (np.arange(grid) + 0.5) * (2.0 * L / grid)  # in (-L, L)
+    lattices = _GraphLattice(patch, xs, (ys, -ys[::-1]))
+    out = dict.fromkeys(("n_inside", "n_near", "misses", "n_checked", "n_far"), 0)
+    out.update(min_gap=math.inf, far_min=math.inf, far_max=-math.inf, far_dev=-math.inf)
+    rows = max(1, _POINTS_PER_BAND // grid)
+    for r0 in range(0, grid, rows):
+        r1 = min(r0 + rows, grid)
+        pts = np.column_stack([np.repeat(xs[r0:r1], len(ys)), np.tile(ys, r1 - r0)])
+        inside, near = _lens_masks(pts, c_poly, margin)
+        kept = ~inside & ~near
+        F_vals = lattices.heights(0, r0, r1).ravel()[kept]
+        F_hat = -lattices.heights(1, r0, r1)[:, ::-1].ravel()[kept]
+        ok = ~np.isnan(F_vals) & ~np.isnan(F_hat)
+        gaps = F_hat[ok] - F_vals[ok]
+        # far field: gap of order T/2
+        far_gaps = gaps[np.hypot(*pts[np.flatnonzero(kept)[ok]].T) >= L]
+        out["n_inside"] += int(np.sum(inside))
+        out["n_near"] += int(np.sum(near & ~inside))
+        out["misses"] += int(np.isnan(F_vals).sum() + np.isnan(F_hat).sum())
+        out["n_checked"] += len(gaps)
+        out["n_far"] += len(far_gaps)
+        if len(gaps):
+            out["min_gap"] = min(out["min_gap"], float(gaps.min()))
+        if len(far_gaps):
+            out["far_min"] = min(out["far_min"], float(far_gaps.min()))
+            out["far_max"] = max(out["far_max"], float(far_gaps.max()))
+            out["far_dev"] = max(out["far_dev"], float(np.abs(far_gaps - half_T).max()))
+    if not out["n_checked"]:
+        out["min_gap"] = math.nan
+    if not out["n_far"]:
+        out.update(far_min=math.nan, far_max=math.nan, far_dev=math.nan)
+    return out
+
+
 def check_graph_disjointness(
     params: SurfaceParams, patch: SurfaceMesh, grid: int = 100
 ) -> CheckResult:
@@ -473,11 +552,13 @@ def check_graph_disjointness(
     ``L = 5 * diameter(c)``, discards points inside the polygon c or within
     ``0.05 * diameter(c)`` of it, and compares the patch height F against the
     mirrored height ``F_hat(x1, x2) = -F(x1, -x2)``.  Both are read off the
-    projected patch triangles by :func:`_graph_heights`: F on the lattice
+    projected patch triangles by :class:`_GraphLattice`: F on the lattice
     itself and F_hat on the lattice mirrored across the x1-axis, each point
     by barycentric interpolation in the triangles whose bounding boxes hold
     it; a point that no triangle holds counts as a lookup miss and fails
-    the check.  Off-curve strictness
+    the check.  The lattice is read in bands of whole rows, at most
+    ``_POINTS_PER_BAND`` points each (one band up to grid 256), so the
+    check's memory does not grow with the grid.  Off-curve strictness
     requires the minimal gap to clear a floor well above interpolation noise;
     equality on c itself is certified by the height antisymmetry of the slit
     curve (exact path integration, no interpolation).  Far-field samples must
@@ -491,19 +572,7 @@ def check_graph_disjointness(
     L = 5.0 * diam
     margin = 0.05 * diam
 
-    xs = -L + (np.arange(grid) + 0.5) * (L / grid)  # in (-L, 0), strictly x1 < 0
-    ys = -L + (np.arange(grid) + 0.5) * (2.0 * L / grid)  # in (-L, L)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-
-    inside, near = _lens_masks(pts, c_poly, margin)
-    kept = ~inside & ~near
-    F_vals = _graph_heights(patch, xs, ys).ravel()[kept]
-    F_hat = -_graph_heights(patch, xs, -ys[::-1])[:, ::-1].ravel()[kept]
-    misses = int(np.isnan(F_vals).sum() + np.isnan(F_hat).sum())
-    ok = ~np.isnan(F_vals) & ~np.isnan(F_hat)
-    gaps = F_hat[ok] - F_vals[ok]
-    min_gap = float(gaps.min()) if len(gaps) else math.nan
+    lattice = _lattice_gaps(patch, c_poly, margin, L, T / 2.0, grid)
 
     # strictness floor: far above interpolation noise, far below the
     # smallest genuine gap at the margin ring
@@ -524,21 +593,15 @@ def check_graph_disjointness(
     neg_axis_residual = float(np.abs(h1[:, 2]).max())
     pos_axis_residual = float(np.abs(h2[:, 2] + T / 2.0).max())
 
-    # far field: gap of order T/2
-    radius = np.hypot(*pts[kept][ok].T)
-    far = radius >= L
-    far_gaps = gaps[far]
-    far_dev = float(np.abs(far_gaps - T / 2.0).max()) if len(far_gaps) else math.nan
-
     passed = (
-        misses == 0
-        and len(gaps) > 0
-        and min_gap > sign_floor
+        lattice["misses"] == 0
+        and lattice["n_checked"] > 0
+        and lattice["min_gap"] > sign_floor
         and equality_residual < geom_tol
         and neg_axis_residual < geom_tol
         and pos_axis_residual < geom_tol
-        and len(far_gaps) > 0
-        and far_dev < T / 4.0
+        and lattice["n_far"] > 0
+        and lattice["far_dev"] < T / 4.0
     )
     return CheckResult(
         name="graph_disjointness",
@@ -546,16 +609,16 @@ def check_graph_disjointness(
         "base graph (F_hat > F); the two heights agree only on c; far from "
         "the axis the gap approaches T/2",
         quantity="minimal gap F_hat - F over the kept grid samples",
-        value=min_gap,
+        value=lattice["min_gap"],
         tolerance=sign_floor,
         passed=bool(passed),
         details={
             "grid_side": float(grid),
-            "n_grid": float(len(pts)),
-            "n_inside_c": float(int(np.sum(inside))),
-            "n_near_c": float(int(np.sum(near & ~inside))),
-            "n_checked": float(len(gaps)),
-            "n_lookup_misses": float(misses),
+            "n_grid": float(grid * grid),
+            "n_inside_c": float(lattice["n_inside"]),
+            "n_near_c": float(lattice["n_near"]),
+            "n_checked": float(lattice["n_checked"]),
+            "n_lookup_misses": float(lattice["misses"]),
             "sign_floor": sign_floor,
             "margin": margin,
             "L": L,
@@ -563,10 +626,10 @@ def check_graph_disjointness(
             "equality_on_c_residual": equality_residual,
             "neg_axis_residual": neg_axis_residual,
             "pos_axis_half_T_residual": pos_axis_residual,
-            "n_far": float(len(far_gaps)),
-            "far_gap_min": float(far_gaps.min()) if len(far_gaps) else math.nan,
-            "far_gap_max": float(far_gaps.max()) if len(far_gaps) else math.nan,
-            "far_gap_dev_from_half_T": far_dev,
+            "n_far": float(lattice["n_far"]),
+            "far_gap_min": lattice["far_min"],
+            "far_gap_max": lattice["far_max"],
+            "far_gap_dev_from_half_T": lattice["far_dev"],
             "half_T": T / 2.0,
         },
     )

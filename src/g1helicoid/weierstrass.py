@@ -293,22 +293,35 @@ def reversed_segment(seg: Segment) -> Segment:
 # Adaptive Gauss-Legendre path integration (batched GL8/GL16 pairs)
 # ----------------------------------------------------------------------
 
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+
+def _symmetric_rule(nodes, weights):
+    """A Gauss-Legendre rule on [-1, 1] from its positive nodes and their weights."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+# Bit for bit np.polynomial.legendre.leggauss(8) and (16), written out so
+# that no run loads numpy.polynomial (and its eigenvalue solve) for them.
+_GL8_X, _GL8_W = _symmetric_rule(
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706],
+)
+_GL16_X, _GL16_W = _symmetric_rule(
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176],
+)
+
+#: Pieces whose GL8 and GL16 nodes one integrand call evaluates.  The
+#: integrand's temporaries grow with its nodes, so a wave over many pieces
+#: (the 500-piece slit banks of the report) runs in blocks; a res-160 level
+#: of about 334 pieces stays one call.
+_PIECES_PER_CALL = 384
 
 # Bisection waves and live subintervals allowed before a path integral fails.
 _MAX_WAVES = 40
 _MAX_INTERVALS = 200000
-
-
-def _seg_values(params: SurfaceParams, seg: Segment, s: np.ndarray, z, dz) -> np.ndarray:
-    vals = phi_dz(params, seg.sheet, z, seg.region) * dz[..., None]
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argwhere(~np.isfinite(vals))[0][0])
-        raise IntegrationError(
-            f"non-finite integrand on {seg.label} at s={float(np.atleast_1d(s)[bad])!r}"
-        )
-    return vals
 
 
 def _gl_nodes(a, b):
@@ -326,10 +339,46 @@ def _gl_estimates(half, f):
     return i16, np.max(np.abs(i16 - i8), axis=1)
 
 
+def _wave(params, seg, half, s, z_dz):
+    """GL8/GL16 estimates (I16, err) on the pieces whose half-widths and
+    nodes :func:`_gl_nodes` gave as ``half, s``; ``z_dz(ids)`` returns z and
+    dz/ds at the nodes ``s[ids]``.
+
+    One integrand call takes the nodes of at most ``_PIECES_PER_CALL``
+    pieces.  The integrand and the estimates work piece by piece, so the
+    blocks give the bits of one call; a non-finite value raises
+    :class:`IntegrationError` at its first node in the order of ``s``, the
+    GL8 nodes of all pieces before their GL16 nodes.
+    """
+    n = len(half)
+    i16, err = np.empty((n, 3), dtype=complex), np.empty(n)
+    first_bad = None  # s at the first non-finite node met, GL16 until a GL8 one
+    for lo in range(0, n, _PIECES_PER_CALL):
+        hi = min(lo + _PIECES_PER_CALL, n)
+        if n <= _PIECES_PER_CALL:  # one call, on the nodes as they are
+            ids = slice(None)
+        else:
+            ids = np.r_[8 * lo : 8 * hi, 8 * n + 16 * lo : 8 * n + 16 * hi]
+        z, dz = z_dz(ids)
+        vals = phi_dz(params, seg.sheet, z, seg.region) * dz[..., None]
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.argwhere(~np.isfinite(vals))[0][0])
+            if bad < 8 * (hi - lo):
+                first_bad = s[ids][bad]
+                break
+            if first_bad is None:
+                first_bad = s[ids][bad]
+        if first_bad is None:
+            i16[lo:hi], err[lo:hi] = _gl_estimates(half[lo:hi], vals)
+    if first_bad is not None:
+        raise IntegrationError(f"non-finite integrand on {seg.label} at s={float(first_bad)!r}")
+    return i16, err
+
+
 def _gl_wave(params, seg, a, b):
-    """GL8/GL16 estimates (I16, err) on a batch of pieces, in one integrand call."""
+    """GL8/GL16 estimates (I16, err) on a batch of pieces."""
     half, s = _gl_nodes(a, b)
-    return _gl_estimates(half, _seg_values(params, seg, s, seg.z_of(s), seg.dz_ds(s)))
+    return _wave(params, seg, half, s, lambda ids: (seg.z_of(s[ids]), seg.dz_ds(s[ids])))
 
 
 def _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol) -> np.ndarray:
@@ -438,17 +487,21 @@ def arc_positions(
     seg_arc(sheet, m, th0, th1), s_breaks, x0, rel_tol, abs_tol)``, for many
     radii m that share the s-breakpoints.  It shares that function's
     tolerance rule, bisection, errors and running sum; only the first wave's
-    nodes and E = e^{i theta} at them are formed once, so a radius costs one
-    integrand call at z = m E.  ``positions`` keeps no state: threads may
-    share it."""
+    nodes and E = e^{i theta} at them are formed once, so a radius costs
+    integrand calls at z = m E only.  ``positions`` keeps no state: threads
+    may share it."""
     a, b = s_breaks[:-1], s_breaks[1:]
     half, s = _gl_nodes(a, b)
     e = np.exp(1j * (th0 + (th1 - th0) * s))
 
     def positions(m: float, x0) -> np.ndarray:
         seg = seg_arc(sheet, m, th0, th1)
-        z = float(m) * e
-        wave = _gl_estimates(half, _seg_values(params, seg, s, z, 1j * (th1 - th0) * z))
+
+        def z_dz(ids):
+            z = float(m) * e[ids]
+            return z, 1j * (th1 - th0) * z
+
+        wave = _wave(params, seg, half, s, z_dz)
         return _anchored(x0, _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol))
 
     return positions

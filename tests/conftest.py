@@ -60,7 +60,7 @@ def triangles_holding(mesh, pts, faces):
     height the barycentric interpolation of the triangle's x3 at the point.
 
     Each point tests every triangle whose bounding box holds it, with the
-    arithmetic of ``verify._graph_heights``: a triangle holds the point when
+    arithmetic of ``verify._GraphLattice``: a triangle holds the point when
     all three barycentrics are at least ``-1e-9``, and a degenerate one holds
     none."""
     tri = mesh.vertices[faces]

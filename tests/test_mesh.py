@@ -9,7 +9,7 @@ import re
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -276,10 +276,10 @@ def test_patch_does_not_depend_on_the_cpu_count(patch, params, monkeypatch, cpus
     # a res-48 patch is below the node count that threads its levels; with
     # the count lowered, two CPUs sweep on two threads and one on none
     pools = []
-    real_pool = mesh.ThreadPoolExecutor
+    real_pool = futures.ThreadPoolExecutor
     monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(mesh, "ThreadPoolExecutor", lambda n: pools.append(n) or real_pool(n))
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", lambda n: pools.append(n) or real_pool(n))
     again = mesh_patch_D(params, resolution=48, cutoff=1e-2)
     assert pools == ([2] if cpus == 2 else [])
     assert again.vertices.tobytes() == patch.vertices.tobytes()
@@ -289,9 +289,9 @@ def test_patch_does_not_depend_on_the_cpu_count(patch, params, monkeypatch, cpus
 def test_small_patches_sweep_on_one_thread_and_large_ones_on_two(params, monkeypatch):
     # the thread count follows the nodes of the level sweeps, not the CPUs
     pools = []
-    real_pool = mesh.ThreadPoolExecutor
+    real_pool = futures.ThreadPoolExecutor
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    monkeypatch.setattr(mesh, "ThreadPoolExecutor", lambda n: pools.append(n) or real_pool(n))
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", lambda n: pools.append(n) or real_pool(n))
     mesh_patch_D(params, resolution=96, cutoff=1e-2)
     assert pools == []
     mesh_patch_D(params, resolution=128, cutoff=1e-2)
@@ -308,7 +308,7 @@ def test_no_level_starts_after_a_failing_level(params, monkeypatch):
     deadline = time.monotonic() + 10.0  # a regression fails instead of hanging
     real_anchor = mesh.x3_E
 
-    class Pool(ThreadPoolExecutor):
+    class Pool(futures.ThreadPoolExecutor):
         def shutdown(self, wait=True, *, cancel_futures=False):
             super().shutdown(wait=False, cancel_futures=cancel_futures)
             cancelled.set()
@@ -321,7 +321,7 @@ def test_no_level_starts_after_a_failing_level(params, monkeypatch):
         cancelled.wait(max(0.0, deadline - time.monotonic()))
         return real_anchor(params, t)
 
-    monkeypatch.setattr(mesh, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(mesh, "x3_E", anchor)
     monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -1075,6 +1075,20 @@ def test_obj_reads_v_vt_vn_faces(tmp_path):
     )
     assert np.array_equal(back.faces, [[0, 1, 2], [0, 2, 3]])
     assert back.faces.dtype == np.int32
+
+
+def test_obj_faces_with_and_without_references_read_the_same_arrays(tmp_path):
+    # references are stripped only from a file whose face records hold a
+    # '/': a file that mixes f a/b/c with plain faces reads as before, and
+    # the same faces without references read the same arrays
+    verts = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\n"
+    mixed, plain = tmp_path / "mixed.obj", tmp_path / "plain.obj"
+    mixed.write_text(verts + "f 1/1 2/2 3/3\nf 1 3 4\nf 2//1 3//1 4//1\nf 4 3 2\n")
+    plain.write_text(verts + "f 1 2 3\nf 1 3 4\nf 2 3 4\nf 4 3 2\n")
+    a, b = import_obj(str(mixed)), import_obj(str(plain))
+    assert np.array_equal(a.faces, [[0, 1, 2], [0, 2, 3], [1, 2, 3], [3, 2, 1]])
+    for x, y in [(a.vertices, b.vertices), (a.faces, b.faces)]:
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 _OBJ_RECORDS = "v 0 0 0\nv 1.5 0 -2e-3\nv 1 1 0.1\nv 0 1 0\nf 1 2 3\nf 1 3 4\n"

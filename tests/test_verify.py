@@ -19,7 +19,7 @@ from g1helicoid.quadrature import DEFAULT_SPEC
 from g1helicoid.verify import (
     GEOM_TOL_FACTOR,
     MONOTONE_STEP_SLACK,
-    _graph_heights,
+    _GraphLattice,
     _lens_masks,
     _polyline_diameter,
     check_c_convex,
@@ -214,7 +214,7 @@ def test_graph_check_with_data(params, patch):
 
 
 def _reference_heights(mesh, pts):
-    """Per-point reference for :func:`_graph_heights`: of the triangles that
+    """Per-point reference for :class:`_GraphLattice`: of the triangles that
     hold each point, the first (lowest face row) with the largest score; NaN
     where none does."""
     out = np.full(len(pts), np.nan)
@@ -228,7 +228,7 @@ def _same_heights(mesh, xs, ys):
     """The lattice lookup equals the per-point reference at every lattice
     point (bit for bit, NaN for a miss); returns its heights."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    heights = _graph_heights(mesh, xs, ys)
+    heights = _GraphLattice(mesh, xs, (ys,)).heights(0, 0, len(xs))
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     ref = _reference_heights(mesh, np.column_stack([gx.ravel(), gy.ravel()]))
     assert heights.shape == (len(xs), len(ys))
@@ -316,14 +316,34 @@ def test_lens_masks_in_blocks_match_the_unblocked_masks(patch, monkeypatch, poin
     assert 0 < inside.sum() and 0 < near.sum()
 
 
-@pytest.mark.parametrize("grid, bound", [(100, 4_000_000), (300, 12_000_000)])
+@pytest.mark.parametrize(
+    "grid, bound", [(100, 2_500_000), (300, 7_000_000), (1000, 12_000_000)]
+)
 def test_graph_check_peak_memory(params, patch, grid, bound):
     # every (triangle, lattice point) candidate of the patch formed at once,
     # and the lens masks' points x segments matrices, traced 7.0 MB at grid
-    # 100 and 27.9 MB at grid 300; in blocks and chunks 3.2 MB and 9.0 MB
+    # 100 and 27.9 MB at grid 300; in blocks and chunks 3.2, 9.0 and 99 MB at
+    # grid 100, 300 and 1000; with the lattice in bands of rows, 1.8, 4.9 and
+    # 5.9 MB
     res, peak = traced_peak(check_graph_disjointness, params, patch, grid)
     assert res.passed
     assert peak <= bound
+
+
+@pytest.mark.parametrize("rows", [1, 7, 13])
+def test_graph_check_reads_the_same_in_bands(params, patch, monkeypatch, rows):
+    # grid 40 is one band at the default; in bands of 1, 7 or 13 rows (the
+    # last of 5 or 1 rows) only counts and exact extremes carry across bands
+    whole = check_graph_disjointness(params, patch, 40)
+    assert whole.details["n_checked"] > 0 and whole.details["n_far"] > 0
+    monkeypatch.setattr(verify, "_POINTS_PER_BAND", 40 * rows)
+    assert repr(check_graph_disjointness(params, patch, 40)) == repr(whole)
+    # and each band's heights are the bits of those rows of the whole lattice
+    xs, ys, _, _ = _check_lattice(patch, 40)
+    lattices = _GraphLattice(patch, xs, (ys, -ys[::-1]))
+    for k in (0, 1):
+        bands = [lattices.heights(k, r0, min(r0 + rows, 40)) for r0 in range(0, 40, rows)]
+        assert np.vstack(bands).tobytes() == lattices.heights(k, 0, 40).tobytes()
 
 
 def _sheets(*heights):

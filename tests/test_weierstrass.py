@@ -313,6 +313,64 @@ def test_positions_along_the_slit_banks_accept_every_piece_unsplit(params, bank,
     assert pos.tobytes() == _positions_by_one_gl16_panel(params, seg, s, x0).tobytes()
 
 
+def test_gl_tables_are_leggauss_bit_for_bit():
+    # written out so that no run loads numpy.polynomial for them
+    for n, x, w in [(8, W._GL8_X, W._GL8_W), (16, W._GL16_X, W._GL16_W)]:
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == nodes.tobytes() and w.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("per_call", [1, 7])
+def test_positions_do_not_depend_on_the_pieces_per_call(params, monkeypatch, per_call):
+    # the verify slit bank and a mesh level, each one integrand call per
+    # wave at the default and many calls here
+    bank = W.seg_slit_bank(params, "inner")
+    s = np.linspace(0.0, 1.0, 501)
+    x0 = np.array([0.0, 0.0, W.axis_rise(params)])
+    breaks = np.linspace(0.0, 1.0, 40)
+    arc = W.seg_arc("upper_left", 0.7, 1.5 * math.pi, 0.5 * math.pi)
+    calls = [
+        lambda: W.positions_along(params, bank, s, x0),
+        lambda: W.positions_along(params, arc, breaks, x0, 1e-14, 0.0),
+        lambda: W.arc_positions(params, "upper_left", 1.5 * math.pi, 0.5 * math.pi, breaks)(0.7, x0),
+    ]
+    whole = [call().tobytes() for call in calls]
+    monkeypatch.setattr(W, "_PIECES_PER_CALL", per_call)
+    assert [call().tobytes() for call in calls] == whole
+
+
+def _poisoned(seg, nodes):
+    """``seg`` with a NaN dz/ds at each s in ``nodes``."""
+    def dz_ds(s):
+        return np.where(np.isin(s, nodes), np.nan, seg.dz_ds(s))
+
+    return W.Segment(seg.sheet, seg.region, seg.z_of, dz_ds, seg.label)
+
+
+@pytest.mark.parametrize("gl8_piece", [10, None])
+def test_a_blocked_wave_raises_at_the_unblocked_first_bad_node(params, monkeypatch, gl8_piece):
+    # a GL16 node of piece 1 (in the first block of 7 pieces) and a GL8 node
+    # of piece 10 (in the second): one call meets the GL8 node first, since
+    # the GL8 nodes of all pieces come before the GL16 nodes
+    seg = W.seg_arc("upper_left", 0.7, 1.5 * math.pi, 0.5 * math.pi)
+    breaks = np.linspace(0.0, 1.0, 21)
+    half, s = W._gl_nodes(breaks[:-1], breaks[1:])
+    n = len(half)
+    bad = [s[8 * n + 16 * 1 + 5], s[8 * n + 16 * 12 + 2]]
+    if gl8_piece is not None:
+        bad.append(s[8 * gl8_piece + 3])
+    seg = _poisoned(seg, bad)
+    x0 = np.zeros(3)
+    messages = []
+    for per_call in (n, 7, 1):
+        monkeypatch.setattr(W, "_PIECES_PER_CALL", per_call)
+        with pytest.raises(W.IntegrationError) as exc:
+            W.positions_along(params, seg, breaks, x0)
+        messages.append(str(exc.value))
+    first = bad[-1] if gl8_piece is not None else bad[0]
+    assert messages == [f"non-finite integrand on {seg.label} at s={float(first)!r}"] * 3
+
+
 def _outcome(call):
     """The bytes a position call returns, or the text of the IntegrationError it raises."""
     try:
