@@ -31,6 +31,12 @@ class NumericError(Exception):
     (the CLI exits 1 on it), as opposed to bad input to the CLI."""
 
 
+def blocks(rows, size: int):
+    """``rows`` as consecutive slices of ``size`` rows, for a stage that forms
+    or reads a large array a block at a time."""
+    return (rows[s : s + size] for s in range(0, len(rows), size))
+
+
 from .params import SurfaceParams  # noqa: E402,F401  (params imports NumericError)
 
-__all__ = ["NumericError", "SurfaceParams", "__version__"]
+__all__ = ["NumericError", "SurfaceParams", "__version__", "blocks"]

@@ -14,10 +14,11 @@ z-track, so no trimming is needed:
 The grid is one table of vertex-index rows in radial order, each with its
 radius: O (t = 0), the inner levels, the unit circle twice (inner slit bank,
 then outer bank), the outer levels, O' (t = inf).  The x1 check, the faces
-(strips between consecutive rows), the seams (first and last vertex of each
-row) and the asymptotic cap that continues the end all read this table.  No
-level enters the cutoff disk; the two rows that straddle the puncture sit at
-1/lam -+ cutoff, which is where the cap is fitted.
+(strips between consecutive rows) and the seams (first and last vertex of each
+row) all read this table.  No level enters the cutoff disk; the two rows that
+straddle the puncture sit at 1/lam -+ cutoff, and the helicoidal end is cut
+off there: the cell between them around the puncture is left open, so every
+vertex is a sample of the surface and the patch is one connected piece.
 
 Each level is anchored on the x3-axis (its theta = 3pi/2 endpoint has the
 closed-form height) and swept independently, so no error accumulates from
@@ -50,9 +51,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from . import NumericError
+from . import NumericError, blocks
 from .params import SurfaceParams
-from .torus import SYMMETRIES, build_chart, w_on_sheet
+from .torus import SYMMETRIES, build_chart
 from .weierstrass import (
     arc_positions,
     axis_rise,
@@ -85,8 +86,13 @@ __all__ = [
 #: reader's face records.
 _ROWS_PER_WRITE = 1 << 16
 
-#: Faces whose areas :func:`_face_areas` forms at a time: the 20,026 faces of
+#: Faces whose areas :func:`_face_areas` forms at a time: the 19,738 faces of
 #: the res-48 patch traced 2.7 MB in one block, 1.2 MB in blocks of 8,192.
+#: The process peak sees it too: with no bound, `verify --verify-grid 100`
+#: peaked at 36.10 MB against 34.88 MB, and `mesh --resolution 48 --copies 3`
+#: at 40.91 against 40.45 MB (medians of 12 alternating runs, each child's
+#: ru_maxrss read with os.wait4 by a small parent; Python 3.11, numpy 2.4,
+#: x86-64 Linux).
 _FACES_PER_AREA_BLOCK = 1 << 13
 
 
@@ -277,39 +283,6 @@ def _strip_faces(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.take_along_axis(corners, _CELL_SPLITS[kind], axis=1).reshape(-1, 3)
 
 
-def _asymptote_coefficients(params: SurfaceParams):
-    """Exact Laurent data of the integrand vector at the puncture:
-    f ~ A/zeta^2 + B/zeta + O(1), so X ~ Re[-A/zeta + B Log zeta + C]."""
-    e4 = complex(np.exp(0.25j * math.pi))
-    rho, lam = params.rho, params.lam
-    c0 = 1j / lam
-    w0 = complex(w_on_sheet(params, "upper_left", np.array([c0]), "outer")[0])
-    q0 = c0 * c0 + 1j * (params.Lambda - 4.0 * math.sin(rho)) * c0 - 1.0
-    dq0 = 2.0 * c0 + 1j * (params.Lambda - 4.0 * math.sin(rho))
-    d_fac = (np.exp(1j * rho) - c0) * (c0 + np.exp(-1j * rho))
-    dd_fac = (np.exp(1j * rho) - c0) - (c0 + np.exp(-1j * rho))
-    dw0 = 0.5 * w0 * (1.0 / c0 - dd_fac / d_fac)
-
-    A = np.zeros(3, dtype=complex)
-    B = np.zeros(3, dtype=complex)
-    A[0] = -2.0 * math.cos(rho) / params.r
-    h2 = lambda z, w, q: -1j * e4 * q * w / (2.0 * z)
-    A[1] = h2(c0, w0, q0)
-    B[1] = -1j * e4 * ((dq0 * w0 + q0 * dw0) / (2.0 * c0) - q0 * w0 / (2.0 * c0 * c0))
-    B[2] = e4 * (c0 - 1j * lam) * w0 / (2.0 * c0)
-    return A, B
-
-
-def _asymptote_positions(A, B, C, zeta: np.ndarray) -> np.ndarray:
-    """Re[-A/zeta + B Log zeta + C] with the log branch continuous on the
-    left half-disk (angles lifted to [pi/2, 3pi/2])."""
-    ang = np.arctan2(zeta.imag, zeta.real)
-    ang = np.where(ang < 0.25 * math.pi, ang + 2.0 * math.pi, ang)
-    logz = np.log(np.abs(zeta)) + 1j * ang
-    vals = -A[None, :] / zeta[:, None] + B[None, :] * logz[:, None] + C[None, :]
-    return vals.real
-
-
 # Integrand nodes from which a patch's levels are swept on two threads.  In-process
 # on two CPUs two threads lost 15-18 % at res 48-96 (0.2-0.8 million nodes), tied at
 # res 112 (1.1 million) and won 12-33 % at res 128-160 (1.4-2.2 million).  The pool
@@ -333,19 +306,18 @@ def mesh_patch_D(
     its radius ``row_t``: O (t = 0), the inner levels, the unit circle twice
     (the inner-bank row, then the outer-bank row), the outer levels and O'
     (t = inf).  The x1 check, the faces (strips between consecutive rows,
-    none between the two circle rows), the seams and the asymptotic cap all
-    read this table.  The levels share one node table; from ``_THREADED_NODES``
-    integrand nodes on, two threads sweep them, read in order: the output and
-    the first error do not depend on the thread count; no level starts after an error.
-    Only that branch imports ``concurrent.futures``.
+    none between the two circle rows) and the seams all read this table.
+    The levels share one node table; from ``_THREADED_NODES`` integrand
+    nodes on, two threads sweep them, read in order: the output and the
+    first error do not depend on the thread count; no level starts after an
+    error.  Only that branch imports ``concurrent.futures``.
 
     ``cutoff`` is the radius of the disk around the puncture z = i/lam that
-    no level enters; the two rows that straddle it sit at 1/lam -+ cutoff.
-    |z| is truncated at 10/lam near the far node, where the grid closes with
-    a fan onto the exact node image.  The truncated helicoidal end is
-    continued by an asymptote strip, flagged in ``metadata['asymptotic_caps']``
-    (its vertices are approximations, not surface samples, and are excluded
-    from the exactness checks).
+    no level enters; the two rows that straddle it sit at 1/lam -+ cutoff,
+    and the patch ends there: their cell around the puncture is left open
+    and its four corners are the ``end`` polyline.  |z| is truncated at
+    10/lam near the far node, where the grid closes with a fan onto the
+    exact node image.
     """
     if resolution < 8:
         raise MeshError("resolution must be at least 8")
@@ -499,14 +471,7 @@ def mesh_patch_D(
         "seam_ids": seam_ids,
     }
 
-    mesh = SurfaceMesh(vertices, faces_arr, boundary, metadata)
-    _append_asymptotic_cap(params, mesh, cutoff, end_ids, row_t[hole - 1 : hole + 1], rays)
-    return mesh
-
-
-def _blocks(rows: np.ndarray, size: int = _ROWS_PER_WRITE):
-    """``rows`` as consecutive slices of ``size`` rows."""
-    return (rows[s : s + size] for s in range(0, len(rows), size))
+    return SurfaceMesh(vertices, faces_arr, boundary, metadata)
 
 
 def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -518,50 +483,6 @@ def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
         b = vertices[block[:, 2]] - vertices[block[:, 0]]
         areas[start : start + len(block)] = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
     return areas
-
-
-def _append_asymptotic_cap(
-    params: SurfaceParams,
-    mesh: SurfaceMesh,
-    cutoff: float,
-    rim_ids: np.ndarray,
-    rim_t: np.ndarray,
-    rays: np.ndarray,
-) -> None:
-    """Continue the truncated end by a strip of the exact first-order
-    asymptote X ~ Re[-A/zeta + B Log zeta + C].  The strip is a separate
-    component (not stitched to the exact-surface grid) and is flagged in the
-    metadata; its constant C is fitted from the hole-rim vertices ``rim_ids``
-    (the two first vertices of the row at radius ``rim_t[0]``, then the two
-    of the row at ``rim_t[1]`` in reverse)."""
-    n_angles, n_rings = 49, 4
-    A, B = _asymptote_coefficients(params)
-    t_punct = 1.0 / params.lam
-    t_below, t_above = rim_t
-    zeta_rim = np.array(
-        [
-            t_below * np.exp(1j * rays[0]) - 1j * t_punct,
-            t_below * np.exp(1j * rays[1]) - 1j * t_punct,
-            t_above * np.exp(1j * rays[1]) - 1j * t_punct,
-            t_above * np.exp(1j * rays[0]) - 1j * t_punct,
-        ]
-    )
-    base = _asymptote_positions(A, B, np.zeros(3), zeta_rim)
-    C = np.mean(mesh.vertices[rim_ids] - base, axis=0)
-
-    chi = np.linspace(0.5 * math.pi, 1.5 * math.pi, n_angles)
-    radii = cutoff * 0.5 ** np.arange(n_rings)
-    rings = [_asymptote_positions(A, B, C, rad * np.exp(1j * chi)) for rad in radii]
-    n0 = len(mesh.vertices)
-    n_new = n_rings * n_angles
-    mesh.vertices = np.vstack([mesh.vertices] + rings)
-    ring_ids = n0 + np.arange(n_new).reshape(n_rings, n_angles)
-    strips = zip(ring_ids[:-1], ring_ids[1:])
-    mesh.faces = np.concatenate(
-        [mesh.faces] + [_strip_faces(mesh.vertices, lo, hi) for lo, hi in strips],
-        dtype=np.int32,
-    )
-    mesh.metadata["asymptotic_caps"] = [{"vertex_start": int(n0), "vertex_count": int(n_new)}]
 
 
 # ----------------------------------------------------------------------
@@ -721,12 +642,6 @@ def assemble_fundamental_domain(patch: SurfaceMesh) -> SurfaceMesh:
 
     metadata = dict(patch.metadata)
     metadata.pop("seam_ids", None)
-    # a cap is on no seam, so each copy's cap stays one run of vertices
-    metadata["asymptotic_caps"] = [
-        dict(cap, vertex_start=int(old_to_new[k * n + cap["vertex_start"]]))
-        for k in range(len(_COPY_SPECS))
-        for cap in patch.metadata["asymptotic_caps"]
-    ]
     metadata["weld_tol"] = weld_tol
     metadata["weld_duplicates_removed"] = 4 * n - int(np.count_nonzero(kept))
     metadata["vertices_before_weld"] = 4 * n
@@ -754,8 +669,8 @@ class _Periods:
     that :func:`export_obj` and :func:`export_ply` write copy by copy.
 
     The constructor runs every check :func:`stack_periods` documents, in its
-    order, and lays out the stack: its vertex and face counts and
-    ``metadata``, the stack's metadata with every copy's caps.
+    order, and lays out the stack: its vertex and face counts and its
+    ``metadata``.
     ``vertices()`` and ``faces()`` then form the stack's vertex rows and its
     faces copy after copy, ``_ROWS_PER_WRITE`` rows at a time.  One period is
     the domain as it is and reads no stack metadata.
@@ -805,17 +720,8 @@ class _Periods:
         self.kept = np.flatnonzero(keep)
         self.bottom = np.flatnonzero(~keep)
         self.top = partner[self.bottom]
-        # a cap is on no seam: each copy lays it out as one run, copy j >= 1
-        # from stack index n + (j - 1) m on in the order of the kept vertices
-        caps = domain.metadata["asymptotic_caps"]
-        rank = [int(np.searchsorted(self.kept, cap["vertex_start"])) for cap in caps]
         self.metadata = dict(domain.metadata)
         self.metadata["stack_duplicates_removed"] = (k - 1) * (n - m)
-        self.metadata["asymptotic_caps"] = [
-            dict(cap, vertex_start=n + (j - 1) * m + r if j else cap["vertex_start"])
-            for j in range(k)
-            for cap, r in zip(caps, rank)
-        ]
         self.metadata.pop("stack_seams", None)
 
     def vertices(self):
@@ -824,14 +730,14 @@ class _Periods:
         is valid until the next one is asked for."""
         v = self.domain.vertices
         if self.k == 1:
-            yield from _blocks(v)
+            yield from blocks(v, _ROWS_PER_WRITE)
             return
         block = np.empty((min(len(v), _ROWS_PER_WRITE), 3), dtype=v.dtype)
-        for rows in _blocks(v):
+        for rows in blocks(v, _ROWS_PER_WRITE):
             # -0.0 becomes +0.0 in copy 0, as in later copies
             yield np.add(rows, 0 * self.shift, out=block[: len(rows)])
         for j in range(1, self.k):
-            for ids in _blocks(self.kept):
+            for ids in blocks(self.kept, _ROWS_PER_WRITE):
                 # the kept ids index v by construction; "clip" writes straight to out
                 rows = np.take(v, ids, axis=0, out=block[: len(ids)], mode="clip")
                 rows += j * self.shift
@@ -845,7 +751,7 @@ class _Periods:
         seam, so no more than one copy's is held."""
         f = self.domain.faces
         if self.k == 1:
-            yield from _blocks(f)
+            yield from blocks(f, _ROWS_PER_WRITE)
             return
         index = np.arange(len(self.domain.vertices), dtype=np.int32)
         for j in range(self.k):
@@ -854,7 +760,7 @@ class _Periods:
                 first = len(index) + (j - 1) * len(self.kept)
                 index[self.kept] = np.arange(first, first + len(self.kept))
                 index[self.bottom] = top
-            for block in _blocks(f):
+            for block in blocks(f, _ROWS_PER_WRITE):
                 yield index[block]
 
 
@@ -878,9 +784,9 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
         return domain
     vertices = np.empty((periods.n_vertices, 3))
     faces = np.empty((periods.n_faces, 3), dtype=np.int32)
-    for out, blocks in ((vertices, periods.vertices()), (faces, periods.faces())):
+    for out, parts in ((vertices, periods.vertices()), (faces, periods.faces())):
         start = 0
-        for block in blocks:
+        for block in parts:
             out[start : start + len(block)] = block
             start += len(block)
             del block  # before the next block is formed
@@ -970,11 +876,6 @@ def _metadata_header_lines(md: Dict[str, object]) -> List[str]:
     for key in ("rho0", "lambda0", "Lambda0", "T", "a", "resolution", "cutoff"):
         if key in md:
             lines.append(f"{key} = {md[key]!r}")
-    for cap in md.get("asymptotic_caps", []):
-        lines.append(
-            f"asymptotic cap: vertices {cap['vertex_start']}.."
-            f"{cap['vertex_start'] + cap['vertex_count'] - 1}"
-        )
     return lines
 
 
@@ -982,7 +883,7 @@ def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
     """Write ``row_format % row`` for every row of a block, a quarter block
     per ``%`` string, whose Python floats and text take about 170 bytes a
     vertex row (``%.9g`` gives the same text as ``f"{x:.9g}"``)."""
-    for part in _blocks(rows, _ROWS_PER_WRITE >> 2):
+    for part in blocks(rows, _ROWS_PER_WRITE >> 2):
         fh.write((row_format * len(part)) % tuple(part.ravel().tolist()))
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "F_integral",
     "G_integral",
     "G_integrand_samples",
+    "require_converged",
     "Lambda_upper_bound",
     "solve_Lambda_of_rho",
     "PeriodSolution",
@@ -164,7 +165,7 @@ def _g_integrand(rho: float, Lam: float) -> Callable:
     return g
 
 
-def _converged(res: QuadratureResult, name: str, **where: float) -> QuadratureResult:
+def require_converged(res: QuadratureResult, name: str, **where: float) -> QuadratureResult:
     """``res``, or :class:`PeriodSolverError` naming the integral, its
     arguments ``where``, its error estimate and its level if it missed its
     tolerance."""
@@ -187,7 +188,7 @@ def F_integral(
     rho = _check_rho_interior(rho)
     Lam = float(Lam)
     res = integrate(_f_integrand(rho, Lam), rho, math.pi / 2, spec)
-    return _converged(res, "F_integral", rho=rho, Lam=Lam)
+    return require_converged(res, "F_integral", rho=rho, Lam=Lam)
 
 
 def G_integral(
@@ -204,7 +205,7 @@ def G_integral(
         raise PeriodSolverError(f"rho={rho!r} outside (-pi/2, pi/2)")
     Lam = float(Lam)
     res = integrate(_g_integrand(rho, Lam), -math.pi / 2, rho, spec)
-    return _converged(res, "G_integral", rho=rho, Lam=Lam)
+    return require_converged(res, "G_integral", rho=rho, Lam=Lam)
 
 
 def G_integrand_samples(rho: float, Lam: float, n: int = 200) -> np.ndarray:

@@ -48,11 +48,13 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
+from . import blocks
+
 # perfbench traces verify.json_text by name, and its wrapper also times cli's calls
 from .cli import json_text
-from .mesh import SurfaceMesh, _blocks, mesh_patch_D
+from .mesh import SurfaceMesh, mesh_patch_D
 from .params import SurfaceParams
-from .period_solver import PERIOD_SPEC, G_integrand_samples, _converged, scan_H
+from .period_solver import PERIOD_SPEC, G_integrand_samples, require_converged, scan_H
 from .quadrature import QuadratureSpec, integrate
 from .weierstrass import (
     axis_rise,
@@ -367,13 +369,12 @@ class _GraphLattice:
     ``ys`` in ``yss``, a band of rows at a time; NaN where no projected
     triangle holds the point.
 
-    ``xs`` and each ``ys`` ascend.  The asymptotic cap is excluded: it is an
-    unstitched comparison component, not part of the graph.  Each triangle
-    is tested at the lattice points inside its bounding box; it holds a
-    point when all three barycentrics are at least ``-1e-9``, and a
-    degenerate triangle holds none.  Of the triangles that hold a point, the
-    lowest-indexed one with the largest ``min(u, v, w)`` (the most interior)
-    gives the height, which settles points on shared edges.
+    ``xs`` and each ``ys`` ascend.  Each triangle is tested at the lattice
+    points inside its bounding box; it holds a point when all three
+    barycentrics are at least ``-1e-9``, and a degenerate triangle holds
+    none.  Of the triangles that hold a point, the lowest-indexed one with
+    the largest ``min(u, v, w)`` (the most interior) gives the height, which
+    settles points on shared edges.
 
     The boxes, as index ranges into the lattices, are formed once.  A band
     reads the faces whose boxes reach it ``_FACES_PER_BLOCK`` at a time, and
@@ -386,7 +387,6 @@ class _GraphLattice:
 
     def __init__(self, patch: SurfaceMesh, xs: np.ndarray, yss):
         faces = patch.faces
-        caps = [int(cap["vertex_start"]) for cap in patch.metadata.get("asymptotic_caps", [])]
         # per face: rows [i0, i1) of xs, then columns [j0, j1) of each ys
         boxes = np.empty((len(faces), 2 + 2 * len(yss)), dtype=np.int32)
         for first in range(0, len(faces), _FACES_PER_BLOCK):
@@ -397,10 +397,8 @@ class _GraphLattice:
             for col, (c, axis) in enumerate([(0, xs)] + [(1, ys) for ys in yss]):
                 box[:, 2 * col] = np.searchsorted(axis, lo[:, c])
                 box[:, 2 * col + 1] = np.searchsorted(axis, hi[:, c], side="right")
-            # degenerate triangles and a cap's faces (a patch's last vertices) get no rows
+            # degenerate triangles get no rows
             off = ~(np.abs(_frames(tri)[3]) > 1e-300)
-            for start in caps:
-                off |= np.any(block >= start, axis=1)
             box[off, 1] = box[off, 0]
         self.vertices, self.faces, self.boxes, self.xs, self.yss = (
             patch.vertices, faces, boxes, xs, yss
@@ -414,7 +412,7 @@ class _GraphLattice:
         j0, j1 = self.boxes[:, 2 + 2 * lattice], self.boxes[:, 3 + 2 * lattice]
         best = np.full(len(xs) * len(ys), -np.inf)
         heights = np.full(len(xs) * len(ys), np.nan)
-        for ids in _blocks(np.flatnonzero((i0 < i1) & (j0 < j1)), _FACES_PER_BLOCK):
+        for ids in blocks(np.flatnonzero((i0 < i1) & (j0 < j1)), _FACES_PER_BLOCK):
             tri = self.vertices[self.faces[ids]]  # (B, 3, 3)
             p0, d1, d2, det = _frames(tri)
             inv_det = 1.0 / det
@@ -492,7 +490,7 @@ def _lens_masks(
     )
     inside = np.zeros(len(pts), dtype=bool)
     near = np.zeros(len(pts), dtype=bool)
-    for ids in _blocks(box, max(1, _PAIRS_PER_BLOCK // len(poly))):
+    for ids in blocks(box, max(1, _PAIRS_PER_BLOCK // len(poly))):
         inside[ids] = point_in_polygon(pts[ids], poly)
         near[ids] = distance_to_polyline(pts[ids], poly) < margin
     return inside, near
@@ -805,7 +803,7 @@ def check_limit_constants(spec: QuadratureSpec = PERIOD_SPEC) -> CheckResult:
     four_dp_ok = round(c1, 4) == -1.2067 and round(c2, 4) == 1.1547
 
     def quad(f, a, b, name, **where):
-        return _converged(integrate(f, a, b, spec), name, **where).value
+        return require_converged(integrate(f, a, b, spec), name, **where).value
 
     # comparison integral, closed form vs quadrature
     q_cmp = quad(lambda p, da, db: 1.0 / np.sqrt(1.0 - p), -math.pi / 2.0, 0.0,

@@ -44,15 +44,6 @@ def rng():
     return np.random.default_rng(20260814)
 
 
-def graph_faces(mesh):
-    """The faces of ``mesh`` outside its asymptotic caps (a patch's last
-    vertices), which are no part of the graph."""
-    faces = mesh.faces
-    for cap in mesh.metadata.get("asymptotic_caps", []):
-        faces = faces[np.all(faces < cap["vertex_start"], axis=1)]
-    return faces
-
-
 def triangles_holding(mesh, pts, faces):
     """Point by point, every projected triangle among ``faces`` that holds the
     2D point: one ``(rows, scores, heights)`` triple per point, where ``rows``

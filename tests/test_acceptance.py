@@ -192,15 +192,11 @@ def test_criterion_10_mesh_integrity(params, tmp_path):
     assert domain.metadata["weld_tol"] == 1e-7 * T
     stack = stack_periods(domain, 3)
     assert len(stack.vertices) < 3 * len(domain.vertices)
-    # slab confinement: exact-surface vertices hard against the wall, the
-    # asymptotic cap within its truncation error of it
-    cap = patch.metadata["asymptotic_caps"][0]
-    is_cap = np.zeros(len(patch.vertices), dtype=bool)
-    is_cap[cap["vertex_start"] : cap["vertex_start"] + cap["vertex_count"]] = True
+    # slab confinement: every vertex is a surface sample, hard against the
+    # wall to rounding
     x3 = patch.vertices[:, 2]
     a = patch.metadata["a"]
-    assert x3[~is_cap].min() > -T / 2 - 1e-9 * T
-    assert x3[is_cap].min() > -T / 2 - 1e-4 * T
+    assert x3.min() > -T / 2 - 1e-9 * T
     assert x3.max() < a + 1e-9 * T
     # round-trips
     obj_path = str(tmp_path / "d.obj")

@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import math
 import os
-import re
 import threading
 import time
 import tracemalloc
@@ -33,7 +32,7 @@ from g1helicoid.mesh import (
 from g1helicoid.torus import SYMMETRIES
 from g1helicoid.verify import distance_to_polyline, point_in_polygon
 
-from conftest import graph_faces, traced_peak, triangles_holding
+from conftest import traced_peak, triangles_holding
 
 CURVE_NAMES = {"C", "E", "E_hat", "H1", "H2", "c", "end"}
 
@@ -59,9 +58,6 @@ def test_patch_metadata(patch, params):
     assert md["T"] == pytest.approx(params.T, rel=1e-14)
     assert md["resolution"] == 48
     assert md["worst_x1_closed_form_dev"] < 1e-8 * params.T
-    (cap,) = md["asymptotic_caps"]  # one cap, recorded like the domain's
-    assert set(cap) == {"vertex_start", "vertex_count"}
-    assert cap["vertex_start"] + cap["vertex_count"] <= len(patch.vertices)
 
 
 def test_patch_is_oriented_manifold(patch):
@@ -74,14 +70,8 @@ def test_patch_is_oriented_manifold(patch):
 def test_patch_in_quarter_slab(patch, params):
     x3 = patch.vertices[:, 2]
     T = params.T
-    cap = patch.metadata["asymptotic_caps"][0]
-    is_cap = np.zeros(len(x3), dtype=bool)
-    is_cap[cap["vertex_start"] : cap["vertex_start"] + cap["vertex_count"]] = True
-    # exact-surface vertices respect the slab wall to rounding
-    assert x3[~is_cap].min() > -T / 2 - 1e-9 * T
-    # cap vertices follow the asymptote of the end, which undershoots the
-    # wall by an O(cutoff^2) approximation error
-    assert x3[is_cap].min() > -T / 2 - 1e-4 * T
+    # every vertex is a surface sample and respects the slab wall to rounding
+    assert x3.min() > -T / 2 - 1e-9 * T
     # the patch tops out at the upper slit-curve endpoint, below T/2
     assert x3.max() < T / 2
 
@@ -91,9 +81,9 @@ def test_patch_projects_into_left_half_plane(patch, params):
 
 
 def _interior_vertices(mesh):
-    """Mask of the vertices of the faces outside the asymptotic cap that lie
-    on no edge used by only one of those faces."""
-    faces = graph_faces(mesh)
+    """Mask of the vertices that lie on some face and on no edge that only
+    one face uses."""
+    faces = mesh.faces
     edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     edges, uses = np.unique(edges, axis=0, return_counts=True)
     interior = np.zeros(len(mesh.vertices), dtype=bool)
@@ -120,7 +110,7 @@ def _graph_collisions(mesh, T):
     lens = np.asarray(mesh.boundary_polylines["c"])[:, :2]
     pts = pts[~point_in_polygon(pts, lens) & ~(distance_to_polyline(pts, lens) < 0.02 * T)]
     reach = np.abs(pts).max(axis=1)
-    faces = graph_faces(mesh)
+    faces = mesh.faces
     xy = mesh.vertices[faces][:, :, :2]
     # the half sides of the smallest origin-centred square that the triangle
     # reaches and of the smallest that holds it
@@ -147,14 +137,12 @@ def test_graph_collisions_seen_on_a_lifted_second_sheet(patch, params):
     # a second copy of the patch, lifted by T/4 over the half plane x2 > 0,
     # lies over the first: the check must see the two heights there
     T = params.T
-    cap = patch.metadata["asymptotic_caps"][0]
-    faces = patch.faces[np.all(patch.faces < cap["vertex_start"], axis=1)]
     lifted = patch.vertices.copy()
     lifted[lifted[:, 1] > 0, 2] += T / 4
     n = len(patch.vertices)
     doubled = SurfaceMesh(
         np.vstack([patch.vertices, lifted]),
-        np.vstack([faces, faces + n]),
+        np.vstack([patch.faces, patch.faces + n]),
         boundary_polylines={"c": patch.boundary_polylines["c"]},
     )
     checked, collisions = _graph_collisions(doubled, T)
@@ -217,21 +205,18 @@ def test_strip_faces_rejects_a_repeated_row_index(lo, hi):
 
 @pytest.mark.parametrize("resolution, cutoff", [(48, 1e-2), (8, 5e-2), (23, 3e-3)])
 def test_patch_boundary_is_its_named_curves(patch, params, resolution, cutoff):
-    # outside the cap, the edges used by one face are exactly the edges
-    # between consecutive vertices of the named curves, and each seam names
-    # its curve
+    # the edges used by one face are exactly the edges between consecutive
+    # vertices of the named curves, and each seam names its curve
     if (resolution, cutoff) != (48, 1e-2):
         patch = mesh_patch_D(params, resolution, cutoff)
     v = patch.vertices
-    n = patch.metadata["asymptotic_caps"][0]["vertex_start"]
-    faces = patch.faces[np.all(patch.faces < n, axis=1)]
     seams = patch.metadata["seam_ids"]
     for name, ids in seams.items():
         assert np.array_equal(v[ids], patch.boundary_polylines[name]), name
-    end_ids = [int(np.flatnonzero((v[:n] == p).all(axis=1))[0]) for p in patch.boundary_polylines["end"]]
+    end_ids = [int(np.flatnonzero((v == p).all(axis=1))[0]) for p in patch.boundary_polylines["end"]]
     curves = [ids.tolist() for ids in seams.values()] + [end_ids]
     curve_edges = {frozenset(e) for ids in curves for e in zip(ids[:-1], ids[1:])}
-    edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges = np.sort(patch.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     edges, uses = np.unique(edges, axis=0, return_counts=True)
     assert {frozenset(e) for e in edges[uses == 1].tolist()} == curve_edges
 
@@ -247,16 +232,11 @@ def test_the_levels_that_straddle_the_puncture_are_the_cutoff_rim(params):
             assert outer[k] == t_punct + cutoff, (resolution, cutoff)
 
 
-def test_patch_keeps_off_the_pole_and_the_cap_meets_the_rim(params):
+def test_patch_keeps_off_the_pole(params):
     # at res 31 a base level once fell inside the cutoff disk: a vertex sat
-    # 4,760 out and the cap, fitted at the disk rim, missed the end by 2,640
+    # 4,760 out
     patch = mesh_patch_D(params, 31, 1e-2)
-    cap = patch.metadata["asymptotic_caps"][0]
-    n = cap["vertex_start"]
-    assert np.linalg.norm(patch.vertices[:n], axis=1).max() < 200
-    cap_vertices = patch.vertices[n : n + cap["vertex_count"]]
-    for corner in patch.boundary_polylines["end"][[0, 3]]:  # the ray-0 corners
-        assert np.linalg.norm(cap_vertices - corner, axis=1).min() < 1e-2
+    assert np.linalg.norm(patch.vertices, axis=1).max() < 200
 
 
 def test_patch_builds_when_a_ray_sits_next_to_the_slit_tip(params):
@@ -375,15 +355,62 @@ def test_patch_resolution_must_be_sane(params):
 def test_domain_spans_full_slab(domain, params):
     x3 = domain.vertices[:, 2]
     T = params.T
-    # extremes sit on the two end planes up to the cap approximation error
-    assert x3.min() == pytest.approx(-T / 2, abs=1e-4 * T)
-    assert x3.max() == pytest.approx(T / 2, abs=1e-4 * T)
+    # extremes sit on the two end planes, O' and its image, to rounding
+    assert x3.min() == pytest.approx(-T / 2, abs=1e-9 * T)
+    assert x3.max() == pytest.approx(T / 2, abs=1e-9 * T)
 
 
 def test_domain_is_oriented_manifold(domain):
     rep = check_oriented_manifold(domain)
     assert rep["misoriented_edges"] == 0
     assert rep["overused_edges"] == 0
+
+
+def _components(mesh):
+    """The number of connected components of the mesh's vertices joined by
+    its face edges (a vertex on no face is one of its own), by breadth-first
+    search over the edges sorted by their first end."""
+    f = np.asarray(mesh.faces)
+    heads = f[:, [1, 2, 0]]
+    tails = np.concatenate([f.ravel(), heads.ravel()])
+    order = np.argsort(tails, kind="stable")
+    starts = np.searchsorted(tails[order], np.arange(len(mesh.vertices) + 1))
+    neighbours = np.concatenate([heads.ravel(), f.ravel()])[order]
+    seen = np.zeros(len(mesh.vertices), dtype=bool)
+    count = 0
+    while not seen.all():
+        front = np.flatnonzero(~seen)[:1]
+        seen[front] = True
+        count += 1
+        while len(front):
+            first, n = starts[front], starts[front + 1] - starts[front]
+            front = np.unique(neighbours[np.repeat(first - np.cumsum(n) + n, n) + np.arange(n.sum())])
+            front = front[~seen[front]]
+            seen[front] = True
+    return count
+
+
+def test_component_count_of_two_triangles_and_a_lone_vertex():
+    faces = np.array([[0, 1, 2], [3, 5, 4], [2, 1, 6]])
+    assert _components(SurfaceMesh(np.zeros((8, 3)), faces)) == 3
+
+
+@pytest.mark.parametrize("resolution", [24, 48, 96])
+def test_domain_is_one_connected_surface(patch, params, resolution):
+    # the patch and its three images weld into one piece with every edge
+    # used once or twice and consistently oriented; a detached end cap once
+    # made each domain five components
+    if resolution != patch.metadata["resolution"]:
+        patch = mesh_patch_D(params, resolution=resolution, cutoff=1e-2)
+    domain = assemble_fundamental_domain(patch)
+    assert _components(patch) == 1
+    assert _components(domain) == 1
+    rep = check_oriented_manifold(domain)
+    assert rep["misoriented_edges"] == 0 and rep["overused_edges"] == 0
+
+
+def test_three_periods_are_one_connected_surface(domain):
+    assert _components(stack_periods(domain, 3)) == 1
 
 
 def test_domain_has_mirror_symmetry(domain):
@@ -399,34 +426,12 @@ def test_stack_three_periods(domain, params):
     stack = stack_periods(domain, 3)
     T = params.T
     spread = stack.vertices[:, 2].max() - stack.vertices[:, 2].min()
-    assert spread == pytest.approx(3.0 * T, abs=2e-4 * T)
+    assert spread == pytest.approx(3.0 * T, abs=1e-9 * T)
     rep = check_oriented_manifold(stack)
     assert rep["misoriented_edges"] == 0
     assert rep["overused_edges"] == 0
     # welding consumed the interface duplicates
     assert len(stack.vertices) < 3 * len(domain.vertices)
-
-
-@pytest.mark.parametrize("copies", [1, 3])
-def test_header_names_the_cap_of_every_copy(patch, domain, copies):
-    # the domain holds the patch's cap under each of its four copies (base,
-    # then the x1, x3 and x2 half-turns); each period above repeats them
-    stack = stack_periods(domain, copies)
-    cap = patch.metadata["asymptotic_caps"][0]
-    start = cap["vertex_start"]
-    base = patch.vertices[start : start + cap["vertex_count"]]
-    header = [
-        re.fullmatch(r"asymptotic cap: vertices (\d+)\.\.(\d+)", line)
-        for line in mesh._metadata_header_lines(stack.metadata)
-        if line.startswith("asymptotic cap")
-    ]
-    assert len(header) == 4 * copies
-    half_turns = ("half_turn_x1", "half_turn_x3", "half_turn_x2")
-    mats = [np.eye(3)] + [SYMMETRIES[name].space_matrix for name in half_turns]
-    for i, match in enumerate(header):
-        lo, hi = int(match.group(1)), int(match.group(2))
-        lift = np.array([0.0, 0.0, (i // 4) * domain.metadata["T"]])
-        assert np.array_equal(stack.vertices[lo : hi + 1], base @ mats[i % 4].T + lift), i
 
 
 def _union_find_roots(n, pairs):
@@ -506,7 +511,7 @@ def _weld_by_pairs(vertices, faces, pairs, tol):
 def _staged_domain(patch):
     """Reference assembly: the four images staged whole, ``np.matmul`` into
     one (4, n, 3) array, welded by ``_weld_by_pairs``.  Returns the domain's
-    arrays, stack seams, caps and weld count."""
+    arrays, stack seams and weld count."""
     n = len(patch.vertices)
     seams = patch.metadata["seam_ids"]
     names = ("base", "half_turn_x1", "half_turn_x3", "half_turn_x2")
@@ -541,17 +546,12 @@ def _staged_domain(patch):
         "top_pos_x2": old_to_new[ids("half_turn_x2", "H2")],
         "top_neg_x2": old_to_new[ids("half_turn_x1", "H2")],
     }
-    caps = [
-        dict(cap, vertex_start=int(old_to_new[k * n + cap["vertex_start"]]))
-        for k in range(4)
-        for cap in patch.metadata["asymptotic_caps"]
-    ]
-    return vertices, faces, stack_seams, caps, removed
+    return vertices, faces, stack_seams, removed
 
 
 def _assert_assembled_as_staged(patch):
     domain = assemble_fundamental_domain(patch)
-    vertices, faces, stack_seams, caps, removed = _staged_domain(patch)
+    vertices, faces, stack_seams, removed = _staged_domain(patch)
     # tobytes tells -0.0 from +0.0
     assert domain.vertices.dtype == vertices.dtype and domain.vertices.shape == vertices.shape
     assert domain.vertices.tobytes() == vertices.tobytes()
@@ -561,7 +561,6 @@ def _assert_assembled_as_staged(patch):
     for name, ids in stack_seams.items():
         got = domain.metadata["stack_seams"][name]
         assert got.dtype == ids.dtype and np.array_equal(got, ids), name
-    assert domain.metadata["asymptotic_caps"] == caps
     assert domain.metadata["weld_duplicates_removed"] == removed
     assert domain.metadata["vertices_before_weld"] == 4 * len(patch.vertices)
     return domain
@@ -593,7 +592,6 @@ def _collapsing_patch():
         metadata={
             "T": 1.0,
             "seam_ids": {"C": seam, "E": seam, "E_hat": seam, "H1": seam, "H2": seam[:0]},
-            "asymptotic_caps": [],
         },
     )
 
@@ -617,8 +615,9 @@ def test_assembly_raises_exactly_when_the_whole_domain_misuses_an_edge(patch, mo
     # an error, with the two parts' counts: a patch-interior error once
     if case == "flipped_face":
         faces = patch.faces.copy()
-        k = len(faces) // 2
-        assert not _welded(patch)[faces[k]].any()
+        # the face nearest the middle row that has no welded corner
+        free = np.flatnonzero(~_welded(patch)[faces].any(axis=1))
+        k = free[np.argmin(np.abs(free - len(faces) // 2))]
         faces[k] = faces[k, ::-1]
         patch = SurfaceMesh(patch.vertices, faces, patch.boundary_polylines, patch.metadata)
     elif case == "flipped_image":
@@ -802,7 +801,7 @@ def test_streamed_periods_check_every_seam_before_the_file_opens(domain, tmp_pat
 
 
 def test_face_areas_peak_memory(patch):
-    # the patch build's degenerate-face check: all 20,026 res-48 faces in one
+    # the patch build's degenerate-face check: all 19,738 res-48 faces in one
     # block traced 2.7 MB, 8,192 faces at a time 1.2 MB
     areas, peak = traced_peak(mesh._face_areas, patch.vertices, patch.faces)
     assert len(areas) == len(patch.faces)
@@ -854,7 +853,7 @@ def test_mesh_command_peak_memory_per_written_vertex(tmp_path):
 def test_streamed_export_memory_does_not_grow_with_the_period_count(domain):
     # copy j's stack index of each domain vertex is formed from copy j - 1's;
     # the (k, n) table of every copy's took 2.7 MB at k = 3 and 18.5 MB at
-    # k = 100; the header's cap lines are all that grows now
+    # k = 100; now only the header's counts grow
     _, three = traced_peak(export_ply, domain, os.devnull, 3)
     _, hundred = traced_peak(export_ply, domain, os.devnull, 100)
     assert hundred <= 1.1 * three

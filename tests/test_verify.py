@@ -35,7 +35,7 @@ from g1helicoid.verify import (
     run_all,
 )
 
-from conftest import graph_faces, traced_peak, triangles_holding
+from conftest import traced_peak, triangles_holding
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +218,7 @@ def _reference_heights(mesh, pts):
     hold each point, the first (lowest face row) with the largest score; NaN
     where none does."""
     out = np.full(len(pts), np.nan)
-    for k, (rows, scores, heights) in enumerate(triangles_holding(mesh, pts, graph_faces(mesh))):
+    for k, (rows, scores, heights) in enumerate(triangles_holding(mesh, pts, mesh.faces)):
         if len(rows):
             out[k] = heights[np.argmax(scores)]
     return out
@@ -275,7 +275,7 @@ def test_graph_lookup_in_blocks_and_chunks_matches_per_point_loop(patch, monkeyp
     xs = np.concatenate([np.linspace(-62.0, -53.0, 8), near_xs])
     ys = np.union1d(np.linspace(-95.0, 95.0, 24), near_ys)
     if size == "split":
-        xy = patch.vertices[graph_faces(patch)][:, :, :2]
+        xy = patch.vertices[patch.faces][:, :, :2]
         lo, hi = xy.min(axis=1), xy.max(axis=1)
         counts = (np.searchsorted(xs, hi[:, 0], "right") - np.searchsorted(xs, lo[:, 0])) * (
             np.searchsorted(ys, hi[:, 1], "right") - np.searchsorted(ys, lo[:, 1])
