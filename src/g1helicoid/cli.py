@@ -44,7 +44,9 @@ import numpy as np
 
 from . import NumericError, __version__
 from .params import SurfaceParams
-from .period_solver import scan_H, solve_period_problem
+from .period_solver import (
+    PERIOD_SPEC, F_integral, G_integral, PeriodSolverError, scan_H, solve_period_problem,
+)
 from .quadrature import QuadratureSpec
 
 if TYPE_CHECKING:
@@ -391,14 +393,28 @@ def _emit_text(cfg: RunConfig, text: str) -> None:
         raise _WriteError(f"cannot write {cfg.out}: {exc.strerror or exc}") from exc
 
 
+def _require_closed(name: str, value: float, where: str = "") -> None:
+    """Raise :class:`PeriodSolverError` unless the period residual ``value``,
+    evaluated at ``PERIOD_SPEC``, is at most 1e-9 in modulus: options too
+    loose to close the period must not print a root as if they had."""
+    if not abs(value) <= 1e-9:
+        raise PeriodSolverError(
+            f"{name} = {value:.3e}{where} exceeds the bound |{name}| <= 1e-09 "
+            f"at the reference quadrature spec; tighten the tolerances"
+        )
+
+
 def _solve(cfg: RunConfig):
-    return solve_period_problem(
+    sol = solve_period_problem(
         spec=cfg.quad_spec(),
         grid_size=cfg.grid,
         root_tol=cfg.root_tol,
         rho_min=cfg.rho_min,
         rho_max=cfg.rho_max,
     )
+    _require_closed("residual_F", sol.residual_F)
+    _require_closed("residual_G", sol.residual_G)
+    return sol
 
 
 def _resolve_params(cfg: RunConfig) -> SurfaceParams:
@@ -433,10 +449,13 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 def _cmd_periods(cfg: RunConfig) -> int:
     rhos = np.linspace(cfg.rho_min, cfg.rho_max, cfg.rho_grid)
-    rows = scan_H(rhos, cfg.quad_spec(), cfg.root_tol)
+    spec = cfg.quad_spec()
     lines = ["# " + s for s in _provenance_comment_lines(cfg)]
     lines.append("rho,Lambda,F,G")
-    for rho, Lam, F, G in rows:
+    for rho, Lam, F, G in scan_H(rhos, spec, cfg.root_tol):
+        if spec != PERIOD_SPEC:  # each row's F and G at the reference spec, as solve's
+            F, G = F_integral(rho, Lam).value, G_integral(rho, Lam).value
+        _require_closed("F", F, f" at rho={rho!r}")
         lines.append(",".join(_fmt_float(v) for v in (rho, Lam, F, G)))
     _emit_text(cfg, "\n".join(lines) + "\n")
     return 0

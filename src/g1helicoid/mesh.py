@@ -927,38 +927,9 @@ def _require_vertex_indices(faces: np.ndarray, nv: int, path: str, first: int) -
         )
 
 
-def _record_lines(data: bytes, tags: bytes) -> List[List[bytes]]:
-    """For each tag byte t, the lines of ``data`` that begin with t and a
-    space, cut as ``data.splitlines()`` cuts them.
-
-    A line begins at the start of the data and after each ``\\n`` and each
-    ``\\r`` that no ``\\n`` follows, unless the data ends there.  The line
-    starts are classified with numpy over the bytes, and each run of
-    consecutive lines with one tag is cut by one ``splitlines`` call."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    lf = buf == ord("\n")
-    breaks = buf == ord("\r")
-    breaks[:-1] &= ~lf[1:]
-    breaks |= lf
-    del lf
-    bounds = np.concatenate([[0], np.flatnonzero(breaks) + 1])
-    if bounds[-1] != len(buf):
-        bounds = np.append(bounds, len(buf))
-    starts = bounds[:-1]
-    # a line's second byte, or its first when the data ends after that one
-    second = buf[np.minimum(starts + 1, len(buf) - 1)] == ord(" ")
-    out = []
-    for tag in tags:
-        runs = np.diff((second & (buf[starts] == tag)).astype(np.int8), prepend=0, append=0)
-        lines: List[bytes] = []
-        for i, j in zip(np.flatnonzero(runs == 1).tolist(), np.flatnonzero(runs == -1).tolist()):
-            lines += data[bounds[i] : bounds[j]].splitlines()
-        out.append(lines)
-    return out
-
-
 def import_obj(path: str) -> SurfaceMesh:
-    """Read the lines that begin ``v `` and ``f `` of an OBJ file.
+    """Read the lines that begin ``v `` and ``f `` of an OBJ file, cut as
+    ``bytes.splitlines`` cuts them.
 
     A vertex is the first three coordinates of its line, a face its three
     vertex references (``f a/b/c`` keeps ``a``); other lines are skipped.  A
@@ -971,7 +942,14 @@ def import_obj(path: str) -> SurfaceMesh:
             data = fh.read()
     except OSError as exc:
         raise MeshError(f"OBJ import failed for {path!r}: {exc}") from exc
-    v_lines, f_lines = _record_lines(data, b"vf")
+    v_lines: List[bytes] = []
+    f_lines: List[bytes] = []
+    for line in data.splitlines():
+        tag = line[:2]
+        if tag == b"v ":
+            v_lines.append(line)
+        elif tag == b"f ":
+            f_lines.append(line)
     del data
     if not v_lines:
         raise MeshError(f"no vertices found in {path!r}")

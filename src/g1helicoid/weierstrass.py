@@ -313,17 +313,6 @@ _GL16_X, _GL16_W = _symmetric_rule(
      0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176],
 )
 
-#: Pieces whose GL8 and GL16 nodes one integrand call evaluates.  The
-#: integrand's temporaries grow with its nodes, so a wave over many pieces
-#: (the 500-piece slit banks of the report) runs in blocks; a res-160 level
-#: of about 334 pieces stays one call.  The blocks bound the wave's traced
-#: memory, not a process peak: with no bound, `verify --verify-grid 100`
-#: peaked at 34.64 MB against 34.88 MB, and `mesh --resolution 48 --copies 3`
-#: at 40.41 against 40.45 MB (medians of 12 alternating runs, each child's
-#: ru_maxrss read with os.wait4 by a small parent; Python 3.11, numpy 2.4,
-#: x86-64 Linux).
-_PIECES_PER_CALL = 384
-
 # Bisection waves and live subintervals allowed before a path integral fails.
 _MAX_WAVES = 40
 _MAX_INTERVALS = 200000
@@ -344,46 +333,24 @@ def _gl_estimates(half, f):
     return i16, np.max(np.abs(i16 - i8), axis=1)
 
 
-def _wave(params, seg, half, s, z_dz):
+def _wave(params, seg, half, s, z, dz):
     """GL8/GL16 estimates (I16, err) on the pieces whose half-widths and
-    nodes :func:`_gl_nodes` gave as ``half, s``; ``z_dz(ids)`` returns z and
-    dz/ds at the nodes ``s[ids]``.
+    nodes :func:`_gl_nodes` gave as ``half, s``, from z and dz/ds at ``s``.
 
-    One integrand call takes the nodes of at most ``_PIECES_PER_CALL``
-    pieces.  The integrand and the estimates work piece by piece, so the
-    blocks give the bits of one call; a non-finite value raises
-    :class:`IntegrationError` at its first node in the order of ``s``, the
-    GL8 nodes of all pieces before their GL16 nodes.
+    A non-finite value raises :class:`IntegrationError` at its first node in
+    the order of ``s``, the GL8 nodes of all pieces before their GL16 nodes.
     """
-    n = len(half)
-    i16, err = np.empty((n, 3), dtype=complex), np.empty(n)
-    first_bad = None  # s at the first non-finite node met, GL16 until a GL8 one
-    for lo in range(0, n, _PIECES_PER_CALL):
-        hi = min(lo + _PIECES_PER_CALL, n)
-        if n <= _PIECES_PER_CALL:  # one call, on the nodes as they are
-            ids = slice(None)
-        else:
-            ids = np.r_[8 * lo : 8 * hi, 8 * n + 16 * lo : 8 * n + 16 * hi]
-        z, dz = z_dz(ids)
-        vals = phi_dz(params, seg.sheet, z, seg.region) * dz[..., None]
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argwhere(~np.isfinite(vals))[0][0])
-            if bad < 8 * (hi - lo):
-                first_bad = s[ids][bad]
-                break
-            if first_bad is None:
-                first_bad = s[ids][bad]
-        if first_bad is None:
-            i16[lo:hi], err[lo:hi] = _gl_estimates(half[lo:hi], vals)
-    if first_bad is not None:
-        raise IntegrationError(f"non-finite integrand on {seg.label} at s={float(first_bad)!r}")
-    return i16, err
+    vals = phi_dz(params, seg.sheet, z, seg.region) * dz[..., None]
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.argwhere(~np.isfinite(vals))[0][0])
+        raise IntegrationError(f"non-finite integrand on {seg.label} at s={float(s[bad])!r}")
+    return _gl_estimates(half, vals)
 
 
 def _gl_wave(params, seg, a, b):
     """GL8/GL16 estimates (I16, err) on a batch of pieces."""
     half, s = _gl_nodes(a, b)
-    return _wave(params, seg, half, s, lambda ids: (seg.z_of(s[ids]), seg.dz_ds(s[ids])))
+    return _wave(params, seg, half, s, seg.z_of(s), seg.dz_ds(s))
 
 
 def _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol) -> np.ndarray:
@@ -501,12 +468,8 @@ def arc_positions(
 
     def positions(m: float, x0) -> np.ndarray:
         seg = seg_arc(sheet, m, th0, th1)
-
-        def z_dz(ids):
-            z = float(m) * e[ids]
-            return z, 1j * (th1 - th0) * z
-
-        wave = _wave(params, seg, half, s, z_dz)
+        z = float(m) * e
+        wave = _wave(params, seg, half, s, z, 1j * (th1 - th0) * z)
         return _anchored(x0, _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol))
 
     return positions

@@ -1,8 +1,10 @@
 """Command-line interface: subcommand contracts, exit codes, config-file
 merging, provenance headers, and byte-identical reruns."""
 
+import contextlib
 import errno
 import importlib
+import io
 import json
 import os
 import re
@@ -12,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import g1helicoid
 from g1helicoid.cli import _OPTIONS, _SUBCOMMANDS, RunConfig, UsageError, _build_parser, _flag, run
+from g1helicoid.period_solver import F_integral, G_integral
 
 RHO0 = 0.7105219800457504
 LAM0 = 0.5882995303657090
@@ -138,6 +143,78 @@ def test_unconverged_solve_exits_1(capsys):
     err = capsys.readouterr().err
     assert "numeric error: PeriodSolverError: F_integral(rho=0.02" in err
     assert "did not converge" in err
+
+
+@pytest.mark.parametrize(
+    "argv, residual",
+    [
+        (["periods", "--rho-grid", "4", "--abs-tol", "1e300"], "F = (\\S+) at rho=0.02 "),
+        (["solve", "--abs-tol", "1e300"], "residual_F = (\\S+) "),
+        (["solve", "--root-tol", "1"], "residual_G = (\\S+) "),
+        (["mesh", "--root-tol", "1"], "residual_G = (\\S+) "),
+    ],
+    ids=["periods_abs_tol", "solve_abs_tol", "solve_root_tol", "mesh_root_tol"],
+)
+def test_an_unclosed_period_exits_1_naming_the_residual_and_bound(tmp_path, capsys, argv,
+                                                                    residual):
+    # options too loose to close a period at the reference spec: the row's
+    # Lambda or the solved rho0 is off, and no output is written
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    name = residual.split(" ")[0]
+    found = re.fullmatch(
+        f"g1helicoid: numeric error: PeriodSolverError: {residual}exceeds the bound "
+        f"\\|{name}\\| <= 1e-09 at the reference quadrature spec; tighten the tolerances\n",
+        err,
+    )
+    assert found and abs(float(found[1])) > 1e-9
+    assert not out.exists()
+
+
+def _powers_of_ten(lo, mid, hi):
+    """10**k, with k drawn as often from [lo, mid] as from [mid, hi]."""
+    return (st.floats(lo, mid) | st.floats(mid, hi)).map(lambda k: 10.0**k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    subcommand=st.sampled_from(["solve", "periods"]),
+    rel_tol=_powers_of_ten(-16.0, -9.0, 0.0),
+    abs_tol=_powers_of_ten(-16.0, -9.0, 300.0),
+    root_tol=_powers_of_ten(-16.0, -10.0, 1.0),
+    rho_grid=st.integers(1, 4),
+)
+def test_solve_and_periods_print_closed_periods_or_exit_1_with_one_line(
+    subcommand, rel_tol, abs_tol, root_tol, rho_grid
+):
+    # every drawn option passes the usage checks, so a run either prints
+    # residuals that the reference spec reproduces under 1e-9, or fails
+    # with one numeric-error line
+    argv = [subcommand, "--rel-tol", repr(rel_tol), "--abs-tol", repr(abs_tol),
+            "--root-tol", repr(root_tol)]
+    if subcommand == "periods":
+        argv += ["--rho-grid", str(rho_grid)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code != 0:
+        assert code == 1 and err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("g1helicoid: numeric error: ")
+        return
+    assert err.getvalue() == ""
+    if subcommand == "solve":
+        sol = json.loads(out.getvalue())
+        rows = [(sol["rho0"], sol["Lambda0"], sol["residual_F"], sol["residual_G"])]
+    else:
+        body = [line for line in out.getvalue().splitlines() if not line.startswith("#")][1:]
+        rows = [tuple(map(float, line.split(","))) for line in body]
+        assert len(rows) == rho_grid
+    for rho, Lam, F, G in rows:
+        assert (F, G) == (F_integral(rho, Lam).value, G_integral(rho, Lam).value)
+        assert abs(F) <= 1e-9
+        if subcommand == "solve":
+            assert abs(G) <= 1e-9
 
 
 def test_solve_json_contract(tmp_path, capsys):

@@ -1128,12 +1128,21 @@ def test_obj_line_endings_and_other_records_read_the_same_arrays(tmp_path, text)
         b"v 1 2 3\n\nv 4 5 6\n\n\nf 1 2 3\r\n\rf 3 2 1\n",
     ],
 )
-def test_obj_record_lines_are_cut_as_splitlines_cuts_them(data):
-    # the reader's classification over the bytes against the lines that
-    # `bytes.splitlines` gives and `startswith` picks
-    lines = data.splitlines()
-    expect = [[line for line in lines if line.startswith(tag)] for tag in (b"v ", b"f ")]
-    assert mesh._record_lines(data, b"vf") == expect
+def test_obj_record_lines_are_cut_as_splitlines_cuts_them(tmp_path, data):
+    # the file reads as the records that `bytes.splitlines` gives and
+    # `startswith` picks, one per "\n"-ended line: the same arrays or the
+    # same MeshError text
+    records = [line for line in data.splitlines() if line.startswith((b"v ", b"f "))]
+    path = tmp_path / "records.obj"
+    outcomes = []
+    for text in (data, b"\n".join(records)):
+        path.write_bytes(text)
+        try:
+            back = import_obj(str(path))
+            outcomes.append((back.vertices.tobytes(), back.faces.tobytes()))
+        except MeshError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize(

@@ -320,25 +320,6 @@ def test_gl_tables_are_leggauss_bit_for_bit():
         assert x.tobytes() == nodes.tobytes() and w.tobytes() == weights.tobytes()
 
 
-@pytest.mark.parametrize("per_call", [1, 7])
-def test_positions_do_not_depend_on_the_pieces_per_call(params, monkeypatch, per_call):
-    # the verify slit bank and a mesh level, each one integrand call per
-    # wave at the default and many calls here
-    bank = W.seg_slit_bank(params, "inner")
-    s = np.linspace(0.0, 1.0, 501)
-    x0 = np.array([0.0, 0.0, W.axis_rise(params)])
-    breaks = np.linspace(0.0, 1.0, 40)
-    arc = W.seg_arc("upper_left", 0.7, 1.5 * math.pi, 0.5 * math.pi)
-    calls = [
-        lambda: W.positions_along(params, bank, s, x0),
-        lambda: W.positions_along(params, arc, breaks, x0, 1e-14, 0.0),
-        lambda: W.arc_positions(params, "upper_left", 1.5 * math.pi, 0.5 * math.pi, breaks)(0.7, x0),
-    ]
-    whole = [call().tobytes() for call in calls]
-    monkeypatch.setattr(W, "_PIECES_PER_CALL", per_call)
-    assert [call().tobytes() for call in calls] == whole
-
-
 def _poisoned(seg, nodes):
     """``seg`` with a NaN dz/ds at each s in ``nodes``."""
     def dz_ds(s):
@@ -348,10 +329,10 @@ def _poisoned(seg, nodes):
 
 
 @pytest.mark.parametrize("gl8_piece", [10, None])
-def test_a_blocked_wave_raises_at_the_unblocked_first_bad_node(params, monkeypatch, gl8_piece):
-    # a GL16 node of piece 1 (in the first block of 7 pieces) and a GL8 node
-    # of piece 10 (in the second): one call meets the GL8 node first, since
-    # the GL8 nodes of all pieces come before the GL16 nodes
+def test_a_wave_raises_at_its_first_bad_node_in_node_order(params, gl8_piece):
+    # GL16 nodes of pieces 1 and 12 and a GL8 node of piece 10: the wave
+    # meets the GL8 node first, since the GL8 nodes of all pieces come
+    # before the GL16 nodes; without it, the GL16 node of piece 1
     seg = W.seg_arc("upper_left", 0.7, 1.5 * math.pi, 0.5 * math.pi)
     breaks = np.linspace(0.0, 1.0, 21)
     half, s = W._gl_nodes(breaks[:-1], breaks[1:])
@@ -360,15 +341,10 @@ def test_a_blocked_wave_raises_at_the_unblocked_first_bad_node(params, monkeypat
     if gl8_piece is not None:
         bad.append(s[8 * gl8_piece + 3])
     seg = _poisoned(seg, bad)
-    x0 = np.zeros(3)
-    messages = []
-    for per_call in (n, 7, 1):
-        monkeypatch.setattr(W, "_PIECES_PER_CALL", per_call)
-        with pytest.raises(W.IntegrationError) as exc:
-            W.positions_along(params, seg, breaks, x0)
-        messages.append(str(exc.value))
+    with pytest.raises(W.IntegrationError) as exc:
+        W.positions_along(params, seg, breaks, np.zeros(3))
     first = bad[-1] if gl8_piece is not None else bad[0]
-    assert messages == [f"non-finite integrand on {seg.label} at s={float(first)!r}"] * 3
+    assert str(exc.value) == f"non-finite integrand on {seg.label} at s={float(first)!r}"
 
 
 def _outcome(call):
