@@ -81,18 +81,18 @@ __all__ = [
 ]
 
 
-#: Rows that a stage forms or writes at a time where it need not hold a whole
-#: array's temporaries: the exporters' vertex rows and faces, and the PLY
-#: reader's face records.
-_ROWS_PER_WRITE = 1 << 16
+#: Rows that the exporters form and write, and the PLY reader reads, at a
+#: time.  Process peaks in MB, unbounded against these blocks (medians of 4
+#: and 6 alternating runs, each child's ru_maxrss read with os.wait4 by a
+#: small parent; Python 3.11, numpy 2.4, x86-64 Linux): `mesh --resolution
+#: 48 --copies 3` OBJ 50.1 against 38.5, the res-160 OBJ 211.7 against 63.5,
+#: the res-160 PLY 85.8 against 62.9, and import_ply of that PLY 110.1
+#: against 80.4.
+_ROWS_PER_WRITE = 1 << 14
 
-#: Faces whose areas :func:`_face_areas` forms at a time: the 19,738 faces of
-#: the res-48 patch traced 2.7 MB in one block, 1.2 MB in blocks of 8,192.
-#: The process peak sees it too: with no bound, `verify --verify-grid 100`
-#: peaked at 36.10 MB against 34.88 MB, and `mesh --resolution 48 --copies 3`
-#: at 40.91 against 40.45 MB (medians of 12 alternating runs, each child's
-#: ru_maxrss read with os.wait4 by a small parent; Python 3.11, numpy 2.4,
-#: x86-64 Linux).
+#: Faces whose areas :func:`_face_areas` forms at a time.  With no bound,
+#: `verify --verify-grid 100` peaked at 36.10 MB against 34.88 MB (medians of
+#: 12 alternating runs, measured as for ``_ROWS_PER_WRITE``).
 _FACES_PER_AREA_BLOCK = 1 << 13
 
 
@@ -477,11 +477,11 @@ def mesh_patch_D(
 def _face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """The area of each face, formed ``_FACES_PER_AREA_BLOCK`` faces at a time."""
     areas = np.empty(len(faces))
-    for start in range(0, len(faces), _FACES_PER_AREA_BLOCK):
-        block = faces[start : start + _FACES_PER_AREA_BLOCK]
+    size = _FACES_PER_AREA_BLOCK
+    for block, out in zip(blocks(faces, size), blocks(areas, size)):
         a = vertices[block[:, 1]] - vertices[block[:, 0]]
         b = vertices[block[:, 2]] - vertices[block[:, 0]]
-        areas[start : start + len(block)] = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+        out[:] = 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
     return areas
 
 
@@ -726,22 +726,16 @@ class _Periods:
 
     def vertices(self):
         """The stack's vertex rows: the domain's, then the rows each later
-        copy adds.  A stack's rows are formed in one block of memory, so each
-        is valid until the next one is asked for."""
+        copy adds."""
         v = self.domain.vertices
         if self.k == 1:
             yield from blocks(v, _ROWS_PER_WRITE)
             return
-        block = np.empty((min(len(v), _ROWS_PER_WRITE), 3), dtype=v.dtype)
         for rows in blocks(v, _ROWS_PER_WRITE):
-            # -0.0 becomes +0.0 in copy 0, as in later copies
-            yield np.add(rows, 0 * self.shift, out=block[: len(rows)])
+            yield rows + 0 * self.shift  # -0.0 becomes +0.0 in copy 0, as in later copies
         for j in range(1, self.k):
             for ids in blocks(self.kept, _ROWS_PER_WRITE):
-                # the kept ids index v by construction; "clip" writes straight to out
-                rows = np.take(v, ids, axis=0, out=block[: len(ids)], mode="clip")
-                rows += j * self.shift
-                yield rows
+                yield np.take(v, ids, axis=0) + j * self.shift  # faster than v[ids]
 
     def faces(self):
         """Every copy's faces as stack vertex indices, copy after copy.
@@ -797,13 +791,6 @@ def stack_periods(domain: SurfaceMesh, k: int) -> SurfaceMesh:
 # Structural checks
 # ----------------------------------------------------------------------
 
-#: Sorted edge keys that :func:`check_oriented_manifold` classifies at a time.
-#: On the res-48 domain the check peaks at 2.19x the face bytes with this
-#: window (the keys alone are 2x) and at 2.72x with 32,768 keys; at res 160
-#: 4,096 keys took 15 % longer.
-_KEYS_PER_WINDOW = 1 << 13
-
-
 def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
     """Edge-use report: interior edges must be shared by exactly two faces
     with opposite orientation; boundary edges by one.
@@ -814,9 +801,10 @@ def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
     2 (min(a, b) (n - 1) + a + b) + [a < b] into one array sorted in place.
     A run of keys with the same half is one edge: the run length is its use
     count, and an edge used twice is consistently oriented when its two keys
-    differ (in the last bit).  Each run is counted in the window of
-    ``_KEYS_PER_WINDOW`` sorted keys it begins in, read with the key before
-    the window and the two after it.
+    differ (in the last bit).  So two neighbouring sorted keys are one use
+    twice when their XOR is 0, one edge's two directions when it is 1, and
+    two edges otherwise; the XORs, capped at 2 as int8 codes, classify every
+    run in one pass.
     """
     f = np.asarray(mesh.faces)
     n = int(f.max()) + 1 if f.size else 0
@@ -832,29 +820,24 @@ def check_oriented_manifold(mesh: SurfaceMesh) -> Dict[str, int]:
         key += a < b
     keys = keys.reshape(-1)
     keys.sort()
-    counts = np.zeros(4, dtype=np.int64)
-    for start in range(0, len(keys), _KEYS_PER_WINDOW):
-        lo = max(start - 1, 0)
-        window = keys[lo : start + _KEYS_PER_WINDOW + 2]
-        # same[i]: window keys i - 1 and i are one edge (False at 0 and past the
-        # end); differ[i]: keys i and i + 1 differ
-        same = np.zeros(len(window) + 2, dtype=bool)
-        np.equal(window[1:] >> 1, window[:-1] >> 1, out=same[1:-2])
-        differ = np.zeros(len(window), dtype=bool)
-        np.not_equal(window[1:], window[:-1], out=differ[:-1])
-        i, m = start - lo, min(_KEYS_PER_WINDOW, len(keys) - start)  # the keys counted here
-        first = ~same[i : i + m]  # a counted key begins an edge
-        again = same[i + 1 : i + m + 1]
-        twice = first & again
-        overused = twice & same[i + 2 : i + m + 2]
-        twice &= ~overused
-        interior = np.count_nonzero(twice & differ[i : i + m])
-        counts += [
-            interior,
-            np.count_nonzero(first & ~again),
-            np.count_nonzero(twice) - interior,
-            np.count_nonzero(overused),
-        ]
+    n_keys = len(keys)
+    # in place, as numpy reads each input before the output overwrites it
+    # (keys[1:] runs ahead of keys[:-1]); no temporary of the keys' size
+    np.bitwise_xor(keys[1:], keys[:-1], out=keys[:-1])
+    np.minimum(keys, 2, out=keys)
+    # code[i]: keys i - 1 and i are one use twice (0), two directions (1) or
+    # two edges (2); 2 before the first key and past the last
+    code = np.full(n_keys + 2, 2, dtype=np.int8)
+    code[1:n_keys] = keys[:-1]
+    del keys, key
+    begins, second, third = code[:n_keys] == 2, code[1 : n_keys + 1], code[2:]
+    twice = begins & (second < 2) & (third == 2)
+    counts = [
+        np.count_nonzero(twice & (second == 1)),
+        np.count_nonzero(begins & (second == 2)),
+        np.count_nonzero(twice & (second == 0)),
+        np.count_nonzero(begins & (second < 2) & (third < 2)),
+    ]
     names = ("interior_edges", "boundary_edges", "misoriented_edges", "overused_edges")
     return {name: int(count) for name, count in zip(names, counts)}
 
@@ -880,11 +863,10 @@ def _metadata_header_lines(md: Dict[str, object]) -> List[str]:
 
 
 def _write_rows(fh, row_format: str, rows: np.ndarray) -> None:
-    """Write ``row_format % row`` for every row of a block, a quarter block
-    per ``%`` string, whose Python floats and text take about 170 bytes a
-    vertex row (``%.9g`` gives the same text as ``f"{x:.9g}"``)."""
-    for part in blocks(rows, _ROWS_PER_WRITE >> 2):
-        fh.write((row_format * len(part)) % tuple(part.ravel().tolist()))
+    """Write ``row_format % row`` for every row of a block with one ``%``,
+    whose Python floats and text take about 170 bytes a vertex row (``%.9g``
+    gives the same text as ``f"{x:.9g}"``)."""
+    fh.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def export_obj(mesh: SurfaceMesh, path: str, copies: int = 1) -> Tuple[int, int]:
@@ -1012,7 +994,6 @@ def export_ply(mesh: SurfaceMesh, path: str, copies: int = 1) -> Tuple[int, int]
             fh.write(("\n".join(header_lines) + "\n").encode("ascii"))
             for rows in periods.vertices():
                 fh.write(memoryview(np.ascontiguousarray(rows, dtype="<f8")).cast("B"))
-            del rows  # a view of the block the rows were formed in
             records = np.empty(min(len(mesh.faces), _ROWS_PER_WRITE), dtype=_PLY_FACE)
             records["n"] = 3
             for block in periods.faces():
@@ -1062,16 +1043,16 @@ def _read_ply(fh, path: str) -> SurfaceMesh:
     got = fh.readinto(vertices)
     records = np.empty(min(nf, _ROWS_PER_WRITE), dtype=_PLY_FACE)
     bad_size = None
-    for start in range(0, nf, _ROWS_PER_WRITE):
-        block = records[: nf - start]
-        n_read = fh.readinto(block)
+    for block in blocks(faces, _ROWS_PER_WRITE):
+        block_records = records[: len(block)]
+        n_read = fh.readinto(block_records)
         got += n_read
-        if n_read < block.nbytes:
+        if n_read < block_records.nbytes:
             break
-        faces[start : start + len(block)] = block["i"]
-        bad = np.flatnonzero(block["n"] != 3)
+        block[:] = block_records["i"]
+        bad = np.flatnonzero(block_records["n"] != 3)
         if bad_size is None and len(bad):
-            bad_size = block["n"][bad[0]]
+            bad_size = block_records["n"][bad[0]]
     if got < need:
         raise truncated(got)
     if bad_size is not None:

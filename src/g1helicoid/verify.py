@@ -339,20 +339,24 @@ def check_c_convex(params: SurfaceParams) -> CheckResult:
 
 
 #: Patch faces whose lattice candidates :class:`_GraphLattice` forms as one
-#: block, and the candidates it scores at a time.  With every candidate of the
-#: res-48 patch formed at once, and the lens masks as one points x segments
-#: matrix, the graph check traced 7.0 MB at grid 100 and 266 MB at grid 1000;
-#: in blocks of 4,096 faces and 16,384 candidates and pairs, 3.2 MB and 99 MB;
-#: with these sizes and the lattice in bands, 1.8 MB and 5.9 MB.
+#: block, and the candidates it scores at a time.  Each holds a process peak
+#: (MB, the constant unbounded against these sizes, medians of 6 alternating
+#: runs, each child's ru_maxrss read with os.wait4 by a small parent; Python
+#: 3.11, numpy 2.4, x86-64 Linux): faces, `verify --verify-grid 100` 36.53
+#: against 34.51; candidates, `verify --verify-grid 1000` 40.65 against 35.81.
 _FACES_PER_BLOCK = 1 << 10
 _CANDIDATES_PER_CHUNK = 1 << 12
 
-#: Point-segment pairs that :func:`_lens_masks` tests at a time.
+#: Point-segment pairs that :func:`_lens_masks` tests at a time: unbounded,
+#: `verify --verify-grid 1000` peaked at 47.59 MB against 35.81 MB.
 _PAIRS_PER_BLOCK = 1 << 12
 
 #: Lattice points that :func:`_lattice_gaps` reads as one band of whole rows
-#: (at least one row); up to grid 256 the lattice is one band.
-_POINTS_PER_BAND = 1 << 16
+#: (at least one row); up to grid 128 the lattice is one band.  Unbounded,
+#: `verify --verify-grid 1000` peaked at 112.63 MB against 35.81 MB; in
+#: bands of 65,536 points, grid 300 and 1000 peaked 4 and 5 MB above grid
+#: 100, in bands of 16,384 within 1.5 MB of it.
+_POINTS_PER_BAND = 1 << 14
 
 
 def _frames(tri: np.ndarray):
@@ -389,11 +393,9 @@ class _GraphLattice:
         faces = patch.faces
         # per face: rows [i0, i1) of xs, then columns [j0, j1) of each ys
         boxes = np.empty((len(faces), 2 + 2 * len(yss)), dtype=np.int32)
-        for first in range(0, len(faces), _FACES_PER_BLOCK):
-            block = faces[first : first + _FACES_PER_BLOCK]
+        for block, box in zip(blocks(faces, _FACES_PER_BLOCK), blocks(boxes, _FACES_PER_BLOCK)):
             tri = patch.vertices[block]
             lo, hi = tri[:, :, :2].min(axis=1), tri[:, :, :2].max(axis=1)
-            box = boxes[first : first + len(block)]
             for col, (c, axis) in enumerate([(0, xs)] + [(1, ys) for ys in yss]):
                 box[:, 2 * col] = np.searchsorted(axis, lo[:, c])
                 box[:, 2 * col + 1] = np.searchsorted(axis, hi[:, c], side="right")
@@ -419,9 +421,9 @@ class _GraphLattice:
             box_i, box_j, nj = i0[ids], j0[ids], j1[ids] - j0[ids]
             counts = (i1[ids] - box_i) * nj
             ends, total = np.cumsum(counts), int(counts.sum())
-            for first in range(0, total, _CANDIDATES_PER_CHUNK):
+            for chunk in blocks(range(total), _CANDIDATES_PER_CHUNK):
                 # candidate n is entry n - (ends[t] - counts[t]) of triangle t's box
-                n = np.arange(first, min(first + _CANDIDATES_PER_CHUNK, total))
+                n = np.arange(chunk.start, chunk.stop)
                 t = np.searchsorted(ends, n, side="right")
                 k = n - (ends[t] - counts[t])
                 i, j = box_i[t] + k // nj[t], box_j[t] + k % nj[t]
@@ -510,9 +512,8 @@ def _lattice_gaps(
     lattices = _GraphLattice(patch, xs, (ys, -ys[::-1]))
     out = dict.fromkeys(("n_inside", "n_near", "misses", "n_checked", "n_far"), 0)
     out.update(min_gap=math.inf, far_min=math.inf, far_max=-math.inf, far_dev=-math.inf)
-    rows = max(1, _POINTS_PER_BAND // grid)
-    for r0 in range(0, grid, rows):
-        r1 = min(r0 + rows, grid)
+    for band in blocks(range(grid), max(1, _POINTS_PER_BAND // grid)):
+        r0, r1 = band.start, band.stop
         pts = np.column_stack([np.repeat(xs[r0:r1], len(ys)), np.tile(ys, r1 - r0)])
         inside, near = _lens_masks(pts, c_poly, margin)
         kept = ~inside & ~near
@@ -555,7 +556,7 @@ def check_graph_disjointness(
     by barycentric interpolation in the triangles whose bounding boxes hold
     it; a point that no triangle holds counts as a lookup miss and fails
     the check.  The lattice is read in bands of whole rows, at most
-    ``_POINTS_PER_BAND`` points each (one band up to grid 256), so the
+    ``_POINTS_PER_BAND`` points each (one band up to grid 128), so the
     check's memory does not grow with the grid.  Off-curve strictness
     requires the minimal gap to clear a floor well above interpolation noise;
     equality on c itself is certified by the height antisymmetry of the slit

@@ -24,7 +24,6 @@ from g1helicoid.period_solver import (
     G_integral,
     G_integrand_samples,
     Lambda_upper_bound,
-    Lambda_window_certificate,
     solve_period_problem,
 )
 from g1helicoid.quadrature import DEFAULT_SPEC, integrate
@@ -35,6 +34,8 @@ from g1helicoid.verify import (
     check_slab_and_boundary,
     check_x3_monotone_on_C,
 )
+
+from conftest import Lambda_window_certificate
 
 
 def test_criterion_01_solver_success():

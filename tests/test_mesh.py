@@ -789,15 +789,46 @@ def test_streamed_periods_check_every_seam_before_the_file_opens(domain, tmp_pat
     assert not path.exists()
 
 
+def _written_and_read(domain, directory):
+    """Per export of ``domain`` (OBJ and PLY, 1 and 3 copies): the file's
+    bytes and the bytes of the arrays its importer returns."""
+    directory.mkdir()
+    out = {}
+    for copies in (1, 3):
+        for export, read in ((export_obj, import_obj), (export_ply, import_ply)):
+            path = directory / f"{copies}-{export.__name__}"
+            export(domain, str(path), copies)
+            back = read(str(path))
+            out[path.name] = (path.read_bytes(), back.vertices.tobytes(), back.faces.tobytes())
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_domain(params):
+    return assemble_fundamental_domain(mesh_patch_D(params, resolution=8, cutoff=1e-2))
+
+
+@pytest.mark.parametrize("rows", [1, 5, 7])
+def test_block_boundaries_change_no_written_or_read_byte(small_domain, tmp_path, monkeypatch, rows):
+    # the exporters and the PLY reader cut every array in blocks of
+    # _ROWS_PER_WRITE rows; blocks of a few rows put a boundary inside every
+    # copy, seam and record run, which the default size never splits here
+    assert len(small_domain.vertices) < mesh._ROWS_PER_WRITE
+    default = _written_and_read(small_domain, tmp_path / "default")
+    monkeypatch.setattr(mesh, "_ROWS_PER_WRITE", rows)
+    assert _written_and_read(small_domain, tmp_path / "small") == default
+
+
 # Each bound sits between the stage and the one it replaced, at res 48: the
 # assembly that checks the patch and the weld band peaks at 1.35x the
 # domain's arrays, at 1.60x when it checked the whole domain's faces, the
 # four staged images welded into new arrays at 2.68x (at 6.47x before the
 # staged copies were written in place); the stack 1.24x, at 3.36x before it
-# was written in place; the manifold check, one sort of every key classified
-# a window at a time, 2.19x the face bytes, bucketed 2.12x, classified whole
-# at 2.50x (at 5.00x with staged copies); the PLY export 0.15x, at 0.72x
-# with staged copies.
+# was written in place; the manifold check, one sort of every key and the
+# neighbours' XORs capped in place, 2.25x the face bytes (a window at a time
+# 2.19x, bucketed 2.12x, classified whole with boolean masks at 2.50x, at
+# 5.00x with staged copies); the PLY export 0.15x, at 0.72x with staged
+# copies.
 
 
 def test_face_areas_peak_memory(patch):
@@ -983,34 +1014,20 @@ def _edge_use_report(faces):
 
 
 def test_manifold_report_matches_edge_dict(domain):
-    faces = domain.faces.copy()
-    faces[::97] = faces[::97, ::-1]  # misorient some edges
-    faces = np.vstack([faces, faces[5::301]])  # overuse some others
-    mesh = SurfaceMesh(domain.vertices, faces)
-    expect = _edge_use_report(faces)
-    assert expect["misoriented_edges"] > 0 and expect["overused_edges"] > 0
-    assert check_oriented_manifold(mesh) == expect
+    # flipped faces misorient edges and repeated faces overuse others, the
+    # second face set with faces repeated up to three times
+    many = domain.faces.copy()
+    many[::97] = many[::97, ::-1]
+    many = np.vstack([many, many[5::301]])
+    few = domain.faces[:300].copy()
+    few[::7] = few[::7, ::-1]
+    few = np.vstack([few, few[3::11], few[5::13], few[5::13]])
+    for faces in (many, few):
+        expect = _edge_use_report(faces)
+        assert expect["misoriented_edges"] > 0 and expect["overused_edges"] > 0
+        assert check_oriented_manifold(SurfaceMesh(domain.vertices, faces)) == expect
     empty = SurfaceMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     assert check_oriented_manifold(empty) == _edge_use_report(empty.faces)
-
-
-@pytest.mark.parametrize("window", [1, 2, 3, 7])
-def test_windowed_manifold_report_matches_edge_dict(domain, monkeypatch, window):
-    # flipped faces misorient edges and faces repeated once or twice overuse
-    # others; the sorted keys are classified `window` at a time, and some
-    # edge's three or more uses straddle a window edge
-    faces = domain.faces[:300].copy()
-    faces[::7] = faces[::7, ::-1]
-    faces = np.vstack([faces, faces[3::11], faces[5::13], faces[5::13]])
-    heads = np.roll(faces, -1, axis=1)
-    edges = np.sort(np.minimum(faces, heads) * len(domain.vertices) + np.maximum(faces, heads), None)
-    _, first, uses = np.unique(edges, return_index=True, return_counts=True)
-    last = first + uses - 1
-    assert np.any((uses >= 3) & (first // window != last // window))
-    monkeypatch.setattr(mesh, "_KEYS_PER_WINDOW", window)
-    expect = _edge_use_report(faces)
-    assert expect["misoriented_edges"] > 0 and expect["overused_edges"] > 0
-    assert check_oriented_manifold(SurfaceMesh(domain.vertices, faces)) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from g1helicoid.period_solver import (
     Lambda_upper_bound,
     NoSignChangeError,
     PeriodSolverError,
-    Lambda_window_certificate,
     scan_H,
     solve_Lambda_of_rho,
     solve_period_problem,
 )
+
+from conftest import Lambda_window_certificate
 
 # Frozen reference values (50-digit arithmetic, independent integrator).
 F_05_30 = -0.5425754319840516

@@ -35,8 +35,6 @@ WAITING = {
     "weierstrass.x_point": "ROADMAP item 2: verify's symmetry_pullbacks check",
     "weierstrass.gauss_map": "ROADMAP item 4: normals of the discrete_minimality check",
     "weierstrass.conformality_residual": "ROADMAP item 4: sampled beside gauss_map",
-    "period_solver.Lambda_window_certificate": "acceptance criterion 3",
-    "period_solver.LambdaWindowReport.*": "acceptance criterion 3",
     "torus.SymmetryAction.z_map": "ROADMAP item 2: verify's symmetry_pullbacks check",
     "torus.SymmetryAction.w_map": "ROADMAP item 2: verify's symmetry_pullbacks check",
 }

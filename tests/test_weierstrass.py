@@ -320,6 +320,28 @@ def test_gl_tables_are_leggauss_bit_for_bit():
         assert x.tobytes() == nodes.tobytes() and w.tobytes() == weights.tobytes()
 
 
+def test_gl_estimates_give_the_complex_einsum_bits(params, monkeypatch):
+    # the real weights on a float view of the values, on every wave of the
+    # res-48 patch (each level's first among them), against the complex einsum
+    real_estimates = W._gl_estimates
+    waves = []
+
+    def checked(half, f):
+        n = len(half)
+        i8 = half[:, None] * np.einsum("k,nkc->nc", W._GL8_W, f[: 8 * n].reshape(n, 8, 3))
+        i16 = half[:, None] * np.einsum("k,nkc->nc", W._GL16_W, f[8 * n :].reshape(n, 16, 3))
+        got = real_estimates(half, f)
+        assert got[0].tobytes() == i16.tobytes()
+        assert got[1].tobytes() == np.max(np.abs(i16 - i8), axis=1).tobytes()
+        waves.append(n)
+        return got
+
+    monkeypatch.setattr(W, "_gl_estimates", checked)
+    mesh.mesh_patch_D(params, resolution=48, cutoff=1e-2)
+    inner, outer = mesh._level_values(params, 48, 1e-2, 10.0 / params.lam)
+    assert len(waves) > len(inner) + len(outer)
+
+
 def _poisoned(seg, nodes):
     """``seg`` with a NaN dz/ds at each s in ``nodes``."""
     def dz_ds(s):
