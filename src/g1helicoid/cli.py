@@ -18,15 +18,18 @@ Behaviour shared by every subcommand:
 * floating-point output uses 17 significant digits, so reruns with the same
   configuration are byte-identical,
 * exit 0 on success, 2 on usage/config errors, 1 on numeric failures and
-  failed writes of ``--out``.
+  failed writes of ``--out``,
+* every period integral runs at the solver's one quadrature policy
+  (``period_solver.PERIOD_SPEC``), which no option changes, and a printed
+  root whose residual exceeds 1e-9 is a numeric failure.
 
 Options are declared in one table: ``_OPTIONS`` (type, metavar, help) and
 ``_SUBCOMMANDS`` (each subcommand's options in provenance order), which the
 parser, the config file and the echo read; defaults live in ``RunConfig``.
 
 Each subcommand imports only what it runs.  ``solve`` and ``periods`` load
-``params``, ``quadrature`` and ``period_solver`` (this module's own
-imports); ``mesh`` and ``curves`` add ``mesh`` (which brings ``torus`` and
+``params``, ``quadrature`` and ``period_solver`` (through this module's
+own imports); ``mesh`` and ``curves`` add ``mesh`` (which brings ``torus`` and
 ``weierstrass``); ``verify`` adds ``verify`` and, through it, ``mesh``.
 """
 
@@ -44,10 +47,7 @@ import numpy as np
 
 from . import NumericError, __version__
 from .params import SurfaceParams
-from .period_solver import (
-    PERIOD_SPEC, F_integral, G_integral, PeriodSolverError, scan_H, solve_period_problem,
-)
-from .quadrature import QuadratureSpec
+from .period_solver import PeriodSolverError, scan_H, solve_period_problem
 
 if TYPE_CHECKING:
     from .mesh import SurfaceMesh
@@ -76,11 +76,7 @@ class RunConfig:
     """
 
     subcommand: str
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_level: int = 12
     grid: int = 64
-    root_tol: float = 1e-12
     rho_min: float = 0.02
     rho_max: float = math.pi / 2 - 0.02
     rho_grid: int = 32
@@ -98,12 +94,8 @@ class RunConfig:
             value = getattr(self, key)
             if opt.type is float and value is not None and not math.isfinite(value):
                 raise UsageError(f"{_flag(key)} must be finite, got {value}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.root_tol <= 0:
-            raise UsageError("tolerances must be positive")
         if self.cutoff <= 0:
             raise UsageError("cutoff must be positive")
-        if self.max_level < 4:
-            raise UsageError("max-level must be >= 4")
         if self.grid < 2:
             raise UsageError("grid must be >= 2")
         if self.rho_grid < 1:
@@ -129,11 +121,6 @@ class RunConfig:
             if not os.access(parent, os.W_OK):
                 raise UsageError(f"output directory is not writable: {parent}")
 
-    def quad_spec(self) -> QuadratureSpec:
-        return QuadratureSpec(
-            rel_tol=self.rel_tol, abs_tol=self.abs_tol, max_level=self.max_level
-        )
-
     def echo(self) -> Dict[str, object]:
         """Deterministic key/value echo of everything that shaped the run:
         the subcommand's options in the order of its ``_SUBCOMMANDS`` entry."""
@@ -157,12 +144,7 @@ class _Option(NamedTuple):
 #: key (``-`` read as ``_``); the flag is ``--`` plus the name with ``_`` as
 #: ``-``, except ``lam``, whose flag and config key are ``lambda``.
 _OPTIONS: Dict[str, _Option] = {
-    "rel_tol": _Option(float, "X", "quadrature relative tolerance"),
-    "abs_tol": _Option(float, "X", "quadrature absolute tolerance"),
-    "max_level": _Option(int, "N", "max quadrature refinement level"),
     "grid": _Option(int, "N", "scan grid size for the outer root"),
-    "root_tol": _Option(float, "X", "tolerance of the outer rho solve "
-                                    "(periods: of each row's Lambda solve)"),
     "rho_min": _Option(float, "X", "lower end of the rho range"),
     "rho_max": _Option(float, "X", "upper end of the rho range"),
     "rho_grid": _Option(int, "N", "number of rho samples"),
@@ -394,24 +376,15 @@ def _emit_text(cfg: RunConfig, text: str) -> None:
 
 
 def _require_closed(name: str, value: float, where: str = "") -> None:
-    """Raise :class:`PeriodSolverError` unless the period residual ``value``,
-    evaluated at ``PERIOD_SPEC``, is at most 1e-9 in modulus: options too
-    loose to close the period must not print a root as if they had."""
+    """Raise :class:`PeriodSolverError` unless the period residual ``value``
+    is at most 1e-9 in modulus: a root the solve could not close must not be
+    printed as if it had."""
     if not abs(value) <= 1e-9:
-        raise PeriodSolverError(
-            f"{name} = {value:.3e}{where} exceeds the bound |{name}| <= 1e-09 "
-            f"at the reference quadrature spec; tighten the tolerances"
-        )
+        raise PeriodSolverError(f"{name} = {value:.3e}{where} exceeds the bound |{name}| <= 1e-09")
 
 
 def _solve(cfg: RunConfig):
-    sol = solve_period_problem(
-        spec=cfg.quad_spec(),
-        grid_size=cfg.grid,
-        root_tol=cfg.root_tol,
-        rho_min=cfg.rho_min,
-        rho_max=cfg.rho_max,
-    )
+    sol = solve_period_problem(grid_size=cfg.grid, rho_min=cfg.rho_min, rho_max=cfg.rho_max)
     _require_closed("residual_F", sol.residual_F)
     _require_closed("residual_G", sol.residual_G)
     return sol
@@ -449,12 +422,9 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 def _cmd_periods(cfg: RunConfig) -> int:
     rhos = np.linspace(cfg.rho_min, cfg.rho_max, cfg.rho_grid)
-    spec = cfg.quad_spec()
     lines = ["# " + s for s in _provenance_comment_lines(cfg)]
     lines.append("rho,Lambda,F,G")
-    for rho, Lam, F, G in scan_H(rhos, spec, cfg.root_tol):
-        if spec != PERIOD_SPEC:  # each row's F and G at the reference spec, as solve's
-            F, G = F_integral(rho, Lam).value, G_integral(rho, Lam).value
+    for rho, Lam, F, G in scan_H(rhos, root_tol=1e-12):
         _require_closed("F", F, f" at rho={rho!r}")
         lines.append(",".join(_fmt_float(v) for v in (rho, Lam, F, G)))
     _emit_text(cfg, "\n".join(lines) + "\n")
@@ -503,7 +473,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
         grid=cfg.verify_grid,
         resolution=cfg.resolution,
         cutoff=cfg.cutoff,
-        quad_spec=cfg.quad_spec(),
     )
     payload = {"provenance": _provenance(cfg, _triple(report.params)), **report.to_dict()}
     _emit_text(cfg, json_text(payload) + "\n")
@@ -530,25 +499,25 @@ class _Subcommand(NamedTuple):
 _SUBCOMMANDS: Dict[str, _Subcommand] = {
     "solve": _Subcommand(
         _cmd_solve, "solve both period conditions (JSON)",
-        "rel_tol abs_tol max_level grid root_tol rho_min rho_max",
+        "grid rho_min rho_max",
     ),
     "periods": _Subcommand(
         _cmd_periods, "CSV table (rho, Lambda, F, G) over a rho grid",
-        "rel_tol abs_tol max_level root_tol rho_grid rho_min rho_max",
+        "rho_grid rho_min rho_max",
     ),
     "mesh": _Subcommand(
         _cmd_mesh, "triangle mesh of the surface (OBJ or PLY)",
-        "rel_tol abs_tol max_level grid root_tol resolution copies cutoff format rho lam",
+        "grid resolution copies cutoff format rho lam",
         out_required=True,
     ),
     "curves": _Subcommand(
         _cmd_curves, "CSV dump of the distinguished boundary curves",
-        "rel_tol abs_tol max_level grid root_tol resolution cutoff rho lam",
+        "grid resolution cutoff rho lam",
         out_required=True,
     ),
     "verify": _Subcommand(
         _cmd_verify, "run the verification suite",
-        "rel_tol abs_tol max_level grid root_tol verify_grid resolution cutoff",
+        "grid verify_grid resolution cutoff",
     ),
 }
 

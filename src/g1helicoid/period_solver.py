@@ -50,8 +50,9 @@ __all__ = [
     "solve_period_problem",
 ]
 
-# Quadrature policy for period integrals: a little tighter than the engine
-# default because the outer root solves chase |G| < 1e-9.
+# The one quadrature policy of the period integrals (and of the edge anchors
+# of :mod:`g1helicoid.weierstrass`): a little tighter than the engine default
+# because the outer root solves chase |G| < 1e-9.  It is read at call time.
 PERIOD_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=12)
 
 # Relative inset of the Lambda bracket endpoints.
@@ -176,23 +177,21 @@ def require_converged(res: QuadratureResult, name: str, **where: float) -> Quadr
     return res
 
 
-def F_integral(
-    rho: float, Lam: float, spec: QuadratureSpec = PERIOD_SPEC
-) -> QuadratureResult:
-    """First period integral F(rho, Lam) with quadrature diagnostics.
+def F_integral(rho: float, Lam: float) -> QuadratureResult:
+    """First period integral F(rho, Lam) at :data:`PERIOD_SPEC`, with
+    quadrature diagnostics.
 
     Raises :class:`PeriodSolverError` if the quadrature does not converge.
     """
     rho = _check_rho_interior(rho)
     Lam = float(Lam)
-    res = integrate(_f_integrand(rho, Lam), rho, math.pi / 2, spec)
+    res = integrate(_f_integrand(rho, Lam), rho, math.pi / 2, PERIOD_SPEC)
     return require_converged(res, "F_integral", rho=rho, Lam=Lam)
 
 
-def G_integral(
-    rho: float, Lam: float, spec: QuadratureSpec = PERIOD_SPEC
-) -> QuadratureResult:
-    """Second period integral G(rho, Lam) with quadrature diagnostics.
+def G_integral(rho: float, Lam: float) -> QuadratureResult:
+    """Second period integral G(rho, Lam) at :data:`PERIOD_SPEC`, with
+    quadrature diagnostics.
 
     Defined for every ``rho in (-pi/2, pi/2)`` (the nonpositive-rho branch is
     used for diagnostics only).  Raises :class:`PeriodSolverError` if the
@@ -202,7 +201,7 @@ def G_integral(
     if not -math.pi / 2 < rho < math.pi / 2:
         raise PeriodSolverError(f"rho={rho!r} outside (-pi/2, pi/2)")
     Lam = float(Lam)
-    res = integrate(_g_integrand(rho, Lam), -math.pi / 2, rho, spec)
+    res = integrate(_g_integrand(rho, Lam), -math.pi / 2, rho, PERIOD_SPEC)
     return require_converged(res, "G_integral", rho=rho, Lam=Lam)
 
 
@@ -222,11 +221,7 @@ def Lambda_upper_bound(rho: float) -> float:
     return min(2.0 / s, 8.0) if s > 0 else 8.0
 
 
-def solve_Lambda_of_rho(
-    rho: float,
-    spec: QuadratureSpec = PERIOD_SPEC,
-    root_tol: float = 1e-13,
-) -> float:
+def solve_Lambda_of_rho(rho: float, root_tol: float = 1e-13) -> float:
     """Solve ``F(rho, Lambda) = 0`` for Lambda on its validated bracket.
 
     The bracket is ``(2 + eps, min(2/sin rho, 8) - eps)`` with
@@ -245,14 +240,14 @@ def solve_Lambda_of_rho(
     eps = _BRACKET_INSET * width
     lo, hi = 2.0 + eps, upper - eps
 
-    f_lo = F_integral(rho, lo, spec).value
-    f_hi = F_integral(rho, hi, spec).value
+    f_lo = F_integral(rho, lo).value
+    f_hi = F_integral(rho, hi).value
     if not (f_lo > 0.0 and f_hi < 0.0):
         raise BracketSignError(
             f"F-bracket signs invalid at rho={rho!r}: "
             f"F({lo!r})={f_lo!r} (expected > 0), F({hi!r})={f_hi!r} (expected < 0)"
         )
-    return _brent(lambda L: F_integral(rho, L, spec).value, lo, hi, f_lo, f_hi, root_tol)
+    return _brent(lambda L: F_integral(rho, L).value, lo, hi, f_lo, f_hi, root_tol)
 
 
 @dataclass(frozen=True)
@@ -267,25 +262,22 @@ class PeriodSolution:
 
 
 def scan_H(
-    rho_grid: Sequence[float],
-    spec: QuadratureSpec = PERIOD_SPEC,
-    root_tol: float = 1e-13,
+    rho_grid: Sequence[float], root_tol: float = 1e-13
 ) -> List[Tuple[float, float, float, float]]:
-    """Rows ``(rho, Lambda(rho), F, G)`` over a rho grid (order-preserving)."""
+    """Rows ``(rho, Lambda(rho), F, G)`` over a rho grid (order-preserving),
+    each Lambda solved to ``root_tol``."""
     rows = []
     for rho in rho_grid:
         rho = float(rho)
-        Lam = solve_Lambda_of_rho(rho, spec, root_tol)
-        F = F_integral(rho, Lam, spec).value
-        G = G_integral(rho, Lam, spec).value
+        Lam = solve_Lambda_of_rho(rho, root_tol)
+        F = F_integral(rho, Lam).value
+        G = G_integral(rho, Lam).value
         rows.append((rho, Lam, F, G))
     return rows
 
 
 def solve_period_problem(
-    spec: QuadratureSpec = PERIOD_SPEC,
     grid_size: int = 64,
-    root_tol: float = 1e-12,
     rho_min: float = 0.02,
     rho_max: float = math.pi / 2 - 0.02,
 ) -> PeriodSolution:
@@ -295,10 +287,10 @@ def solve_period_problem(
     ``grid_size``-point grid over ``(rho_min, rho_max)`` in order, until two
     neighbours bracket the first sign change (no uniqueness is asserted);
     grid points past it are not evaluated.  The bracket is refined to
-    ``root_tol`` in rho by Brent's method, which starts from the two scan
-    values of H at its ends instead of solving them again.  The residuals
-    are evaluated at :data:`PERIOD_SPEC` whatever ``spec`` the roots were
-    solved with, so they certify the returned root.
+    1e-12 in rho by Brent's method, which starts from the two scan values
+    of H at its ends instead of solving them again; each Lambda(rho) is
+    solved to 1e-13, and the returned ``Lambda0`` to 1e-14.  Every integral
+    is taken at :data:`PERIOD_SPEC`, the residuals included.
 
     Raises
     ------
@@ -309,8 +301,8 @@ def solve_period_problem(
     """
 
     def H(rho: float) -> float:
-        Lam = solve_Lambda_of_rho(rho, spec, root_tol=1e-13)
-        return G_integral(rho, Lam, spec).value
+        Lam = solve_Lambda_of_rho(rho, root_tol=1e-13)
+        return G_integral(rho, Lam).value
 
     grid = [float(rho) for rho in np.linspace(rho_min, rho_max, int(grid_size))]
     rho_lo = h_lo = None
@@ -324,8 +316,8 @@ def solve_period_problem(
             f"no sign change of G(rho, Lambda(rho)) on ({rho_min}, {rho_max}) "
             f"with {grid_size} samples"
         )
-    rho0 = _brent(H, rho_lo, rho_hi, h_lo, h_hi, root_tol)
-    Lambda0 = solve_Lambda_of_rho(rho0, spec, root_tol=1e-14)
+    rho0 = _brent(H, rho_lo, rho_hi, h_lo, h_hi, xtol=1e-12)
+    Lambda0 = solve_Lambda_of_rho(rho0, root_tol=1e-14)
     return PeriodSolution(
         params=SurfaceParams(rho0, lambda_from_Lambda(Lambda0)),
         Lambda0=Lambda0,

@@ -55,7 +55,7 @@ from .cli import json_text
 from .mesh import SurfaceMesh, mesh_patch_D
 from .params import SurfaceParams
 from .period_solver import PERIOD_SPEC, G_integrand_samples, require_converged, scan_H
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 from .weierstrass import (
     axis_rise,
     descent_axis,
@@ -780,7 +780,7 @@ def check_slab_and_boundary(params: SurfaceParams) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def check_limit_constants(spec: QuadratureSpec = PERIOD_SPEC) -> CheckResult:
+def check_limit_constants() -> CheckResult:
     """Recompute the two closed-form constants and their inequality chain.
 
     Near the upper end of the angle interval the vertical-period
@@ -795,16 +795,17 @@ def check_limit_constants(spec: QuadratureSpec = PERIOD_SPEC) -> CheckResult:
     ``-I_lim + c2 < 0`` (and already ``c1 + c2 < 0``), the period
     integral is strictly negative near the upper corner.
 
-    ``spec`` shapes every integral of the check, the Lambda(rho) solves and
-    the G values of its near-corner rows included.  An integral that misses
-    its tolerance raises :class:`PeriodSolverError`.
+    Every integral of the check is taken at the period solver's policy
+    :data:`PERIOD_SPEC`, the Lambda(rho) solves and the G values of its
+    near-corner rows included.  An integral that misses its tolerance raises
+    :class:`PeriodSolverError`.
     """
     c1 = 2.0 * (1.0 - math.sqrt(1.0 + math.pi / 2.0))
     c2 = 4.0 * math.sqrt(1.5) / (3.0 * math.sqrt(2.0))
     four_dp_ok = round(c1, 4) == -1.2067 and round(c2, 4) == 1.1547
 
     def quad(f, a, b, name, **where):
-        return require_converged(integrate(f, a, b, spec), name, **where).value
+        return require_converged(integrate(f, a, b, PERIOD_SPEC), name, **where).value
 
     # comparison integral, closed form vs quadrature
     q_cmp = quad(lambda p, da, db: 1.0 / np.sqrt(1.0 - p), -math.pi / 2.0, 0.0,
@@ -822,7 +823,7 @@ def check_limit_constants(spec: QuadratureSpec = PERIOD_SPEC) -> CheckResult:
 
     # one solve of Lambda(rho) and G per near-corner rho serves every part
     # of the chain below
-    rows = scan_H((1.45, 1.52, 1.55), spec)
+    rows = scan_H((1.45, 1.52, 1.55))
 
     # the lower-window part of the period integral approaches -I_lim
     window_vals = []
@@ -1018,14 +1019,14 @@ def run_all(
     grid: int = 100,
     resolution: int = 48,
     cutoff: float = 1e-2,
-    quad_spec: QuadratureSpec = PERIOD_SPEC,
 ) -> VerificationReport:
     """Run every check at the solved parameters ``params``, one after
     another, and assemble the report in the fixed check order.
 
     Each check's ``runtime_s`` is its wall time here, so the seven add up to
     the run; the graph check's includes the :func:`mesh_patch_D` patch it
-    reads.
+    reads.  Every period and anchor integral is taken at the one quadrature
+    policy :data:`PERIOD_SPEC`, so no argument sets a tolerance.
     """
     runs = (
         lambda: check_x3_monotone_on_C(params),
@@ -1034,7 +1035,7 @@ def run_all(
             params, mesh_patch_D(params, resolution=resolution, cutoff=cutoff), grid
         ),
         lambda: check_slab_and_boundary(params),
-        lambda: check_limit_constants(quad_spec),
+        lambda: check_limit_constants(),
         lambda: check_lambda_above_one_reversal(rho=round(params.rho, 2)),
         lambda: check_rho_nonpositive_single_sign(),
     )

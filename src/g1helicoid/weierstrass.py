@@ -44,9 +44,9 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from . import NumericError
+from . import NumericError, period_solver
 from .params import SurfaceParams
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 from .torus import lift_angle_left, tau_horizontal, tau_vertical, w_on_sheet
 
 __all__ = [
@@ -86,8 +86,6 @@ __all__ = [
 ]
 
 _E4 = complex(np.exp(0.25j * math.pi))
-
-_ANCHOR_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=12)
 
 
 class IntegrationError(RuntimeError, NumericError):
@@ -659,15 +657,17 @@ def x3_rate_vertical(params: SurfaceParams, t):
 
 def _edge_integral(name: str, params: SurfaceParams, rate, m: float, tail: bool) -> float:
     """Integral of ``rate(t)`` from 0 to m, or from m out to oo with ``tail``
-    (in s = 1/t); :class:`IntegrationError` if it missed its tolerance."""
+    (in s = 1/t), at the period integrals' policy ``PERIOD_SPEC``;
+    :class:`IntegrationError` if it missed its tolerance."""
+    spec = period_solver.PERIOD_SPEC
     if tail:
         def integrand(s, da, db):
             t = 1.0 / s
             return rate(t) * t * t
 
-        res = integrate(integrand, 0.0, 1.0 / float(m), _ANCHOR_SPEC)
+        res = integrate(integrand, 0.0, 1.0 / float(m), spec)
     else:
-        res = integrate(lambda t, da, db: rate(t), 0.0, float(m), _ANCHOR_SPEC)
+        res = integrate(lambda t, da, db: rate(t), 0.0, float(m), spec)
     if not res.converged:
         raise IntegrationError(
             f"{name}(m={m!r}) at rho={params.rho!r}, lam={params.lam!r} did not converge: "

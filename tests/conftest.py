@@ -16,13 +16,11 @@ import pytest
 
 from g1helicoid.mesh import assemble_fundamental_domain, mesh_patch_D
 from g1helicoid.period_solver import (
-    PERIOD_SPEC,
     F_integral,
     Lambda_upper_bound,
     solve_Lambda_of_rho,
     solve_period_problem,
 )
-from g1helicoid.quadrature import QuadratureSpec
 from g1helicoid.torus import build_chart
 
 
@@ -123,10 +121,7 @@ class LambdaWindowReport:
     large_Lambda_constant: float
 
 
-def Lambda_window_certificate(
-    rho_grid: Optional[Sequence[float]] = None,
-    spec: QuadratureSpec = PERIOD_SPEC,
-) -> LambdaWindowReport:
+def Lambda_window_certificate(rho_grid: Optional[Sequence[float]] = None) -> LambdaWindowReport:
     """Certify the Lambda(rho) bounds on a rho grid (default 64 points).
 
     ``F(rho, 8)`` is well defined for every rho (the integrand denominator
@@ -140,13 +135,13 @@ def Lambda_window_certificate(
     for rho in rho_grid:
         rho = float(rho)
         upper = Lambda_upper_bound(rho)
-        Lam = solve_Lambda_of_rho(rho, spec)
+        Lam = solve_Lambda_of_rho(rho)
         row = {
             "rho": rho,
             "Lambda": Lam,
             "upper": upper,
             "in_range": 2.0 < Lam < upper,
-            "F_at_8": F_integral(rho, 8.0, spec).value,
+            "F_at_8": F_integral(rho, 8.0).value,
             "near_top_bound": None,
         }
         row["F_at_8_negative"] = row["F_at_8"] < 0.0
@@ -154,7 +149,7 @@ def Lambda_window_certificate(
         if rho > 1.4:
             sharp = 2.0 + (1.0 - math.sin(rho))
             if sharp < upper:
-                f_sharp = F_integral(rho, sharp, spec).value
+                f_sharp = F_integral(rho, sharp).value
                 row["near_top_bound"] = {
                     "Lambda_bound": sharp,
                     "F_at_bound": f_sharp,

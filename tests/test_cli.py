@@ -6,6 +6,7 @@ import errno
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import g1helicoid
+from g1helicoid import period_solver
 from g1helicoid.cli import _OPTIONS, _SUBCOMMANDS, RunConfig, UsageError, _build_parser, _flag, run
 from g1helicoid.period_solver import F_integral, G_integral
 
@@ -137,63 +139,50 @@ def test_copies_past_the_int32_index_limit_exit_1_at_once(tmp_path):
     assert not (tmp_path / "m.obj").exists()
 
 
-def test_unconverged_solve_exits_1(capsys):
-    # --max-level 4 stops F short of its tolerance near rho_min
-    assert run(["solve", "--max-level", "4"]) == 1
+def test_unconverged_solve_exits_1(capsys, monkeypatch):
+    # a policy of 4 levels stops F short of its tolerance near rho_min
+    level_4 = period_solver.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4)
+    monkeypatch.setattr(period_solver, "PERIOD_SPEC", level_4)
+    assert run(["solve"]) == 1
     err = capsys.readouterr().err
     assert "numeric error: PeriodSolverError: F_integral(rho=0.02" in err
     assert "did not converge" in err
 
 
-@pytest.mark.parametrize(
-    "argv, residual",
-    [
-        (["periods", "--rho-grid", "4", "--abs-tol", "1e300"], "F = (\\S+) at rho=0.02 "),
-        (["solve", "--abs-tol", "1e300"], "residual_F = (\\S+) "),
-        (["solve", "--root-tol", "1"], "residual_G = (\\S+) "),
-        (["mesh", "--root-tol", "1"], "residual_G = (\\S+) "),
-    ],
-    ids=["periods_abs_tol", "solve_abs_tol", "solve_root_tol", "mesh_root_tol"],
-)
-def test_an_unclosed_period_exits_1_naming_the_residual_and_bound(tmp_path, capsys, argv,
-                                                                    residual):
-    # options too loose to close a period at the reference spec: the row's
-    # Lambda or the solved rho0 is off, and no output is written
+def test_an_unclosed_period_exits_1_naming_the_residual_and_bound(tmp_path, capsys):
+    # the Lambda solve cannot close F this near pi/2 (Lambda - 2 is about
+    # 3e-8 on the last row), so the row is refused and no output is written
     out = tmp_path / "out"
-    assert run(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    name = residual.split(" ")[0]
-    found = re.fullmatch(
-        f"g1helicoid: numeric error: PeriodSolverError: {residual}exceeds the bound "
-        f"\\|{name}\\| <= 1e-09 at the reference quadrature spec; tighten the tolerances\n",
-        err,
+    assert run(["periods", "--rho-max", "1.5705", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "g1helicoid: numeric error: PeriodSolverError: "
+        "F = -1.663e-06 at rho=1.5705 exceeds the bound |F| <= 1e-09\n"
     )
-    assert found and abs(float(found[1])) > 1e-9
     assert not out.exists()
 
 
-def _powers_of_ten(lo, mid, hi):
-    """10**k, with k drawn as often from [lo, mid] as from [mid, hi]."""
-    return (st.floats(lo, mid) | st.floats(mid, hi)).map(lambda k: 10.0**k)
+#: Ends of the rho range, drawn near pi/2 as often as anywhere in (0, pi/2).
+_RHO_ENDS = st.floats(1e-3, 1.569) | st.floats(1.569, math.pi / 2 - 1e-5)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     subcommand=st.sampled_from(["solve", "periods"]),
-    rel_tol=_powers_of_ten(-16.0, -9.0, 0.0),
-    abs_tol=_powers_of_ten(-16.0, -9.0, 300.0),
-    root_tol=_powers_of_ten(-16.0, -10.0, 1.0),
+    grid=st.integers(2, 16),
     rho_grid=st.integers(1, 4),
+    rho_ends=st.tuples(_RHO_ENDS, _RHO_ENDS).filter(lambda ends: ends[0] != ends[1]),
 )
 def test_solve_and_periods_print_closed_periods_or_exit_1_with_one_line(
-    subcommand, rel_tol, abs_tol, root_tol, rho_grid
+    subcommand, grid, rho_grid, rho_ends
 ):
-    # every drawn option passes the usage checks, so a run either prints
-    # residuals that the reference spec reproduces under 1e-9, or fails
-    # with one numeric-error line
-    argv = [subcommand, "--rel-tol", repr(rel_tol), "--abs-tol", repr(abs_tol),
-            "--root-tol", repr(root_tol)]
-    if subcommand == "periods":
+    # every drawn setting passes the usage checks, so a run either prints
+    # residuals that F_integral and G_integral reproduce under 1e-9, or
+    # fails with one numeric-error line
+    rho_min, rho_max = sorted(rho_ends)
+    argv = [subcommand, "--rho-min", repr(rho_min), "--rho-max", repr(rho_max)]
+    if subcommand == "solve":
+        argv += ["--grid", str(grid)]
+    else:
         argv += ["--rho-grid", str(rho_grid)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -322,19 +311,25 @@ def test_malformed_config_exits_2(tmp_path):
     assert run(["--config", str(cfg), "solve"]) == 2
 
 
-def test_nonpositive_tolerance_exits_2():
-    assert run(["solve", "--rel-tol", "-1e-9"]) == 2
-
-
 @pytest.mark.parametrize(
     "argv,config,named",
     [
         (["--threads", "2", "solve"], None, "--threads"),
         (["--seed", "1", "solve"], None, "--seed"),
         (["solve"], "threads = 2\n", "threads"),
-        (["periods", "--max-level", "2"], None, "max-level"),
+        # the solver has one quadrature policy, which no flag or config key sets
+        (["periods", "--max-level", "2"], None, "--max-level"),
+        (["solve", "--rel-tol", "-1e-9"], None, "--rel-tol"),
+        (["solve", "--abs-tol", "1e-14"], None, "--abs-tol"),
+        (["verify", "--root-tol", "1e-12"], None, "--root-tol"),
+        (["solve"], "rel_tol = 1e-12\n", "rel_tol"),
+        (["periods"], "abs-tol = 1e-14\n", "abs_tol"),
+        (["verify"], "max_level = 12\n", "max_level"),
+        (["solve"], "root_tol = 1e-12\n", "root_tol"),
     ],
-    ids=["threads-flag", "seed-flag", "threads-config-key", "max-level-below-4"],
+    ids=["threads-flag", "seed-flag", "threads-config-key", "max-level-below-4",
+         "rel-tol-flag", "abs-tol-flag", "root-tol-flag", "rel_tol-config-key",
+         "abs_tol-config-key", "max_level-config-key", "root_tol-config-key"],
 )
 def test_rejected_setting_exits_2(tmp_path, capsys, argv, config, named):
     if config is not None:
@@ -535,31 +530,46 @@ def test_verify_grid_below_10_exits_2(capsys):
     assert "verify-grid" in capsys.readouterr().err
 
 
+def test_the_readme_names_only_options_the_cli_has():
+    # each `g1helicoid ...` line of a shell block parses, and every flag in a
+    # backticked span of the prose that is a g1helicoid command or flag is an
+    # option of some subcommand, or a top-level one
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    shell = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    commands = [line.split("#", 1)[0].split()[1:] for block in shell
+                for line in block.splitlines() if line.startswith("g1helicoid ")]
+    assert len(commands) >= 5
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    named = {word for span in re.findall(r"`([^`]+)`", prose)
+             if span.split()[0] in {*_SUBCOMMANDS, "g1helicoid"} or span.startswith("--")
+             for word in span.split() if word.startswith("--")}
+    options = {_flag(key) for key in _OPTIONS} | {"--config", "--version", "--help"}
+    assert named and named <= options, sorted(named - options)
+
+
 #: ``RunConfig(subcommand=s).echo()`` of every subcommand, keys in order, as
 #: the option table must keep reproducing it.
 ECHO = {
     "solve": [
-        ("subcommand", "solve"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
-        ("grid", 64), ("root_tol", 1e-12), ("rho_min", 0.02), ("rho_max", 1.5507963267948965),
+        ("subcommand", "solve"), ("grid", 64), ("rho_min", 0.02), ("rho_max", 1.5507963267948965),
     ],
     "periods": [
-        ("subcommand", "periods"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
-        ("root_tol", 1e-12), ("rho_grid", 32), ("rho_min", 0.02),
+        ("subcommand", "periods"), ("rho_grid", 32), ("rho_min", 0.02),
         ("rho_max", 1.5507963267948965),
     ],
     "mesh": [
-        ("subcommand", "mesh"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
-        ("grid", 64), ("root_tol", 1e-12), ("resolution", 48), ("copies", 1), ("cutoff", 0.01),
+        ("subcommand", "mesh"), ("grid", 64), ("resolution", 48), ("copies", 1), ("cutoff", 0.01),
         ("format", "obj"), ("rho", None), ("lam", None),
     ],
     "curves": [
-        ("subcommand", "curves"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
-        ("grid", 64), ("root_tol", 1e-12), ("resolution", 48), ("cutoff", 0.01), ("rho", None),
+        ("subcommand", "curves"), ("grid", 64), ("resolution", 48), ("cutoff", 0.01), ("rho", None),
         ("lam", None),
     ],
     "verify": [
-        ("subcommand", "verify"), ("rel_tol", 1e-12), ("abs_tol", 1e-14), ("max_level", 12),
-        ("grid", 64), ("root_tol", 1e-12), ("verify_grid", 100), ("resolution", 48),
+        ("subcommand", "verify"), ("grid", 64), ("verify_grid", 100), ("resolution", 48),
         ("cutoff", 0.01),
     ],
 }
@@ -593,4 +603,4 @@ def test_help_shows_each_runconfig_default(capsys, name):
         pattern = rf"{re.escape(flag)} \S+ (?:(?! --).)*\(default {re.escape(str(value))}\)"
         assert re.search(pattern, options), (flag, value)
         shown += 1
-    assert shown >= 7
+    assert shown >= 3

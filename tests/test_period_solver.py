@@ -228,15 +228,6 @@ def test_headline_constants_match_a_30_digit_oracle(solution):
             assert abs(solved[name] - exact) < 1e-12, name
 
 
-def test_residuals_are_taken_at_the_period_spec():
-    # a loose spec finds a root 3e-4 off; its residuals must show that
-    loose = period_solver.QuadratureSpec(rel_tol=1e-12, abs_tol=1.0, max_level=12)
-    sol = solve_period_problem(spec=loose)
-    assert max(abs(sol.residual_F), abs(sol.residual_G)) > 1e-4
-    assert sol.residual_F == F_integral(sol.params.rho, sol.Lambda0).value
-    assert sol.residual_G == G_integral(sol.params.rho, sol.Lambda0).value
-
-
 def test_solve_raises_without_sign_change():
     # G(rho, Lambda(rho)) is single-signed on a grid far below rho0
     with pytest.raises((NoSignChangeError, PeriodSolverError)):
@@ -271,13 +262,13 @@ def test_root_solves_start_from_known_end_values(monkeypatch):
     F_args, Lambda_args = [], []
     real_F, real_solve = period_solver.F_integral, period_solver.solve_Lambda_of_rho
 
-    def counting_F(rho, Lam, spec=period_solver.PERIOD_SPEC):
+    def counting_F(rho, Lam):
         F_args.append(Lam)
-        return real_F(rho, Lam, spec)
+        return real_F(rho, Lam)
 
-    def counting_solve(rho, spec=period_solver.PERIOD_SPEC, root_tol=1e-13):
+    def counting_solve(rho, root_tol=1e-13):
         Lambda_args.append(rho)
-        return real_solve(rho, spec, root_tol)
+        return real_solve(rho, root_tol)
 
     monkeypatch.setattr(period_solver, "F_integral", counting_F)
     solve_Lambda_of_rho(0.8)
@@ -297,9 +288,9 @@ def test_scan_stops_at_the_first_sign_change(monkeypatch):
     rhos = []
     real_solve = period_solver.solve_Lambda_of_rho
 
-    def counting_solve(rho, spec=period_solver.PERIOD_SPEC, root_tol=1e-13):
+    def counting_solve(rho, root_tol=1e-13):
         rhos.append(rho)
-        return real_solve(rho, spec, root_tol)
+        return real_solve(rho, root_tol)
 
     monkeypatch.setattr(period_solver, "solve_Lambda_of_rho", counting_solve)
     sol = solve_period_problem()
@@ -368,11 +359,14 @@ LEVEL_4 = period_solver.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4
     [(F_integral, 0.02, 2.000006), (G_integral, math.pi / 2 - 0.02, 2.01)],
     ids=["F", "G"],
 )
-def test_unconverged_period_integral_raises(integral, rho, Lam):
-    with pytest.raises(PeriodSolverError) as exc:
-        integral(rho, Lam, LEVEL_4)
+def test_unconverged_period_integral_raises(integral, rho, Lam, monkeypatch):
+    # the integral reads the policy when it is called
+    with monkeypatch.context() as m:
+        m.setattr(period_solver, "PERIOD_SPEC", LEVEL_4)
+        with pytest.raises(PeriodSolverError) as exc:
+            integral(rho, Lam)
     msg = str(exc.value)
     assert msg.startswith(f"{integral.__name__}(rho={rho!r}, Lam={Lam!r}) did not converge")
     assert "at level 4" in msg
     assert "error estimate" in msg
-    assert integral(rho, Lam).converged  # the default spec reaches the tolerance
+    assert integral(rho, Lam).converged  # the policy of 12 levels reaches the tolerance

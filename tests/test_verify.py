@@ -15,7 +15,6 @@ from g1helicoid import NumericError, cli, mesh, verify
 from g1helicoid import weierstrass as W
 from g1helicoid.mesh import SurfaceMesh
 from g1helicoid.period_solver import PeriodSolverError, scan_H
-from g1helicoid.quadrature import DEFAULT_SPEC
 from g1helicoid.verify import (
     GEOM_TOL_FACTOR,
     MONOTONE_STEP_SLACK,
@@ -157,14 +156,14 @@ def test_slab_check(params):
 
 
 def test_limit_constants_check():
-    res = check_limit_constants(DEFAULT_SPEC)
+    res = check_limit_constants()
     assert res.passed
     details = dict(res.details)
     assert details["c1_rounded_4dp"] == pytest.approx(-1.2067, abs=1e-12)
     assert details["c2_rounded_4dp"] == pytest.approx(1.1547, abs=1e-12)
     assert res.value < 0.0  # the combined bound is strictly negative
-    # the check's spec also shapes the Lambda(rho) solve and G of each row
-    assert details["G_at_1p45"] == scan_H((1.45,), DEFAULT_SPEC)[0][3]
+    # the check's rows are those of the period solver's own scan
+    assert details["G_at_1p45"] == scan_H((1.45,))[0][3]
 
 
 def test_limit_constants_check_rejects_an_unconverged_integral(monkeypatch):
@@ -190,7 +189,7 @@ def test_limit_constants_check_rejects_an_unconverged_integral(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(verify, "integrate", integrate)
             with pytest.raises(PeriodSolverError) as exc:
-                check_limit_constants(DEFAULT_SPEC)
+                check_limit_constants()
         bad = calls[k]
         assert isinstance(exc.value, NumericError)
         assert str(exc.value).startswith(name)

@@ -8,8 +8,10 @@ import pytest
 
 import g1helicoid.mesh as mesh
 import g1helicoid.weierstrass as W
+from g1helicoid import period_solver
 from g1helicoid.params import SurfaceParams, lambda_from_Lambda
 from g1helicoid.period_solver import F_integral, G_integral
+from g1helicoid.quadrature import QuadratureSpec
 from g1helicoid.torus import SHEETS, w_on_sheet
 
 # Frozen reference values.
@@ -443,8 +445,8 @@ def test_reversed_segment(params):
     ],
 )
 def test_unconverged_anchor_raises(params, name, m_of_lam, monkeypatch):
-    level_4 = W.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4)
-    monkeypatch.setattr(W, "_ANCHOR_SPEC", level_4)
+    level_4 = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4)
+    monkeypatch.setattr(period_solver, "PERIOD_SPEC", level_4)
     m = m_of_lam(params.lam)
     with pytest.raises(W.IntegrationError) as exc:
         getattr(W, name)(params, m)
