@@ -2,6 +2,7 @@
 merging, provenance headers, and byte-identical reruns."""
 
 import contextlib
+import dataclasses
 import errno
 import importlib
 import io
@@ -149,7 +150,7 @@ def test_unconverged_solve_exits_1(capsys, monkeypatch):
     assert "did not converge" in err
 
 
-def test_an_unclosed_period_exits_1_naming_the_residual_and_bound(tmp_path, capsys):
+def test_a_period_unclosed_at_the_default_settings_exits_1(tmp_path, capsys):
     # the Lambda solve cannot close F this near pi/2 (Lambda - 2 is about
     # 3e-8 on the last row), so the row is refused and no output is written
     out = tmp_path / "out"
@@ -158,6 +159,63 @@ def test_an_unclosed_period_exits_1_naming_the_residual_and_bound(tmp_path, caps
         "g1helicoid: numeric error: PeriodSolverError: "
         "F = -1.663e-06 at rho=1.5705 exceeds the bound |F| <= 1e-09\n"
     )
+    assert not out.exists()
+
+
+def _lambda_solves_at_abs_tol_1e300(monkeypatch):
+    """Take every Lambda(rho) solve at abs_tol 1e300, leaving the residual
+    integrals at PERIOD_SPEC."""
+    reference = period_solver.PERIOD_SPEC
+    loose = dataclasses.replace(reference, abs_tol=1e300)
+    solve = period_solver.solve_Lambda_of_rho
+
+    def solve_loosely(rho, root_tol=1e-13):
+        period_solver.PERIOD_SPEC = loose
+        try:
+            return solve(rho, root_tol)
+        finally:
+            period_solver.PERIOD_SPEC = reference
+
+    monkeypatch.setattr(period_solver, "solve_Lambda_of_rho", solve_loosely)
+
+
+def _rho_solve_at_root_tol_1(monkeypatch):
+    """Refine the rho0 bracket to 1 instead of 1e-12; a rho bracket lies in
+    (0, pi/2), a Lambda bracket above 2, so the Lambda solves keep theirs."""
+    brent = period_solver._brent
+
+    def brent_loosely(f, a, b, fa, fb, xtol):
+        return brent(f, a, b, fa, fb, 1.0 if b < 2.0 else xtol)
+
+    monkeypatch.setattr(period_solver, "_brent", brent_loosely)
+
+
+@pytest.mark.parametrize(
+    "argv, loosen, residual",
+    [
+        (["periods", "--rho-grid", "4"], _lambda_solves_at_abs_tol_1e300,
+         "F = (\\S+) at rho=0.02 "),
+        (["solve"], _lambda_solves_at_abs_tol_1e300, "residual_F = (\\S+) "),
+        (["solve"], _rho_solve_at_root_tol_1, "residual_G = (\\S+) "),
+        (["mesh"], _rho_solve_at_root_tol_1, "residual_G = (\\S+) "),
+    ],
+    ids=["periods_abs_tol", "solve_abs_tol", "solve_root_tol", "mesh_root_tol"],
+)
+def test_an_unclosed_period_exits_1_naming_the_residual_and_bound(tmp_path, capsys, monkeypatch,
+                                                                    argv, loosen, residual):
+    # a solve too loose to close a period at PERIOD_SPEC: the row's Lambda
+    # or the solved rho0 is off, and no output is written
+    loosen(monkeypatch)
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    name = residual.split(" ")[0]
+    found = re.fullmatch(
+        f"g1helicoid: numeric error: PeriodSolverError: {residual}exceeds the bound "
+        f"\\|{name}\\| <= 1e-09\n",
+        err,
+    )
+    assert found and abs(float(found[1])) > 1e-9
     assert not out.exists()
 
 
