@@ -19,9 +19,9 @@ Behaviour shared by every subcommand:
   configuration are byte-identical,
 * exit 0 on success, 2 on usage/config errors, 1 on numeric failures and
   failed writes of ``--out``,
-* every period integral runs at the solver's one quadrature policy
-  (``period_solver.PERIOD_SPEC``), which no option changes, and a printed
-  root whose residual exceeds 1e-9 is a numeric failure.
+* every period integral runs at the one quadrature policy of
+  ``g1helicoid.quadrature``, which no option changes, and a printed root
+  whose residual exceeds 1e-9 is a numeric failure.
 
 Options are declared in one table: ``_OPTIONS`` (type, metavar, help) and
 ``_SUBCOMMANDS`` (each subcommand's options in provenance order), which the

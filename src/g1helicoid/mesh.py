@@ -285,13 +285,15 @@ def _strip_faces(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 # Integrand nodes from which a patch's levels are swept on two threads.  In-process
 # on two CPUs two threads lost 15-18 % at res 48-96 (0.2-0.8 million nodes), tied at
-# res 112 (1.1 million) and won 12-33 % at res 128-160 (1.4-2.2 million).  The pool
-# stays on the benchmark's mesh workload (5 alternating pairs, seeds 1-5, 20 s runs,
-# shared 2-core VM): mesh_ply median 1.19 s with it, 1.30 s on one thread (+9 %, more
-# than the 5 % that would retire it).  Nor does batching help one thread: every level's
-# first GL wave as one integrand call per block took 0.61 s at res 160, level by level
-# 0.38 s (best of 3; the 2.2 million nodes' temporaries leave the cache).  The pool's
-# module, concurrent.futures (which loads logging), is imported on this branch only.
+# res 112 (1.1 million) and won 12-33 % at res 128-160 (1.4-2.2 million).  In fresh
+# CLI runs either side of the switch (medians of 20 alternating runs, Python 3.11,
+# numpy 2.4, shared 2-core x86-64 VM): `mesh --resolution 152 --copies 3` PLY took
+# 0.754 s pooled and 0.833 s serial, while `mesh --resolution 48 --copies 3` OBJ took
+# 0.451 s pooled and 0.387 s serial, and `verify` 0.276 s and 0.266 s.  Nor does
+# batching help one thread: every level's first GL wave as one integrand call per block
+# took 0.61 s at res 160, level by level 0.38 s (best of 3; the 2.2 million nodes'
+# temporaries leave the cache).  The pool's module, concurrent.futures (which loads
+# logging), is imported on this branch only.
 _THREADED_NODES = 1_200_000
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import NumericError
 from .params import SurfaceParams, lambda_from_Lambda
-from .quadrature import QuadratureResult, QuadratureSpec, integrate
+from .quadrature import QuadratureResult, integrate
 
 __all__ = [
     "PeriodSolverError",
@@ -49,11 +49,6 @@ __all__ = [
     "PeriodSolution",
     "solve_period_problem",
 ]
-
-# The one quadrature policy of the period integrals (and of the edge anchors
-# of :mod:`g1helicoid.weierstrass`): a little tighter than the engine default
-# because the outer root solves chase |G| < 1e-9.  It is read at call time.
-PERIOD_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=12)
 
 # Relative inset of the Lambda bracket endpoints.
 _BRACKET_INSET = 1e-6
@@ -178,20 +173,20 @@ def require_converged(res: QuadratureResult, name: str, **where: float) -> Quadr
 
 
 def F_integral(rho: float, Lam: float) -> QuadratureResult:
-    """First period integral F(rho, Lam) at :data:`PERIOD_SPEC`, with
-    quadrature diagnostics.
+    """First period integral F(rho, Lam) at the one quadrature policy of
+    :mod:`g1helicoid.quadrature`, with quadrature diagnostics.
 
     Raises :class:`PeriodSolverError` if the quadrature does not converge.
     """
     rho = _check_rho_interior(rho)
     Lam = float(Lam)
-    res = integrate(_f_integrand(rho, Lam), rho, math.pi / 2, PERIOD_SPEC)
+    res = integrate(_f_integrand(rho, Lam), rho, math.pi / 2)
     return require_converged(res, "F_integral", rho=rho, Lam=Lam)
 
 
 def G_integral(rho: float, Lam: float) -> QuadratureResult:
-    """Second period integral G(rho, Lam) at :data:`PERIOD_SPEC`, with
-    quadrature diagnostics.
+    """Second period integral G(rho, Lam) at the one quadrature policy of
+    :mod:`g1helicoid.quadrature`, with quadrature diagnostics.
 
     Defined for every ``rho in (-pi/2, pi/2)`` (the nonpositive-rho branch is
     used for diagnostics only).  Raises :class:`PeriodSolverError` if the
@@ -201,7 +196,7 @@ def G_integral(rho: float, Lam: float) -> QuadratureResult:
     if not -math.pi / 2 < rho < math.pi / 2:
         raise PeriodSolverError(f"rho={rho!r} outside (-pi/2, pi/2)")
     Lam = float(Lam)
-    res = integrate(_g_integrand(rho, Lam), -math.pi / 2, rho, PERIOD_SPEC)
+    res = integrate(_g_integrand(rho, Lam), -math.pi / 2, rho)
     return require_converged(res, "G_integral", rho=rho, Lam=Lam)
 
 
@@ -225,20 +220,21 @@ def solve_Lambda_of_rho(rho: float, root_tol: float = 1e-13) -> float:
     """Solve ``F(rho, Lambda) = 0`` for Lambda on its validated bracket.
 
     The bracket is ``(2 + eps, min(2/sin rho, 8) - eps)`` with
-    ``eps = 1e-6 * width``.  The endpoint signs are checked (F > 0 at the
-    lower end, F < 0 at the upper end) and a :class:`BracketSignError` is
-    raised loudly on mismatch rather than guessing.  Brent's method then
+    ``eps = 1e-6 * width``.  A :class:`PeriodSolverError` names an empty
+    bracket, as when ``2 + eps`` rounds onto 2 within about 1e-5 of pi/2,
+    where F's integrand is 0/0.  The endpoint signs are checked (F > 0 at
+    the lower end, F < 0 at the upper end) and a :class:`BracketSignError`
+    is raised loudly on mismatch rather than guessing.  Brent's method then
     starts from those two F values, so no endpoint is integrated twice; it
     raises :class:`PeriodSolverError` if it does not reach ``root_tol``
     within 100 iterations.
     """
     rho = _check_rho_interior(rho)
     upper = Lambda_upper_bound(rho)
-    width = upper - 2.0
-    if width <= 0:
-        raise PeriodSolverError(f"empty Lambda bracket at rho={rho!r}")
-    eps = _BRACKET_INSET * width
+    eps = _BRACKET_INSET * (upper - 2.0)
     lo, hi = 2.0 + eps, upper - eps
+    if not 2.0 < lo < hi:
+        raise PeriodSolverError(f"empty Lambda bracket at rho={rho!r}")
 
     f_lo = F_integral(rho, lo).value
     f_hi = F_integral(rho, hi).value
@@ -290,7 +286,8 @@ def solve_period_problem(
     1e-12 in rho by Brent's method, which starts from the two scan values
     of H at its ends instead of solving them again; each Lambda(rho) is
     solved to 1e-13, and the returned ``Lambda0`` to 1e-14.  Every integral
-    is taken at :data:`PERIOD_SPEC`, the residuals included.
+    is taken at the one policy of :mod:`g1helicoid.quadrature`, the
+    residuals included.
 
     Raises
     ------

@@ -30,13 +30,22 @@ integrand with no endpoint singularity simply ignores ``da`` and ``db``.
 Evaluation order
 ----------------
 Level 0 holds the nodes tau = -6..6 at step 1 and level k > 0 the odd
-multiples of 2**-k, so each level halves the step of the one before.  Every
-spec runs at least to level 4, so levels 0-4 (193 nodes) are evaluated in a
+multiples of 2**-k, so each level halves the step of the one before.  The
+loop runs at least to level 4, so levels 0-4 (193 nodes) are evaluated in a
 single integrand call; each later level is a call of its own.  The levels
 are still summed, tested for convergence and checked for non-finite values
 one at a time and in order: a bad value at a level the loop never reaches
 raises nothing.  ``QuadratureResult.n_evals`` counts the values computed, so
 it is at least 193.
+
+Policy
+------
+Every integral runs at one policy, read at call time: a level is accepted
+when its change from the level before is at most
+``max(REL_TOL * |value|, ABS_TOL)``, and the loop stops after level
+``MAX_LEVEL``.  The period integrals, the edge anchors of the immersion and
+the verification's limit constants all share it; the outer root solves
+chase |G| < 1e-9, hence the tight tolerances.
 """
 
 from __future__ import annotations
@@ -51,12 +60,18 @@ import numpy as np
 from . import NumericError
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureResult",
     "QuadratureError",
     "integrate",
-    "DEFAULT_SPEC",
+    "REL_TOL",
+    "ABS_TOL",
+    "MAX_LEVEL",
 ]
+
+# The one quadrature policy; see "Policy" in the module docstring.
+REL_TOL = 1e-12
+ABS_TOL = 1e-14
+MAX_LEVEL = 12
 
 # Largest |tau|.  At tau = 6.0 the inner exponent is 2s ~ 633, so the node
 # distances ~ e^{-633} ~ 1e-275 are still normal doubles (no underflow to 0).
@@ -68,34 +83,10 @@ class QuadratureError(ValueError, NumericError):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance/effort policy for :func:`integrate`.
-
-    Attributes
-    ----------
-    rel_tol, abs_tol:
-        Convergence: accepted when the level-to-level change satisfies
-        ``error <= max(rel_tol*|value|, abs_tol)``.
-    max_level:
-        Maximum number of step halvings (>= 4).  Level k uses step 2**-k.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_level: int = 12
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise QuadratureError("rel_tol and abs_tol must be positive")
-        if self.max_level < 4:
-            raise QuadratureError("max_level must be >= 4")
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     """Value and diagnostics of one integration.
 
-    ``converged`` guarantees ``error_estimate <= max(rel_tol*|value|, abs_tol)``.
+    ``converged`` guarantees ``error_estimate <= max(REL_TOL*|value|, ABS_TOL)``.
     ``n_evals`` counts the integrand values computed, all 193 nodes of
     levels 0-4 included even when the result converged before level 4.
     """
@@ -106,8 +97,6 @@ class QuadratureResult:
     converged: bool
     n_evals: int
 
-
-DEFAULT_SPEC = QuadratureSpec()
 
 # ---------------------------------------------------------------------------
 # node tables
@@ -139,8 +128,8 @@ def _tanh_sinh_nodes(level: int) -> _NodeTable:
     return alpha, beta, weight
 
 
-# Levels 0.._BATCH_LEVEL (the floor of QuadratureSpec.max_level) share one
-# integrand call on their 193 nodes; each later level is a call of its own.
+# Levels 0.._BATCH_LEVEL (at most MAX_LEVEL) share one integrand call on
+# their 193 nodes; each later level is a call of its own.
 _BATCH_LEVEL = 4
 
 
@@ -175,16 +164,12 @@ def _block_nodes(level: int) -> _Block:
     return block
 
 
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> QuadratureResult:
-    """Integrate ``f`` over the open interval (a, b).
+def integrate(f: Callable, a: float, b: float) -> QuadratureResult:
+    """Integrate ``f`` over the open interval (a, b) at the module's policy
+    (``REL_TOL``, ``ABS_TOL``, ``MAX_LEVEL``), read at call time.
 
     Levels 0 to 4 (193 nodes) are evaluated in one call of ``f``, since
-    every spec runs at least that far; each later level is one call.  The
+    the loop runs at least that far; each later level is one call.  The
     levels are then summed and tested in order as if evaluated one by one:
     a non-finite value raises only when its level is reached, so a result
     that converges before that level never sees it.  ``n_evals`` counts the
@@ -197,14 +182,12 @@ def integrate(
         ``db = b - x`` supplied cancellation-free.
     a, b:
         Finite interval endpoints with ``a < b``.
-    spec:
-        Tolerances / effort; see :class:`QuadratureSpec`.
 
     Returns
     -------
     QuadratureResult
         ``converged`` is False when tolerances were not met within
-        ``max_level``; the caller decides whether that is fatal.
+        ``MAX_LEVEL``; the caller decides whether that is fatal.
 
     Raises
     ------
@@ -223,7 +206,7 @@ def integrate(
     value = math.nan
     err = math.inf
     level = 0
-    for level in range(spec.max_level + 1):
+    for level in range(MAX_LEVEL + 1):
         if level == 0 or level > _BATCH_LEVEL:
             block = _block_nodes(level)
             first = level
@@ -255,6 +238,6 @@ def integrate(
             new_value = 0.5 * value + partial
             err = abs(new_value - value)
             value = new_value
-            if err <= max(spec.rel_tol * abs(value), spec.abs_tol):
+            if err <= max(REL_TOL * abs(value), ABS_TOL):
                 return QuadratureResult(value, err, level, True, n_evals)
     return QuadratureResult(value, err, level, False, n_evals)

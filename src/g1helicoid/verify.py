@@ -54,7 +54,7 @@ from . import blocks
 from .cli import json_text
 from .mesh import SurfaceMesh, mesh_patch_D
 from .params import SurfaceParams
-from .period_solver import PERIOD_SPEC, G_integrand_samples, require_converged, scan_H
+from .period_solver import G_integrand_samples, require_converged, scan_H
 from .quadrature import integrate
 from .weierstrass import (
     axis_rise,
@@ -795,9 +795,9 @@ def check_limit_constants() -> CheckResult:
     ``-I_lim + c2 < 0`` (and already ``c1 + c2 < 0``), the period
     integral is strictly negative near the upper corner.
 
-    Every integral of the check is taken at the period solver's policy
-    :data:`PERIOD_SPEC`, the Lambda(rho) solves and the G values of its
-    near-corner rows included.  An integral that misses its tolerance raises
+    Every integral of the check is taken at the one quadrature policy of
+    :mod:`g1helicoid.quadrature`, the Lambda(rho) solves and the G values of
+    its near-corner rows included.  An integral that misses its tolerance raises
     :class:`PeriodSolverError`.
     """
     c1 = 2.0 * (1.0 - math.sqrt(1.0 + math.pi / 2.0))
@@ -805,7 +805,7 @@ def check_limit_constants() -> CheckResult:
     four_dp_ok = round(c1, 4) == -1.2067 and round(c2, 4) == 1.1547
 
     def quad(f, a, b, name, **where):
-        return require_converged(integrate(f, a, b, PERIOD_SPEC), name, **where).value
+        return require_converged(integrate(f, a, b), name, **where).value
 
     # comparison integral, closed form vs quadrature
     q_cmp = quad(lambda p, da, db: 1.0 / np.sqrt(1.0 - p), -math.pi / 2.0, 0.0,
@@ -1025,8 +1025,8 @@ def run_all(
 
     Each check's ``runtime_s`` is its wall time here, so the seven add up to
     the run; the graph check's includes the :func:`mesh_patch_D` patch it
-    reads.  Every period and anchor integral is taken at the one quadrature
-    policy :data:`PERIOD_SPEC`, so no argument sets a tolerance.
+    reads.  Every period and anchor integral is taken at the one policy of
+    :mod:`g1helicoid.quadrature`, so no argument sets a tolerance.
     """
     runs = (
         lambda: check_x3_monotone_on_C(params),

@@ -44,7 +44,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from . import NumericError, period_solver
+from . import NumericError
 from .params import SurfaceParams
 from .quadrature import integrate
 from .torus import lift_angle_left, tau_horizontal, tau_vertical, w_on_sheet
@@ -657,17 +657,17 @@ def x3_rate_vertical(params: SurfaceParams, t):
 
 def _edge_integral(name: str, params: SurfaceParams, rate, m: float, tail: bool) -> float:
     """Integral of ``rate(t)`` from 0 to m, or from m out to oo with ``tail``
-    (in s = 1/t), at the period integrals' policy ``PERIOD_SPEC``;
-    :class:`IntegrationError` if it missed its tolerance."""
-    spec = period_solver.PERIOD_SPEC
+    (in s = 1/t), at the one quadrature policy of :mod:`g1helicoid.quadrature`
+    that the period integrals share; :class:`IntegrationError` if it missed
+    its tolerance."""
     if tail:
         def integrand(s, da, db):
             t = 1.0 / s
             return rate(t) * t * t
 
-        res = integrate(integrand, 0.0, 1.0 / float(m), spec)
+        res = integrate(integrand, 0.0, 1.0 / float(m))
     else:
-        res = integrate(lambda t, da, db: rate(t), 0.0, float(m), spec)
+        res = integrate(lambda t, da, db: rate(t), 0.0, float(m))
     if not res.converged:
         raise IntegrationError(
             f"{name}(m={m!r}) at rho={params.rho!r}, lam={params.lam!r} did not converge: "

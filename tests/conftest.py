@@ -2,10 +2,12 @@
 expensive, so they are computed once per session and shared.  Also the
 test-side point location on a projected mesh, which the graph lookup's
 reference and the mesh's graph-injectivity tests share, the traced memory
-peak that the mesh's and the verification's memory tests read, and the
+peak that the mesh's and the verification's memory tests read, the
 bounds certificate of the inner solve that acceptance criterion 3 and the
-period solver's tests read."""
+period solver's tests read, and the context manager through which a test
+integrates at another quadrature policy."""
 
+import contextlib
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -14,6 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 import pytest
 
+from g1helicoid import quadrature
 from g1helicoid.mesh import assemble_fundamental_domain, mesh_patch_D
 from g1helicoid.period_solver import (
     F_integral,
@@ -88,6 +91,22 @@ def triangles_holding(mesh, pts, faces):
             (rows, np.minimum(np.minimum(u, v), w), z[:, 0] * w + z[:, 1] * u + z[:, 2] * v)
         )
     return out
+
+
+@contextlib.contextmanager
+def quadrature_policy(**policy):
+    """Run the block with some of the policy constants of
+    :mod:`g1helicoid.quadrature` set, named in lower case (``rel_tol``,
+    ``abs_tol``, ``max_level``), and restore them on the way out.  It takes
+    no fixture, so it also works inside one hypothesis example."""
+    saved = {name: getattr(quadrature, name) for name in map(str.upper, policy)}
+    try:
+        for key, value in policy.items():
+            setattr(quadrature, key.upper(), value)
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(quadrature, name, value)
 
 
 def traced_peak(fn, *args):

@@ -26,7 +26,7 @@ from g1helicoid.period_solver import (
     Lambda_upper_bound,
     solve_period_problem,
 )
-from g1helicoid.quadrature import DEFAULT_SPEC, integrate
+from g1helicoid.quadrature import integrate
 from g1helicoid.verify import (
     check_c_convex,
     check_graph_disjointness,
@@ -35,7 +35,7 @@ from g1helicoid.verify import (
     check_x3_monotone_on_C,
 )
 
-from conftest import Lambda_window_certificate
+from conftest import Lambda_window_certificate, quadrature_policy
 
 
 def test_criterion_01_solver_success():
@@ -215,11 +215,11 @@ def test_criterion_10_mesh_integrity(params, tmp_path):
 
 
 def test_criterion_11_quadrature_engine():
-    """Engine oracles: the inverse-sqrt integral and a Beta-function value."""
-    res = integrate(lambda p, da, db: 1.0 / np.sqrt(da), 0.0, 1.0, DEFAULT_SPEC)
-    assert abs(res.value - 2.0) < 1e-12
-    # B(1/2, 1/2) = pi, singular at both ends
-    res = integrate(
-        lambda p, da, db: 1.0 / np.sqrt(da * db), 0.0, 1.0, DEFAULT_SPEC
-    )
-    assert abs(res.value - math.pi) < 1e-10 * math.pi
+    """Engine oracles: the inverse-sqrt integral and a Beta-function value,
+    at tolerances 1e-10 relative and 1e-12 absolute."""
+    with quadrature_policy(rel_tol=1e-10, abs_tol=1e-12):
+        res = integrate(lambda p, da, db: 1.0 / np.sqrt(da), 0.0, 1.0)
+        assert abs(res.value - 2.0) < 1e-12
+        # B(1/2, 1/2) = pi, singular at both ends
+        res = integrate(lambda p, da, db: 1.0 / np.sqrt(da * db), 0.0, 1.0)
+        assert abs(res.value - math.pi) < 1e-10 * math.pi

@@ -2,7 +2,6 @@
 merging, provenance headers, and byte-identical reruns."""
 
 import contextlib
-import dataclasses
 import errno
 import importlib
 import io
@@ -23,6 +22,8 @@ import g1helicoid
 from g1helicoid import period_solver
 from g1helicoid.cli import _OPTIONS, _SUBCOMMANDS, RunConfig, UsageError, _build_parser, _flag, run
 from g1helicoid.period_solver import F_integral, G_integral
+
+from conftest import quadrature_policy
 
 RHO0 = 0.7105219800457504
 LAM0 = 0.5882995303657090
@@ -140,11 +141,10 @@ def test_copies_past_the_int32_index_limit_exit_1_at_once(tmp_path):
     assert not (tmp_path / "m.obj").exists()
 
 
-def test_unconverged_solve_exits_1(capsys, monkeypatch):
+def test_unconverged_solve_exits_1(capsys):
     # a policy of 4 levels stops F short of its tolerance near rho_min
-    level_4 = period_solver.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4)
-    monkeypatch.setattr(period_solver, "PERIOD_SPEC", level_4)
-    assert run(["solve"]) == 1
+    with quadrature_policy(max_level=4):
+        assert run(["solve"]) == 1
     err = capsys.readouterr().err
     assert "numeric error: PeriodSolverError: F_integral(rho=0.02" in err
     assert "did not converge" in err
@@ -162,19 +162,41 @@ def test_a_period_unclosed_at_the_default_settings_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_empty_lambda_bracket_exits_1_naming_rho(tmp_path, capsys):
+    # this near pi/2 the bracket's lower end 2 + 1e-6 * width rounds onto 2,
+    # where F's integrand is 0/0
+    out = tmp_path / "out"
+    argv = ["periods", "--rho-min", "1.5707863", "--rho-max", "1.57079", "--rho-grid", "1"]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "g1helicoid: numeric error: PeriodSolverError: empty Lambda bracket at rho=1.5707863\n"
+    )
+    assert not out.exists()
+
+
+def test_g_unconverged_near_pi_over_2_exits_1_naming_the_last_level(tmp_path, capsys):
+    # Lambda - 2 is about 3e-9 at rho = 1.5707, and G misses its tolerance at
+    # the policy's last level
+    out = tmp_path / "out"
+    argv = ["periods", "--rho-min", "1.5707", "--rho-max", "1.57079", "--rho-grid", "1"]
+    assert run(argv + ["--out", str(out)]) == 1
+    found = re.fullmatch(
+        r"g1helicoid: numeric error: PeriodSolverError: G_integral\(rho=1\.5707, "
+        r"Lam=(2\.\d+)\) did not converge: error estimate (\d\.\d{3}e-\d+) at level 12\n",
+        capsys.readouterr().err,
+    )
+    assert found and 0.0 < float(found[1]) - 2.0 < 1e-8 and float(found[2]) > 0.0
+    assert not out.exists()
+
+
 def _lambda_solves_at_abs_tol_1e300(monkeypatch):
     """Take every Lambda(rho) solve at abs_tol 1e300, leaving the residual
-    integrals at PERIOD_SPEC."""
-    reference = period_solver.PERIOD_SPEC
-    loose = dataclasses.replace(reference, abs_tol=1e300)
+    integrals at the one quadrature policy."""
     solve = period_solver.solve_Lambda_of_rho
 
     def solve_loosely(rho, root_tol=1e-13):
-        period_solver.PERIOD_SPEC = loose
-        try:
+        with quadrature_policy(abs_tol=1e300):
             return solve(rho, root_tol)
-        finally:
-            period_solver.PERIOD_SPEC = reference
 
     monkeypatch.setattr(period_solver, "solve_Lambda_of_rho", solve_loosely)
 
@@ -203,7 +225,7 @@ def _rho_solve_at_root_tol_1(monkeypatch):
 )
 def test_an_unclosed_period_exits_1_naming_the_residual_and_bound(tmp_path, capsys, monkeypatch,
                                                                     argv, loosen, residual):
-    # a solve too loose to close a period at PERIOD_SPEC: the row's Lambda
+    # a solve too loose to close a period at the one policy: the row's Lambda
     # or the solved rho0 is off, and no output is written
     loosen(monkeypatch)
     out = tmp_path / "out"

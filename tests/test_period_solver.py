@@ -28,7 +28,7 @@ from g1helicoid.period_solver import (
     solve_period_problem,
 )
 
-from conftest import Lambda_window_certificate
+from conftest import Lambda_window_certificate, quadrature_policy
 
 # Frozen reference values (50-digit arithmetic, independent integrator).
 F_05_30 = -0.5425754319840516
@@ -351,20 +351,15 @@ def test_Lambda_window_certificate_small_grid():
 # non-convergence is an error
 # ---------------------------------------------------------------------------
 
-LEVEL_4 = period_solver.QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4)
-
-
 @pytest.mark.parametrize(
     "integral,rho,Lam",
     [(F_integral, 0.02, 2.000006), (G_integral, math.pi / 2 - 0.02, 2.01)],
     ids=["F", "G"],
 )
-def test_unconverged_period_integral_raises(integral, rho, Lam, monkeypatch):
+def test_unconverged_period_integral_raises(integral, rho, Lam):
     # the integral reads the policy when it is called
-    with monkeypatch.context() as m:
-        m.setattr(period_solver, "PERIOD_SPEC", LEVEL_4)
-        with pytest.raises(PeriodSolverError) as exc:
-            integral(rho, Lam)
+    with quadrature_policy(max_level=4), pytest.raises(PeriodSolverError) as exc:
+        integral(rho, Lam)
     msg = str(exc.value)
     assert msg.startswith(f"{integral.__name__}(rho={rho!r}, Lam={Lam!r}) did not converge")
     assert "at level 4" in msg

@@ -1,5 +1,9 @@
 """Endpoint-singularity-aware quadrature: reference integrals with known
-closed forms, the endpoint-offset callback contract, and affine invariance."""
+closed forms, the endpoint-offset callback contract, and affine invariance.
+
+The closed-form oracles run at tolerances 1e-10 relative and 1e-12
+absolute (``ORACLE``), looser than the one policy the package integrates
+at; the checks against the level loop run at whichever policy is set."""
 
 import math
 
@@ -8,21 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g1helicoid import period_solver
+from g1helicoid import period_solver, quadrature
 from g1helicoid import weierstrass as W
-from g1helicoid.quadrature import (
-    DEFAULT_SPEC,
-    QuadratureError,
-    QuadratureSpec,
-    _tanh_sinh_nodes,
-    integrate,
-)
+from g1helicoid.quadrature import QuadratureError, _tanh_sinh_nodes, integrate
+
+from conftest import quadrature_policy
+
+ORACLE = {"rel_tol": 1e-10, "abs_tol": 1e-12}
+#: Sub-machine tolerances that no integral below meets.
+TIGHT = {"rel_tol": 1e-18, "abs_tol": 1e-300}
 
 
 def test_inverse_sqrt_singularity():
     # integral_0^1 x^(-1/2) dx = 2; the singular factor must be formed from
     # the offset argument, never from p - a.
-    res = integrate(lambda p, da, db: 1.0 / np.sqrt(da), 0.0, 1.0, DEFAULT_SPEC)
+    with quadrature_policy(**ORACLE):
+        res = integrate(lambda p, da, db: 1.0 / np.sqrt(da), 0.0, 1.0)
     assert res.converged
     assert abs(res.value - 2.0) < 1e-12
 
@@ -36,25 +41,29 @@ def test_beta_integrals(a_exp, b_exp):
     def f(p, da, db):
         return da ** (a_exp - 1.0) * db ** (b_exp - 1.0)
 
-    res = integrate(f, 0.0, 1.0, DEFAULT_SPEC)
+    with quadrature_policy(**ORACLE):
+        res = integrate(f, 0.0, 1.0)
     exact = math.gamma(a_exp) * math.gamma(b_exp) / math.gamma(a_exp + b_exp)
     assert res.converged
     assert abs(res.value - exact) < 1e-10 * abs(exact)
 
 
 def test_smooth_oracle():
-    res = integrate(lambda p, da, db: np.sin(p), 0.0, math.pi, DEFAULT_SPEC)
+    with quadrature_policy(**ORACLE):
+        res = integrate(lambda p, da, db: np.sin(p), 0.0, math.pi)
     assert abs(res.value - 2.0) < 1e-13
 
 
 def test_log_singularity():
     # integral_0^1 ln(x) dx = -1
-    res = integrate(lambda p, da, db: np.log(da), 0.0, 1.0, DEFAULT_SPEC)
+    with quadrature_policy(**ORACLE):
+        res = integrate(lambda p, da, db: np.log(da), 0.0, 1.0)
     assert abs(res.value + 1.0) < 1e-12
 
 
 def test_result_fields():
-    res = integrate(lambda p, da, db: p * p, 0.0, 1.0, DEFAULT_SPEC)
+    with quadrature_policy(**ORACLE):
+        res = integrate(lambda p, da, db: p * p, 0.0, 1.0)
     assert res.converged
     assert res.n_evals > 0
     assert res.levels_used >= 1
@@ -66,29 +75,21 @@ def test_error_estimate_is_bound():
     def f(p, da, db):
         return 1.0 / np.sqrt(da * db)
 
-    res = integrate(f, 0.0, 1.0, DEFAULT_SPEC)
+    with quadrature_policy(**ORACLE):
+        res = integrate(f, 0.0, 1.0)
     assert abs(res.value - math.pi) <= max(10.0 * res.error_estimate, 1e-12)
 
 
 def test_nonconvergence_reported():
     # an oscillatory integrand cannot meet sub-machine tolerances at level 4
-    tight = QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300, max_level=4)
-    res = integrate(
-        lambda p, da, db: np.cos(50.0 * p) / np.sqrt(da), 0.0, 1.0, tight
-    )
+    with quadrature_policy(**TIGHT, max_level=4):
+        res = integrate(lambda p, da, db: np.cos(50.0 * p) / np.sqrt(da), 0.0, 1.0)
     assert not res.converged
-
-
-def test_spec_validation():
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(rel_tol=-1.0)
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(max_level=2)
 
 
 def test_invalid_interval_rejected():
     with pytest.raises(QuadratureError):
-        integrate(lambda p, da, db: p, 1.0, 1.0, DEFAULT_SPEC)
+        integrate(lambda p, da, db: p, 1.0, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,12 +103,12 @@ def test_affine_invariance(shift, scale):
     def base(p, da, db):
         return 1.0 / np.sqrt(da) + p
 
-    ref = integrate(base, 0.0, 1.0, DEFAULT_SPEC).value
-
     def mapped(p, da, db):
         return (1.0 / np.sqrt(da / scale) + (p - shift) / scale) / scale
 
-    val = integrate(mapped, shift, shift + scale, DEFAULT_SPEC).value
+    with quadrature_policy(**ORACLE):
+        ref = integrate(base, 0.0, 1.0).value
+        val = integrate(mapped, shift, shift + scale).value
     assert abs(val - ref) < 1e-10 * (1.0 + abs(ref))
 
 
@@ -116,14 +117,14 @@ def test_affine_invariance(shift, scale):
 # ---------------------------------------------------------------------------
 
 
-def _reference_integrate(f, a, b, spec):
+def _reference_integrate(f, a, b):
     """The level loop with one integrand call per level, as ``integrate``
-    ran before levels 0-4 shared one call.  Returns ``(value,
-    error_estimate, levels_used, converged)``."""
+    ran before levels 0-4 shared one call, at the policy set now.  Returns
+    ``(value, error_estimate, levels_used, converged)``."""
     a, b = float(a), float(b)
     c = 0.5 * (b - a)
     value, err, level = math.nan, math.inf, 0
-    for level in range(spec.max_level + 1):
+    for level in range(quadrature.MAX_LEVEL + 1):
         alpha, beta, weight = _tanh_sinh_nodes(level)
         da = c * alpha
         db = c * beta
@@ -147,7 +148,7 @@ def _reference_integrate(f, a, b, spec):
             new_value = 0.5 * value + partial
             err = abs(new_value - value)
             value = new_value
-            if err <= max(spec.rel_tol * abs(value), spec.abs_tol):
+            if err <= max(quadrature.REL_TOL * abs(value), quadrature.ABS_TOL):
                 return value, err, level, True
     return value, err, level, False
 
@@ -160,9 +161,9 @@ def _fields(res):
     return _bits((res.value, res.error_estimate, res.levels_used, res.converged))
 
 
-def _assert_matches_reference(f, a, b, spec):
-    res = integrate(f, a, b, spec)
-    assert _fields(res) == _bits(_reference_integrate(f, a, b, spec))
+def _assert_matches_reference(f, a, b):
+    res = integrate(f, a, b)
+    assert _fields(res) == _bits(_reference_integrate(f, a, b))
     return res
 
 
@@ -172,8 +173,8 @@ def compared(monkeypatch):
     against the reference loop; yields the list of compared calls."""
     calls = []
 
-    def checked(f, a, b, spec=DEFAULT_SPEC):
-        calls.append(_assert_matches_reference(f, a, b, spec))
+    def checked(f, a, b):
+        calls.append(_assert_matches_reference(f, a, b))
         return calls[-1]
 
     monkeypatch.setattr(period_solver, "integrate", checked)
@@ -200,15 +201,16 @@ def test_anchor_integrals_match_level_loop(compared, params):
 
 @pytest.mark.parametrize("a_exp,b_exp", [(0.5, 0.5), (0.25, 0.75), (0.5, 2.5), (1.5, 0.5)])
 def test_beta_oracle_matches_level_loop(a_exp, b_exp):
-    _assert_matches_reference(
-        lambda p, da, db: da ** (a_exp - 1.0) * db ** (b_exp - 1.0), 0.0, 1.0, DEFAULT_SPEC
-    )
+    with quadrature_policy(**ORACLE):
+        _assert_matches_reference(
+            lambda p, da, db: da ** (a_exp - 1.0) * db ** (b_exp - 1.0), 0.0, 1.0
+        )
 
 
 @pytest.mark.parametrize("max_level", [4, 6])
 def test_nonconverging_spec_matches_level_loop(max_level):
-    tight = QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300, max_level=max_level)
-    res = _assert_matches_reference(_oscillating, 0.0, 1.0, tight)
+    with quadrature_policy(**TIGHT, max_level=max_level):
+        res = _assert_matches_reference(_oscillating, 0.0, 1.0)
     assert not res.converged
     assert res.levels_used == max_level
 
@@ -241,11 +243,12 @@ def _oscillating(p, da, db):
 
 
 def test_nan_at_a_level_not_reached_is_not_seen():
-    res = _assert_matches_reference(_poisoned((4,), _square), 0.0, 1.0, DEFAULT_SPEC)
+    with quadrature_policy(**ORACLE):
+        res = _assert_matches_reference(_poisoned((4,), _square), 0.0, 1.0)
     assert res.converged
     assert res.levels_used == 3
-    loose = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-4)
-    res = _assert_matches_reference(_poisoned((3, 4), _square), 0.0, 1.0, loose)
+    with quadrature_policy(rel_tol=1e-4, abs_tol=1e-4):
+        res = _assert_matches_reference(_poisoned((3, 4), _square), 0.0, 1.0)
     assert res.converged
     assert res.levels_used == 2
 
@@ -253,11 +256,11 @@ def test_nan_at_a_level_not_reached_is_not_seen():
 @pytest.mark.parametrize("levels", [(0,), (3, 4), (5,)], ids=["level-0", "levels-3-4", "level-5"])
 def test_nan_raises_the_level_loop_message(levels):
     f = _poisoned(levels, _oscillating)
-    tight = QuadratureSpec(rel_tol=1e-18, abs_tol=1e-300, max_level=6)
-    with pytest.raises(QuadratureError) as expected:
-        _reference_integrate(f, 0.0, 1.0, tight)
-    with pytest.raises(QuadratureError) as got:
-        integrate(f, 0.0, 1.0, tight)
+    with quadrature_policy(**TIGHT, max_level=6):
+        with pytest.raises(QuadratureError) as expected:
+            _reference_integrate(f, 0.0, 1.0)
+        with pytest.raises(QuadratureError) as got:
+            integrate(f, 0.0, 1.0)
     assert str(got.value) == str(expected.value)
     assert "non-finite value" in str(got.value)
 

@@ -8,11 +8,11 @@ import pytest
 
 import g1helicoid.mesh as mesh
 import g1helicoid.weierstrass as W
-from g1helicoid import period_solver
 from g1helicoid.params import SurfaceParams, lambda_from_Lambda
 from g1helicoid.period_solver import F_integral, G_integral
-from g1helicoid.quadrature import QuadratureSpec
 from g1helicoid.torus import SHEETS, w_on_sheet
+
+from conftest import quadrature_policy
 
 # Frozen reference values.
 A0 = 0.4348562680146608        # height of the upper slit-curve endpoint
@@ -444,11 +444,9 @@ def test_reversed_segment(params):
         ("x3_E_tail", lambda lam: 1e-6),
     ],
 )
-def test_unconverged_anchor_raises(params, name, m_of_lam, monkeypatch):
-    level_4 = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_level=4)
-    monkeypatch.setattr(period_solver, "PERIOD_SPEC", level_4)
+def test_unconverged_anchor_raises(params, name, m_of_lam):
     m = m_of_lam(params.lam)
-    with pytest.raises(W.IntegrationError) as exc:
+    with quadrature_policy(max_level=4), pytest.raises(W.IntegrationError) as exc:
         getattr(W, name)(params, m)
     msg = str(exc.value)
     assert msg.startswith(f"{name}(m={m!r}) at rho={params.rho!r}, lam={params.lam!r}")
