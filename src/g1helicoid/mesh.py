@@ -22,9 +22,8 @@ vertex is a sample of the surface and the patch is one connected piece.
 
 Each level is anchored on the x3-axis (its theta = 3pi/2 endpoint has the
 closed-form height) and swept independently, so no error accumulates from
-one level to the next.  The levels share one node table; a large patch
-sweeps them on two threads, with the same output, and only such a patch
-imports the thread pool's module.  The bottom-edge
+one level to the next.  The levels share one table of K15 nodes
+(:func:`~g1helicoid.weierstrass.arc_positions`).  The bottom-edge
 endpoints then get re-derived by the sweep and checked against the
 independent closed-form ray values -- a strong whole-pipeline consistency
 check.  The first coordinate of every vertex is additionally checked
@@ -283,20 +282,6 @@ def _strip_faces(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.take_along_axis(corners, _CELL_SPLITS[kind], axis=1).reshape(-1, 3)
 
 
-# Integrand nodes from which a patch's levels are swept on two threads.  In-process
-# on two CPUs two threads lost 15-18 % at res 48-96 (0.2-0.8 million nodes), tied at
-# res 112 (1.1 million) and won 12-33 % at res 128-160 (1.4-2.2 million).  In fresh
-# CLI runs either side of the switch (medians of 20 alternating runs, Python 3.11,
-# numpy 2.4, shared 2-core x86-64 VM): `mesh --resolution 152 --copies 3` PLY took
-# 0.754 s pooled and 0.833 s serial, while `mesh --resolution 48 --copies 3` OBJ took
-# 0.451 s pooled and 0.387 s serial, and `verify` 0.276 s and 0.266 s.  Nor does
-# batching help one thread: every level's first GL wave as one integrand call per block
-# took 0.61 s at res 160, level by level 0.38 s (best of 3; the 2.2 million nodes'
-# temporaries leave the cache).  The pool's module, concurrent.futures (which loads
-# logging), is imported on this branch only.
-_THREADED_NODES = 1_200_000
-
-
 def mesh_patch_D(
     params: SurfaceParams,
     resolution: int = 48,
@@ -309,10 +294,8 @@ def mesh_patch_D(
     (the inner-bank row, then the outer-bank row), the outer levels and O'
     (t = inf).  The x1 check, the faces (strips between consecutive rows,
     none between the two circle rows) and the seams all read this table.
-    The levels share one node table; from ``_THREADED_NODES`` integrand
-    nodes on, two threads sweep them, read in order: the output and the
-    first error do not depend on the thread count; no level starts after an
-    error.  Only that branch imports ``concurrent.futures``.
+    The levels share one table of K15 nodes and are swept in level order, so
+    the first level that fails raises and no later level starts.
 
     ``cutoff`` is the radius of the disk around the puncture z = i/lam that
     no level enters; the two rows that straddle it sit at 1/lam -+ cutoff,
@@ -356,17 +339,7 @@ def mesh_patch_D(
             raise MeshError(f"closure failure at level t={t:.6g}, theta=pi/2: gap {gap:.3e}")
         return poly
 
-    level_t = np.concatenate([inner_t, outer_t])
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if 24 * (n_rays - 1) * len(level_t) < _THREADED_NODES or (cpus or 1) < 2:  # GL8 + GL16
-        levels = [level(t) for t in level_t]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # map yields in level order, raises the first error and cancels the
-        # levels not yet started; more threads were never measured
-        with ThreadPoolExecutor(2) as pool:
-            levels = list(pool.map(level, level_t))
+    levels = [level(t) for t in np.concatenate([inner_t, outer_t])]
 
     glue_pos, bank_in_pos, bank_out_pos, glue_mask, slit_mask = _ring_polylines(
         params, rays, a_rise, rel_tol, abs_tol

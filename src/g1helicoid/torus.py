@@ -115,6 +115,7 @@ def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
     slit tip ``z = -e^{-i rho}``.  When every point falls in one region,
     its form runs on the whole array, with no gather or scatter.  The inner
     form writes sqrt(z), its angle lifted to [pi/2, 3pi/2], as i sqrt(-z).
+    Each form takes one complex square root, of its factors' quotient.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -141,10 +142,10 @@ def w_branch_left(params: SurfaceParams, z, region: str = "auto"):
     eb = complex(np.exp(-1j * rho))
 
     def inner(zi):
-        return pref * 1j * np.sqrt(-zi) / (np.sqrt(ea - zi) * np.sqrt(zi + eb))
+        return pref * 1j * np.sqrt(-zi / ((ea - zi) * (zi + eb)))
 
     def outer(zo):
-        return pref / (np.sqrt(ea - zo) * np.sqrt(1.0 + eb / zo))
+        return pref / np.sqrt((ea - zo) * (1.0 + eb / zo))
 
     if np.all(inner_mask):
         w = inner(z)

@@ -27,7 +27,7 @@ These satisfy ``phi1^2 + phi2^2 + phi3^2 = 0`` identically on the curve, and
 only singularities are the double pole at the punctures ``z = i/lam``, the
 inverse-square-root at ``z = 0``/``z = oo`` and at the w-poles; every path
 constructor below bakes in a substitution that makes its integrand smooth, so
-plain Gauss-Legendre panels converge at spectral rate.
+plain Gauss-Kronrod panels converge at spectral rate.
 
 Paths are oriented lists of :class:`Segment`; each segment maps ``s in [0,1]``
 to a z-path on one sheet.  The three segments that end at a w-pole (the
@@ -288,90 +288,88 @@ def reversed_segment(seg: Segment) -> Segment:
 
 
 # ----------------------------------------------------------------------
-# Adaptive Gauss-Legendre path integration (batched GL8/GL16 pairs)
+# Adaptive Gauss-Kronrod path integration (batched K15/G7 pairs)
 # ----------------------------------------------------------------------
 
-
-def _symmetric_rule(nodes, weights):
-    """A Gauss-Legendre rule on [-1, 1] from its positive nodes and their weights."""
-    x, w = np.array(nodes), np.array(weights)
-    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-
-
-# Bit for bit np.polynomial.legendre.leggauss(8) and (16), written out so
-# that no run loads numpy.polynomial (and its eigenvalue solve) for them.
-_GL8_X, _GL8_W = _symmetric_rule(
-    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
-    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706],
-)
-_GL16_X, _GL16_W = _symmetric_rule(
-    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
-    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
-     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176],
-)
+# The 7/15-point Gauss-Kronrod rule of QUADPACK's qk15 (Piessens, de Doncker-Kapenga,
+# Ueberhuber and Kahaner, 1983) on [-1, 1], nodes ascending: K15 is exact to degree
+# 22, and the G7 weights sit on the odd nodes, the 7-point Gauss rule's.
+_K15_X = np.array([
+    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691, -0.7415311855993945,
+    -0.5860872354676911, -0.4058451513773972, -0.20778495500789848, 0.0,
+    0.20778495500789848, 0.4058451513773972, 0.5860872354676911, 0.7415311855993945,
+    0.8648644233597691, 0.9491079123427585, 0.9914553711208126,
+])
+_K15_W = np.array([
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782,
+    0.20443294007529889, 0.19035057806478542, 0.1690047266392679, 0.14065325971552592,
+    0.10479001032225019, 0.06309209262997856, 0.022935322010529224,
+])
+_G7_W = np.array([
+    0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694,
+    0.3818300505051189, 0.27970539148927664, 0.1294849661688697,
+])
 
 # Bisection waves and live subintervals allowed before a path integral fails.
 _MAX_WAVES = 40
 _MAX_INTERVALS = 200000
 
 
-def _gl_nodes(a, b):
-    """Half-widths of the pieces [a[k], b[k]], and all their GL8 then GL16 nodes, flat."""
+def _k15_nodes(a, b):
+    """Half-widths of the pieces [a[k], b[k]], and their K15 nodes, 15 per piece, flat."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    s = [(mid[:, None] + half[:, None] * x[None, :]).ravel() for x in (_GL8_X, _GL16_X)]
-    return half, np.concatenate(s)
+    return half, (mid[:, None] + half[:, None] * _K15_X[None, :]).ravel()
 
 
-def _gl_estimates(half, f):
-    """GL8/GL16 estimates (I16, err) from the complex (N, 3) values ``f`` at
-    :func:`_gl_nodes`.  The real weights sum the real and imaginary parts of
-    a float view, which gives the complex sums' bits at a quarter of the
-    time."""
-    n = len(half)
-    parts = f.view(float)
-    i8 = np.einsum("k,nkc->nc", _GL8_W, parts[: 8 * n].reshape(n, 8, 6)).view(complex)
-    i16 = np.einsum("k,nkc->nc", _GL16_W, parts[8 * n :].reshape(n, 16, 6)).view(complex)
-    i8 *= half[:, None]
-    i16 *= half[:, None]
-    return i16, np.max(np.abs(i16 - i8), axis=1)
+def _k15_estimates(half, f):
+    """K15 values and their error estimates |K15 - G7| (the largest component) from
+    the complex (N, 3) values ``f`` at :func:`_k15_nodes`.  The real weights sum the
+    real and imaginary parts of a float view, which gives the complex sums' bits at
+    a quarter of the time."""
+    parts = f.view(float).reshape(len(half), 15, 6)
+    k15 = np.einsum("k,nkc->nc", _K15_W, parts).view(complex)
+    g7 = np.einsum("k,nkc->nc", _G7_W, parts[:, 1::2]).view(complex)
+    k15 *= half[:, None]
+    g7 *= half[:, None]
+    return k15, np.max(np.abs(k15 - g7), axis=1)
 
 
 def _wave(params, seg, half, s, z, dz):
-    """GL8/GL16 estimates (I16, err) on the pieces whose half-widths and
-    nodes :func:`_gl_nodes` gave as ``half, s``, from z and dz/ds at ``s``.
+    """K15 values and error estimates on the pieces whose half-widths and nodes
+    :func:`_k15_nodes` gave as ``half, s``, from z and dz/ds at ``s``.
 
     A non-finite value raises :class:`IntegrationError` at its first node in
-    the order of ``s``, the GL8 nodes of all pieces before their GL16 nodes.
+    the order of ``s``: piece by piece, each piece's nodes ascending.
     """
     vals = phi_dz(params, seg.sheet, z, seg.region) * dz[..., None]
     if not np.all(np.isfinite(vals)):
         bad = int(np.argwhere(~np.isfinite(vals))[0][0])
         raise IntegrationError(f"non-finite integrand on {seg.label} at s={float(s[bad])!r}")
-    return _gl_estimates(half, vals)
+    return _k15_estimates(half, vals)
 
 
-def _gl_wave(params, seg, a, b):
-    """GL8/GL16 estimates (I16, err) on a batch of pieces."""
-    half, s = _gl_nodes(a, b)
+def _k15_wave(params, seg, a, b):
+    """K15 values and error estimates on a batch of pieces."""
+    half, s = _k15_nodes(a, b)
     return _wave(params, seg, half, s, seg.z_of(s), seg.dz_ds(s))
 
 
 def _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol) -> np.ndarray:
     """Integrals of all three components over each piece [a[k], b[k]] to the tolerance
-    :func:`positions_along` states, from the first :func:`_gl_wave` ``wave`` on them."""
+    :func:`positions_along` states, from the first :func:`_k15_wave` ``wave`` on them."""
     n_pairs = len(a)
     result = np.zeros((n_pairs, 3), dtype=complex)
 
-    i16, err = wave
-    scale = np.maximum(np.max(np.abs(i16), axis=1), np.max(np.abs(i16.sum(axis=0))))
+    k15, err = wave
+    scale = np.maximum(np.max(np.abs(k15), axis=1), np.max(np.abs(k15.sum(axis=0))))
     tol = np.maximum(abs_tol, rel_tol * scale)
     owner = np.arange(n_pairs)
 
     for _ in range(_MAX_WAVES):
         ok = err <= tol
         if np.any(ok):
-            np.add.at(result, owner[ok], i16[ok])
+            np.add.at(result, owner[ok], k15[ok])
         if np.all(ok):
             return result
         a, b = a[~ok], b[~ok]
@@ -385,7 +383,7 @@ def _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol) -> np.ndarray:
             raise IntegrationError(
                 f"subdivision explosion on {seg.label}: {len(a)} intervals"
             )
-        i16, err = _gl_wave(params, seg, a, b)
+        k15, err = _k15_wave(params, seg, a, b)
     raise IntegrationError(
         f"no convergence on {seg.label}: {len(a)} intervals still failing, "
         f"worst err={float(np.max(err)):.3e} tol={float(np.min(tol)):.3e}"
@@ -412,7 +410,7 @@ def integrate_path(
     total = np.zeros(3, dtype=complex)
     a, b = np.array([0.0]), np.array([1.0])
     for seg in segs:
-        wave = _gl_wave(params, seg, a, b)
+        wave = _k15_wave(params, seg, a, b)
         total += _adaptive_pairs(params, seg, a, b, wave, rel_tol, abs_tol)[0]
     return total
 
@@ -428,8 +426,8 @@ def positions_along(
     """Real positions X at the given s-breakpoints, anchored at X(s_breaks[0]) = x0.
 
     Each piece [s_breaks[k], s_breaks[k+1]] is bisected until the gap
-    between its GL8 and GL16 estimates, the error estimate of the GL16
-    value kept, is at most ``max(abs_tol, rel_tol * scale)``; the tolerance
+    between its K15 and G7 estimates, the error estimate of the K15 value
+    kept, is at most ``max(abs_tol, rel_tol * scale)``; the tolerance
     halves with each bisection.  ``scale`` is the larger of the piece's own
     size and the net displacement of the segment over all the breakpoints
     (each the largest component modulus).  So X(s_breaks[k]) carries at most
@@ -441,17 +439,18 @@ def positions_along(
     the pole, but its floating-point evaluation there is noisy: the
     integrand is computed from z, a point of modulus 1, which fixes its
     small distance to the pole only up to an absolute rounding error.
-    The GL8/GL16 gap of the piece that ends at the pole does not fall below
-    about 1e-12 however short the piece (on a slit bank 7.5e-13 for a piece
-    of length 1e-2 in s, 1.2e-11 for 1e-3).  Measured against its own size,
+    The K15/G7 gap of the piece that ends at the pole does not fall below
+    about 1e-12 however short the piece (on a slit bank 6.5e-13 for a piece
+    of length 1e-2 in s, 8.2e-12 for 1e-3).  Measured against its own size,
     which shrinks with it, that piece would bisect toward the pole until
-    the interval limit raised :class:`IntegrationError`; against the path's
-    net displacement it passes while it is not much shorter than 1e-3 (on
-    the slit banks it passes at 1/800 and fails at 1/900).
+    :class:`IntegrationError` was raised; against the path's net
+    displacement it passes while it is not much shorter than 2e-3 (on the
+    slit banks, cut into m equal pieces at the default tolerances, every m
+    up to 468 passes, and m = 469 is the first that fails).
     """
     s_breaks = np.asarray(s_breaks, dtype=float)
     a, b = s_breaks[:-1], s_breaks[1:]
-    pieces = _adaptive_pairs(params, seg, a, b, _gl_wave(params, seg, a, b), rel_tol, abs_tol)
+    pieces = _adaptive_pairs(params, seg, a, b, _k15_wave(params, seg, a, b), rel_tol, abs_tol)
     return _anchored(x0, pieces)
 
 
@@ -464,10 +463,9 @@ def arc_positions(
     radii m that share the s-breakpoints.  It shares that function's
     tolerance rule, bisection, errors and running sum; only the first wave's
     nodes and E = e^{i theta} at them are formed once, so a radius costs
-    integrand calls at z = m E only.  ``positions`` keeps no state: threads
-    may share it."""
+    integrand calls at z = m E only."""
     a, b = s_breaks[:-1], s_breaks[1:]
-    half, s = _gl_nodes(a, b)
+    half, s = _k15_nodes(a, b)
     e = np.exp(1j * (th0 + (th1 - th0) * s))
 
     def positions(m: float, x0) -> np.ndarray:

@@ -88,11 +88,11 @@ def test_solve_and_periods_load_only_the_solver():
     assert out.stdout.strip() == "[0, 0] []"
 
 
-def test_numpy_ma_stays_unloaded_and_the_level_pool_is_mesh_only(tmp_path):
+def test_numpy_ma_and_a_thread_pool_stay_unloaded(tmp_path):
     # numpy.ma costs about 8 ms of import per process; concurrent.futures
-    # (which loads logging) serves only the level pool of a large patch, and
-    # the GL tables are written out, so none of the mesh stack's runs below
-    # loads those modules or numpy.polynomial
+    # loads logging; the quadrature tables are written out, so none of the
+    # mesh stack's runs below, a res-128 patch among them, loads those
+    # modules or numpy.polynomial
     code = (
         "import contextlib, io, sys\n"
         "from g1helicoid import cli\n"
@@ -100,13 +100,15 @@ def test_numpy_ma_stays_unloaded_and_the_level_pool_is_mesh_only(tmp_path):
         "print(sorted(m for m in lazy + ('g1helicoid.mesh',) if m in sys.modules))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(['mesh', '--resolution', '8', '--out', {str(tmp_path / 'm.obj')!r}]),\n"
+        "             cli.main(['mesh', '--resolution', '128', '--format', 'ply',\n"
+        f"                       '--out', {str(tmp_path / 'm.ply')!r}]),\n"
         f"             cli.main(['curves', '--resolution', '8', '--out', {str(tmp_path / 'c.csv')!r}]),\n"
         "             cli.main(['verify', '--verify-grid', '10'])]\n"
         "print(codes, sorted(m for m in lazy if m in sys.modules))\n"
     )
     out = _fresh_python(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[]", "[0, 0, 0] []"]
+    assert out.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []"]
 
 
 def test_mesh_error_exits_1_from_a_fresh_process(tmp_path):

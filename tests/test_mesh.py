@@ -5,10 +5,7 @@ import csv
 import dataclasses
 import math
 import os
-import threading
-import time
 import tracemalloc
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -251,71 +248,29 @@ def test_patch_builds_when_a_ray_sits_next_to_the_slit_tip(params):
     assert rep["overused_edges"] == 0
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_patch_does_not_depend_on_the_cpu_count(patch, params, monkeypatch, cpus):
-    # a res-48 patch is below the node count that threads its levels; with
-    # the count lowered, two CPUs sweep on two threads and one on none
-    pools = []
-    real_pool = futures.ThreadPoolExecutor
-    monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", lambda n: pools.append(n) or real_pool(n))
-    again = mesh_patch_D(params, resolution=48, cutoff=1e-2)
-    assert pools == ([2] if cpus == 2 else [])
-    assert again.vertices.tobytes() == patch.vertices.tobytes()
-    assert again.faces.tobytes() == patch.faces.tobytes()
-
-
-def test_small_patches_sweep_on_one_thread_and_large_ones_on_two(params, monkeypatch):
-    # the thread count follows the nodes of the level sweeps, not the CPUs
-    pools = []
-    real_pool = futures.ThreadPoolExecutor
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", lambda n: pools.append(n) or real_pool(n))
-    mesh_patch_D(params, resolution=96, cutoff=1e-2)
-    assert pools == []
-    mesh_patch_D(params, resolution=128, cutoff=1e-2)
-    assert pools == [2]
-
-
 def test_no_level_starts_after_a_failing_level(params, monkeypatch):
-    # the first level's anchor is off, so its closure check fails; every
-    # other level holds in its anchor until the pool has cancelled the queue,
-    # so only the levels the two threads took up meanwhile can start
+    # the first inner level's anchor is off, so its closure check fails; the
+    # levels are swept in order, so no other level's anchor is evaluated
     inner, outer = _level_values(params, 48, 1e-2, 10.0 / params.lam)
     started = []
-    cancelled = threading.Event()
-    deadline = time.monotonic() + 10.0  # a regression fails instead of hanging
-    real_anchor = mesh.x3_E
 
-    class Pool(futures.ThreadPoolExecutor):
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            super().shutdown(wait=False, cancel_futures=cancel_futures)
-            cancelled.set()
-            super().shutdown(wait=wait)
+    def recorded(real):
+        def anchor(params, t):
+            started.append(t)
+            return real(params, t) + (1.0 if t == inner[0] else 0.0)
 
-    def anchor(params, t):
-        started.append(t)
-        if t == inner[0]:
-            return real_anchor(params, t) + 1.0
-        cancelled.wait(max(0.0, deadline - time.monotonic()))
-        return real_anchor(params, t)
+        return anchor
 
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(mesh, "x3_E", anchor)
-    monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(mesh, "x3_E", recorded(mesh.x3_E))
+    monkeypatch.setattr(mesh, "x3_Ehat", recorded(mesh.x3_Ehat))
     with pytest.raises(MeshError, match=f"closure failure at level t={inner[0]:.6g}, "):
         mesh_patch_D(params, resolution=48, cutoff=1e-2)
-    assert cancelled.is_set()
-    # the failing level plus at most one more per thread
-    assert len(started) <= 3
+    assert started == [inner[0]]
 
 
 def test_the_first_level_with_a_non_finite_integrand_is_reported(params, monkeypatch):
-    # two levels poisoned, one inside the unit circle and one outside, which
-    # two threads sweep at once: the error is the inner one's, in the words
-    # positions_along uses for it
+    # two levels poisoned, one inside the unit circle and one outside: the
+    # error is the inner one's, in the words positions_along uses for it
     inner, outer = _level_values(params, 48, 1e-2, 10.0 / params.lam)
     bad = (inner[5], outer[3])
     real_phi = weierstrass.phi_dz
@@ -328,8 +283,6 @@ def test_the_first_level_with_a_non_finite_integrand_is_reported(params, monkeyp
         return out
 
     monkeypatch.setattr(weierstrass, "phi_dz", poisoned)
-    monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     s_breaks = (1.5 * math.pi - mesh._ray_angles(params, 48, 1e-2)[::-1]) / math.pi
     arc = weierstrass.seg_arc("upper_left", bad[0], 1.5 * math.pi, 0.5 * math.pi)
     with pytest.raises(weierstrass.IntegrationError) as alone:

@@ -148,6 +148,34 @@ def test_inner_form_is_the_lifted_angle_square_root(params):
         assert np.max(np.abs(w - oracle) / np.abs(oracle)) < 1e-15, p.rho
 
 
+def _three_root_forms(params, z):
+    """The reference: w's inner and outer forms with one square root per factor."""
+    pref = -math.sqrt(2.0 * math.cos(params.rho))
+    ea, eb = np.exp(1j * params.rho), np.exp(-1j * params.rho)
+    inner = pref * 1j * np.sqrt(-z) / (np.sqrt(ea - z) * np.sqrt(z + eb))
+    outer = pref / (np.sqrt(ea - z) * np.sqrt(1.0 + eb / z))
+    return inner, outer
+
+
+def test_one_root_forms_are_the_three_root_forms(params):
+    # a seeded sample of the closed left half-plane inside and outside the
+    # unit circle, and of the circle itself in both forms; points within
+    # 1e-9 of the slit tip, the forms' common pole, are left out
+    rng = np.random.default_rng(36)
+    n = 100_000
+    th = rng.uniform(0.5 * math.pi, 1.5 * math.pi, (3, n))
+    radii = np.sqrt(rng.uniform(0.0, 1.0, (2, n)))
+    z_in, z_out, z_ring = (r * np.exp(1j * t) for r, t in zip([radii[0], 1.0 / radii[1], 1.0], th))
+    for p in (P, params):
+        tip = -np.exp(-1j * p.rho)
+        for region, zs in (("inner", [z_in, z_ring]), ("outer", [z_out, z_ring])):
+            z = np.concatenate(zs)
+            z = z[np.abs(z - tip) > 1e-9]
+            ref = _three_root_forms(p, z)[region == "outer"]
+            w = w_branch_left(p, z, region)
+            assert np.max(np.abs(w - ref) / np.abs(ref)) < 1e-15, (p.rho, region)
+
+
 def test_lift_angle_range():
     z = _left_points(11)
     th = lift_angle_left(z)

@@ -5,13 +5,12 @@ import dataclasses
 import inspect
 import json
 import math
-import os
 import time
 
 import numpy as np
 import pytest
 
-from g1helicoid import NumericError, cli, mesh, verify
+from g1helicoid import NumericError, cli, verify
 from g1helicoid import weierstrass as W
 from g1helicoid.mesh import SurfaceMesh
 from g1helicoid.period_solver import PeriodSolverError, scan_H
@@ -95,14 +94,6 @@ def test_run_all_reproduces_the_cli_report(report, tmp_path):
     written = json.loads(out.read_text())
     del written["provenance"]
     assert json_text(written) == json_text(report.to_dict())
-
-
-def test_report_does_not_depend_on_the_level_threads(report, params, monkeypatch):
-    # its res-48 patch sweeps on one thread; with the threading node count
-    # lowered and two CPUs, on two
-    monkeypatch.setattr(mesh, "_THREADED_NODES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert json_text(run_all(params=params).to_dict()) == json_text(report.to_dict())
 
 
 def test_table_mentions_every_check(report):

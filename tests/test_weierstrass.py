@@ -286,16 +286,15 @@ def test_positions_along_edge(params):
     assert np.max(np.abs(pos[:, [0, 2]])) < 1e-11
 
 
-def _positions_by_one_gl16_panel(params, seg, s_breaks, x0):
-    """Positions from one fixed 16-point Gauss-Legendre panel per piece, with
-    no error test: the rule the slit banks of ``verify`` once used."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+def _positions_by_one_k15_panel(params, seg, s_breaks, x0):
+    """Positions from one fixed 15-point Kronrod panel per piece, with no
+    error test."""
     a, b = s_breaks[:-1], s_breaks[1:]
     half = 0.5 * (b - a)
-    s = (0.5 * (a + b))[:, None] + half[:, None] * nodes[None, :]
+    s = (0.5 * (a + b))[:, None] + half[:, None] * W._K15_X[None, :]
     s = s.ravel()
     f = W.phi_dz(params, seg.sheet, seg.z_of(s), seg.region) * seg.dz_ds(s)[..., None]
-    pieces = half[:, None] * np.einsum("k,nkc->nc", weights, f.reshape(len(a), 16, 3))
+    pieces = half[:, None] * np.einsum("k,nkc->nc", W._K15_W, f.reshape(len(a), 15, 3))
     out = np.empty((len(pieces) + 1, 3))
     out[0] = x0
     out[1:] = out[0] + np.cumsum(pieces.real, axis=0)
@@ -307,38 +306,54 @@ def _positions_by_one_gl16_panel(params, seg, s_breaks, x0):
 def test_positions_along_the_slit_banks_accept_every_piece_unsplit(params, bank, m):
     # the sample counts of the verify checks: every piece, the one that ends
     # at the tip included, passes its first error test, so the adaptive
-    # positions are the one-panel GL16 positions bit for bit
+    # positions are the one-panel K15 positions bit for bit
     seg = W.seg_slit_bank(params, bank)
     s = np.linspace(0.0, 1.0, m + 1)
     x0 = np.array([0.0, 0.0, W.axis_rise(params) * (1.0 if bank == "inner" else -1.0)])
     pos = W.positions_along(params, seg, s, x0)
-    assert pos.tobytes() == _positions_by_one_gl16_panel(params, seg, s, x0).tobytes()
+    assert pos.tobytes() == _positions_by_one_k15_panel(params, seg, s, x0).tobytes()
 
 
-def test_gl_tables_are_leggauss_bit_for_bit():
-    # written out so that no run loads numpy.polynomial for them
-    for n, x, w in [(8, W._GL8_X, W._GL8_W), (16, W._GL16_X, W._GL16_W)]:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        assert x.tobytes() == nodes.tobytes() and w.tobytes() == weights.tobytes()
+def test_rule_tables_integrate_the_monomials_they_claim():
+    # the float tables themselves, against 40-digit moments: K15 is exact to
+    # degree 22 and G7, on the odd K15 nodes, to degree 13; each misses the
+    # next even degree by far more than rounding
+    mpmath = pytest.importorskip("mpmath")
+    rules = [(W._K15_X, W._K15_W, 22, 1e-9), (W._K15_X[1::2], W._G7_W, 12, 1e-5)]
+    with mpmath.workdps(40):
+        for x, w, exact_to, miss in rules:
+            x, w = [mpmath.mpf(float(v)) for v in x], [mpmath.mpf(float(v)) for v in w]
+
+            def error(d):
+                return abs(mpmath.fsum(wk * xk**d for xk, wk in zip(x, w)) - mpmath.mpf(2) / (d + 1))
+
+            for d in range(0, exact_to + 1, 2):
+                assert error(d) < 1e-15, d
+            assert error(exact_to + 2) > miss
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(W._K15_X[1::2] - nodes)) <= 2.3e-16
+    assert np.max(np.abs(W._G7_W - weights)) <= 2.3e-16
 
 
 def test_gl_estimates_give_the_complex_einsum_bits(params, monkeypatch):
-    # the real weights on a float view of the values, on every wave of the
-    # res-48 patch (each level's first among them), against the complex einsum
-    real_estimates = W._gl_estimates
+    # the real K15 and G7 weights on a float view of the values, on every wave
+    # of the res-48 patch (each level's first among them), against the complex
+    # einsum
+    real_estimates = W._k15_estimates
     waves = []
 
     def checked(half, f):
         n = len(half)
-        i8 = half[:, None] * np.einsum("k,nkc->nc", W._GL8_W, f[: 8 * n].reshape(n, 8, 3))
-        i16 = half[:, None] * np.einsum("k,nkc->nc", W._GL16_W, f[8 * n :].reshape(n, 16, 3))
+        per_piece = f.reshape(n, 15, 3)
+        k15 = half[:, None] * np.einsum("k,nkc->nc", W._K15_W, per_piece)
+        g7 = half[:, None] * np.einsum("k,nkc->nc", W._G7_W, per_piece[:, 1::2])
         got = real_estimates(half, f)
-        assert got[0].tobytes() == i16.tobytes()
-        assert got[1].tobytes() == np.max(np.abs(i16 - i8), axis=1).tobytes()
+        assert got[0].tobytes() == k15.tobytes()
+        assert got[1].tobytes() == np.max(np.abs(k15 - g7), axis=1).tobytes()
         waves.append(n)
         return got
 
-    monkeypatch.setattr(W, "_gl_estimates", checked)
+    monkeypatch.setattr(W, "_k15_estimates", checked)
     mesh.mesh_patch_D(params, resolution=48, cutoff=1e-2)
     inner, outer = mesh._level_values(params, 48, 1e-2, 10.0 / params.lam)
     assert len(waves) > len(inner) + len(outer)
@@ -352,22 +367,22 @@ def _poisoned(seg, nodes):
     return W.Segment(seg.sheet, seg.region, seg.z_of, dz_ds, seg.label)
 
 
-@pytest.mark.parametrize("gl8_piece", [10, None])
-def test_a_wave_raises_at_its_first_bad_node_in_node_order(params, gl8_piece):
-    # GL16 nodes of pieces 1 and 12 and a GL8 node of piece 10: the wave
-    # meets the GL8 node first, since the GL8 nodes of all pieces come
-    # before the GL16 nodes; without it, the GL16 node of piece 1
+@pytest.mark.parametrize("kronrod_piece", [10, None])
+def test_a_wave_raises_at_its_first_bad_node_in_node_order(params, kronrod_piece):
+    # G7 nodes of pieces 12 and 17 and a Kronrod-only node of piece 10: the
+    # wave meets piece 10's node first, since the nodes run piece by piece,
+    # each piece's 15 ascending, with no G7 block of their own; without it,
+    # the G7 node of piece 12
     seg = W.seg_arc("upper_left", 0.7, 1.5 * math.pi, 0.5 * math.pi)
     breaks = np.linspace(0.0, 1.0, 21)
-    half, s = W._gl_nodes(breaks[:-1], breaks[1:])
-    n = len(half)
-    bad = [s[8 * n + 16 * 1 + 5], s[8 * n + 16 * 12 + 2]]
-    if gl8_piece is not None:
-        bad.append(s[8 * gl8_piece + 3])
+    half, s = W._k15_nodes(breaks[:-1], breaks[1:])
+    bad = [s[15 * 12 + 3], s[15 * 17 + 5]]
+    if kronrod_piece is not None:
+        bad.append(s[15 * kronrod_piece + 4])
     seg = _poisoned(seg, bad)
     with pytest.raises(W.IntegrationError) as exc:
         W.positions_along(params, seg, breaks, np.zeros(3))
-    first = bad[-1] if gl8_piece is not None else bad[0]
+    first = bad[-1] if kronrod_piece is not None else bad[0]
     assert str(exc.value) == f"non-finite integrand on {seg.label} at s={float(first)!r}"
 
 
@@ -406,8 +421,8 @@ def test_arc_positions_are_positions_along_on_every_mesh_level(params, resolutio
 def test_arc_positions_bisect_like_positions_along(params, monkeypatch):
     # a tolerance this tight sends pieces through the shared bisection loop
     waves = []
-    real_wave = W._gl_wave
-    monkeypatch.setattr(W, "_gl_wave", lambda *args: waves.append(1) or real_wave(*args))
+    real_wave = W._k15_wave
+    monkeypatch.setattr(W, "_k15_wave", lambda *args: waves.append(1) or real_wave(*args))
     outcomes = list(_arc_outcomes(params, 8, 1e-2, 1e-14, 0.0))
     for swept, alone in outcomes:
         assert isinstance(swept, bytes) and swept == alone
